@@ -320,9 +320,7 @@ impl EstimateSource for ResilientSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adcomp_platform::{
-        FaultKind, FaultPlan, FaultyPlatform, PlatformApi, Schedule, SimScale, Simulation,
-    };
+    use adcomp_platform::{FaultKind, FaultPlan, FaultyPlatform, Schedule, SimScale, Simulation};
     use std::sync::OnceLock;
 
     fn sim() -> &'static Simulation {
@@ -330,51 +328,8 @@ mod tests {
         SIM.get_or_init(|| Simulation::build(48, SimScale::Test))
     }
 
-    /// Adapter: a `FaultyPlatform` as an `EstimateSource` (in-process,
-    /// no wire), mirroring the `AdPlatform` impl.
-    struct FaultySource(FaultyPlatform);
-
-    impl EstimateSource for FaultySource {
-        fn label(&self) -> String {
-            self.0.label().to_string()
-        }
-
-        fn estimate(&self, spec: &TargetingSpec) -> Result<u64, SourceError> {
-            let req =
-                adcomp_platform::EstimateRequest::borrowed(spec, self.0.config().default_objective);
-            Ok(self.0.reach_estimate(&req)?.value)
-        }
-
-        fn check(&self, spec: &TargetingSpec) -> Result<(), SourceError> {
-            self.0.check(spec).map_err(Into::into)
-        }
-
-        fn catalog_len(&self) -> u32 {
-            self.0.catalog().len() as u32
-        }
-
-        fn attribute_name(&self, id: AttributeId) -> Option<String> {
-            self.0.catalog().get(id).map(|e| e.name.clone())
-        }
-
-        fn attribute_feature(&self, id: AttributeId) -> Option<FeatureId> {
-            self.0.catalog().get(id).map(|e| e.feature)
-        }
-
-        fn can_compose(&self, a: AttributeId, b: AttributeId) -> bool {
-            a != b
-        }
-
-        fn supports_demographics(&self) -> bool {
-            true
-        }
-    }
-
     fn faulty(plan: FaultPlan) -> Arc<dyn EstimateSource> {
-        Arc::new(FaultySource(FaultyPlatform::new(
-            sim().linkedin.clone(),
-            plan,
-        )))
+        Arc::new(FaultyPlatform::new(sim().linkedin.clone(), plan))
     }
 
     #[test]

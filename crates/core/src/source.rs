@@ -15,7 +15,10 @@
 
 use std::sync::Arc;
 
-use adcomp_platform::{AdPlatform, EstimateRequest, PlatformApi, PlatformError};
+use adcomp_platform::{
+    AdPlatform, Catalog, EstimateRequest, PlatformApi, PlatformConfig, PlatformError, QueryStats,
+    SizeEstimate,
+};
 use adcomp_population::{AgeBucket, Gender};
 use adcomp_targeting::{AttributeId, FeatureId, TargetingSpec};
 
@@ -227,9 +230,12 @@ pub trait EstimateSource: Send + Sync {
     fn supports_demographics(&self) -> bool;
 }
 
-impl EstimateSource for AdPlatform {
+/// Every platform is a source: estimates use the interface's default
+/// objective, composition follows its capabilities. This is the one
+/// adapter from the serving-side trait to the audit's.
+impl<P: PlatformApi + ?Sized> EstimateSource for P {
     fn label(&self) -> String {
-        AdPlatform::label(self).to_string()
+        PlatformApi::label(self).to_string()
     }
 
     fn estimate(&self, spec: &TargetingSpec) -> Result<u64, SourceError> {
@@ -238,7 +244,7 @@ impl EstimateSource for AdPlatform {
     }
 
     fn check(&self, spec: &TargetingSpec) -> Result<(), SourceError> {
-        AdPlatform::check(self, spec).map_err(Into::into)
+        PlatformApi::check(self, spec).map_err(Into::into)
     }
 
     fn catalog_len(&self) -> u32 {
@@ -272,56 +278,38 @@ impl EstimateSource for AdPlatform {
     }
 }
 
-/// An [`EstimateSource`] over any [`PlatformApi`] — the in-process
-/// counterpart of the wire client's remote source. This is what lets a
-/// [`FaultyPlatform`](adcomp_platform::FaultyPlatform) (which implements
-/// the serving-side trait, not this one) be audited directly: the
-/// continuous-audit daemon's simulated provider wraps each epoch's
-/// fault-injected platform in one of these.
+/// An [`EstimateSource`] over a shared [`PlatformApi`] handle — the
+/// in-process counterpart of the wire client's remote source. A
+/// `Arc<dyn PlatformApi>` (say, a fault-injecting
+/// [`FaultyPlatform`](adcomp_platform::FaultyPlatform) behind a probe)
+/// cannot be re-typed as an `Arc<dyn EstimateSource>`; wrapping it in
+/// one of these can. The continuous-audit daemon's simulated provider
+/// wraps each epoch's fault-injected platform this way.
 pub struct ApiSource(pub Arc<dyn PlatformApi>);
 
-impl EstimateSource for ApiSource {
-    fn label(&self) -> String {
-        self.0.label().to_string()
+impl PlatformApi for ApiSource {
+    fn config(&self) -> &PlatformConfig {
+        self.0.config()
     }
 
-    fn estimate(&self, spec: &TargetingSpec) -> Result<u64, SourceError> {
-        let req = EstimateRequest::borrowed(spec, self.0.config().default_objective);
-        Ok(self.0.reach_estimate(&req)?.value)
+    fn catalog(&self) -> &Catalog {
+        self.0.catalog()
     }
 
-    fn check(&self, spec: &TargetingSpec) -> Result<(), SourceError> {
-        self.0.check(spec).map_err(Into::into)
+    fn reach_estimate(&self, request: &EstimateRequest) -> Result<SizeEstimate, PlatformError> {
+        self.0.reach_estimate(request)
     }
 
-    fn catalog_len(&self) -> u32 {
-        self.0.catalog().len() as u32
+    fn check(&self, spec: &TargetingSpec) -> Result<(), PlatformError> {
+        self.0.check(spec)
     }
 
-    fn attribute_name(&self, id: AttributeId) -> Option<String> {
-        self.0.catalog().get(id).map(|e| e.name.clone())
+    fn stats(&self) -> QueryStats {
+        self.0.stats()
     }
 
-    fn attribute_feature(&self, id: AttributeId) -> Option<FeatureId> {
-        self.0.catalog().get(id).map(|e| e.feature)
-    }
-
-    fn can_compose(&self, a: AttributeId, b: AttributeId) -> bool {
-        if a == b {
-            return false;
-        }
-        if self.0.config().capabilities.same_feature_and {
-            true
-        } else {
-            match (self.attribute_feature(a), self.attribute_feature(b)) {
-                (Some(fa), Some(fb)) => fa != fb,
-                _ => false,
-            }
-        }
-    }
-
-    fn supports_demographics(&self) -> bool {
-        self.0.config().capabilities.gender_targeting && self.0.config().capabilities.age_targeting
+    fn note_rate_limited(&self) {
+        self.0.note_rate_limited()
     }
 }
 

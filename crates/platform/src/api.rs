@@ -2,16 +2,18 @@
 //!
 //! [`PlatformApi`] is exactly the surface a serving layer (the wire
 //! server, or any other transport) needs from a platform: describe,
-//! browse, validate, estimate, count. [`AdPlatform`] implements it
-//! directly; [`FaultyPlatform`](crate::FaultyPlatform) implements it by
-//! delegating through a fault plan — so a server can expose either
-//! without knowing which it holds.
+//! browse, validate, estimate, count. Every [`Platform`] implements it
+//! directly, whatever its audience backend;
+//! [`FaultyPlatform`](crate::FaultyPlatform) implements it by delegating
+//! through a fault plan — so a server can expose any of them without
+//! knowing which it holds.
 
 use adcomp_targeting::TargetingSpec;
 
+use crate::backend::AudienceBackend;
 use crate::catalog::Catalog;
 use crate::estimate::SizeEstimate;
-use crate::interface::{AdPlatform, EstimateRequest, PlatformConfig, PlatformError};
+use crate::interface::{EstimateRequest, Platform, PlatformConfig, PlatformError};
 use crate::ratelimit::QueryStats;
 
 /// What a serving layer may ask of a platform.
@@ -40,29 +42,29 @@ pub trait PlatformApi: Send + Sync {
     }
 }
 
-impl PlatformApi for AdPlatform {
+impl<B: AudienceBackend> PlatformApi for Platform<B> {
     fn config(&self) -> &PlatformConfig {
-        AdPlatform::config(self)
+        Platform::config(self)
     }
 
     fn catalog(&self) -> &Catalog {
-        AdPlatform::catalog(self)
+        Platform::catalog(self)
     }
 
     fn reach_estimate(&self, request: &EstimateRequest) -> Result<SizeEstimate, PlatformError> {
-        AdPlatform::reach_estimate(self, request)
+        Platform::reach_estimate(self, request)
     }
 
     fn check(&self, spec: &TargetingSpec) -> Result<(), PlatformError> {
-        AdPlatform::check(self, spec)
+        Platform::check(self, spec)
     }
 
     fn stats(&self) -> QueryStats {
-        AdPlatform::stats(self)
+        Platform::stats(self)
     }
 
     fn note_rate_limited(&self) {
-        AdPlatform::note_rate_limited(self)
+        Platform::note_rate_limited(self)
     }
 }
 

@@ -1,8 +1,9 @@
 //! The advertiser-facing platform interface.
 //!
-//! An [`AdPlatform`] bundles a universe, a catalog with materialised
-//! attribute audiences, an interface policy ([`Capabilities`]) and a size
-//! estimator ([`RoundingRule`]). Its advertiser-visible surface is
+//! A [`Platform`] bundles an audience backend (a resident universe with
+//! materialised attribute audiences, or a segment store), a catalog, an
+//! interface policy ([`Capabilities`]) and a size estimator
+//! ([`RoundingRule`]). Its advertiser-visible surface is
 //! deliberately narrow — browse the catalog, validate a spec, request a
 //! rounded reach estimate — because that is all the paper's methodology
 //! (and any real advertiser) gets to see. Ground-truth accessors exist for
@@ -13,13 +14,14 @@ use std::time::Duration;
 
 use adcomp_bitset::Bitset;
 use adcomp_obs::metrics::{size_buckets, Counter, Histogram, Registry};
-use adcomp_population::{AgeBucket, Gender, InferredView, Universe};
+use adcomp_population::{InferredView, SegmentStore, Universe};
 use adcomp_targeting::{
     evaluate, validate, AttributeId, AttributeResolver, Capabilities, EvalError, TargetingSpec,
     ValidationError,
 };
 use parking_lot::Mutex;
 
+use crate::backend::{AudienceBackend, Resident};
 use crate::catalog::Catalog;
 use crate::estimate::{EstimateKind, RoundingRule, SizeEstimate};
 use crate::objective::{FrequencyCap, Objective};
@@ -152,21 +154,28 @@ impl From<ValidationError> for PlatformError {
 }
 
 impl From<EvalError> for PlatformError {
+    /// Storage failures are transient: the spec is well-formed, the
+    /// backing store hiccuped, and a retry may succeed.
     fn from(e: EvalError) -> Self {
-        PlatformError::Eval(e)
+        match e {
+            EvalError::Storage(msg) => PlatformError::Transient(msg),
+            e => PlatformError::Eval(e),
+        }
     }
 }
 
 /// Per-platform instrument handles, resolved once at construction so the
-/// estimate hot path never touches the registry mutex. Shared with the
-/// segment-backed platform (`crate::segmented`), which instruments the
-/// same counters under its own `platform` label.
+/// estimate hot path never touches the registry mutex. Every backend
+/// instruments the same counters under its interface's `platform` label.
 pub(crate) struct PlatformMetrics {
     pub(crate) estimates: Arc<Counter>,
     pub(crate) validation_failures: Arc<Counter>,
     pub(crate) rate_limited: Arc<Counter>,
     pub(crate) rounding_applied: Arc<Counter>,
     pub(crate) estimate_size: Arc<Histogram>,
+    /// Reach-oracle questions answered "true" because they could not be
+    /// decided (unknown attribute, storage failure).
+    pub(crate) oracle_undecidable: Arc<Counter>,
 }
 
 impl PlatformMetrics {
@@ -184,103 +193,53 @@ impl PlatformMetrics {
                 labels,
                 size_buckets(),
             ),
+            oracle_undecidable: reg
+                .counter_with("adcomp_platform_oracle_undecidable_total", labels),
         }
     }
 }
 
-/// One simulated advertising platform interface.
-pub struct AdPlatform {
+/// One simulated advertising platform interface over an audience
+/// backend: [`AdPlatform`] over a resident universe, [`SegmentedPlatform`]
+/// over an on-disk segment store. Validation, the estimate pipeline and
+/// the reach oracle are written once here, against [`AudienceBackend`].
+pub struct Platform<B> {
     config: PlatformConfig,
-    universe: Arc<Universe>,
     catalog: Catalog,
-    /// Materialised audience per catalog entry (same index as the id).
-    audiences: Vec<Bitset>,
+    pub(crate) backend: B,
     /// For derived (restricted) interfaces: each attribute's id on the
     /// parent interface.
     parent_ids: Option<Vec<AttributeId>>,
-    /// When present, demographic constraints resolve against this
-    /// *inferred* view of the universe instead of ground truth — the
-    /// platform classifies users rather than asking them. The oracle
-    /// universe itself is untouched; only constraint resolution changes.
-    inferred: Option<Arc<InferredView>>,
     stats: Mutex<QueryStats>,
-    metrics: PlatformMetrics,
+    pub(crate) metrics: PlatformMetrics,
 }
 
-impl AdPlatform {
-    /// Builds a platform, materialising every catalog audience.
-    pub fn new(config: PlatformConfig, universe: Arc<Universe>, catalog: Catalog) -> AdPlatform {
+/// A platform whose audiences are materialised in memory.
+pub type AdPlatform = Platform<Resident>;
+
+/// A platform served from an on-disk segment store (see
+/// [`SegmentStore`](adcomp_population::SegmentStore)).
+pub type SegmentedPlatform = Platform<SegmentStore>;
+
+impl<B: AudienceBackend> Platform<B> {
+    pub(crate) fn with_backend(
+        config: PlatformConfig,
+        catalog: Catalog,
+        backend: B,
+        parent_ids: Option<Vec<AttributeId>>,
+    ) -> Platform<B> {
         assert!(
             config
                 .supported_objectives
                 .contains(&config.default_objective),
             "default objective must be supported"
         );
-        let audiences = catalog
-            .entries()
-            .iter()
-            .map(|e| universe.materialize(&e.model))
-            .collect();
-        AdPlatform {
+        Platform {
             metrics: PlatformMetrics::for_kind(config.kind),
             config,
-            universe,
             catalog,
-            audiences,
-            parent_ids: None,
-            inferred: None,
-            stats: Mutex::new(QueryStats::default()),
-        }
-    }
-
-    /// Rebuilds this platform with an inferred demographic view: gender
-    /// and age constraints will resolve against `view`'s (noisy, possibly
-    /// missing) labels instead of the universe's ground truth. Totals and
-    /// attribute audiences are unchanged — the platform still serves every
-    /// user; it just *classifies* them differently.
-    pub fn with_inferred_view(mut self, view: Arc<InferredView>) -> AdPlatform {
-        self.inferred = Some(view);
-        self
-    }
-
-    /// The inferred demographic view, if one is attached.
-    pub fn inferred_view(&self) -> Option<&Arc<InferredView>> {
-        self.inferred.as_ref()
-    }
-
-    /// Builds a *derived* interface over the same universe as `parent`,
-    /// with a catalog whose entries are a subset of the parent's
-    /// (`parent_ids[i]` = id of entry `i` on the parent). Audiences are
-    /// shared (cloned bitsets), not re-materialised.
-    ///
-    /// This models Facebook's restricted interface, which exposes a
-    /// sanitized subset of the normal interface's options over the same
-    /// user base.
-    pub fn derived(
-        config: PlatformConfig,
-        parent: &AdPlatform,
-        catalog: Catalog,
-        parent_ids: Vec<AttributeId>,
-    ) -> AdPlatform {
-        assert_eq!(catalog.len(), parent_ids.len(), "one parent id per entry");
-        let audiences = parent_ids
-            .iter()
-            .map(|pid| {
-                parent
-                    .audiences
-                    .get(pid.0 as usize)
-                    .unwrap_or_else(|| panic!("parent id #{} out of range", pid.0))
-                    .clone()
-            })
-            .collect();
-        AdPlatform {
-            metrics: PlatformMetrics::for_kind(config.kind),
-            config,
-            universe: parent.universe.clone(),
-            catalog,
-            audiences,
-            parent_ids: Some(parent_ids),
-            inferred: parent.inferred.clone(),
+            backend,
+            parent_ids,
             stats: Mutex::new(QueryStats::default()),
         }
     }
@@ -288,7 +247,7 @@ impl AdPlatform {
     /// The advertiser-visible reach estimate for a targeting request.
     ///
     /// This is the paper's primary measurement endpoint: validate the spec
-    /// against the interface policy, compute the audience, scale to
+    /// against the interface policy, count the audience, scale to
     /// platform range (× frequency-cap multiplier on impression
     /// platforms), and round through the platform's ladder.
     pub fn reach_estimate(&self, request: &EstimateRequest) -> Result<SizeEstimate, PlatformError> {
@@ -304,14 +263,14 @@ impl AdPlatform {
             self.metrics.validation_failures.inc();
             return Err(e.into());
         }
-        let audience = evaluate(self, &request.spec)?;
-        let mut value = audience.len() as f64 * self.universe.scale();
-        if self.config.estimate_kind == EstimateKind::Impressions {
-            value *= request.frequency_cap.impressions_multiplier();
-        }
+        let len = self.audience_len(&request.spec)?;
+        let (raw, rounded) = estimate_for_len(
+            &self.config,
+            self.backend.scale(),
+            len,
+            request.frequency_cap,
+        );
         self.stats.lock().estimates += 1;
-        let raw = value.round() as u64;
-        let rounded = self.config.rounding.apply(raw);
         self.metrics.estimates.inc();
         self.metrics.estimate_size.observe(rounded);
         if rounded != raw {
@@ -321,6 +280,35 @@ impl AdPlatform {
             value: rounded,
             kind: self.config.estimate_kind,
         })
+    }
+
+    /// Exact audience length of a spec: [`evaluate`] per segment, summed.
+    fn audience_len(&self, spec: &TargetingSpec) -> Result<u64, EvalError> {
+        // "Everyone" is the population: nothing to evaluate or load.
+        if spec.include.is_empty()
+            && spec.exclude.is_empty()
+            && spec.demographics.is_unconstrained()
+        {
+            return Ok(self.backend.n_users());
+        }
+        let mut total = 0u64;
+        'segments: for seg in 0..self.backend.n_segments() {
+            let view = self.backend.segment(seg);
+            // A group with no member in this segment empties the AND here,
+            // decided from audience sizes alone (which a segment store
+            // keeps in its manifest) before anything is loaded.
+            for group in &spec.include {
+                let mut attainable = 0u64;
+                for &id in &group.attributes {
+                    attainable += view.attribute_len(id)?;
+                }
+                if attainable == 0 {
+                    continue 'segments;
+                }
+            }
+            total += evaluate(&view, spec)?.len();
+        }
+        Ok(total)
     }
 
     /// Validates a spec without estimating (the UI does this eagerly).
@@ -369,6 +357,90 @@ impl AdPlatform {
         self.stats.lock().rate_limited += 1;
         self.metrics.rate_limited.inc();
     }
+}
+
+/// The estimate pipeline's scale-and-round step: an exact audience length
+/// scaled to platform range (× the frequency-cap multiplier on impression
+/// platforms), then rounded through the platform's ladder. Returns the
+/// unrounded and the rounded estimate.
+pub(crate) fn estimate_for_len(
+    config: &PlatformConfig,
+    scale: f64,
+    len: u64,
+    frequency_cap: FrequencyCap,
+) -> (u64, u64) {
+    let mut value = len as f64 * scale;
+    if config.estimate_kind == EstimateKind::Impressions {
+        value *= frequency_cap.impressions_multiplier();
+    }
+    let raw = value.round() as u64;
+    (raw, config.rounding.apply(raw))
+}
+
+impl AdPlatform {
+    /// Builds a platform, materialising every catalog audience.
+    pub fn new(config: PlatformConfig, universe: Arc<Universe>, catalog: Catalog) -> AdPlatform {
+        let audiences = catalog
+            .entries()
+            .iter()
+            .map(|e| Arc::new(universe.materialize(&e.model)))
+            .collect();
+        let backend = Resident {
+            universe,
+            audiences,
+            inferred: None,
+        };
+        Platform::with_backend(config, catalog, backend, None)
+    }
+
+    /// Rebuilds this platform with an inferred demographic view: gender
+    /// and age constraints will resolve against `view`'s (noisy, possibly
+    /// missing) labels instead of the universe's ground truth. Totals and
+    /// attribute audiences are unchanged — the platform still serves every
+    /// user; it just *classifies* them differently.
+    pub fn with_inferred_view(mut self, view: Arc<InferredView>) -> AdPlatform {
+        self.backend.inferred = Some(view);
+        self
+    }
+
+    /// The inferred demographic view, if one is attached.
+    pub fn inferred_view(&self) -> Option<&Arc<InferredView>> {
+        self.backend.inferred.as_ref()
+    }
+
+    /// Builds a *derived* interface over the same universe as `parent`,
+    /// with a catalog whose entries are a subset of the parent's
+    /// (`parent_ids[i]` = id of entry `i` on the parent). Audiences are
+    /// shared with the parent, not re-materialised or copied.
+    ///
+    /// This models Facebook's restricted interface, which exposes a
+    /// sanitized subset of the normal interface's options over the same
+    /// user base.
+    pub fn derived(
+        config: PlatformConfig,
+        parent: &AdPlatform,
+        catalog: Catalog,
+        parent_ids: Vec<AttributeId>,
+    ) -> AdPlatform {
+        assert_eq!(catalog.len(), parent_ids.len(), "one parent id per entry");
+        let audiences = parent_ids
+            .iter()
+            .map(|pid| {
+                parent
+                    .backend
+                    .audiences
+                    .get(pid.0 as usize)
+                    .unwrap_or_else(|| panic!("parent id #{} out of range", pid.0))
+                    .clone()
+            })
+            .collect();
+        let backend = Resident {
+            universe: parent.backend.universe.clone(),
+            audiences,
+            inferred: parent.backend.inferred.clone(),
+        };
+        Platform::with_backend(config, catalog, backend, Some(parent_ids))
+    }
 
     // ------------------------------------------------------------------
     // Ground-truth access — NOT part of the advertiser-visible surface.
@@ -379,54 +451,34 @@ impl AdPlatform {
     /// Ground truth: the exact audience of a spec, bypassing interface
     /// policy (but not attribute existence).
     pub fn exact_audience(&self, spec: &TargetingSpec) -> Result<Bitset, PlatformError> {
-        evaluate(self, spec).map_err(Into::into)
+        evaluate(&self.backend.segment(0), spec).map_err(Into::into)
     }
 
     /// Ground truth: the materialised audience of catalog entry `idx`
     /// (index = attribute id). Used by the lookalike engine and tests.
     pub fn attribute_audience_raw(&self, idx: usize) -> Option<&Bitset> {
-        self.audiences.get(idx)
+        self.backend.audiences.get(idx).map(|a| a.as_ref())
     }
 
     /// Ground truth: the universe behind the interface.
     pub fn universe(&self) -> &Universe {
-        &self.universe
+        &self.backend.universe
     }
 
     /// Ground truth: the shared universe handle (for building derived
     /// interfaces or cross-interface audits).
     pub fn universe_arc(&self) -> Arc<Universe> {
-        self.universe.clone()
+        self.backend.universe.clone()
     }
 }
 
-impl AttributeResolver for AdPlatform {
-    fn attribute_audience(&self, id: AttributeId) -> Option<&Bitset> {
-        self.audiences.get(id.0 as usize)
-    }
-    fn universe(&self) -> &Universe {
-        &self.universe
-    }
-    fn gender_audience(&self, gender: Gender) -> &Bitset {
-        match &self.inferred {
-            Some(view) => view.gender_audience(gender),
-            None => self.universe.gender_audience(gender),
-        }
-    }
-    fn age_audience(&self, age: AgeBucket) -> &Bitset {
-        match &self.inferred {
-            Some(view) => view.age_audience(age),
-            None => self.universe.age_audience(age),
-        }
-    }
-}
-
-impl std::fmt::Debug for AdPlatform {
+impl<B: AudienceBackend> std::fmt::Debug for Platform<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdPlatform")
+        f.debug_struct("Platform")
             .field("kind", &self.config.kind)
             .field("catalog", &self.catalog.len())
-            .field("users", &self.universe.n_users())
+            .field("users", &self.backend.n_users())
+            .field("segments", &self.backend.n_segments())
             .finish_non_exhaustive()
     }
 }
@@ -546,10 +598,12 @@ mod tests {
         assert_eq!(restricted.catalog().len(), 10);
         for id in restricted.catalog().ids() {
             let parent_id = restricted.parent_id(id).unwrap();
-            assert_eq!(
-                restricted.attribute_audience(id).unwrap(),
-                parent.attribute_audience(parent_id).unwrap(),
-                "audience must be identical on both interfaces"
+            assert!(
+                std::ptr::eq(
+                    restricted.attribute_audience_raw(id.0 as usize).unwrap(),
+                    parent.attribute_audience_raw(parent_id.0 as usize).unwrap(),
+                ),
+                "audience must be shared by both interfaces"
             );
         }
         // Same spec on both interfaces gives the same estimate value when

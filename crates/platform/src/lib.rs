@@ -14,6 +14,9 @@
 //!   [`SizeEstimate`] exactly as the targeting UIs did (two significant
 //!   digits with a 1 000 floor on Facebook; one-then-two digits with a 40
 //!   floor on Google; two digits with a 300 floor on LinkedIn);
+//!   [`SegmentedPlatform`] serves the same surface from an on-disk
+//!   segment store — both are a [`Platform`] over an [`AudienceBackend`],
+//!   with one estimate pipeline and one [`ReachOracle`];
 //! * [`Simulation`] — the calibrated four-interface bundle experiments
 //!   run against;
 //! * [`TokenBucket`]/[`QueryStats`] — the query-budget machinery the
@@ -27,6 +30,7 @@
 #![warn(missing_docs)]
 
 mod api;
+mod backend;
 mod catalog;
 mod custom_audience;
 mod estimate;
@@ -42,11 +46,15 @@ mod retry;
 mod segmented;
 
 pub use api::PlatformApi;
+pub use backend::{AudienceBackend, Resident};
 pub use catalog::{Catalog, CatalogEntry, CategorySpec, SkewProfile};
 pub use custom_audience::{ContactHash, MatchedAudience};
 pub use estimate::{round_significant, EstimateKind, RoundingRule, SizeEstimate};
 pub use faults::{FaultKind, FaultPlan, FaultRule, FaultStats, FaultyPlatform, Schedule};
-pub use interface::{AdPlatform, EstimateRequest, InterfaceKind, PlatformConfig, PlatformError};
+pub use interface::{
+    AdPlatform, EstimateRequest, InterfaceKind, Platform, PlatformConfig, PlatformError,
+    SegmentedPlatform,
+};
 pub use lookalike::{LookalikeConfig, LookalikeError, MIN_SEED};
 pub use objective::{FrequencyCap, Objective};
 pub use oracle::ReachOracle;
@@ -55,4 +63,3 @@ pub use presets::{
 };
 pub use ratelimit::{QueryStats, TokenBucket};
 pub use retry::{CircuitBreaker, CircuitState, RetryPolicy};
-pub use segmented::SegmentedPlatform;

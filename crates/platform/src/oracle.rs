@@ -19,18 +19,22 @@
 //!
 //! Implementations must be **consistent with the platform's estimates**:
 //! `and_reaches(attrs, min_len_for_estimate(m))` must be `true` exactly
-//! when the platform's rounded estimate of `AND(attrs)` is `≥ m`. Both
-//! implementations here derive from the same audience bitsets and the
-//! same rounding ladder the estimate path uses, so the equivalence is
-//! structural. When an oracle cannot decide (I/O failure on a
-//! segment-backed store, unknown attribute), it must err on the side of
-//! `true` — an over-approximation only costs a measurement, never an
-//! output difference.
+//! when the platform's rounded estimate of `AND(attrs)` is `≥ m`. The one
+//! implementation here, for every [`Platform`] whatever its backend,
+//! reads the same segment audiences and the same rounding ladder
+//! (`estimate_for_len`) as the estimate pipeline, so the equivalence is
+//! structural. When an oracle cannot decide (unknown attribute, storage
+//! failure), it must err on the side of `true` — an over-approximation
+//! only costs a measurement, never an output difference; this one counts
+//! each such answer in `adcomp_platform_oracle_undecidable_total`.
 
-use adcomp_targeting::AttributeId;
+use std::borrow::Cow;
 
-use crate::estimate::EstimateKind;
-use crate::interface::{AdPlatform, PlatformConfig};
+use adcomp_bitset::Bitset;
+use adcomp_targeting::{AttributeId, AttributeResolver, Audience, EvalError};
+
+use crate::backend::AudienceBackend;
+use crate::interface::{estimate_for_len, Platform, PlatformConfig};
 use crate::objective::FrequencyCap;
 
 /// Answers reach-threshold questions about AND-compositions from ground
@@ -50,36 +54,24 @@ pub trait ReachOracle: Send + Sync {
     fn and_reaches(&self, attrs: &[AttributeId], threshold_len: u64) -> bool;
 }
 
-/// The advertiser-visible estimate a platform would report for an exact
-/// audience length, under the default request settings the audit uses
-/// ([`FrequencyCap::most_restrictive`]). This is the same
-/// scale-multiply-round pipeline as `reach_estimate`, expressed as a pure
-/// function of the length.
-pub(crate) fn estimate_for_len(config: &PlatformConfig, scale: f64, len: u64) -> u64 {
-    let mut value = len as f64 * scale;
-    if config.estimate_kind == EstimateKind::Impressions {
-        value *= FrequencyCap::most_restrictive().impressions_multiplier();
-    }
-    config.rounding.apply(value.round() as u64)
+/// The estimate the audit's default request
+/// ([`FrequencyCap::most_restrictive`]) gets for an exact length.
+fn default_estimate(config: &PlatformConfig, scale: f64, len: u64) -> u64 {
+    estimate_for_len(config, scale, len, FrequencyCap::most_restrictive()).1
 }
 
 /// Smallest length in `0..=n_users` whose estimate is `≥ min_estimate`,
 /// or `n_users + 1` when even the full universe falls short. Binary
 /// search is exact because [`estimate_for_len`] is monotone in `len`
 /// (positive scale, monotone rounding ladder).
-pub(crate) fn min_len_reaching(
-    config: &PlatformConfig,
-    scale: f64,
-    n_users: u64,
-    min_estimate: u64,
-) -> u64 {
-    if estimate_for_len(config, scale, n_users) < min_estimate {
+fn min_len_reaching(config: &PlatformConfig, scale: f64, n_users: u64, min_estimate: u64) -> u64 {
+    if default_estimate(config, scale, n_users) < min_estimate {
         return n_users + 1;
     }
     let (mut lo, mut hi) = (0u64, n_users);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if estimate_for_len(config, scale, mid) >= min_estimate {
+        if default_estimate(config, scale, mid) >= min_estimate {
             hi = mid;
         } else {
             lo = mid + 1;
@@ -88,71 +80,122 @@ pub(crate) fn min_len_reaching(
     lo
 }
 
-impl ReachOracle for AdPlatform {
+impl<B: AudienceBackend> ReachOracle for Platform<B> {
     fn attribute_len(&self, id: AttributeId) -> Option<u64> {
-        self.attribute_audience_raw(id.0 as usize).map(|a| a.len())
+        (0..self.backend.n_segments())
+            .map(|seg| self.backend.segment(seg).attribute_len(id).ok())
+            .sum()
     }
 
     fn min_len_for_estimate(&self, min_estimate: u64) -> u64 {
         min_len_reaching(
             self.config(),
-            self.universe().scale(),
-            self.universe().n_users() as u64,
+            self.backend.scale(),
+            self.backend.n_users(),
             min_estimate,
         )
     }
 
     fn and_reaches(&self, attrs: &[AttributeId], threshold_len: u64) -> bool {
-        let mut audiences = Vec::with_capacity(attrs.len());
+        scan(&self.backend, attrs, threshold_len).unwrap_or_else(|_| {
+            // Undecidable: let measurement decide.
+            self.metrics.oracle_undecidable.inc();
+            true
+        })
+    }
+}
+
+/// Whether `|AND(attrs)| ≥ threshold_len`: one biggest-bound-first
+/// thresholded scan over per-segment bounds. Errs when undecidable.
+fn scan<B: AudienceBackend>(
+    backend: &B,
+    attrs: &[AttributeId],
+    threshold_len: u64,
+) -> Result<bool, EvalError> {
+    if attrs.is_empty() {
+        return Ok(backend.n_users() >= threshold_len);
+    }
+    // Phase 1, from sizes alone: per-segment upper bounds
+    // (`|∧| ≤ min over attrs of the segment's audience size`).
+    let n_segments = backend.n_segments();
+    let mut bounds = Vec::with_capacity(n_segments as usize);
+    let mut total_bound = 0u64;
+    for seg in 0..n_segments {
+        let view = backend.segment(seg);
+        let mut bound = u64::MAX;
         for &id in attrs {
-            match self.attribute_audience_raw(id.0 as usize) {
-                Some(a) => audiences.push(a),
-                None => return true, // undecidable: let measurement decide
-            }
+            bound = bound.min(view.attribute_len(id)?);
         }
-        match audiences.len() {
-            0 => self.universe().n_users() as u64 >= threshold_len,
-            1 => audiences[0].len() >= threshold_len,
-            _ => {
-                // Smallest operands first: the running intersection
-                // shrinks fastest and the upper bound fails earliest.
-                audiences.sort_by_key(|a| a.len());
-                if audiences[0].len() < threshold_len {
-                    return false;
-                }
-                let mut acc = None;
-                for pair in 0..audiences.len() - 1 {
-                    let next = audiences[pair + 1];
-                    let last = pair + 1 == audiences.len() - 1;
-                    match acc {
-                        None if last => {
-                            return audiences[0].intersection_len_at_least(next, threshold_len)
-                        }
-                        None => acc = Some(audiences[0].and(next)),
-                        Some(cur) if last => {
-                            return cur.intersection_len_at_least(next, threshold_len)
-                        }
-                        Some(cur) => {
-                            let cur = cur.and(next);
-                            if cur.len() < threshold_len {
-                                return false;
-                            }
-                            acc = Some(cur);
-                        }
-                    }
-                }
-                unreachable!("arity ≥ 2 always returns from the final pair")
-            }
+        bounds.push((seg, bound));
+        total_bound = total_bound.saturating_add(bound);
+    }
+    // A single attribute's bound is its exact size.
+    if total_bound < threshold_len || attrs.len() == 1 {
+        return Ok(total_bound >= threshold_len);
+    }
+    // Phase 2: exact per-segment counts, biggest bound first so the
+    // accumulator crosses the threshold (or the residual bound falls
+    // below it) as early as possible.
+    bounds.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    let mut acc = 0u64;
+    let mut remaining = total_bound;
+    for (seg, bound) in bounds {
+        if bound == 0 {
+            break; // sorted: the rest are empty too
+        }
+        remaining -= bound;
+        let view = backend.segment(seg);
+        let mut sets = Vec::with_capacity(attrs.len());
+        for &id in attrs {
+            sets.push(view.attribute_audience(id)?);
+        }
+        // Smallest operands first: the running intersection shrinks
+        // fastest and the bound fails earliest.
+        sets.sort_by_key(|s| s.len());
+        let (init, last) = and_but_last(&sets);
+        if remaining == 0 {
+            // No later segment can contribute: this one decides.
+            return Ok(init.intersection_len_at_least(last, threshold_len - acc));
+        }
+        acc += init.intersection_len(last);
+        if acc >= threshold_len {
+            return Ok(true);
+        }
+        if acc.saturating_add(remaining) < threshold_len {
+            return Ok(false);
         }
     }
+    Ok(acc >= threshold_len)
+}
+
+/// Splits two or more sets, sorted by size, into the AND of all but the
+/// largest (materialised only when that takes an AND) and the largest,
+/// which is only ever counted against.
+fn and_but_last<'s>(sets: &'s [Audience<'_>]) -> (Cow<'s, Bitset>, &'s Bitset) {
+    let (last, init) = sets.split_last().expect("arity ≥ 2");
+    let init = match init {
+        [only] => Cow::Borrowed(&**only),
+        [first, second, rest @ ..] => {
+            let mut cur = first.and(second);
+            for s in rest {
+                if cur.is_empty() {
+                    break;
+                }
+                cur = cur.and(s);
+            }
+            Cow::Owned(cur)
+        }
+        [] => unreachable!("arity ≥ 2"),
+    };
+    (init, last)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::{Catalog, CategorySpec, SkewProfile};
-    use crate::estimate::RoundingRule;
-    use crate::interface::{EstimateRequest, InterfaceKind};
+    use crate::estimate::{EstimateKind, RoundingRule};
+    use crate::interface::{AdPlatform, InterfaceKind};
     use crate::objective::Objective;
     use adcomp_population::{DemographicProfile, Universe, UniverseConfig};
     use adcomp_targeting::{Capabilities, FeatureId, TargetingSpec};
@@ -204,40 +247,18 @@ mod tests {
                 // t is the exact boundary: len ≥ t ⟺ estimate ≥ min.
                 if t > 0 && t <= n {
                     assert!(
-                        estimate_for_len(p.config(), scale, t - 1) < min_estimate,
+                        default_estimate(p.config(), scale, t - 1) < min_estimate,
                         "{rounding:?} min {min_estimate}: t={t} not minimal"
                     );
                 }
                 if t <= n {
                     assert!(
-                        estimate_for_len(p.config(), scale, t) >= min_estimate,
+                        default_estimate(p.config(), scale, t) >= min_estimate,
                         "{rounding:?} min {min_estimate}: t={t} does not reach"
                     );
                 } else {
-                    assert!(estimate_for_len(p.config(), scale, n) < min_estimate);
+                    assert!(default_estimate(p.config(), scale, n) < min_estimate);
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn and_reaches_agrees_with_measured_estimates() {
-        let p = platform(RoundingRule::facebook(), 1_000.0);
-        let min_reach = 10_000u64;
-        let t = p.min_len_for_estimate(min_reach);
-        for a in 0..6u32 {
-            for b in (a + 1)..6u32 {
-                let pair = [AttributeId(a), AttributeId(b)];
-                let spec = TargetingSpec::and_of(pair);
-                let est = p
-                    .reach_estimate(&EstimateRequest::new(spec, Objective::Reach))
-                    .unwrap()
-                    .value;
-                assert_eq!(
-                    p.and_reaches(&pair, t),
-                    est >= min_reach,
-                    "pair ({a},{b}): estimate {est}"
-                );
             }
         }
     }
@@ -252,8 +273,6 @@ mod tests {
         let len = p.attribute_len(AttributeId(0)).unwrap();
         assert!(p.and_reaches(&single, len));
         assert!(!p.and_reaches(&single, len + 1));
-        // Unknown attribute: undecidable, must not prune.
-        assert!(p.and_reaches(&[AttributeId(0), AttributeId(9_999)], u64::MAX));
         // Triples exercise the materialising path.
         let triple = [AttributeId(0), AttributeId(1), AttributeId(2)];
         let exact = p
@@ -262,5 +281,17 @@ mod tests {
             .len();
         assert!(p.and_reaches(&triple, exact));
         assert!(!p.and_reaches(&triple, exact + 1));
+    }
+
+    #[test]
+    fn undecidable_answers_are_true_and_counted() {
+        let p = platform(RoundingRule::facebook(), 1_000.0);
+        let before = p.metrics.oracle_undecidable.get();
+        // Unknown attribute: undecidable, must not prune.
+        assert!(p.and_reaches(&[AttributeId(0), AttributeId(9_999)], u64::MAX));
+        assert_eq!(p.metrics.oracle_undecidable.get(), before + 1);
+        // A decidable question leaves the counter alone.
+        assert!(!p.and_reaches(&[AttributeId(0), AttributeId(1)], u64::MAX));
+        assert_eq!(p.metrics.oracle_undecidable.get(), before + 1);
     }
 }

@@ -1,34 +1,60 @@
 //! Evaluation of targeting specs against a population.
 
+use std::sync::Arc;
+
 use adcomp_bitset::Bitset;
-use adcomp_population::{AgeBucket, Gender, Universe};
+use adcomp_population::{AgeBucket, Gender};
 
 use crate::ast::{AttributeId, TargetingSpec};
 
-/// Source of attribute audiences: implemented by the platform layer, which
-/// owns the materialised (and cached) per-attribute bitsets for its
-/// catalog.
-pub trait AttributeResolver {
-    /// The audience of a catalog attribute, or `None` for an unknown id.
-    fn attribute_audience(&self, id: AttributeId) -> Option<&Bitset>;
+/// An audience a resolver hands out: borrowed from storage the resolver
+/// owns, or a shared handle on one it caches (and may later evict).
+#[derive(Debug)]
+pub enum Audience<'a> {
+    /// Borrowed from resident storage.
+    Borrowed(&'a Bitset),
+    /// A shared handle on a cached audience.
+    Shared(Arc<Bitset>),
+}
 
-    /// The universe the audiences were materialised against.
-    fn universe(&self) -> &Universe;
+impl std::ops::Deref for Audience<'_> {
+    type Target = Bitset;
 
-    /// The audience a gender constraint selects. Defaults to the
-    /// universe's ground-truth audience; resolvers carrying an inferred
-    /// demographic view (`adcomp-population::InferredView`) override
-    /// this so demographic constraints resolve against the *observed*
-    /// labels instead of the oracle's.
-    fn gender_audience(&self, gender: Gender) -> &Bitset {
-        self.universe().gender_audience(gender)
+    fn deref(&self) -> &Bitset {
+        match self {
+            Audience::Borrowed(set) => set,
+            Audience::Shared(set) => set,
+        }
     }
+}
+
+/// Source of audiences: implemented by the platform layer, which owns the
+/// materialised (or disk-backed and cached) bitsets for its catalog and
+/// population.
+pub trait AttributeResolver {
+    /// The audience of a catalog attribute: [`EvalError::UnknownAttribute`]
+    /// for an id outside the catalog, [`EvalError::Storage`] when the
+    /// backing store fails.
+    fn attribute_audience(&self, id: AttributeId) -> Result<Audience<'_>, EvalError>;
+
+    /// Exact size of an attribute's audience. Defaults to resolving it;
+    /// resolvers that know sizes without loading (a segment manifest)
+    /// override this.
+    fn attribute_len(&self, id: AttributeId) -> Result<u64, EvalError> {
+        Ok(self.attribute_audience(id)?.len())
+    }
+
+    /// Every user of the population.
+    fn everyone(&self) -> Result<Audience<'_>, EvalError>;
+
+    /// The audience a gender constraint selects. Resolvers carrying an
+    /// inferred demographic view (`adcomp-population::InferredView`)
+    /// resolve against the *observed* labels instead of the oracle's.
+    fn gender_audience(&self, gender: Gender) -> Result<Audience<'_>, EvalError>;
 
     /// The audience an age constraint selects (see
     /// [`gender_audience`](AttributeResolver::gender_audience)).
-    fn age_audience(&self, age: AgeBucket) -> &Bitset {
-        self.universe().age_audience(age)
-    }
+    fn age_audience(&self, age: AgeBucket) -> Result<Audience<'_>, EvalError>;
 }
 
 /// Evaluation failures.
@@ -36,12 +62,15 @@ pub trait AttributeResolver {
 pub enum EvalError {
     /// The spec referenced an attribute the resolver does not know.
     UnknownAttribute(AttributeId),
+    /// The resolver's backing store failed; a retry may succeed.
+    Storage(String),
 }
 
 impl std::fmt::Display for EvalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             EvalError::UnknownAttribute(id) => write!(f, "unknown attribute #{}", id.0),
+            EvalError::Storage(msg) => f.write_str(msg),
         }
     }
 }
@@ -63,19 +92,15 @@ pub fn evaluate<R: AttributeResolver + ?Sized>(
     resolver: &R,
     spec: &TargetingSpec,
 ) -> Result<Bitset, EvalError> {
-    let universe = resolver.universe();
-
     // OR within each group.
     let mut group_sets: Vec<Bitset> = Vec::with_capacity(spec.include.len());
     for group in &spec.include {
         let mut acc: Option<Bitset> = None;
         for &id in &group.attributes {
-            let audience = resolver
-                .attribute_audience(id)
-                .ok_or(EvalError::UnknownAttribute(id))?;
+            let audience = resolver.attribute_audience(id)?;
             acc = Some(match acc {
-                None => audience.clone(),
-                Some(cur) => cur.or(audience),
+                None => (*audience).clone(),
+                Some(cur) => cur.or(&audience),
             });
         }
         // An empty group matches nobody; normalised specs never contain
@@ -98,29 +123,26 @@ pub fn evaluate<R: AttributeResolver + ?Sized>(
     // Demographics.
     let mut audience = match audience {
         Some(a) => a,
-        None => universe.everyone().clone(),
+        None => (*resolver.everyone()?).clone(),
     };
     if let Some(genders) = &spec.demographics.genders {
         let mut demo = Bitset::new();
         for g in genders {
-            demo = demo.or(resolver.gender_audience(*g));
+            demo = demo.or(&*resolver.gender_audience(*g)?);
         }
         audience = audience.and(&demo);
     }
     if let Some(ages) = &spec.demographics.ages {
         let mut demo = Bitset::new();
         for a in ages {
-            demo = demo.or(resolver.age_audience(*a));
+            demo = demo.or(&*resolver.age_audience(*a)?);
         }
         audience = audience.and(&demo);
     }
 
     // Exclusions.
     for &id in &spec.exclude {
-        let excluded = resolver
-            .attribute_audience(id)
-            .ok_or(EvalError::UnknownAttribute(id))?;
-        audience = audience.and_not(excluded);
+        audience = audience.and_not(&*resolver.attribute_audience(id)?);
         if audience.is_empty() {
             break;
         }
@@ -133,7 +155,7 @@ pub fn evaluate<R: AttributeResolver + ?Sized>(
 mod tests {
     use super::*;
     use adcomp_population::{
-        AgeBucket, AttributeModel, DemographicProfile, Gender, UniverseConfig,
+        AgeBucket, AttributeModel, DemographicProfile, Gender, Universe, UniverseConfig,
     };
 
     /// Test resolver over a handful of materialised attributes.
@@ -143,11 +165,20 @@ mod tests {
     }
 
     impl AttributeResolver for TestResolver {
-        fn attribute_audience(&self, id: AttributeId) -> Option<&Bitset> {
-            self.audiences.get(id.0 as usize)
+        fn attribute_audience(&self, id: AttributeId) -> Result<Audience<'_>, EvalError> {
+            self.audiences
+                .get(id.0 as usize)
+                .map(Audience::Borrowed)
+                .ok_or(EvalError::UnknownAttribute(id))
         }
-        fn universe(&self) -> &Universe {
-            &self.universe
+        fn everyone(&self) -> Result<Audience<'_>, EvalError> {
+            Ok(Audience::Borrowed(self.universe.everyone()))
+        }
+        fn gender_audience(&self, gender: Gender) -> Result<Audience<'_>, EvalError> {
+            Ok(Audience::Borrowed(self.universe.gender_audience(gender)))
+        }
+        fn age_audience(&self, age: AgeBucket) -> Result<Audience<'_>, EvalError> {
+            Ok(Audience::Borrowed(self.universe.age_audience(age)))
         }
     }
 
@@ -304,5 +335,7 @@ mod tests {
     fn error_display() {
         let e = EvalError::UnknownAttribute(AttributeId(7));
         assert_eq!(e.to_string(), "unknown attribute #7");
+        let e = EvalError::Storage("segment store: gone".into());
+        assert_eq!(e.to_string(), "segment store: gone");
     }
 }

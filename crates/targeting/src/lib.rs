@@ -44,5 +44,5 @@ mod validate;
 
 pub use ast::{AttributeId, DemographicSpec, Location, OrGroup, TargetingSpec};
 pub use builder::SpecBuilder;
-pub use eval::{evaluate, AttributeResolver, EvalError};
+pub use eval::{evaluate, AttributeResolver, Audience, EvalError};
 pub use validate::{validate, Capabilities, CatalogView, FeatureId, ValidationError};

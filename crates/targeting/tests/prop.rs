@@ -7,7 +7,8 @@ use adcomp_population::{
     AgeBucket, AttributeModel, DemographicProfile, Gender, Universe, UniverseConfig,
 };
 use adcomp_targeting::{
-    evaluate, AttributeId, AttributeResolver, DemographicSpec, Location, OrGroup, TargetingSpec,
+    evaluate, AttributeId, AttributeResolver, Audience, DemographicSpec, EvalError, Location,
+    OrGroup, TargetingSpec,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -20,11 +21,20 @@ struct Fixture {
 }
 
 impl AttributeResolver for Fixture {
-    fn attribute_audience(&self, id: AttributeId) -> Option<&Bitset> {
-        self.audiences.get(id.0 as usize)
+    fn attribute_audience(&self, id: AttributeId) -> Result<Audience<'_>, EvalError> {
+        self.audiences
+            .get(id.0 as usize)
+            .map(Audience::Borrowed)
+            .ok_or(EvalError::UnknownAttribute(id))
     }
-    fn universe(&self) -> &Universe {
-        &self.universe
+    fn everyone(&self) -> Result<Audience<'_>, EvalError> {
+        Ok(Audience::Borrowed(self.universe.everyone()))
+    }
+    fn gender_audience(&self, gender: Gender) -> Result<Audience<'_>, EvalError> {
+        Ok(Audience::Borrowed(self.universe.gender_audience(gender)))
+    }
+    fn age_audience(&self, age: AgeBucket) -> Result<Audience<'_>, EvalError> {
+        Ok(Audience::Borrowed(self.universe.age_audience(age)))
     }
 }
 

@@ -23,8 +23,11 @@ use discrimination_via_composition::targeting::{
 use discrimination_via_composition::wire::{serve, ClientConfig, ServerConfig};
 use discrimination_via_composition::{Fleet, RemoteSource};
 
+/// A fresh temp dir, unique per call even when tests run in parallel.
 fn temp_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("adcomp-{name}-{}", std::process::id()));
+    static NEXT: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("adcomp-{name}-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
