@@ -183,11 +183,7 @@ const RATES: &[(&str, &str)] = &[
 ];
 
 /// Histogram families shown with quantiles.
-const LATENCIES: &[&str] = &[
-    "adcomp_wire_rtt_us",
-    "adcomp_sched_unit_latency_us",
-    "adcomp_engine_batch_latency_us",
-];
+const LATENCIES: &[&str] = &["adcomp_wire_rtt_us", "adcomp_sched_unit_latency_us"];
 
 impl Dashboard {
     /// A dashboard on `clock`; the first frame has no rates (no delta

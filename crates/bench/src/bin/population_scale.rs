@@ -14,7 +14,7 @@
 //!   below the floor through the [`ReachOracle`] (min-cardinality bounds
 //!   and thresholded intersections) before issuing any estimate queries.
 //!
-//! Both searches run serially (no engine attached), so the reported
+//! Both searches run serially (no scheduler attached), so the reported
 //! speedup is a single-thread number. Gates:
 //!
 //! * the two searches return **byte-identical** results;

@@ -6,16 +6,18 @@
 //! of every discovery experiment. It runs three ways:
 //!
 //! 1. **serial** — the plain in-process [`AuditTarget`], one query at a
-//!    time (the pre-engine baseline);
-//! 2. **pooled** — the same target with a 4-worker [`QueryEngine`]
-//!    attached, so the one survey batch fans out across threads;
-//! 3. **wire** — the pooled target pointed at a loopback wire server
-//!    through [`RemoteSource`], whose pipelined `estimate_batch` keeps a
-//!    window of tagged requests in flight per round-trip.
+//!    time;
+//! 2. **pooled** — the same target measuring through the scheduler
+//!    ([`AuditTarget::with_scheduler_cfg`]) over 4 in-process replicas
+//!    of the platform with one claiming loop each, so the one survey
+//!    batch fans out across 4 worker threads;
+//! 3. **wire** — a target pointed at a loopback wire server through
+//!    [`RemoteSource`], whose pipelined `estimate_batch` keeps a window
+//!    of tagged requests in flight per round-trip.
 //!
 //! All three modes must produce byte-identical surveys (asserted here,
 //! not just in the test suite). The budget is an in-process pooled
-//! speedup of **≥ 2×** at 4 workers; the binary exits non-zero below it,
+//! speedup of **≥ 2×** at 4 replicas; the binary exits non-zero below it,
 //! so CI can gate on it. The floor is only enforceable where the
 //! hardware can express parallelism: on a machine with fewer than two
 //! available threads no pool can beat serial, so the verdict records
@@ -32,7 +34,7 @@ use std::time::Instant;
 
 use adcomp_bench::{context, say, Cli};
 use adcomp_core::{
-    survey_individuals, AuditTarget, EngineConfig, IndividualSurvey, QueryEngine, QUERIES_PER_SPEC,
+    survey_individuals, AuditTarget, IndividualSurvey, SchedulerConfig, QUERIES_PER_SPEC,
 };
 use adcomp_platform::InterfaceKind;
 use adcomp_targeting::{AttributeId, TargetingSpec};
@@ -41,7 +43,8 @@ use discrimination_via_composition::RemoteSource;
 
 /// Timed passes per mode (best-of).
 const ROUNDS: usize = 5;
-/// Engine worker threads — the size the speedup floor is defined at.
+/// In-process scheduler replicas — the size the speedup floor is
+/// defined at.
 const WORKERS: usize = 4;
 /// Required in-process pooled speedup over serial.
 const THRESHOLD_SPEEDUP: f64 = 2.0;
@@ -82,11 +85,20 @@ fn main() {
     let cli = Cli::parse();
     let ctx = context(cli);
     let serial_target = ctx.target(InterfaceKind::FacebookNormal);
-    let engine = Arc::new(QueryEngine::new(EngineConfig::with_workers(WORKERS)));
-    let pooled_target = serial_target.with_engine(engine.clone());
+    // One claiming loop per replica keeps the pool at WORKERS threads;
+    // the default two per endpoint would oversubscribe small hosts.
+    let one_loop_each = SchedulerConfig {
+        workers_per_endpoint: 1,
+        ..SchedulerConfig::default()
+    };
+    let pooled_target = serial_target.with_scheduler_cfg(
+        vec![serial_target.measurement.clone(); WORKERS],
+        one_loop_each,
+        None,
+    );
 
     // The same platform behind a loopback wire server, queried through
-    // the pipelined client by the same engine.
+    // the pipelined client's native batching.
     let handle = serve(
         ctx.simulation.facebook.clone(),
         "127.0.0.1:0",
@@ -94,7 +106,7 @@ fn main() {
     )
     .expect("loopback server");
     let remote = Arc::new(RemoteSource::connect(handle.addr()).expect("connect"));
-    let wire_target = AuditTarget::direct(remote).with_engine(engine);
+    let wire_target = AuditTarget::direct(remote);
 
     let (serial_s, serial_survey, ops) = measure_mode(&serial_target);
     let (pooled_s, pooled_survey, _) = measure_mode(&pooled_target);
@@ -143,7 +155,7 @@ fn main() {
     say!("{json}");
     adcomp_obs::info!(
         "survey throughput: pooled {speedup_pooled:.2}x, wire {speedup_wire:.2}x over serial \
-         ({ops} queries/pass, floor {THRESHOLD_SPEEDUP}x at {WORKERS} workers)"
+         ({ops} queries/pass, floor {THRESHOLD_SPEEDUP}x at {WORKERS} replicas)"
     );
     if !floor_enforced {
         adcomp_obs::warn!(

@@ -82,8 +82,8 @@ pub struct IndividualSurvey {
 pub fn survey_individuals(target: &AuditTarget) -> Result<IndividualSurvey, SourceError> {
     // One batch: the base population first, then every attribute — the
     // exact query list (and order) of the old serial loop, so budget
-    // accounting is unchanged and an attached engine changes nothing but
-    // wall-clock.
+    // accounting is unchanged and a scheduled measurement interface
+    // changes nothing but wall-clock.
     let ids: Vec<AttributeId> = (0..target.targeting.catalog_len())
         .map(AttributeId)
         .collect();
@@ -294,8 +294,9 @@ pub fn top_compositions(
 ) -> Result<Vec<MeasuredTargeting>, SourceError> {
     let combos = sampled_candidates(target, survey, ranked, cfg);
 
-    // Measure as one batch (parallelized when the target has an engine;
-    // the same queries in the same order either way).
+    // Measure as one batch (parallelized when the target measures
+    // through the scheduler; the same queries in the same order either
+    // way).
     let specs: Vec<TargetingSpec> = combos
         .iter()
         .map(|attrs| TargetingSpec::and_of(attrs.iter().copied()))

@@ -9,6 +9,10 @@
 //! functions of the normalized spec; the queue guarantees each slot is
 //! answered exactly once in the merged output.)
 //!
+//! It is the audit's one estimate worker pool: endpoints may be wire
+//! clients fronting remote replicas or in-process platforms, the latter
+//! giving parallelism inside one process.
+//!
 //! Per-slot outcome classification uses the same taxonomy as the retry
 //! layer ([`classify`](crate::resilience::classify)): an `Ok` or a
 //! *fatal* error is a deterministic answer and completes the slot; a
@@ -432,5 +436,73 @@ impl EstimateSource for ScheduledSource {
 
     fn supports_demographics(&self) -> bool {
         self.reference().supports_demographics()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use adcomp_platform::{SimScale, Simulation};
+    use std::sync::OnceLock;
+
+    fn sim() -> &'static Simulation {
+        static SIM: OnceLock<Simulation> = OnceLock::new();
+        SIM.get_or_init(|| Simulation::build(52, SimScale::Test))
+    }
+
+    /// The scheduler over four in-process replicas of one platform.
+    fn scheduled() -> ScheduledSource {
+        let replica: Arc<dyn EstimateSource> = sim().linkedin.clone();
+        ScheduledSource::new(vec![replica; 4], SchedulerConfig::default(), None)
+    }
+
+    fn specs(n: u32) -> Vec<TargetingSpec> {
+        let attrs = sim().linkedin.catalog().len() as u32;
+        (0..n)
+            .map(|i| TargetingSpec::and_of([AttributeId(i % attrs)]))
+            .collect()
+    }
+
+    fn serial(specs: &[TargetingSpec]) -> Vec<Result<u64, SourceError>> {
+        specs.iter().map(|s| sim().linkedin.estimate(s)).collect()
+    }
+
+    #[test]
+    fn scheduled_batch_matches_serial_in_submission_order() {
+        let source = scheduled();
+        let batch = specs(5 * source.batch_window() as u32 + 3);
+        let expected = serial(&batch);
+        assert_eq!(source.estimate_batch(&batch), expected);
+        // Repeat runs are stable (no order sensitivity).
+        assert_eq!(source.estimate_batch(&batch), expected);
+    }
+
+    #[test]
+    fn scheduled_source_handles_empty_and_single_batches() {
+        let source = scheduled();
+        assert!(source.estimate_batch(&[]).is_empty());
+        let one = specs(1);
+        let answer = source.estimate_batch(&one);
+        assert_eq!(answer.len(), 1);
+        assert!(answer[0].is_ok());
+        assert_eq!(answer, serial(&one));
+    }
+
+    #[test]
+    fn scheduled_source_is_shareable_across_threads() {
+        let source = scheduled();
+        let batch = specs(40);
+        let expected = serial(&batch);
+        // All four threads submit at once, so their batches overlap.
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                let (source, batch, expected, start) = (&source, &batch, &expected, &start);
+                s.spawn(move || {
+                    start.wait();
+                    assert_eq!(&source.estimate_batch(batch), expected);
+                });
+            }
+        });
     }
 }

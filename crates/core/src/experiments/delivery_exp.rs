@@ -28,10 +28,10 @@
 //!    that controls for everything but the creative.
 //!
 //! The measurement side runs through [`ExperimentContext::target`], so
-//! delivery audits inherit recording/replay, resilience, scheduling, and
-//! engine pooling unchanged; the delivery simulation itself is a pure
-//! function of `(seed, campaigns, universe)` (see `adcomp-delivery`), so
-//! serial, pooled and distributed runs stay byte-identical.
+//! delivery audits inherit recording/replay, resilience and scheduling
+//! unchanged; the delivery simulation itself is a pure function of
+//! `(seed, campaigns, universe)` (see `adcomp-delivery`), so serial and
+//! scheduled runs stay byte-identical.
 
 use std::sync::Arc;
 
@@ -42,7 +42,6 @@ use adcomp_platform::{AdPlatform, InterfaceKind, SimScale};
 use adcomp_population::{AttributeModel, Gender, LATENT_DIMS};
 use adcomp_targeting::TargetingSpec;
 
-use crate::engine::QueryEngine;
 use crate::metrics::{
     four_fifths_band, measure_spec_batch, rep_ratio, rep_ratio_of, SkewBand, SpecMeasurement,
 };
@@ -218,7 +217,7 @@ pub fn paired_ad_cell_for(
     let spec = TargetingSpec::everyone();
 
     // Targeting stage: the advertiser-visible measurement, through the
-    // full audited pipeline (engine, scheduler, recording, resilience —
+    // full audited pipeline (scheduler, recording, resilience —
     // whatever the target is wrapped in).
     let base: SpecMeasurement = measure_spec_batch(target, std::slice::from_ref(&spec))?
         .pop()
@@ -275,17 +274,13 @@ pub fn paired_ad_cell_for(
     })
 }
 
-/// One interface's cell through an [`ExperimentContext`], optionally
-/// pooling the measurement queries on `engine`.
-pub fn paired_ad_cell_with(
+/// One interface's cell through an [`ExperimentContext`]: the
+/// measurement side runs on whatever target the context builds
+/// (serial, scheduled, recorded, replayed).
+pub fn paired_ad_cell(
     ctx: &ExperimentContext,
     kind: InterfaceKind,
-    engine: Option<&Arc<QueryEngine>>,
 ) -> Result<DeliveryCell, SourceError> {
-    let mut target = ctx.target(kind);
-    if let Some(engine) = engine {
-        target = target.with_engine(engine.clone());
-    }
     let platform = match kind {
         InterfaceKind::FacebookNormal => &ctx.simulation.facebook,
         InterfaceKind::FacebookRestricted => &ctx.simulation.facebook_restricted,
@@ -293,34 +288,18 @@ pub fn paired_ad_cell_with(
         InterfaceKind::LinkedIn => &ctx.simulation.linkedin,
     };
     paired_ad_cell_for(
-        &target,
+        &ctx.target(kind),
         platform,
         ctx.config.seed,
         &PairedAdConfig::for_scale(ctx.config.scale),
     )
 }
 
-/// One interface's cell with the context's default (serial) measurement.
-pub fn paired_ad_cell(
-    ctx: &ExperimentContext,
-    kind: InterfaceKind,
-) -> Result<DeliveryCell, SourceError> {
-    paired_ad_cell_with(ctx, kind, None)
-}
-
 /// The full paired-ad table over [`DELIVERY_INTERFACES`].
 pub fn delivery_table(ctx: &ExperimentContext) -> Result<Vec<DeliveryCell>, SourceError> {
-    delivery_table_with(ctx, None)
-}
-
-/// [`delivery_table`] with the measurement queries pooled on `engine`.
-pub fn delivery_table_with(
-    ctx: &ExperimentContext,
-    engine: Option<&Arc<QueryEngine>>,
-) -> Result<Vec<DeliveryCell>, SourceError> {
     DELIVERY_INTERFACES
         .iter()
-        .map(|&kind| paired_ad_cell_with(ctx, kind, engine))
+        .map(|&kind| paired_ad_cell(ctx, kind))
         .collect()
 }
 

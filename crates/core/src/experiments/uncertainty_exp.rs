@@ -26,18 +26,14 @@
 //!   over the per-group confusion rates;
 //! * **stochastic** — a seeded, counter-driven bootstrap
 //!   ([`resample_counts`]): replicate `r` is a pure function of
-//!   `(seed, r)`, so the fan-out is byte-identical whether the
-//!   replicates run serially, across a [`QueryEngine`] worker pool, or
-//!   in a recorded-then-resumed audit.
+//!   `(seed, r)`, so the fan-out is byte-identical whether the audit's
+//!   measurement queries run serially, through the scheduler, or in a
+//!   recorded-then-resumed audit.
 //!
-//! The replicates are dispatched as a batch through the existing
-//! [`QueryEngine`] machinery (a [`ReplicateSource`] is an
-//! [`EstimateSource`] whose "estimates" are ratio bit-patterns), so the
-//! bootstrap reuses the audit's scheduling, pooling, and
-//! submission-order result discipline instead of growing a second
-//! thread pool. Replicate evaluation is derived data — it issues no
-//! platform queries, so recorded runs replay with zero re-issued
-//! queries.
+//! The replicates run as a plain loop over `r`: one replicate is a
+//! handful of binomial draws, far too little work to pay for a worker
+//! pool. Replicate evaluation is derived data — it issues no platform
+//! queries, so recorded runs replay with zero re-issued queries.
 //!
 //! [`RoundingRule::inverse_interval`]: adcomp_platform::RoundingRule::inverse_interval
 
@@ -50,13 +46,12 @@ use adcomp_infer::{
 };
 use adcomp_platform::{AdPlatform, InterfaceKind, RoundingRule, SimScale};
 use adcomp_population::{AttributeInference, Gender};
-use adcomp_targeting::{AttributeId, FeatureId, TargetingSpec};
+use adcomp_targeting::TargetingSpec;
 
 use crate::discovery::{rank_individuals, top_compositions, Direction, MeasuredTargeting};
-use crate::engine::QueryEngine;
 use crate::metrics::{four_fifths_band, measure_spec_batch, rep_ratio, SkewBand, SpecMeasurement};
 use crate::mitigation::{PreflightConfig, PreflightGate, PreflightVerdict};
-use crate::source::{AuditTarget, EstimateSource, SensitiveClass, SourceError};
+use crate::source::{SensitiveClass, SourceError};
 
 use super::delivery_exp::{interface_salt, paired_campaigns, PairedAdConfig};
 use super::{ExperimentConfig, ExperimentContext};
@@ -374,113 +369,29 @@ fn systematic_interval(
 const TARGET_RESAMPLE_SALT: u64 = 0x7A47;
 const BASE_RESAMPLE_SALT: u64 = 0xBA5E;
 
-/// An [`EstimateSource`] whose catalog is a bootstrap fan-out: attribute
-/// `r` is replicate `r`, and its "estimate" is the replicate's corrected
-/// ratio as an IEEE-754 bit pattern (`NaN` for degenerate replicates).
-/// Each replicate is a pure function of `(seed, r)` via
-/// [`resample_counts`]'s counter streams, so dispatching the catalog
-/// through a [`QueryEngine`] pool returns — in submission order — the
-/// byte-identical sample vector a serial loop produces.
-pub struct ReplicateSource {
-    seed: u64,
-    target: [u64; 2],
-    base: [u64; 2],
-    channel: ClassChannel,
-    replicates: u32,
-}
-
-impl ReplicateSource {
-    /// The corrected ratio of replicate `r`.
-    fn ratio(&self, replicate: u64) -> f64 {
-        let t = resample_counts(self.seed ^ TARGET_RESAMPLE_SALT, replicate, &self.target);
-        let b = resample_counts(self.seed ^ BASE_RESAMPLE_SALT, replicate, &self.base);
-        // Resampling covers sampling noise only; rounding and missing
-        // mass are systematic and already in the interval's other leg.
-        let tp = MeasuredPair::exact(t[0], t[1], 0);
-        let bp = MeasuredPair::exact(b[0], b[1], 0);
-        point_ratio(&tp, &bp, &self.channel).unwrap_or(f64::NAN)
-    }
-}
-
-impl EstimateSource for ReplicateSource {
-    fn label(&self) -> String {
-        "bootstrap-replicates".to_string()
-    }
-
-    fn estimate(&self, spec: &TargetingSpec) -> Result<u64, SourceError> {
-        let replicate = spec
-            .include
-            .first()
-            .and_then(|group| group.attributes.first())
-            .map(|a| u64::from(a.0))
-            .unwrap_or(0);
-        Ok(self.ratio(replicate).to_bits())
-    }
-
-    fn check(&self, _spec: &TargetingSpec) -> Result<(), SourceError> {
-        Ok(())
-    }
-
-    fn batch_window(&self) -> usize {
-        // One replicate is a handful of binomial draws — microseconds,
-        // not a platform round-trip. Hand workers big contiguous slabs
-        // so engine dispatch is amortised across hundreds of replicates
-        // (chunking never changes results: replicate `r` is a pure
-        // function of `(seed, r)`).
-        512
-    }
-
-    fn catalog_len(&self) -> u32 {
-        self.replicates
-    }
-
-    fn attribute_name(&self, _id: AttributeId) -> Option<String> {
-        None
-    }
-
-    fn attribute_feature(&self, _id: AttributeId) -> Option<FeatureId> {
-        None
-    }
-
-    fn can_compose(&self, _a: AttributeId, _b: AttributeId) -> bool {
-        false
-    }
-
-    fn supports_demographics(&self) -> bool {
-        false
-    }
-}
-
 /// The bootstrap sample vector of one cell: `replicates` corrected
-/// ratios, degenerate replicates dropped. With an engine the replicates
-/// run as one batch across its worker pool; without one they run
-/// serially — the vectors are byte-identical either way.
+/// ratios in replicate order, degenerate replicates dropped. Replicate
+/// `r` is a pure function of `(seed, r)` via [`resample_counts`]'s
+/// counter streams.
 pub fn bootstrap_ratios(
     seed: u64,
     target: &MeasuredPair,
     base: &MeasuredPair,
     channel: &ClassChannel,
     replicates: u32,
-    engine: Option<&Arc<QueryEngine>>,
 ) -> Vec<f64> {
-    let source = ReplicateSource {
-        seed,
-        target: [target.class_count, target.complement_count],
-        base: [base.class_count, base.complement_count],
-        channel: *channel,
-        replicates,
-    };
-    let specs: Vec<TargetingSpec> = (0..replicates)
-        .map(|r| TargetingSpec::and_of([AttributeId(r)]))
-        .collect();
-    let results = match engine {
-        Some(engine) => engine.run_on(Arc::new(source), specs),
-        None => source.estimate_batch(&specs),
-    };
-    results
-        .into_iter()
-        .map(|r| f64::from_bits(r.expect("replicate evaluation is infallible")))
-        .filter(|v| v.is_finite())
+    let target = [target.class_count, target.complement_count];
+    let base = [base.class_count, base.complement_count];
+    (0..u64::from(replicates))
+        .filter_map(|r| {
+            let t = resample_counts(seed ^ TARGET_RESAMPLE_SALT, r, &target);
+            let b = resample_counts(seed ^ BASE_RESAMPLE_SALT, r, &base);
+            // Resampling covers sampling noise only; rounding and missing
+            // mass are systematic and already in the interval's other leg.
+            let tp = MeasuredPair::exact(t[0], t[1], 0);
+            let bp = MeasuredPair::exact(b[0], b[1], 0);
+            point_ratio(&tp, &bp, channel).filter(|v| v.is_finite())
+        })
         .collect()
 }
 
@@ -496,7 +407,6 @@ pub fn confident_rep_ratio(
     channel: &ClassChannel,
     seed: u64,
     ucfg: &UncertaintyConfig,
-    engine: Option<&Arc<QueryEngine>>,
 ) -> ConfidentRatio {
     let point = point_ratio(target, base, channel);
     let systematic = systematic_interval(target, base, channel);
@@ -510,7 +420,7 @@ pub fn confident_rep_ratio(
         );
         return ConfidentRatio::unidentified(point.or(raw).unwrap_or(0.0), ucfg.confidence);
     };
-    let samples = bootstrap_ratios(seed, target, base, channel, ucfg.replicates, engine);
+    let samples = bootstrap_ratios(seed, target, base, channel, ucfg.replicates);
     let stochastic = percentile_interval(&samples, ucfg.confidence, point);
     ConfidentRatio::new(point, systematic.hull(stochastic), ucfg.confidence)
 }
@@ -545,7 +455,7 @@ impl UncertaintyCell {
 }
 
 /// Per-cell bootstrap seed: a pure function of the experiment seed and
-/// the cell's coordinates, so serial, pooled, and recorded-then-resumed
+/// the cell's coordinates, so serial, scheduled, and recorded-then-resumed
 /// runs derive identical replicate streams.
 fn cell_seed(seed: u64, scenario: &str, stage: Stage, interface: &str, unit: &str) -> u64 {
     let fold = |acc: u64, s: &str| {
@@ -567,18 +477,6 @@ fn interface_platform(ctx: &ExperimentContext, kind: InterfaceKind) -> &Arc<AdPl
     }
 }
 
-fn audit_target(
-    ctx: &ExperimentContext,
-    kind: InterfaceKind,
-    engine: Option<&Arc<QueryEngine>>,
-) -> AuditTarget {
-    let target = ctx.target(kind);
-    match engine {
-        Some(engine) => target.with_engine(engine.clone()),
-        None => target,
-    }
-}
-
 /// The uncertainty cells of one scenario's context: per interface a
 /// Table-1-style targeting row (the most female-skewed discovered
 /// composition) and two delivery-skew rows (the loaded job ad and its
@@ -589,7 +487,6 @@ pub fn uncertainty_cells(
     ctx: &ExperimentContext,
     scenario: &Scenario,
     ucfg: &UncertaintyConfig,
-    engine: Option<&Arc<QueryEngine>>,
 ) -> Result<Vec<UncertaintyCell>, SourceError> {
     let _span = adcomp_obs::trace::Tracer::global().span_with(
         "experiment:uncertainty",
@@ -603,7 +500,7 @@ pub fn uncertainty_cells(
     for kind in UNCERTAINTY_INTERFACES {
         let platform = interface_platform(ctx, kind);
         let rounding = platform.config().rounding;
-        let target = audit_target(ctx, kind, engine);
+        let target = ctx.target(kind);
 
         // Targeting row: discovery runs on what the auditor *observes*
         // (the context's demographic queries resolve against the
@@ -632,7 +529,7 @@ pub fn uncertainty_cells(
                 kind.label(),
                 "",
             );
-            let ratio = confident_rep_ratio(&pair, &base, &channel, seed, ucfg, engine);
+            let ratio = confident_rep_ratio(&pair, &base, &channel, seed, ucfg);
             cells.push(UncertaintyCell {
                 scenario: scenario.name,
                 stage: Stage::Targeting,
@@ -698,7 +595,7 @@ pub fn uncertainty_cells(
                 kind.label(),
                 creative,
             );
-            let ratio = confident_rep_ratio(&delivered, &base, &channel, seed, ucfg, engine);
+            let ratio = confident_rep_ratio(&delivered, &base, &channel, seed, ucfg);
             cells.push(UncertaintyCell {
                 scenario: scenario.name,
                 stage: Stage::Delivery,
@@ -717,7 +614,7 @@ pub fn uncertainty_cells(
     // or auditor running it has inferred/missing demographics.
     if let Some(top) = facebook_top {
         let kind = InterfaceKind::FacebookNormal;
-        let target = audit_target(ctx, kind, engine);
+        let target = ctx.target(kind);
         let gate = PreflightGate::new(&target, PreflightConfig::default())?;
         let verdict = gate.check_measurement(&top.measurement);
         let rounding = interface_platform(ctx, kind).config().rounding;
@@ -730,7 +627,7 @@ pub fn uncertainty_cells(
             kind.label(),
             "",
         );
-        let ratio = confident_rep_ratio(&pair, &base, &channel, seed, ucfg, engine);
+        let ratio = confident_rep_ratio(&pair, &base, &channel, seed, ucfg);
         cells.push(UncertaintyCell {
             scenario: scenario.name,
             stage: Stage::Preflight,
@@ -758,13 +655,11 @@ fn preflight_label(verdict: &PreflightVerdict) -> String {
 /// same simulation seed through its own observation channel), cells in
 /// scenario-family order. `make_ctx` builds each scenario's context —
 /// the hook equivalence tests use to wrap scenarios in per-scenario
-/// recording stores; `engine` pools both the measurement queries and
-/// the bootstrap fan-out.
+/// recording stores or to measure through the scheduler.
 pub fn uncertainty_table_with<F>(
     base: ExperimentConfig,
     ucfg: &UncertaintyConfig,
     make_ctx: F,
-    engine: Option<&Arc<QueryEngine>>,
 ) -> Result<Vec<UncertaintyCell>, SourceError>
 where
     F: Fn(&Scenario, ExperimentConfig) -> ExperimentContext,
@@ -774,7 +669,7 @@ where
         let mut config = base;
         config.inference = scenario.inference;
         let ctx = make_ctx(&scenario, config);
-        cells.extend(uncertainty_cells(&ctx, &scenario, ucfg, engine)?);
+        cells.extend(uncertainty_cells(&ctx, &scenario, ucfg)?);
     }
     Ok(cells)
 }
@@ -786,7 +681,6 @@ pub fn uncertainty_table(base: ExperimentConfig) -> Result<Vec<UncertaintyCell>,
         base,
         &UncertaintyConfig::for_scale(base.scale),
         |_, config| ExperimentContext::new(config),
-        None,
     )
 }
 
@@ -821,7 +715,6 @@ pub fn uncertainty_tsv(cells: &[UncertaintyCell]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineConfig;
 
     fn pair(s: u64, not: u64) -> MeasuredPair {
         MeasuredPair::exact(s, not, 0)
@@ -875,14 +768,7 @@ mod tests {
             ((1_000, 1_000), RatioVerdict::Within),
             ((1_800, 200), RatioVerdict::Over),
         ] {
-            let r = confident_rep_ratio(
-                &pair(t.0, t.1),
-                &pair(5_000, 5_000),
-                &channel,
-                7,
-                &ucfg,
-                None,
-            );
+            let r = confident_rep_ratio(&pair(t.0, t.1), &pair(5_000, 5_000), &channel, 7, &ucfg);
             assert_eq!(r.verdict(), want, "{t:?}");
             assert_eq!(r.interval, Interval::point(r.point), "{t:?}");
             let band = four_fifths_band(r.point);
@@ -914,7 +800,6 @@ mod tests {
             &unidentified,
             7,
             &ucfg,
-            None,
         );
         assert!(!r.identified);
         assert_eq!(r.verdict(), RatioVerdict::Indeterminate);
@@ -927,37 +812,22 @@ mod tests {
             sensitivity: Interval::point(0.55),
             specificity: Interval::point(0.55),
         };
-        let r = confident_rep_ratio(
-            &pair(1_000, 1_000),
-            &pair(5_000, 5_000),
-            &noisy,
-            7,
-            &ucfg,
-            None,
-        );
+        let r = confident_rep_ratio(&pair(1_000, 1_000), &pair(5_000, 5_000), &noisy, 7, &ucfg);
         assert!((r.point - 1.0).abs() < 1e-9, "parity point survives, {r:?}");
         assert_eq!(r.verdict(), RatioVerdict::Indeterminate, "{r:?}");
     }
 
-    /// The bootstrap fan-out returns byte-identical samples serially and
-    /// through an engine pool, and the interval contains the point.
+    /// The bootstrap fan-out yields one sample per replicate, and its
+    /// interval contains the point.
     #[test]
-    fn bootstrap_is_pool_invariant_and_contains_point() {
+    fn bootstrap_spreads_and_contains_point() {
         let channel = ClassChannel::identity();
         let target = pair(6_000, 14_000);
         let base = pair(50_000, 50_000);
-        let serial = bootstrap_ratios(42, &target, &base, &channel, 64, None);
-        assert_eq!(serial.len(), 64, "no degenerate replicates at this size");
-        for workers in [2, 5] {
-            let engine = Arc::new(QueryEngine::new(EngineConfig::with_workers(workers)));
-            let pooled = bootstrap_ratios(42, &target, &base, &channel, 64, Some(&engine));
-            assert_eq!(
-                serial, pooled,
-                "{workers}-worker pool must reproduce the serial samples byte-for-byte"
-            );
-        }
+        let samples = bootstrap_ratios(42, &target, &base, &channel, 64);
+        assert_eq!(samples.len(), 64, "no degenerate replicates at this size");
         let point = point_ratio(&target, &base, &channel).unwrap();
-        let interval = percentile_interval(&serial, 0.95, point);
+        let interval = percentile_interval(&samples, 0.95, point);
         assert!(interval.contains(point));
         assert!(interval.width() > 0.0, "resampling must spread the ratio");
     }
@@ -971,14 +841,13 @@ mod tests {
         };
         let channel = ClassChannel::identity();
         let base = pair(5_000, 5_000);
-        let complete = confident_rep_ratio(&pair(600, 1_400), &base, &channel, 7, &ucfg, None);
+        let complete = confident_rep_ratio(&pair(600, 1_400), &base, &channel, 7, &ucfg);
         let holey = confident_rep_ratio(
             &MeasuredPair::exact(600, 1_400, 300),
             &base,
             &channel,
             7,
             &ucfg,
-            None,
         );
         assert_eq!(complete.point, holey.point);
         assert!(holey.interval.width() > complete.interval.width());

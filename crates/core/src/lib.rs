@@ -11,9 +11,9 @@
 //!   four-fifths rule, and rounding-robustness interval analysis;
 //! * [`discovery`] — the greedy search for the most skewed k-way
 //!   targeting compositions, plus random-composition baselines;
-//! * [`engine`] — the parallel query engine: a bounded worker pool
-//!   executing estimate batches in deterministic submission order, plus
-//!   opt-in estimate memoization;
+//! * [`distributed`] — the estimate worker pool: a scheduler sharding
+//!   batches across replica endpoints (wire clients or in-process
+//!   platforms) and merging results in submission order;
 //! * [`union_estimate`] — audience overlap measurement and
 //!   inclusion–exclusion union-recall estimation (platforms cannot
 //!   express OR-of-ANDs directly);
@@ -59,7 +59,6 @@ pub mod budget;
 pub mod discovery;
 pub mod distributed;
 pub mod drift;
-pub mod engine;
 pub mod epoch;
 pub mod experiments;
 pub mod metrics;
@@ -82,12 +81,11 @@ pub use distributed::{sched_events_in, ScheduledSource, SchedulerConfig, StoreJo
 pub use drift::{
     drift_between, drift_between_with, DriftFinding, DriftOptions, DriftReport, RatioMove,
 };
-pub use engine::{EngineConfig, MemoCache, MemoizedSource, QueryEngine};
 pub use epoch::{epoch_digest, run_epoch, EpochOutcome, EpochPlan};
 pub use experiments::uncertainty_exp::{
     bootstrap_ratios, confident_rep_ratio, scenario_family, uncertainty_cells, uncertainty_table,
-    uncertainty_table_with, uncertainty_tsv, ClassChannel, MeasuredPair, ReplicateSource, Scenario,
-    Stage, UncertaintyCell, UncertaintyConfig, UNCERTAINTY_INTERFACES,
+    uncertainty_table_with, uncertainty_tsv, ClassChannel, MeasuredPair, Scenario, Stage,
+    UncertaintyCell, UncertaintyConfig, UNCERTAINTY_INTERFACES,
 };
 pub use metrics::{
     four_fifths_band, measure_spec, measure_spec_batch, ratio_bounds, recall_of, rep_ratio,

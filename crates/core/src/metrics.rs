@@ -117,9 +117,9 @@ pub fn measure_spec(
 pub const QUERIES_PER_SPEC: usize = 7;
 
 /// Batch form of [`measure_spec`]: measures every spec with the same
-/// seven queries per spec, submitted as one batch so an attached
-/// [`QueryEngine`](crate::engine::QueryEngine) can execute them across
-/// its worker pool.
+/// seven queries per spec, submitted as one batch so a scheduled
+/// measurement interface ([`ScheduledSource`](crate::distributed::ScheduledSource))
+/// can spread them across its endpoints.
 ///
 /// The query list — per spec: total, both genders, all four ages — is
 /// identical to what the serial loop issues, in the same order, so query
@@ -141,7 +141,7 @@ pub fn measure_spec_batch(
             queries.push(SensitiveClass::Age(a).constrain(&translated));
         }
     }
-    let mut results = target.run_measurement_batch(queries).into_iter();
+    let mut results = target.measurement.estimate_batch(&queries).into_iter();
     let mut out = Vec::with_capacity(specs.len());
     for _ in specs {
         let mut next = || results.next().expect("one result per query");

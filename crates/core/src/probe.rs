@@ -111,13 +111,12 @@ pub fn consistency_probe(
         // marks the spec inconsistent), but an inconsistent platform may
         // see up to `repeats − 1` more queries per flagged spec than the
         // early-breaking serial loop — acceptable, since flagging ends
-        // the audit of that platform anyway. Memoization must stay off
-        // here (a cache would make any platform look consistent); this
-        // probes whatever source the target carries, uncached unless the
-        // caller explicitly wrapped it.
+        // the audit of that platform anyway. Recording must stay off
+        // here (replayed answers would make any platform look
+        // consistent); this probes whatever source the target carries.
         for spec in &specs {
             let queries = vec![target.translate(spec).into_owned(); repeats.max(1)];
-            let mut results = target.run_measurement_batch(queries).into_iter();
+            let mut results = target.measurement.estimate_batch(&queries).into_iter();
             let first = results.next().expect("at least one repeat")?;
             for result in results {
                 if result? != first {
@@ -466,8 +465,8 @@ impl GranularityProbe {
         Ok(self.report())
     }
 
-    /// Chunk of the indexed schedule submitted per batch when an engine
-    /// or natively batching source is attached. Bounds the memory of a
+    /// Chunk of the indexed schedule submitted per batch when the
+    /// measurement interface batches natively. Bounds the memory of a
     /// paper-scale (>80 000 query) probe.
     const BATCH_CHUNK: u64 = 4_096;
 
@@ -496,7 +495,10 @@ impl GranularityProbe {
                 }
                 index += 1;
             }
-            for (&index, result) in indices.iter().zip(target.run_measurement_batch(queries)) {
+            for (&index, result) in indices
+                .iter()
+                .zip(target.measurement.estimate_batch(&queries))
+            {
                 match result {
                     Ok(value) => {
                         self.observations.push(value);

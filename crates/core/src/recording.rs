@@ -6,9 +6,8 @@
 //!
 //! * **Keys** are a stable FNV-1a 64 hash over a domain-separation tag,
 //!   the interface label, and (for estimates) the canonical encoding of
-//!   the **normalized** [`TargetingSpec`] — the same canonical form the
-//!   [`MemoCache`](crate::engine::MemoCache) keys on, so syntactically
-//!   different but semantically identical specs share one record.
+//!   the **normalized** [`TargetingSpec`], so syntactically different
+//!   but semantically identical specs share one record.
 //!   Attribute ids are interface-local, which is why every key is
 //!   salted with the interface label.
 //! * **Estimate payloads** carry the encoded spec alongside the value,

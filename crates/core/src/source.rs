@@ -198,15 +198,17 @@ pub trait EstimateSource: Send + Sync {
     /// Estimates a batch of specs, returning one result per spec **in
     /// order**. The default loops [`estimate`](EstimateSource::estimate)
     /// serially; sources with a cheaper bulk path (the pipelined wire
-    /// client, the memo cache) override it. Semantics must match the
-    /// serial loop query-for-query.
+    /// client, the [`ScheduledSource`](crate::distributed::ScheduledSource)
+    /// worker pool) override it. Semantics must match the serial loop
+    /// query-for-query.
     fn estimate_batch(&self, specs: &[TargetingSpec]) -> Vec<Result<u64, SourceError>> {
         specs.iter().map(|s| self.estimate(s)).collect()
     }
 
     /// Preferred `estimate_batch` size (1 = no native batching). The
-    /// [`QueryEngine`](crate::engine::QueryEngine) chunks its jobs to
-    /// this window so natively batching sources see full batches.
+    /// scheduler cuts each unit into sub-batches of its endpoint's
+    /// window, and [`AuditTarget::prefers_batching`] reads it to choose
+    /// between the serial loop and batch submission.
     fn batch_window(&self) -> usize {
         1
     }
@@ -323,8 +325,6 @@ pub struct AuditTarget {
     /// Translation of targeting-interface attribute ids onto the
     /// measurement interface, when they differ.
     id_map: Option<Arc<Vec<AttributeId>>>,
-    /// Worker pool for batch execution; `None` keeps every path serial.
-    engine: Option<Arc<crate::engine::QueryEngine>>,
 }
 
 impl AuditTarget {
@@ -338,7 +338,6 @@ impl AuditTarget {
             targeting: source.clone(),
             measurement: source,
             id_map: None,
-            engine: None,
         }
     }
 
@@ -359,7 +358,6 @@ impl AuditTarget {
             targeting,
             measurement,
             id_map: Some(Arc::new(id_map)),
-            engine: None,
         }
     }
 
@@ -411,56 +409,6 @@ impl AuditTarget {
             targeting,
             measurement,
             id_map: self.id_map.clone(),
-            engine: self.engine.clone(),
-        }
-    }
-
-    /// The same target executing batch paths through a shared
-    /// [`QueryEngine`](crate::engine::QueryEngine) worker pool. Results
-    /// stay bit-identical to the serial path (estimates are pure and
-    /// assembled in submission order); only wall-clock changes.
-    pub fn with_engine(&self, engine: Arc<crate::engine::QueryEngine>) -> AuditTarget {
-        let mut target = self.clone();
-        target.engine = Some(engine);
-        target
-    }
-
-    /// The engine driving batch paths, when one is attached.
-    pub fn engine(&self) -> Option<&Arc<crate::engine::QueryEngine>> {
-        self.engine.as_ref()
-    }
-
-    /// The same target with an estimate memo cache
-    /// ([`MemoizedSource`](crate::engine::MemoizedSource)) around both
-    /// interfaces, holding up to `capacity` entries per interface.
-    ///
-    /// Opt-in only: memoization is sound for deterministic simulators but
-    /// changes query accounting and must stay off for consistency
-    /// probes (see the [`engine`](crate::engine) docs). Each interface
-    /// gets its own cache — attribute ids are interface-local, so a
-    /// shared cache could alias distinct audiences. A direct target
-    /// (measuring on the audited interface itself) keeps sharing one
-    /// wrapper, mirroring [`with_resilience`](AuditTarget::with_resilience).
-    pub fn with_memo(&self, capacity: usize) -> AuditTarget {
-        use crate::engine::{MemoCache, MemoizedSource};
-        let targeting: Arc<dyn EstimateSource> = Arc::new(MemoizedSource::new(
-            self.targeting.clone(),
-            Arc::new(MemoCache::new(capacity)),
-        ));
-        let measurement: Arc<dyn EstimateSource> =
-            if Arc::ptr_eq(&self.targeting, &self.measurement) {
-                targeting.clone()
-            } else {
-                Arc::new(MemoizedSource::new(
-                    self.measurement.clone(),
-                    Arc::new(MemoCache::new(capacity)),
-                ))
-            };
-        AuditTarget {
-            targeting,
-            measurement,
-            id_map: self.id_map.clone(),
-            engine: self.engine.clone(),
         }
     }
 
@@ -499,32 +447,17 @@ impl AuditTarget {
             targeting: self.targeting.clone(),
             measurement: Arc::new(scheduled),
             id_map: self.id_map.clone(),
-            // The scheduler is its own worker pool; layering the engine on
-            // top would chunk batches before they reach the shard queue.
-            engine: None,
         }
     }
 
-    /// Whether batch submission buys anything on this target: an engine
-    /// is attached, or the measurement interface batches natively (the
-    /// pipelined wire client). Paths with order-sensitive serial
-    /// semantics (early-exit loops, exactly-once checkpoint resume) use
-    /// this to decide between the serial loop and batch submission.
+    /// Whether batch submission buys anything on this target: the
+    /// measurement interface batches natively (the scheduler's worker
+    /// pool, the pipelined wire client). Paths with order-sensitive
+    /// serial semantics (early-exit loops, exactly-once checkpoint
+    /// resume) use this to decide between the serial loop and batch
+    /// submission.
     pub fn prefers_batching(&self) -> bool {
-        self.engine.is_some() || self.measurement.batch_window() > 1
-    }
-
-    /// Runs a batch of already-translated specs against the measurement
-    /// interface: through the engine when one is attached, serially
-    /// otherwise. Either way the result vector lines up with `specs`.
-    pub fn run_measurement_batch(
-        &self,
-        specs: Vec<TargetingSpec>,
-    ) -> Vec<Result<u64, SourceError>> {
-        match &self.engine {
-            Some(engine) => engine.run_on(self.measurement.clone(), specs),
-            None => self.measurement.estimate_batch(&specs),
-        }
+        self.measurement.batch_window() > 1
     }
 
     /// Translates a spec from targeting-interface ids to
@@ -599,9 +532,8 @@ impl std::fmt::Debug for AuditTarget {
 /// resilience — so replay hits skip the retry machinery and recorded
 /// values are the final post-resilience answers.
 ///
-/// The same caveat as memoization applies: under recording, a repeated
-/// spec returns the recorded value, so consistency probes must run
-/// against the bare interface.
+/// Under recording, a repeated spec returns the recorded value, so
+/// consistency probes must run against the bare interface.
 pub struct RecordingSource {
     inner: Arc<dyn EstimateSource>,
     store: Arc<adcomp_store::RunStore>,
@@ -878,8 +810,9 @@ impl AuditTarget {
     /// keeps sharing one wrapper, mirroring
     /// [`with_resilience`](AuditTarget::with_resilience).
     ///
-    /// Apply this *last* (outside resilience/memo), so the store records
-    /// final answers and replay hits bypass the whole live stack.
+    /// Apply this *last* (outside resilience and scheduling), so the
+    /// store records final answers and replay hits bypass the whole live
+    /// stack.
     pub fn with_recording(
         &self,
         store: Arc<adcomp_store::RunStore>,
@@ -905,7 +838,6 @@ impl AuditTarget {
             targeting,
             measurement,
             id_map: self.id_map.clone(),
-            engine: self.engine.clone(),
         })
     }
 
@@ -944,7 +876,6 @@ impl AuditTarget {
             targeting,
             measurement,
             id_map: layout.id_map.map(Arc::new),
-            engine: None,
         })
     }
 }

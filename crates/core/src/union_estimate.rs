@@ -121,8 +121,9 @@ pub fn union_recall(
         let sign: i128 = if order % 2 == 1 { 1 } else { -1 };
         // Collect every non-contradictory intersection of this order,
         // then measure them as one batch — the same queries, in the same
-        // enumeration order, the serial loop issued one at a time; an
-        // attached engine spreads each order across its workers.
+        // enumeration order, the serial loop issued one at a time; a
+        // scheduled measurement interface spreads each order across its
+        // endpoints.
         let mut order_queries: Vec<TargetingSpec> = Vec::new();
         let mut subset: Vec<usize> = (0..order).collect();
         loop {
@@ -147,7 +148,7 @@ pub fn union_recall(
         }
         queries += order_queries.len() as u64;
         let mut order_total: i128 = 0;
-        for result in target.run_measurement_batch(order_queries) {
+        for result in target.measurement.estimate_batch(&order_queries) {
             order_total += result? as i128;
         }
         acc += sign * order_total;

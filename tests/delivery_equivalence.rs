@@ -1,18 +1,20 @@
 //! The delivery simulation must be execution-mode-invisible (ISSUE 9
 //! acceptance): the paired-ad delivery table — impression-log digests
 //! included — must be byte-identical whether the measurement side runs
-//! serially, on a pooled query engine, or sharded across a three-replica
-//! wire fleet with one replica killed mid-run. And a recorded delivery
+//! serially, scheduled over in-process replicas, or sharded across a
+//! three-replica wire fleet with one replica killed mid-run. And a recorded delivery
 //! audit must survive a coordinator kill+resume without re-issuing a
 //! single answered query, proven by platform-side counters.
 
 use std::sync::Arc;
 
 use discrimination_via_composition::audit::experiments::delivery_exp::{
-    delivery_table, delivery_table_tsv, delivery_table_with, paired_ad_cell, DELIVERY_INTERFACES,
+    delivery_table, delivery_table_tsv, paired_ad_cell, DELIVERY_INTERFACES,
 };
-use discrimination_via_composition::audit::experiments::{ExperimentConfig, ExperimentContext};
-use discrimination_via_composition::audit::{EngineConfig, QueryEngine, SchedulerConfig};
+use discrimination_via_composition::audit::experiments::{
+    EndpointSetFactory, ExperimentConfig, ExperimentContext,
+};
+use discrimination_via_composition::audit::{EstimateSource, SchedulerConfig};
 use discrimination_via_composition::platform::Simulation;
 use discrimination_via_composition::store::RunStore;
 use discrimination_via_composition::Fleet;
@@ -38,6 +40,20 @@ fn platform_queries(local: &Simulation, remote: &Simulation) -> u64 {
     count(local) + count(remote)
 }
 
+/// Four in-process replicas of each interface of `sim`, as the endpoint
+/// sets of [`ExperimentContext::distributed`].
+fn in_process_replicas(sim: Simulation) -> EndpointSetFactory {
+    Arc::new(move |kind| {
+        let platform: Arc<dyn EstimateSource> = sim
+            .interfaces()
+            .into_iter()
+            .find(|p| p.kind() == kind)
+            .expect("simulated interface")
+            .clone();
+        vec![platform; 4]
+    })
+}
+
 #[test]
 fn delivery_table_is_byte_identical_across_execution_modes() {
     let config = ExperimentConfig::test(94);
@@ -45,13 +61,17 @@ fn delivery_table_is_byte_identical_across_execution_modes() {
     // Serial single-endpoint baseline.
     let serial_tsv = delivery_table_tsv(&delivery_table(&ExperimentContext::new(config)).unwrap());
 
-    // Pooled engine: measurement queries fan out over four workers.
-    let engine = Arc::new(QueryEngine::new(EngineConfig::with_workers(4)));
-    let pooled_ctx = ExperimentContext::new(config);
-    let pooled_tsv = delivery_table_tsv(&delivery_table_with(&pooled_ctx, Some(&engine)).unwrap());
+    // In-process scheduled: measurement queries fan out over four
+    // in-process replicas of a same-seed simulation.
+    let pooled_ctx = ExperimentContext::distributed(
+        config,
+        in_process_replicas(Simulation::build(config.seed, config.scale)),
+        SchedulerConfig::default(),
+    );
+    let pooled_tsv = delivery_table_tsv(&delivery_table(&pooled_ctx).unwrap());
     assert_eq!(
         pooled_tsv, serial_tsv,
-        "engine-pooled delivery table must be byte-identical to the serial run"
+        "in-process scheduled delivery table must be byte-identical to the serial run"
     );
 
     // Distributed: three wire replicas per interface, one killed before

@@ -1,13 +1,13 @@
-//! The worker-pool engine is a pure wall-clock optimisation: every audit
-//! result must be byte-identical to the serial path, on every simulated
-//! platform, and budget accounting must be exact even when the transport
-//! underneath is retrying.
+//! The scheduler's worker pool is a pure wall-clock optimisation: every
+//! audit result must be byte-identical to the serial path, on every
+//! simulated platform, and budget accounting must be exact even when the
+//! transport underneath is retrying.
 
 use std::sync::Arc;
 
 use discrimination_via_composition::audit::{
     rank_individuals, survey_individuals, top_compositions, AuditTarget, BudgetedSource, Direction,
-    DiscoveryConfig, EngineConfig, QueryBudget, QueryEngine, SensitiveClass, QUERIES_PER_SPEC,
+    DiscoveryConfig, QueryBudget, SensitiveClass, QUERIES_PER_SPEC,
 };
 use discrimination_via_composition::platform::{
     FaultKind, FaultPlan, InterfaceKind, Schedule, SimScale, Simulation,
@@ -21,7 +21,6 @@ use discrimination_via_composition::RemoteSource;
 #[test]
 fn pooled_audit_is_bit_identical_to_serial_on_every_platform() {
     let sim = Simulation::build(909, SimScale::Test);
-    let engine = Arc::new(QueryEngine::new(EngineConfig::with_workers(4)));
     let cfg = DiscoveryConfig {
         top_k: 10,
         ..DiscoveryConfig::default()
@@ -40,7 +39,9 @@ fn pooled_audit_is_bit_identical_to_serial_on_every_platform() {
             InterfaceKind::LinkedIn => &sim.linkedin,
         };
         let serial = AuditTarget::for_platform(platform, &sim);
-        let pooled = serial.with_engine(engine.clone());
+        // Four in-process replicas of the measurement interface (the
+        // restricted interface measures through its Facebook parent).
+        let pooled = serial.with_scheduler(vec![serial.measurement.clone(); 4]);
 
         let serial_survey = survey_individuals(&serial).unwrap();
         let pooled_survey = survey_individuals(&pooled).unwrap();
@@ -91,8 +92,10 @@ fn pipelined_retries_over_a_faulty_wire_never_double_charge_the_budget() {
     .unwrap();
     let remote = Arc::new(RemoteSource::new(client).unwrap());
     let budgeted = Arc::new(BudgetedSource::new(remote, QueryBudget::capped(100_000)));
-    let target = AuditTarget::direct(budgeted.clone())
-        .with_engine(Arc::new(QueryEngine::new(EngineConfig::with_workers(4))));
+    // The budget forwards the client's pipeline window, so the survey
+    // goes out as batches.
+    let target = AuditTarget::direct(budgeted.clone());
+    assert!(target.prefers_batching());
 
     let survey = survey_individuals(&target).unwrap();
     let logical_queries = (survey.entries.len() as u64 + 1) * QUERIES_PER_SPEC as u64;

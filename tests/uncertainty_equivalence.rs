@@ -1,13 +1,14 @@
 //! The uncertainty table must be execution-mode-invisible (ISSUE 10
 //! acceptance): the scenario-family table — bootstrap replicates
-//! included — must be byte-identical whether it runs serially, on a
-//! pooled query engine, or recorded-then-resumed after a coordinator
-//! kill, with zero answered queries re-issued (proven by platform-side
-//! counters). On top of that, the verdicts must be *right*: oracle
-//! attributes reduce every confident verdict to its point band, the
-//! loaded job ad's delivery sits confidently under the four-fifths
-//! line, and a high-error observation channel degrades the delivery
-//! verdict to `Indeterminate` rather than silently calling it clean.
+//! included — must be byte-identical whether it runs serially,
+//! scheduled over in-process replicas, or recorded-then-resumed after a
+//! coordinator kill, with zero answered queries re-issued (proven by
+//! platform-side counters). On top of that, the verdicts must be
+//! *right*: oracle attributes reduce every confident verdict to its
+//! point band, the loaded job ad's delivery sits confidently under the
+//! four-fifths line, and a high-error observation channel degrades the
+//! delivery verdict to `Indeterminate` rather than silently calling it
+//! clean.
 
 use std::sync::{Arc, Mutex};
 
@@ -15,10 +16,12 @@ use discrimination_via_composition::audit::experiments::uncertainty_exp::{
     scenario_family, uncertainty_cells, uncertainty_table_with, uncertainty_tsv, Scenario, Stage,
     UncertaintyConfig,
 };
-use discrimination_via_composition::audit::experiments::{ExperimentConfig, ExperimentContext};
-use discrimination_via_composition::audit::{EngineConfig, QueryEngine, SkewBand};
+use discrimination_via_composition::audit::experiments::{
+    EndpointSetFactory, ExperimentConfig, ExperimentContext,
+};
+use discrimination_via_composition::audit::{EstimateSource, SchedulerConfig, SkewBand};
 use discrimination_via_composition::infer::RatioVerdict;
-use discrimination_via_composition::platform::AdPlatform;
+use discrimination_via_composition::platform::{AdPlatform, Simulation};
 use discrimination_via_composition::population::AttributeInference;
 use discrimination_via_composition::store::RunStore;
 
@@ -27,6 +30,20 @@ fn temp_dir(name: &str) -> std::path::PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// Four in-process replicas of each interface of `sim`, as the endpoint
+/// sets of [`ExperimentContext::distributed`].
+fn in_process_replicas(sim: Simulation) -> EndpointSetFactory {
+    Arc::new(move |kind| {
+        let platform: Arc<dyn EstimateSource> = sim
+            .interfaces()
+            .into_iter()
+            .find(|p| p.kind() == kind)
+            .expect("simulated interface")
+            .clone();
+        vec![platform; 4]
+    })
 }
 
 /// Small bootstrap, fixed confidence: the same `ucfg` in every mode so
@@ -43,29 +60,26 @@ fn uncertainty_table_is_byte_identical_serial_vs_pooled_and_verdicts_hold() {
     let config = ExperimentConfig::test(101);
     let ucfg = ucfg();
 
-    let serial = uncertainty_table_with(
-        config,
-        &ucfg,
-        |_, config| ExperimentContext::new(config),
-        None,
-    )
-    .unwrap();
+    let serial =
+        uncertainty_table_with(config, &ucfg, |_, config| ExperimentContext::new(config)).unwrap();
     let serial_tsv = uncertainty_tsv(&serial);
 
-    // Pooled engine: measurement queries AND bootstrap replicates fan
-    // out over four workers.
-    let engine = Arc::new(QueryEngine::new(EngineConfig::with_workers(4)));
-    let pooled = uncertainty_table_with(
-        config,
-        &ucfg,
-        |_, config| ExperimentContext::new(config),
-        Some(&engine),
-    )
+    // In-process scheduled: measurement queries fan out over four
+    // in-process replicas of a same-seed, same-inference simulation.
+    let pooled = uncertainty_table_with(config, &ucfg, |_, config| {
+        let replicas =
+            Simulation::build_inferred(config.seed, config.scale, config.inference.as_ref());
+        ExperimentContext::distributed(
+            config,
+            in_process_replicas(replicas),
+            SchedulerConfig::default(),
+        )
+    })
     .unwrap();
     assert_eq!(
         uncertainty_tsv(&pooled),
         serial_tsv,
-        "engine-pooled uncertainty table must be byte-identical to the serial run"
+        "in-process scheduled uncertainty table must be byte-identical to the serial run"
     );
 
     // Oracle attributes: the observation channel is exact, so every
@@ -146,7 +160,7 @@ fn high_error_channel_degrades_delivery_verdict_to_indeterminate() {
     };
     config.inference = scenario.inference;
     let ctx = ExperimentContext::new(config);
-    let cells = uncertainty_cells(&ctx, &scenario, &ucfg(), None).unwrap();
+    let cells = uncertainty_cells(&ctx, &scenario, &ucfg()).unwrap();
     let delivery: Vec<_> = cells
         .iter()
         .filter(|c| c.stage == Stage::Delivery)
@@ -180,13 +194,7 @@ fn recorded_uncertainty_run_resumes_without_reissuing_queries() {
     let ucfg = ucfg();
 
     let plain_tsv = uncertainty_tsv(
-        &uncertainty_table_with(
-            config,
-            &ucfg,
-            |_, config| ExperimentContext::new(config),
-            None,
-        )
-        .unwrap(),
+        &uncertainty_table_with(config, &ucfg, |_, config| ExperimentContext::new(config)).unwrap(),
     );
 
     // The `make_ctx` hook: each scenario records into its own store
@@ -222,13 +230,8 @@ fn recorded_uncertainty_run_resumes_without_reissuing_queries() {
     let ref_dir = temp_dir("ref");
     let ref_platforms: Platforms = Default::default();
     let ref_tsv = uncertainty_tsv(
-        &uncertainty_table_with(
-            config,
-            &ucfg,
-            hook(ref_dir.clone(), ref_platforms.clone()),
-            None,
-        )
-        .unwrap(),
+        &uncertainty_table_with(config, &ucfg, hook(ref_dir.clone(), ref_platforms.clone()))
+            .unwrap(),
     );
     assert_eq!(ref_tsv, plain_tsv, "recording must not change the table");
     let full_queries = total(&ref_platforms);
@@ -243,7 +246,7 @@ fn recorded_uncertainty_run_resumes_without_reissuing_queries() {
         let mut partial_config = config;
         partial_config.inference = scenarios[0].inference;
         let ctx = make(&scenarios[0], partial_config);
-        uncertainty_cells(&ctx, &scenarios[0], &ucfg, None).unwrap();
+        uncertainty_cells(&ctx, &scenarios[0], &ucfg).unwrap();
     } // context and store dropped: the kill
     let partial_queries = total(&partial_platforms);
     assert!(partial_queries > 0);
@@ -252,13 +255,8 @@ fn recorded_uncertainty_run_resumes_without_reissuing_queries() {
     // wholly from disk and never reaches a platform.
     let resumed_platforms: Platforms = Default::default();
     let resumed_tsv = uncertainty_tsv(
-        &uncertainty_table_with(
-            config,
-            &ucfg,
-            hook(dir.clone(), resumed_platforms.clone()),
-            None,
-        )
-        .unwrap(),
+        &uncertainty_table_with(config, &ucfg, hook(dir.clone(), resumed_platforms.clone()))
+            .unwrap(),
     );
     let resumed_queries = total(&resumed_platforms);
 
