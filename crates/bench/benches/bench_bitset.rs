@@ -51,6 +51,39 @@ fn bench_intersection_len(c: &mut Criterion) {
     group.finish();
 }
 
+/// The k-way AND-count kernel against materialise-then-count, for the
+/// audit's query shapes: `a ∧ class` (k = 2) and `a ∧ b ∧ class` (k = 3)
+/// over sparse attributes and a dense demographic class.
+fn bench_and_count(c: &mut Criterion) {
+    let mut group = c.benchmark_group("and_count");
+    let sparse_a: Bitset = sample(7, 0.02).into_iter().collect();
+    let sparse_b: Bitset = sample(8, 0.03).into_iter().collect();
+    let dense_a: Bitset = sample(9, 0.3).into_iter().collect();
+    let dense_b: Bitset = sample(10, 0.4).into_iter().collect();
+    let class: Bitset = sample(11, 0.5).into_iter().collect();
+    let shapes: [(&str, Vec<&Bitset>); 5] = [
+        ("k2/sparse_dense", vec![&sparse_a, &class]),
+        ("k2/dense_dense", vec![&dense_a, &class]),
+        ("k3/sparse_sparse_dense", vec![&sparse_a, &sparse_b, &class]),
+        ("k3/sparse_dense_dense", vec![&sparse_a, &dense_a, &class]),
+        ("k3/dense_dense_dense", vec![&dense_a, &dense_b, &class]),
+    ];
+    for (label, sets) in &shapes {
+        group.bench_function(format!("kernel/{label}"), |bencher| {
+            bencher.iter(|| std::hint::black_box(Bitset::and_not_len(sets, &[])))
+        });
+        group.bench_function(format!("materialised/{label}"), |bencher| {
+            bencher.iter(|| {
+                let and = sets[2..]
+                    .iter()
+                    .fold(sets[0].and(sets[1]), |acc, s| acc.and(s));
+                std::hint::black_box(and.len())
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_materialised_ops(c: &mut Criterion) {
     let mut group = c.benchmark_group("set_ops");
     let a: Bitset = sample(3, 0.05).into_iter().collect();
@@ -106,6 +139,7 @@ fn bench_construction(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_intersection_len,
+    bench_and_count,
     bench_materialised_ops,
     bench_run_encoding,
     bench_construction

@@ -1,10 +1,44 @@
 //! Targeting-evaluation benchmarks: the cost of one audience computation,
-//! by spec shape — what one size-estimate query costs the platform.
+//! by spec shape, materialised (`exact_audience`) and counted
+//! (`evaluate_len`, what one size-estimate query costs the platform).
 
-use adcomp_platform::{SimScale, Simulation};
+use adcomp_platform::{AdPlatform, SimScale, Simulation};
 use adcomp_population::{AgeBucket, Gender};
-use adcomp_targeting::{AttributeId, TargetingSpec};
+use adcomp_targeting::{
+    evaluate_len, AttributeId, AttributeResolver, Audience, EvalError, TargetingSpec,
+};
 use criterion::{criterion_group, criterion_main, Criterion};
+
+/// A resident platform's audiences as a resolver, so the counting
+/// evaluator can be timed on the audiences `exact_audience` reads.
+struct Resolver<'a>(&'a AdPlatform);
+
+impl AttributeResolver for Resolver<'_> {
+    fn attribute_audience(&self, id: AttributeId) -> Result<Audience<'_>, EvalError> {
+        self.0
+            .attribute_audience_raw(id.0 as usize)
+            .map(Audience::Borrowed)
+            .ok_or(EvalError::UnknownAttribute(id))
+    }
+
+    fn everyone(&self) -> Result<Audience<'_>, EvalError> {
+        Ok(Audience::Borrowed(self.0.universe().everyone()))
+    }
+
+    fn gender_audience(&self, gender: Gender) -> Result<Audience<'_>, EvalError> {
+        Ok(Audience::Borrowed(match self.0.inferred_view() {
+            Some(view) => view.gender_audience(gender),
+            None => self.0.universe().gender_audience(gender),
+        }))
+    }
+
+    fn age_audience(&self, age: AgeBucket) -> Result<Audience<'_>, EvalError> {
+        Ok(Audience::Borrowed(match self.0.inferred_view() {
+            Some(view) => view.age_audience(age),
+            None => self.0.universe().age_audience(age),
+        }))
+    }
+}
 
 fn bench_eval(c: &mut Criterion) {
     let sim = Simulation::build(80, SimScale::Test);
@@ -42,9 +76,18 @@ fn bench_eval(c: &mut Criterion) {
                 .build(),
         ),
     ];
+    let resolver = Resolver(fb);
     for (label, spec) in &specs {
+        assert_eq!(
+            evaluate_len(&resolver, spec).unwrap(),
+            fb.exact_audience(spec).unwrap().len(),
+            "{label}"
+        );
         group.bench_function(*label, |bencher| {
             bencher.iter(|| std::hint::black_box(fb.exact_audience(spec).unwrap()))
+        });
+        group.bench_function(format!("{label}/evaluate_len"), |bencher| {
+            bencher.iter(|| std::hint::black_box(evaluate_len(&resolver, spec).unwrap()))
         });
     }
     group.finish();

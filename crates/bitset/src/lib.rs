@@ -52,7 +52,9 @@ use container::Container;
 /// operations allocate a new `Bitset`; the counting variants
 /// ([`intersection_len`](Bitset::intersection_len) etc.) avoid
 /// materialising the result and should be preferred when only a size is
-/// needed (audience size estimation does exactly this).
+/// needed. Audience size estimation counts through the k-way kernel
+/// [`and_not_len`](Bitset::and_not_len), which sizes a whole
+/// AND-with-exclusions in one pass without allocating a result.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct Bitset {
     /// Sorted by key; no empty containers.
@@ -235,6 +237,33 @@ impl Bitset {
     /// `|self ∧ other|` without materialising the intersection.
     pub fn intersection_len(&self, other: &Bitset) -> u64 {
         ops::intersection_len(self, other)
+    }
+
+    /// `|∧include ∧ ¬∨exclude|` without materialising anything: the
+    /// k-way AND-count kernel behind every reach estimate.
+    ///
+    /// One merge walks the chunks of all operands; per chunk it counts
+    /// with word loops when every include is a bitmap, or a branchless
+    /// merge of the two smallest arrays whose matches are tested against
+    /// the other operands. Nothing is allocated per chunk. A two-set AND
+    /// is [`intersection_len`](Bitset::intersection_len).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `include` is empty: the AND of no sets is unbounded.
+    ///
+    /// ```
+    /// use adcomp_bitset::Bitset;
+    ///
+    /// let a: Bitset = (0..1000).collect();
+    /// let b: Bitset = (0..1000).step_by(2).collect();
+    /// let c: Bitset = (0..1000).step_by(3).collect();
+    /// let e: Bitset = (0..100).collect();
+    /// // Multiples of 6 in 100..1000.
+    /// assert_eq!(Bitset::and_not_len(&[&a, &b, &c], &[&e]), 150);
+    /// ```
+    pub fn and_not_len(include: &[&Bitset], exclude: &[&Bitset]) -> u64 {
+        ops::and_not_len(include, exclude)
     }
 
     /// Upper bound on `|self ∧ other|` from per-chunk cardinalities.

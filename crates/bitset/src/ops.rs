@@ -1,10 +1,20 @@
-//! Binary set operation kernels.
+//! Set operation kernels.
 //!
-//! Operations walk the two sorted chunk lists in a merge, dispatching to a
-//! per-layout kernel for chunks present in both sets. Run containers are
-//! densified on the fly (they are a read-only re-encoding; see the crate
-//! docs), so the kernels only handle Array×Array, Array×Bitmap and
-//! Bitmap×Bitmap.
+//! Binary operations walk the two sorted chunk lists in a merge,
+//! dispatching to a per-layout kernel for chunks present in both sets.
+//! Run containers are densified on the fly (they are a read-only
+//! re-encoding; see the crate docs), so the kernels only handle
+//! Array×Array, Array×Bitmap and Bitmap×Bitmap.
+//!
+//! [`and_not_len`] is the k-way counting kernel behind every reach
+//! estimate: `|∧include ∧ ¬∨exclude|` from one merge over the chunks of
+//! all operands, counted per chunk without building a result — word
+//! loops when every include is a bitmap (one fused pass for three), or a
+//! branchless merge of the two smallest arrays with each match
+//! bit-tested against the bitmaps, then looked up in the remaining
+//! arrays by galloping. A two-set AND is the pairwise
+//! [`intersection_len`], whose array×array kernel is the same branchless
+//! merge.
 
 use crate::container::{Container, BITMAP_WORDS};
 use crate::Bitset;
@@ -172,6 +182,254 @@ pub(crate) fn is_disjoint(a: &Bitset, b: &Bitset) -> bool {
         }
     }
     true
+}
+
+/// `|∧include ∧ ¬∨exclude|` without materialising anything.
+///
+/// Only chunks present in every include operand can contribute, so the
+/// include operand with the fewest chunks leads one merge over all
+/// operands, whose cursors only move forward; each chunk is then counted
+/// by [`Chunk::len`].
+pub(crate) fn and_not_len(include: &[&Bitset], exclude: &[&Bitset]) -> u64 {
+    match (include, exclude) {
+        ([], _) => panic!("and_not_len: at least one include operand"),
+        ([only], []) => return only.len(),
+        ([a, b], []) => return intersection_len(a, b),
+        _ => {}
+    }
+    let include: Vec<Dense<'_>> = include.iter().map(|set| Dense::new(set)).collect();
+    let exclude: Vec<Dense<'_>> = exclude.iter().map(|set| Dense::new(set)).collect();
+    let lead = include
+        .iter()
+        .min_by_key(|op| op.chunks.len())
+        .expect("non-empty");
+    let mut inc_at = vec![0usize; include.len()];
+    let mut exc_at = vec![0usize; exclude.len()];
+    let mut chunk = Chunk::default();
+    let mut total = 0u64;
+    'chunks: for (key, _) in lead.chunks {
+        for (op, at) in include.iter().zip(&mut inc_at) {
+            if !seek(op.chunks, at, *key) {
+                continue 'chunks;
+            }
+        }
+        chunk.clear();
+        for (op, &at) in include.iter().zip(&inc_at) {
+            chunk.include(op.container(at));
+        }
+        for (op, at) in exclude.iter().zip(&mut exc_at) {
+            if seek(op.chunks, at, *key) {
+                chunk.exclude(op.container(*at));
+            }
+        }
+        total += u64::from(chunk.len());
+    }
+    total
+}
+
+/// An operand's chunks as the counting kernel reads them: run containers
+/// densified up front, once per call, so every chunk is an array or a
+/// bitmap.
+struct Dense<'a> {
+    chunks: &'a [(u16, Container)],
+    /// Per chunk, the densified copy of a run container; empty when the
+    /// set has no runs.
+    runs: Vec<Option<Container>>,
+}
+
+impl<'a> Dense<'a> {
+    fn new(set: &'a Bitset) -> Self {
+        let chunks = set.chunks();
+        let is_run = |c: &Container| matches!(c, Container::Run(_));
+        let runs = if chunks.iter().any(|(_, c)| is_run(c)) {
+            chunks
+                .iter()
+                .map(|(_, c)| is_run(c).then(|| c.to_dense().into_owned()))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Dense { chunks, runs }
+    }
+
+    fn container(&self, at: usize) -> &Container {
+        match self.runs.get(at) {
+            Some(Some(dense)) => dense,
+            _ => &self.chunks[at].1,
+        }
+    }
+}
+
+/// Advances `at` to the first chunk with key `>= key`; whether that
+/// chunk's key is `key`.
+fn seek(chunks: &[(u16, Container)], at: &mut usize, key: u16) -> bool {
+    while chunks.get(*at).is_some_and(|(k, _)| *k < key) {
+        *at += 1;
+    }
+    chunks.get(*at).is_some_and(|(k, _)| *k == key)
+}
+
+/// One chunk's operands, by layout. The buffers are refilled for every
+/// chunk of one call, so counting a chunk allocates nothing.
+#[derive(Default)]
+struct Chunk<'a> {
+    arrays: Vec<&'a [u16]>,
+    bitmaps: Vec<&'a [u64; BITMAP_WORDS]>,
+    exclude_arrays: Vec<&'a [u16]>,
+    exclude_bitmaps: Vec<&'a [u64; BITMAP_WORDS]>,
+    /// Array probes' cursors: the other include arrays', then the
+    /// exclusions'.
+    cursors: Vec<usize>,
+}
+
+impl<'a> Chunk<'a> {
+    fn clear(&mut self) {
+        self.arrays.clear();
+        self.bitmaps.clear();
+        self.exclude_arrays.clear();
+        self.exclude_bitmaps.clear();
+    }
+
+    fn include(&mut self, c: &'a Container) {
+        match c {
+            Container::Array(values) => self.arrays.push(values),
+            Container::Bitmap { bits, .. } => self.bitmaps.push(bits),
+            Container::Run(_) => unreachable!("operands were densified"),
+        }
+    }
+
+    fn exclude(&mut self, c: &'a Container) {
+        match c {
+            Container::Array(values) => self.exclude_arrays.push(values),
+            Container::Bitmap { bits, .. } => self.exclude_bitmaps.push(bits),
+            Container::Run(_) => unreachable!("operands were densified"),
+        }
+    }
+
+    /// `|∧include ∧ ¬∨exclude|` within the chunk (at least one include):
+    /// word loops when every include is a bitmap, otherwise a branchless
+    /// merge of the two smallest arrays whose matches are tested against
+    /// the rest.
+    fn len(&mut self) -> u32 {
+        if self.arrays.is_empty() {
+            return self.bitmaps_len();
+        }
+        self.arrays.sort_unstable_by_key(|values| values.len());
+        let (leads, probes) = self.arrays.split_at(self.arrays.len().min(2));
+        let (bitmaps, exclude_bitmaps) = (&self.bitmaps[..], &self.exclude_bitmaps[..]);
+        // Bit tests are cheap and branchless, so every candidate takes
+        // them all; array probes run only for the candidates that pass.
+        let bits_keep = |v: u16| {
+            bitmaps.iter().fold(true, |keep, bits| keep & get(bits, v))
+                & !exclude_bitmaps
+                    .iter()
+                    .fold(false, |hit, bits| hit | get(bits, v))
+        };
+        if probes.is_empty() && self.exclude_arrays.is_empty() {
+            return leads_len(leads, bits_keep);
+        }
+        self.cursors.clear();
+        self.cursors
+            .resize(probes.len() + self.exclude_arrays.len(), 0);
+        let (probe_at, exclude_at) = self.cursors.split_at_mut(probes.len());
+        let exclude_arrays = &self.exclude_arrays[..];
+        leads_len(leads, |v| {
+            bits_keep(v)
+                && probes
+                    .iter()
+                    .zip(probe_at.iter_mut())
+                    .all(|(values, at)| holds(values, at, v))
+                && !exclude_arrays
+                    .iter()
+                    .zip(exclude_at.iter_mut())
+                    .any(|(values, at)| holds(values, at, v))
+        })
+    }
+
+    /// Every include is a bitmap: one fused word loop for the
+    /// three-bitmap AND, otherwise the includes ANDed word-parallel into
+    /// a stack copy with the exclusions cleared from it.
+    fn bitmaps_len(&self) -> u32 {
+        let no_exclusions = self.exclude_arrays.is_empty() && self.exclude_bitmaps.is_empty();
+        if let ([a, b, c], true) = (&self.bitmaps[..], no_exclusions) {
+            return (0..BITMAP_WORDS)
+                .map(|k| (a[k] & b[k] & c[k]).count_ones())
+                .sum();
+        }
+        let mut acc = *self.bitmaps[0];
+        for bits in &self.bitmaps[1..] {
+            for (w, x) in acc.iter_mut().zip(bits.iter()) {
+                *w &= x;
+            }
+        }
+        for bits in &self.exclude_bitmaps {
+            for (w, x) in acc.iter_mut().zip(bits.iter()) {
+                *w &= !x;
+            }
+        }
+        for values in &self.exclude_arrays {
+            for &v in *values {
+                acc[(v >> 6) as usize] &= !(1u64 << (v & 63));
+            }
+        }
+        acc.iter().map(|w| w.count_ones()).sum()
+    }
+}
+
+/// Values of the one lead array, or of both lead arrays' merge,
+/// that pass `keep`.
+#[inline]
+fn leads_len(leads: &[&[u16]], mut keep: impl FnMut(u16) -> bool) -> u32 {
+    match leads {
+        [x, y] => merge_len(x, y, keep),
+        [x] => x.iter().map(|&v| u32::from(keep(v))).sum(),
+        _ => unreachable!("one or two lead arrays"),
+    }
+}
+
+/// Values in both sorted arrays that pass `keep`. Branchless merge:
+/// compare once and advance both cursors by the comparison; only a match
+/// reaches `keep`, in increasing order.
+#[inline]
+fn merge_len(x: &[u16], y: &[u16], mut keep: impl FnMut(u16) -> bool) -> u32 {
+    let (mut i, mut j, mut n) = (0usize, 0usize, 0u32);
+    while i < x.len() && j < y.len() {
+        let (u, w) = (x[i], y[j]);
+        if u == w && keep(u) {
+            n += 1;
+        }
+        i += usize::from(u <= w);
+        j += usize::from(w <= u);
+    }
+    n
+}
+
+fn array_bitmap_len(values: &[u16], bits: &[u64; BITMAP_WORDS]) -> u32 {
+    values.iter().map(|&v| u32::from(get(bits, v))).sum()
+}
+
+fn bitmap_bitmap_len(a: &[u64; BITMAP_WORDS], b: &[u64; BITMAP_WORDS]) -> u32 {
+    a.iter()
+        .zip(b.iter())
+        .map(|(x, y)| (x & y).count_ones())
+        .sum()
+}
+
+/// Membership of `v` in a sorted array, for probes in increasing order:
+/// `at` is the array's cursor, which only moves forward. It gallops
+/// (1, 2, 4, … ahead) to a bracket holding `v`'s position, then binary
+/// searches the bracket, so sparse probes skip most of the array.
+#[inline]
+fn holds(values: &[u16], at: &mut usize, v: u16) -> bool {
+    let rest = &values[*at..];
+    let mut hi = 1;
+    while hi < rest.len() && rest[hi] < v {
+        hi *= 2;
+    }
+    let lo = hi / 2;
+    let end = (hi + 1).min(rest.len());
+    *at += lo + rest[lo..end].partition_point(|&x| x < v);
+    values.get(*at) == Some(&v)
 }
 
 fn for_each_common_chunk(a: &Bitset, b: &Bitset, mut f: impl FnMut(&Container, &Container)) {
@@ -359,29 +617,13 @@ fn container_intersection_len(a: &Container, b: &Container) -> u32 {
     let a = a.to_dense();
     let b = b.to_dense();
     match (a.as_ref(), b.as_ref()) {
-        (Container::Array(x), Container::Array(y)) => {
-            // Galloping would help for very skewed sizes; the merge is fine
-            // for the ≤4096-entry arrays we produce.
-            let (mut i, mut j, mut n) = (0usize, 0usize, 0u32);
-            while i < x.len() && j < y.len() {
-                match x[i].cmp(&y[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        n += 1;
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-            n
-        }
+        // Galloping would help for very skewed sizes; the merge is fine
+        // for the ≤4096-entry arrays we produce.
+        (Container::Array(x), Container::Array(y)) => merge_len(x, y, |_| true),
         (Container::Array(x), Container::Bitmap { bits, .. })
-        | (Container::Bitmap { bits, .. }, Container::Array(x)) => {
-            x.iter().filter(|&&v| get(bits, v)).count() as u32
-        }
+        | (Container::Bitmap { bits, .. }, Container::Array(x)) => array_bitmap_len(x, bits),
         (Container::Bitmap { bits: x, .. }, Container::Bitmap { bits: y, .. }) => {
-            (0..BITMAP_WORDS).map(|k| (x[k] & y[k]).count_ones()).sum()
+            bitmap_bitmap_len(x, y)
         }
         _ => unreachable!("operands were densified"),
     }

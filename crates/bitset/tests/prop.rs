@@ -17,6 +17,65 @@ fn value_vec() -> impl Strategy<Value = Vec<u32>> {
     ]
 }
 
+/// One operand of the k-way kernel, confined to the first four chunks
+/// so chunk keys recur across operands yet each one misses some: sparse
+/// values (arrays), dense draws over two chunks (bitmaps), contiguous
+/// blocks (runs, when run-optimised) and the empty set.
+fn operand() -> impl Strategy<Value = (Vec<u32>, bool)> {
+    let values = prop_oneof![
+        proptest::collection::vec(0u32..4 << 16, 0..600),
+        proptest::collection::vec(0u32..2 << 16, 0..30_000),
+        (0u32..4 << 16, 0u32..80_000)
+            .prop_map(|(start, len)| (start..start.saturating_add(len).min(4 << 16)).collect()),
+        Just(Vec::new()),
+    ];
+    (values, any::<bool>())
+}
+
+/// An operand dense in the same two chunks as every other one, so
+/// chunks meet only bitmaps (run-optimised ones densify to bitmaps too).
+fn dense_operand() -> impl Strategy<Value = (Vec<u32>, bool)> {
+    (
+        proptest::collection::vec(0u32..2 << 16, 10_000..30_000),
+        any::<bool>(),
+    )
+}
+
+fn operand_set((values, optimize): (Vec<u32>, bool)) -> (Bitset, BTreeSet<u32>) {
+    let (mut set, reference) = to_pair(values);
+    if optimize {
+        set.run_optimize();
+    }
+    (set, reference)
+}
+
+/// Checks the k-way kernel against the `BTreeSet` reference, against the
+/// materialised fold, and under a reversed include order.
+fn check_and_not_len(include: Vec<(Vec<u32>, bool)>, exclude: Vec<(Vec<u32>, bool)>) {
+    let include: Vec<_> = include.into_iter().map(operand_set).collect();
+    let exclude: Vec<_> = exclude.into_iter().map(operand_set).collect();
+    let mut expected = include[0].1.clone();
+    for (_, reference) in &include[1..] {
+        expected.retain(|v| reference.contains(v));
+    }
+    for (_, reference) in &exclude {
+        expected.retain(|v| !reference.contains(v));
+    }
+    let expected = expected.len() as u64;
+    let inc: Vec<&Bitset> = include.iter().map(|(set, _)| set).collect();
+    let exc: Vec<&Bitset> = exclude.iter().map(|(set, _)| set).collect();
+    assert_eq!(Bitset::and_not_len(&inc, &exc), expected);
+    let mut folded = inc[1..]
+        .iter()
+        .fold(inc[0].clone(), |acc, set| acc.and(set));
+    for set in &exc {
+        folded = folded.and_not(set);
+    }
+    assert_eq!(folded.len(), expected);
+    let reversed: Vec<&Bitset> = inc.iter().rev().copied().collect();
+    assert_eq!(Bitset::and_not_len(&reversed, &exc), expected);
+}
+
 fn to_pair(values: Vec<u32>) -> (Bitset, BTreeSet<u32>) {
     let reference: BTreeSet<u32> = values.iter().copied().collect();
     let set: Bitset = values.into_iter().collect();
@@ -162,5 +221,39 @@ proptest! {
         prop_assert_eq!(set.and(&other), before_and);
         prop_assert_eq!(set.iter().collect::<Vec<_>>(),
                         reference.iter().copied().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn and_not_len_matches_reference(
+        include in proptest::collection::vec(operand(), 1..=5),
+        exclude in proptest::collection::vec(operand(), 0..=3),
+    ) {
+        check_and_not_len(include, exclude);
+    }
+
+    #[test]
+    fn and_not_len_over_bitmaps_matches_reference(
+        include in proptest::collection::vec(dense_operand(), 2..=4),
+        dense_exclude in proptest::collection::vec(dense_operand(), 0..=1),
+        sparse_exclude in proptest::collection::vec(operand(), 0..=2),
+    ) {
+        // The fused word loops: bitmap-only includes, bitmap and array
+        // exclusions.
+        check_and_not_len(include, [dense_exclude, sparse_exclude].concat());
+    }
+
+    #[test]
+    fn pairwise_counts_match_reference(a in operand(), b in operand(), slack in 0u64..3) {
+        // The pairwise kernel (and its branchless array merge) behind
+        // `intersection_len`, `is_disjoint` and the thresholded count.
+        let (sa, ra) = operand_set(a);
+        let (sb, rb) = operand_set(b);
+        let exact = ra.intersection(&rb).count() as u64;
+        prop_assert_eq!(sa.intersection_len(&sb), exact);
+        prop_assert_eq!(Bitset::and_not_len(&[&sa, &sb], &[]), exact);
+        prop_assert_eq!(sa.is_disjoint(&sb), exact == 0);
+        for threshold in [exact.saturating_sub(slack), exact, exact + 1 + slack] {
+            prop_assert_eq!(sa.intersection_len_at_least(&sb, threshold), exact >= threshold);
+        }
     }
 }

@@ -3,9 +3,10 @@
 //! A [`Platform`](crate::Platform) computes every estimate and every
 //! reach-oracle answer against an [`AudienceBackend`]: a sequence of
 //! segments over disjoint user-id ranges, each of which hands its
-//! audiences to the one evaluator (`adcomp_targeting::evaluate`) as an
-//! [`AttributeResolver`]. Counts sum over segments, so a spec's length is
-//! the same however the users are split. A [`Resident`] universe, with
+//! audiences to the one evaluator as an [`AttributeResolver`]: estimates
+//! count through `adcomp_targeting::evaluate_len`, and only ground-truth
+//! callers build sets with `adcomp_targeting::evaluate`. Counts sum over
+//! segments, so a spec's length is the same however the users are split. A [`Resident`] universe, with
 //! every catalog audience materialised in memory, is the one-segment
 //! case; a [`SegmentStore`](adcomp_population::SegmentStore) streams its
 //! segments from disk (`crate::segmented`).

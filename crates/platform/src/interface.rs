@@ -16,8 +16,8 @@ use adcomp_bitset::Bitset;
 use adcomp_obs::metrics::{size_buckets, Counter, Histogram, Registry};
 use adcomp_population::{InferredView, SegmentStore, Universe};
 use adcomp_targeting::{
-    evaluate, validate, AttributeId, AttributeResolver, Capabilities, EvalError, TargetingSpec,
-    ValidationError,
+    evaluate, evaluate_len, validate, AttributeId, AttributeResolver, Capabilities, EvalError,
+    TargetingSpec, ValidationError,
 };
 use parking_lot::Mutex;
 
@@ -282,7 +282,8 @@ impl<B: AudienceBackend> Platform<B> {
         })
     }
 
-    /// Exact audience length of a spec: [`evaluate`] per segment, summed.
+    /// Exact audience length of a spec: [`evaluate_len`] per segment,
+    /// summed. Counts only; no audience is built.
     fn audience_len(&self, spec: &TargetingSpec) -> Result<u64, EvalError> {
         // "Everyone" is the population: nothing to evaluate or load.
         if spec.include.is_empty()
@@ -306,7 +307,7 @@ impl<B: AudienceBackend> Platform<B> {
                     continue 'segments;
                 }
             }
-            total += evaluate(&view, spec)?.len();
+            total += evaluate_len(&view, spec)?;
         }
         Ok(total)
     }

@@ -28,10 +28,8 @@
 //! only costs a measurement, never an output difference; this one counts
 //! each such answer in `adcomp_platform_oracle_undecidable_total`.
 
-use std::borrow::Cow;
-
 use adcomp_bitset::Bitset;
-use adcomp_targeting::{AttributeId, AttributeResolver, Audience, EvalError};
+use adcomp_targeting::{AttributeId, AttributeResolver, EvalError};
 
 use crate::backend::AudienceBackend;
 use crate::interface::{estimate_for_len, Platform, PlatformConfig};
@@ -145,19 +143,20 @@ fn scan<B: AudienceBackend>(
         }
         remaining -= bound;
         let view = backend.segment(seg);
-        let mut sets = Vec::with_capacity(attrs.len());
+        let mut audiences = Vec::with_capacity(attrs.len());
         for &id in attrs {
-            sets.push(view.attribute_audience(id)?);
+            audiences.push(view.attribute_audience(id)?);
         }
-        // Smallest operands first: the running intersection shrinks
-        // fastest and the bound fails earliest.
-        sets.sort_by_key(|s| s.len());
-        let (init, last) = and_but_last(&sets);
+        let sets: Vec<&Bitset> = audiences.iter().map(|set| &**set).collect();
         if remaining == 0 {
             // No later segment can contribute: this one decides.
-            return Ok(init.intersection_len_at_least(last, threshold_len - acc));
+            let needed = threshold_len - acc;
+            return Ok(match sets[..] {
+                [a, b] => a.intersection_len_at_least(b, needed),
+                _ => Bitset::and_not_len(&sets, &[]) >= needed,
+            });
         }
-        acc += init.intersection_len(last);
+        acc += Bitset::and_not_len(&sets, &[]);
         if acc >= threshold_len {
             return Ok(true);
         }
@@ -166,28 +165,6 @@ fn scan<B: AudienceBackend>(
         }
     }
     Ok(acc >= threshold_len)
-}
-
-/// Splits two or more sets, sorted by size, into the AND of all but the
-/// largest (materialised only when that takes an AND) and the largest,
-/// which is only ever counted against.
-fn and_but_last<'s>(sets: &'s [Audience<'_>]) -> (Cow<'s, Bitset>, &'s Bitset) {
-    let (last, init) = sets.split_last().expect("arity ≥ 2");
-    let init = match init {
-        [only] => Cow::Borrowed(&**only),
-        [first, second, rest @ ..] => {
-            let mut cur = first.and(second);
-            for s in rest {
-                if cur.is_empty() {
-                    break;
-                }
-                cur = cur.and(s);
-            }
-            Cow::Owned(cur)
-        }
-        [] => unreachable!("arity ≥ 2"),
-    };
-    (init, last)
 }
 
 #[cfg(test)]
@@ -273,7 +250,7 @@ mod tests {
         let len = p.attribute_len(AttributeId(0)).unwrap();
         assert!(p.and_reaches(&single, len));
         assert!(!p.and_reaches(&single, len + 1));
-        // Triples exercise the materialising path.
+        // Triples count through the k-way kernel.
         let triple = [AttributeId(0), AttributeId(1), AttributeId(2)];
         let exact = p
             .exact_audience(&TargetingSpec::and_of(triple))

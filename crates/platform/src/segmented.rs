@@ -121,12 +121,15 @@ impl AttributeResolver for SegmentView<'_> {
 mod tests {
     use super::*;
     use crate::api::PlatformApi;
+    use crate::backend::Resident;
     use crate::catalog::{CategorySpec, SkewProfile};
     use crate::estimate::{EstimateKind, RoundingRule};
     use crate::interface::{EstimateRequest, InterfaceKind, PlatformError};
     use crate::objective::Objective;
     use crate::oracle::ReachOracle;
-    use adcomp_population::{DemographicProfile, UniverseConfig, SEGMENT_ALIGN};
+    use adcomp_population::{
+        AttributeInference, DemographicProfile, Universe, UniverseConfig, SEGMENT_ALIGN,
+    };
     use adcomp_targeting::{Capabilities, FeatureId, TargetingSpec};
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
@@ -194,6 +197,46 @@ mod tests {
         let before = segmented.metrics.oracle_undecidable.get();
         assert!(segmented.and_reaches(&[AttributeId(0), AttributeId(1)], 1));
         assert_eq!(segmented.metrics.oracle_undecidable.get(), before + 1);
+    }
+
+    /// Every demographic audience a resolver hands out lies within its
+    /// `everyone()`: the evaluator ANDs `everyone` only when a spec has
+    /// nothing else to include, which is sound only because of this.
+    fn assert_demographics_within_everyone(view: impl AttributeResolver, what: &str) {
+        let everyone = view.everyone().unwrap();
+        for gender in Gender::ALL {
+            let audience = view.gender_audience(gender).unwrap();
+            assert!(audience.is_subset(&everyone), "{what}: {gender:?}");
+        }
+        for age in AgeBucket::ALL {
+            let audience = view.age_audience(age).unwrap();
+            assert!(audience.is_subset(&everyone), "{what}: {age:?}");
+        }
+    }
+
+    #[test]
+    fn demographic_audiences_are_subsets_of_everyone() {
+        let (segmented, _dir) = platform();
+        for seg in 0..segmented.store().n_segments() {
+            assert_demographics_within_everyone(segmented.backend.segment(seg), "segment view");
+        }
+        let universe = Arc::new(Universe::generate(&UniverseConfig {
+            n_users: 20_000,
+            seed: 5,
+            scale: 1.0,
+            profile: DemographicProfile::balanced(),
+        }));
+        let inferred = AttributeInference::noisy(5, 0.1, 0.2)
+            .with_missingness(0.2, 0, 1.0)
+            .view(&universe);
+        let mut resident = Resident {
+            universe,
+            audiences: Vec::new(),
+            inferred: None,
+        };
+        assert_demographics_within_everyone(&resident, "resident");
+        resident.inferred = Some(Arc::new(inferred));
+        assert_demographics_within_everyone(&resident, "resident, inferred view");
     }
 
     #[test]

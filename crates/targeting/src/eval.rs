@@ -13,7 +13,8 @@ use crate::ast::{AttributeId, TargetingSpec};
 pub enum Audience<'a> {
     /// Borrowed from resident storage.
     Borrowed(&'a Bitset),
-    /// A shared handle on a cached audience.
+    /// A shared handle on a cached audience (or on a union the
+    /// evaluator built).
     Shared(Arc<Bitset>),
 }
 
@@ -86,69 +87,122 @@ impl std::error::Error for EvalError {}
 ///                         ∧ ¬(∨ over exclusions)
 /// ```
 ///
-/// Group evaluation is ordered smallest-first so intersections shrink as
-/// early as possible; exclusions are applied last.
+/// The AND runs smallest operand first so intersections shrink as early
+/// as possible; exclusions are resolved and applied only when the
+/// included audience is non-empty. Callers that need only the size use
+/// [`evaluate_len`], which resolves the same operands and counts them.
 pub fn evaluate<R: AttributeResolver + ?Sized>(
     resolver: &R,
     spec: &TargetingSpec,
 ) -> Result<Bitset, EvalError> {
-    // OR within each group.
-    let mut group_sets: Vec<Bitset> = Vec::with_capacity(spec.include.len());
-    for group in &spec.include {
-        let mut acc: Option<Bitset> = None;
-        for &id in &group.attributes {
-            let audience = resolver.attribute_audience(id)?;
-            acc = Some(match acc {
-                None => (*audience).clone(),
-                Some(cur) => cur.or(&audience),
-            });
-        }
-        // An empty group matches nobody; normalised specs never contain
-        // one, but evaluation must still be total.
-        group_sets.push(acc.unwrap_or_default());
-    }
-    // AND across groups, smallest first.
-    group_sets.sort_by_key(|s| s.len());
-    let mut audience: Option<Bitset> = None;
-    for set in group_sets {
-        audience = Some(match audience {
-            None => set,
-            Some(cur) => cur.and(&set),
-        });
-        if audience.as_ref().is_some_and(|a| a.is_empty()) {
+    let mut include = include_operands(resolver, spec)?;
+    include.sort_by_key(|set| set.len());
+    let mut operands = include.into_iter();
+    let first = operands.next().expect("at least one include operand");
+    let mut audience = match operands.next() {
+        Some(second) => first.and(&second),
+        None => (*first).clone(),
+    };
+    for set in operands {
+        if audience.is_empty() {
             break;
         }
+        audience = audience.and(&set);
     }
-
-    // Demographics.
-    let mut audience = match audience {
-        Some(a) => a,
-        None => (*resolver.everyone()?).clone(),
-    };
-    if let Some(genders) = &spec.demographics.genders {
-        let mut demo = Bitset::new();
-        for g in genders {
-            demo = demo.or(&*resolver.gender_audience(*g)?);
-        }
-        audience = audience.and(&demo);
+    if audience.is_empty() {
+        return Ok(audience);
     }
-    if let Some(ages) = &spec.demographics.ages {
-        let mut demo = Bitset::new();
-        for a in ages {
-            demo = demo.or(&*resolver.age_audience(*a)?);
-        }
-        audience = audience.and(&demo);
-    }
-
-    // Exclusions.
-    for &id in &spec.exclude {
-        audience = audience.and_not(&*resolver.attribute_audience(id)?);
+    for set in exclude_operands(resolver, spec)? {
+        audience = audience.and_not(&set);
         if audience.is_empty() {
             break;
         }
     }
-
     Ok(audience)
+}
+
+/// `evaluate(resolver, spec)?.len()` without building the audience: the
+/// operands [`evaluate`] would AND are counted by the k-way kernel
+/// [`Bitset::and_not_len`]. Same operands, same resolution order, same
+/// errors; exclusions are resolved only when the included count is
+/// non-zero, so a lazily loading resolver loads what `evaluate` loads.
+pub fn evaluate_len<R: AttributeResolver + ?Sized>(
+    resolver: &R,
+    spec: &TargetingSpec,
+) -> Result<u64, EvalError> {
+    let include = include_operands(resolver, spec)?;
+    let include: Vec<&Bitset> = include.iter().map(|set| &**set).collect();
+    let included = Bitset::and_not_len(&include, &[]);
+    if included == 0 || spec.exclude.is_empty() {
+        return Ok(included);
+    }
+    let exclude = exclude_operands(resolver, spec)?;
+    let exclude: Vec<&Bitset> = exclude.iter().map(|set| &**set).collect();
+    Ok(Bitset::and_not_len(&include, &exclude))
+}
+
+/// The OR of `parts`: the resolver's audience when there is one, built
+/// once otherwise (empty for none — a group with no attribute matches
+/// nobody).
+fn any_of<'a>(
+    parts: impl IntoIterator<Item = Result<Audience<'a>, EvalError>>,
+) -> Result<Audience<'a>, EvalError> {
+    let mut parts = parts.into_iter();
+    let Some(first) = parts.next() else {
+        return Ok(Audience::Shared(Arc::new(Bitset::new())));
+    };
+    let first = first?;
+    let Some(second) = parts.next() else {
+        return Ok(first);
+    };
+    let mut union = first.or(&*second?);
+    for part in parts {
+        union = union.or(&*part?);
+    }
+    Ok(Audience::Shared(Arc::new(union)))
+}
+
+/// The sets whose AND is the included audience: one per include group,
+/// then one per demographic constraint. Every group and demographic is
+/// resolved, in that order, so the first failing one decides the error.
+/// `everyone` joins only when there is nothing else to AND: every
+/// attribute and demographic audience is a subset of it.
+fn include_operands<'r, R: AttributeResolver + ?Sized>(
+    resolver: &'r R,
+    spec: &TargetingSpec,
+) -> Result<Vec<Audience<'r>>, EvalError> {
+    let mut operands = Vec::with_capacity(spec.include.len() + 2);
+    for group in &spec.include {
+        operands.push(any_of(
+            group
+                .attributes
+                .iter()
+                .map(|&id| resolver.attribute_audience(id)),
+        )?);
+    }
+    if let Some(genders) = &spec.demographics.genders {
+        operands.push(any_of(
+            genders.iter().map(|&g| resolver.gender_audience(g)),
+        )?);
+    }
+    if let Some(ages) = &spec.demographics.ages {
+        operands.push(any_of(ages.iter().map(|&a| resolver.age_audience(a)))?);
+    }
+    if operands.is_empty() {
+        operands.push(resolver.everyone()?);
+    }
+    Ok(operands)
+}
+
+/// The exclusion audiences, resolved in spec order.
+fn exclude_operands<'r, R: AttributeResolver + ?Sized>(
+    resolver: &'r R,
+    spec: &TargetingSpec,
+) -> Result<Vec<Audience<'r>>, EvalError> {
+    spec.exclude
+        .iter()
+        .map(|&id| resolver.attribute_audience(id))
+        .collect()
 }
 
 #[cfg(test)]
@@ -268,11 +322,9 @@ mod tests {
             TargetingSpec::builder().exclude([AttributeId(0)]).build(),
         ];
         for spec in &specs {
-            assert_eq!(
-                evaluate(&r, spec).unwrap(),
-                reference(&r, spec),
-                "spec: {spec}"
-            );
+            let expected = reference(&r, spec);
+            assert_eq!(evaluate(&r, spec).unwrap(), expected, "spec: {spec}");
+            assert_eq!(evaluate_len(&r, spec), Ok(expected.len()), "spec: {spec}");
         }
     }
 
@@ -289,6 +341,18 @@ mod tests {
             evaluate(&r, &spec),
             Err(EvalError::UnknownAttribute(AttributeId(999)))
         );
+        assert_eq!(
+            evaluate_len(&r, &spec),
+            Err(EvalError::UnknownAttribute(AttributeId(999)))
+        );
+        // Exclusions are resolved only against a non-empty audience.
+        let spec = TargetingSpec {
+            include: vec![crate::ast::OrGroup { attributes: vec![] }],
+            exclude: vec![AttributeId(999)],
+            ..Default::default()
+        };
+        assert_eq!(evaluate(&r, &spec), Ok(Bitset::new()));
+        assert_eq!(evaluate_len(&r, &spec), Ok(0));
     }
 
     #[test]
@@ -299,6 +363,7 @@ mod tests {
             ..Default::default()
         };
         assert!(evaluate(&r, &spec).unwrap().is_empty());
+        assert_eq!(evaluate_len(&r, &spec), Ok(0));
     }
 
     #[test]

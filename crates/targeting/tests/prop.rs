@@ -7,8 +7,8 @@ use adcomp_population::{
     AgeBucket, AttributeModel, DemographicProfile, Gender, Universe, UniverseConfig,
 };
 use adcomp_targeting::{
-    evaluate, AttributeId, AttributeResolver, Audience, DemographicSpec, EvalError, Location,
-    OrGroup, TargetingSpec,
+    evaluate, evaluate_len, AttributeId, AttributeResolver, Audience, DemographicSpec, EvalError,
+    Location, OrGroup, TargetingSpec,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -100,6 +100,26 @@ prop_compose! {
     }
 }
 
+prop_compose! {
+    /// Specs with the shapes `arb_spec` leaves out: empty OR groups, and
+    /// include or exclude ids one past the catalog (unknown).
+    fn arb_edge_spec()(
+        spec in arb_spec(),
+        include in proptest::collection::vec(
+            proptest::collection::vec(0..=N_ATTRS, 0..4), 0..4),
+        exclude in proptest::collection::vec(0..=N_ATTRS, 0..3),
+    ) -> TargetingSpec {
+        TargetingSpec {
+            include: include
+                .into_iter()
+                .map(|g| OrGroup { attributes: g.into_iter().map(AttributeId).collect() })
+                .collect(),
+            exclude: exclude.into_iter().map(AttributeId).collect(),
+            ..spec
+        }
+    }
+}
+
 /// Naive per-user reference evaluation.
 fn reference(f: &Fixture, spec: &TargetingSpec) -> Bitset {
     let mut out = Bitset::new();
@@ -141,6 +161,15 @@ proptest! {
     fn eval_matches_reference(spec in arb_spec()) {
         let f = fixture();
         prop_assert_eq!(evaluate(f, &spec).unwrap(), reference(f, &spec));
+    }
+
+    #[test]
+    fn evaluate_len_is_evaluated_len(spec in arb_spec(), edge in arb_edge_spec()) {
+        // Same count, and the same error for an unknown id.
+        let f = fixture();
+        for spec in [&spec, &edge] {
+            prop_assert_eq!(evaluate_len(f, spec), evaluate(f, spec).map(|a| a.len()));
+        }
     }
 
     #[test]
