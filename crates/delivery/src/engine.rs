@@ -235,7 +235,7 @@ fn score_window(
             for (slot, (campaign, index)) in row.iter_mut().zip(setup.campaigns().iter().zip(0..n))
             {
                 *slot = if setup.audience(index).contains(user) {
-                    campaign.creative.probability(z, demo)
+                    campaign.creative.probability(&z, demo)
                 } else {
                     -1.0
                 };

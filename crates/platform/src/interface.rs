@@ -381,10 +381,11 @@ pub(crate) fn estimate_for_len(
 impl AdPlatform {
     /// Builds a platform, materialising every catalog audience.
     pub fn new(config: PlatformConfig, universe: Arc<Universe>, catalog: Catalog) -> AdPlatform {
-        let audiences = catalog
-            .entries()
-            .iter()
-            .map(|e| Arc::new(universe.materialize(&e.model)))
+        let models: Vec<_> = catalog.entries().iter().map(|e| e.model.clone()).collect();
+        let audiences = universe
+            .materialize_all(&models)
+            .into_iter()
+            .map(Arc::new)
             .collect();
         let backend = Resident {
             universe,

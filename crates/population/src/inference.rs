@@ -26,6 +26,7 @@ use adcomp_bitset::Bitset;
 
 use crate::demographics::{AgeBucket, Demographics, Gender};
 use crate::hash::{mix, uniform_f64};
+use crate::latent::LATENT_DIMS;
 use crate::universe::Universe;
 
 /// Stream domains for inference draws. Disjoint from the universe
@@ -169,8 +170,7 @@ impl AttributeInference {
         if self.missing_base > 0.0 {
             let mut p = self.missing_base.min(1.0);
             if self.mnar_scale != 0.0 {
-                let z =
-                    f64::from(universe.latent(user)[self.mnar_dim % universe.latent(user).len()]);
+                let z = f64::from(universe.latent(user)[self.mnar_dim % LATENT_DIMS]);
                 let logit = (p / (1.0 - p).max(f64::MIN_POSITIVE)).ln() + self.mnar_scale * z;
                 p = 1.0 / (1.0 + (-logit).exp());
             }

@@ -122,6 +122,35 @@ impl AttributeModel {
         acc + demo.gender.signal() * self.gender_bias + self.age_biases[demo.age.index()]
     }
 
+    /// [`logit`](Self::logit) of a run of `out.len()` users, accumulated
+    /// one latent dimension at a time across the run so the loops
+    /// vectorise. Per user the operations and their order are exactly
+    /// `logit`'s (no fused multiply-add), so every value is bit-identical.
+    ///
+    /// `demos` holds the run's packed demographics; user `i`'s value on
+    /// dimension `d` is `latent[d * stride + i]`.
+    pub(crate) fn logits(&self, demos: &[u8], latent: &[f32], stride: usize, out: &mut [f32]) {
+        out.fill(self.bias);
+        for (d, w) in self.loadings.iter().enumerate() {
+            let column = &latent[d * stride..][..out.len()];
+            for (acc, zi) in out.iter_mut().zip(column) {
+                *acc += w * zi;
+            }
+        }
+        // Both demographic terms per packed demographic code.
+        let shifts: [(f32, f32); 8] = std::array::from_fn(|packed| {
+            let demo = Demographics::unpack(packed as u8);
+            (
+                demo.gender.signal() * self.gender_bias,
+                self.age_biases[demo.age.index()],
+            )
+        });
+        for (acc, &packed) in out.iter_mut().zip(demos) {
+            let (gender, age) = shifts[usize::from(packed & 7)];
+            *acc = *acc + gender + age;
+        }
+    }
+
     /// Membership probability for a user (logistic link).
     #[inline]
     pub fn probability(&self, z: &[f32], demo: Demographics) -> f64 {

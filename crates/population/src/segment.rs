@@ -34,10 +34,11 @@ use std::sync::{Arc, Mutex};
 
 use adcomp_bitset::{Bitset, DecodeError};
 
-use crate::demographics::{AgeBucket, Demographics, Gender};
-use crate::latent::{AttributeModel, LATENT_DIMS};
-use crate::universe::{fill_users, UniverseConfig};
-use crate::{mix, uniform_f64};
+use crate::demographics::{AgeBucket, Gender};
+use crate::latent::AttributeModel;
+use crate::universe::{
+    demographic_audiences, draw_all, generate_users, parallelism, UniverseConfig,
+};
 
 /// Segment sizes must be a multiple of this (one bitset chunk), so that
 /// per-segment bitsets never share a chunk and concatenate losslessly.
@@ -70,7 +71,8 @@ impl SegmentAudience {
             SegmentAudience::Everyone => 0,
             SegmentAudience::Gender(g) => 1 + g.index() as u32,
             SegmentAudience::Age(a) => 3 + a.index() as u32,
-            SegmentAudience::Attribute(i) => FIXED_AUDIENCES + i,
+            // Saturates: an index past the catalog stays out of range.
+            SegmentAudience::Attribute(i) => FIXED_AUDIENCES.saturating_add(i),
         }
     }
 }
@@ -109,6 +111,9 @@ impl From<DecodeError> for SegmentError {
         SegmentError::Decode(e)
     }
 }
+
+/// Encoded size of one [`AudienceEntry`]: three little-endian `u64`s.
+const ENTRY_BYTES: usize = 24;
 
 /// Location and size of one audience inside its segment file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -158,7 +163,10 @@ impl SegmentManifest {
         out
     }
 
-    fn decode(bytes: &[u8]) -> Result<SegmentManifest, SegmentError> {
+    /// Decodes `manifest.bin`. Total: any input yields a manifest or an
+    /// error, never a panic, and nothing is allocated before the input is
+    /// known to be long enough to hold it.
+    pub fn decode(bytes: &[u8]) -> Result<SegmentManifest, SegmentError> {
         let mut r = ManifestReader { buf: bytes };
         if r.take(8)? != MANIFEST_MAGIC {
             return Err(SegmentError::Corrupt("bad manifest magic"));
@@ -173,6 +181,18 @@ impl SegmentManifest {
         }
         let gender_signal = f32::from_bits(r.u64()? as u32);
         let age_signal = f32::from_bits(r.u64()? as u32);
+        let config = UniverseConfig {
+            n_users,
+            seed,
+            scale,
+            profile: crate::demographics::DemographicProfile {
+                male_fraction,
+                age_weights,
+                gender_signal,
+                age_signal,
+            },
+        };
+        config.check().map_err(SegmentError::Corrupt)?;
         let segment_users = r.u32()?;
         let n_attributes = r.u32()?;
         let n_segments = r.u32()? as usize;
@@ -182,7 +202,18 @@ impl SegmentManifest {
         if n_segments != (n_users as usize).div_ceil(segment_users as usize) {
             return Err(SegmentError::Corrupt("segment count mismatch"));
         }
-        let per_segment = (FIXED_AUDIENCES + n_attributes) as usize;
+        let per_segment = FIXED_AUDIENCES
+            .checked_add(n_attributes)
+            .ok_or(SegmentError::Corrupt("attribute count overflows"))?
+            as usize;
+        let entries_len = n_segments
+            .checked_mul(per_segment)
+            .and_then(|n| n.checked_mul(ENTRY_BYTES));
+        if entries_len != Some(r.buf.len()) {
+            return Err(SegmentError::Corrupt(
+                "manifest length does not match its header",
+            ));
+        }
         let mut entries = Vec::with_capacity(n_segments);
         for _ in 0..n_segments {
             let mut seg = Vec::with_capacity(per_segment);
@@ -195,21 +226,8 @@ impl SegmentManifest {
             }
             entries.push(seg);
         }
-        if !r.buf.is_empty() {
-            return Err(SegmentError::Corrupt("trailing manifest bytes"));
-        }
         Ok(SegmentManifest {
-            config: UniverseConfig {
-                n_users,
-                seed,
-                scale,
-                profile: crate::demographics::DemographicProfile {
-                    male_fraction,
-                    age_weights,
-                    gender_signal,
-                    age_signal,
-                },
-            },
+            config,
             segment_users,
             n_attributes,
             entries,
@@ -330,8 +348,9 @@ impl SegmentStore {
         models: &[AttributeModel],
         cache_bytes: usize,
     ) -> Result<SegmentStore, SegmentError> {
-        assert!(config.n_users > 0, "universe must have at least one user");
-        assert!(config.scale > 0.0, "scale must be positive");
+        if let Err(why) = config.check() {
+            panic!("{why}");
+        }
         assert!(
             segment_users > 0 && segment_users.is_multiple_of(SEGMENT_ALIGN),
             "segment_users must be a positive multiple of {SEGMENT_ALIGN}"
@@ -340,8 +359,7 @@ impl SegmentStore {
         let n_segments = (config.n_users as usize).div_ceil(segment_users as usize);
         let mut entries = Vec::with_capacity(n_segments);
         for seg in 0..n_segments as u32 {
-            let start = seg * segment_users;
-            let end = (start + segment_users).min(config.n_users);
+            let (start, end) = bounds(config.n_users, segment_users, seg);
             let audiences = generate_segment(config, start, end, models);
             let mut buf = Vec::new();
             let mut seg_entries = Vec::with_capacity(audiences.len());
@@ -403,11 +421,13 @@ impl SegmentStore {
         self.manifest.n_attributes
     }
 
-    /// Id range `[start, end)` of one segment.
+    /// Id range `[start, end)` of one segment; empty past the last one.
     pub fn segment_bounds(&self, segment: u32) -> (u32, u32) {
-        let start = segment * self.manifest.segment_users;
-        let end = (start + self.manifest.segment_users).min(self.manifest.config.n_users);
-        (start, end)
+        bounds(
+            self.manifest.config.n_users,
+            self.manifest.segment_users,
+            segment,
+        )
     }
 
     fn entry(
@@ -464,6 +484,17 @@ impl SegmentStore {
         }
         let entry = self.entry(segment, audience)?;
         let mut file = std::fs::File::open(segment_path(&self.dir, segment))?;
+        // The manifest is untrusted: read nothing the file cannot hold.
+        let file_len = file.metadata()?.len();
+        if entry
+            .offset
+            .checked_add(entry.bytes)
+            .is_none_or(|end| end > file_len)
+        {
+            return Err(SegmentError::Corrupt(
+                "audience extends past its segment file",
+            ));
+        }
         file.seek(SeekFrom::Start(entry.offset))?;
         let mut bytes = vec![0u8; entry.bytes as usize];
         file.read_exact(&mut bytes)?;
@@ -501,6 +532,14 @@ impl SegmentStore {
     }
 }
 
+/// Id range `[start, end)` of segment `segment`, clamped to the
+/// universe (so an index past the last segment gives an empty range).
+fn bounds(n_users: u32, segment_users: u32, segment: u32) -> (u32, u32) {
+    let start = (u64::from(segment) * u64::from(segment_users)).min(u64::from(n_users));
+    let end = (start + u64::from(segment_users)).min(u64::from(n_users));
+    (start as u32, end as u32)
+}
+
 fn segment_path(dir: &Path, segment: u32) -> PathBuf {
     dir.join(format!("seg-{segment:05}.bin"))
 }
@@ -513,92 +552,19 @@ fn generate_segment(
     end: u32,
     models: &[AttributeModel],
 ) -> Vec<Bitset> {
-    let seg_len = (end - start) as usize;
-    let mut demos = vec![0u8; seg_len];
-    let mut latent = vec![0f32; seg_len * LATENT_DIMS];
-
-    let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let chunk = seg_len.div_ceil(threads).max(1024);
-    crossbeam::thread::scope(|scope| {
-        let demo_chunks = demos.chunks_mut(chunk);
-        let latent_chunks = latent.chunks_mut(chunk * LATENT_DIMS);
-        for (idx, (dchunk, lchunk)) in demo_chunks.zip(latent_chunks).enumerate() {
-            let chunk_start = start + (idx * chunk) as u32;
-            scope.spawn(move |_| {
-                fill_users(config, chunk_start, dchunk, lchunk);
-            });
-        }
-    })
-    .expect("segment generation worker panicked");
-
-    let mut gender_ids: [Vec<u32>; 2] = Default::default();
-    let mut age_ids: [Vec<u32>; 4] = Default::default();
-    for (offset, &packed) in demos.iter().enumerate() {
-        let d = Demographics::unpack(packed);
-        let user = start + offset as u32;
-        gender_ids[d.gender.index()].push(user);
-        age_ids[d.age.index()].push(user);
-    }
-
-    // Attribute audiences, parallel across models (deterministic: each
-    // model's membership is a pure function of the seeds and user id).
-    let mut attr_ids: Vec<Vec<u32>> = vec![Vec::new(); models.len()];
-    if !models.is_empty() {
-        let per = models.len().div_ceil(threads).max(1);
-        crossbeam::thread::scope(|scope| {
-            for (slot, out_chunk) in attr_ids.chunks_mut(per).enumerate() {
-                let model_chunk = &models[slot * per..(slot * per + out_chunk.len())];
-                let demos = &demos;
-                let latent = &latent;
-                scope.spawn(move |_| {
-                    for (model, out) in model_chunk.iter().zip(out_chunk.iter_mut()) {
-                        *out = materialize_segment(config, model, start, demos, latent);
-                    }
-                });
-            }
-        })
-        .expect("segment materialisation worker panicked");
-    }
+    let (demos, latent) = generate_users(config, start, (end - start) as usize);
+    let (genders, ages) = demographic_audiences(start, &demos);
+    let attributes = draw_all(config.seed, models, start, &demos, &latent, parallelism());
 
     let mut audiences = Vec::with_capacity(FIXED_AUDIENCES as usize + models.len());
     audiences.push(Bitset::from_sorted_iter(start..end));
-    for ids in gender_ids {
-        audiences.push(Bitset::from_sorted_iter(ids));
-    }
-    for ids in age_ids {
-        audiences.push(Bitset::from_sorted_iter(ids));
-    }
-    for ids in attr_ids {
-        audiences.push(Bitset::from_sorted_iter(ids));
-    }
+    audiences.extend(genders);
+    audiences.extend(ages);
+    audiences.extend(attributes);
     for set in &mut audiences {
         set.run_optimize();
     }
     audiences
-}
-
-/// Segment-local mirror of `Universe::materialize_range`: same draw-seed
-/// derivation, same Bernoulli stream, so memberships agree exactly with
-/// the monolithic path.
-fn materialize_segment(
-    config: &UniverseConfig,
-    model: &AttributeModel,
-    start: u32,
-    demos: &[u8],
-    latent: &[f32],
-) -> Vec<u32> {
-    let mut members = Vec::new();
-    let draw_seed = mix(config.seed, 0xA77B, model.seed);
-    for (offset, &packed) in demos.iter().enumerate() {
-        let user = start + offset as u32;
-        let demo = Demographics::unpack(packed);
-        let z = &latent[offset * LATENT_DIMS..(offset + 1) * LATENT_DIMS];
-        let p = model.probability(z, demo);
-        if uniform_f64(draw_seed, user as u64, 0) < p {
-            members.push(user);
-        }
-    }
-    members
 }
 
 #[cfg(test)]
@@ -763,6 +729,76 @@ mod tests {
             SegmentStore::open(&dir, 1 << 20),
             Err(SegmentError::Corrupt("bad manifest magic"))
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn ungeneratable_config_rejected_on_decode() {
+        let config = test_config(2, SEGMENT_ALIGN);
+        let manifest = |config: UniverseConfig| SegmentManifest {
+            config,
+            segment_users: SEGMENT_ALIGN,
+            n_attributes: 0,
+            entries: Vec::new(),
+        };
+        // No users and no segments is self-consistent, but no universe.
+        let empty = manifest(UniverseConfig {
+            n_users: 0,
+            ..config.clone()
+        });
+        assert!(matches!(
+            SegmentManifest::decode(&empty.encode()),
+            Err(SegmentError::Corrupt(_))
+        ));
+        for scale in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut bad = manifest(UniverseConfig {
+                scale,
+                ..config.clone()
+            });
+            bad.entries = vec![vec![
+                AudienceEntry {
+                    cardinality: 0,
+                    offset: 0,
+                    bytes: 0,
+                };
+                FIXED_AUDIENCES as usize
+            ]];
+            assert!(
+                matches!(
+                    SegmentManifest::decode(&bad.encode()),
+                    Err(SegmentError::Corrupt(_))
+                ),
+                "scale {scale}"
+            );
+        }
+    }
+
+    #[test]
+    fn load_is_bounded_by_the_segment_file() {
+        let config = test_config(4, SEGMENT_ALIGN);
+        let dir = tmpdir("bounded");
+        let created = SegmentStore::create(&dir, &config, SEGMENT_ALIGN, &[], 1 << 20).unwrap();
+        for (offset, bytes) in [(0, u64::MAX / 2), (u64::MAX, 16), (1 << 40, 8)] {
+            let mut manifest = SegmentManifest::decode(&created.manifest.encode()).unwrap();
+            manifest.entries[0][0] = AudienceEntry {
+                cardinality: 1,
+                offset,
+                bytes,
+            };
+            std::fs::write(dir.join("manifest.bin"), manifest.encode()).unwrap();
+            let opened = SegmentStore::open(&dir, 1 << 20).unwrap();
+            assert!(
+                matches!(
+                    opened.load(0, SegmentAudience::Everyone),
+                    Err(SegmentError::Corrupt(_))
+                ),
+                "offset {offset} bytes {bytes}"
+            );
+        }
+        assert_eq!(
+            created.segment_bounds(u32::MAX),
+            (SEGMENT_ALIGN, SEGMENT_ALIGN)
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

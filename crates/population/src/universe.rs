@@ -1,9 +1,12 @@
 //! The user universe: generation and attribute-audience materialisation.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Mutex};
+
 use adcomp_bitset::Bitset;
 
 use crate::demographics::{AgeBucket, DemographicProfile, Demographics, Gender};
-use crate::latent::{AttributeModel, LATENT_DIMS};
+use crate::latent::{sigmoid, AttributeModel, LATENT_DIMS};
 use crate::{mix, normal_f32, uniform_f64};
 
 /// Parameters of a universe.
@@ -20,6 +23,32 @@ pub struct UniverseConfig {
     pub profile: DemographicProfile,
 }
 
+impl UniverseConfig {
+    /// Why this config cannot be generated, if it cannot: no users, a
+    /// scale that is not a positive finite number, or demographic priors
+    /// that are not a distribution.
+    pub(crate) fn check(&self) -> Result<(), &'static str> {
+        let p = &self.profile;
+        if self.n_users == 0 {
+            return Err("universe must have at least one user");
+        }
+        if !(self.scale.is_finite() && self.scale > 0.0) {
+            return Err("scale must be positive and finite");
+        }
+        if !(0.0..=1.0).contains(&p.male_fraction) {
+            return Err("male fraction must be in [0, 1]");
+        }
+        let weights_ok = p.age_weights.iter().all(|w| w.is_finite() && *w >= 0.0);
+        if !weights_ok || p.age_weights.iter().sum::<f64>() <= 0.0 {
+            return Err("age weights must be non-negative with a positive sum");
+        }
+        if !(p.gender_signal.is_finite() && p.age_signal.is_finite()) {
+            return Err("demographic signals must be finite");
+        }
+        Ok(())
+    }
+}
+
 /// Domains of the per-user random streams (the `a` coordinate of
 /// [`mix`]). Keeping them disjoint guarantees the demographic draw never
 /// correlates with the latent noise.
@@ -33,13 +62,16 @@ mod stream {
 ///
 /// Owns, per user: packed demographics (1 byte) and the latent interest
 /// vector (`LATENT_DIMS` × f32); plus pre-built demographic audiences.
-/// Attribute audiences are *not* stored — platforms materialise and cache
-/// what their catalogs need via [`Universe::materialize`].
+/// The latents are stored dimension-major, `latent[d * n_users + user]`:
+/// one contiguous column per dimension, which is what the draw kernel
+/// streams through. Attribute audiences are *not* stored — platforms
+/// materialise what their catalogs need via
+/// [`Universe::materialize_all`].
 pub struct Universe {
     config: UniverseConfig,
     /// Packed [`Demographics`], one per user.
     demographics: Vec<u8>,
-    /// Row-major `n_users × LATENT_DIMS`.
+    /// Dimension-major `LATENT_DIMS × n_users`.
     latent: Vec<f32>,
     by_gender: [Bitset; 2],
     by_age: [Bitset; 4],
@@ -54,39 +86,15 @@ impl Universe {
     /// `(seed, user id)`.
     ///
     /// # Panics
-    /// Panics when `n_users == 0` or `scale <= 0`.
+    /// Panics when the config is invalid: no users, a scale that is not
+    /// positive and finite, or demographic priors that are not a
+    /// distribution.
     pub fn generate(config: &UniverseConfig) -> Universe {
-        assert!(config.n_users > 0, "universe must have at least one user");
-        assert!(config.scale > 0.0, "scale must be positive");
-        let n = config.n_users as usize;
-        let mut demographics = vec![0u8; n];
-        let mut latent = vec![0f32; n * LATENT_DIMS];
-
-        let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let chunk = n.div_ceil(threads).max(1024);
-
-        crossbeam::thread::scope(|scope| {
-            let demo_chunks = demographics.chunks_mut(chunk);
-            let latent_chunks = latent.chunks_mut(chunk * LATENT_DIMS);
-            for (idx, (dchunk, lchunk)) in demo_chunks.zip(latent_chunks).enumerate() {
-                let start = idx * chunk;
-                let config = &config;
-                scope.spawn(move |_| {
-                    fill_users(config, start as u32, dchunk, lchunk);
-                });
-            }
-        })
-        .expect("universe generation worker panicked");
-
-        let mut gender_ids: [Vec<u32>; 2] = [Vec::new(), Vec::new()];
-        let mut age_ids: [Vec<u32>; 4] = Default::default();
-        for (user, &packed) in demographics.iter().enumerate() {
-            let d = Demographics::unpack(packed);
-            gender_ids[d.gender.index()].push(user as u32);
-            age_ids[d.age.index()].push(user as u32);
+        if let Err(why) = config.check() {
+            panic!("{why}");
         }
-        let mut by_gender = gender_ids.map(Bitset::from_sorted_iter);
-        let mut by_age = age_ids.map(Bitset::from_sorted_iter);
+        let (demographics, latent) = generate_users(config, 0, config.n_users as usize);
+        let (mut by_gender, mut by_age) = demographic_audiences(0, &demographics);
         let mut everyone = Bitset::from_sorted_iter(0..config.n_users);
         // Demographic audiences are heavily clustered (everyone is one
         // contiguous run); run encoding shrinks them where it helps and
@@ -129,10 +137,14 @@ impl Universe {
         Demographics::unpack(self.demographics[user as usize])
     }
 
-    /// Latent interest vector of one user.
-    pub fn latent(&self, user: u32) -> &[f32] {
-        let start = user as usize * LATENT_DIMS;
-        &self.latent[start..start + LATENT_DIMS]
+    /// Latent interest vector of one user, gathered from the
+    /// dimension-major store (one value per column).
+    ///
+    /// # Panics
+    /// Panics when `user >= n_users`.
+    pub fn latent(&self, user: u32) -> [f32; LATENT_DIMS] {
+        let n = self.config.n_users as usize;
+        std::array::from_fn(|d| self.latent[d * n + user as usize])
     }
 
     /// All users of one gender.
@@ -151,51 +163,37 @@ impl Universe {
         &self.everyone
     }
 
-    /// Materialises the audience of an attribute model: the set of users
-    /// whose Bernoulli draw (log-odds from [`AttributeModel::logit`])
-    /// succeeds. Deterministic per `(universe seed, model seed, user)`.
+    /// Materialises the audience of one attribute model: the
+    /// one-model case of [`materialize_all`](Self::materialize_all), drawn
+    /// on the calling thread.
     pub fn materialize(&self, model: &AttributeModel) -> Bitset {
-        let n = self.config.n_users as usize;
-        let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let chunk = n.div_ceil(threads).max(4096);
-        let n_chunks = n.div_ceil(chunk);
-        let mut per_chunk: Vec<Vec<u32>> = vec![Vec::new(); n_chunks];
-
-        crossbeam::thread::scope(|scope| {
-            for (idx, out) in per_chunk.iter_mut().enumerate() {
-                let start = idx * chunk;
-                let end = (start + chunk).min(n);
-                scope.spawn(move |_| {
-                    *out = self.materialize_range(model, start as u32, end as u32);
-                });
-            }
-        })
-        .expect("materialisation worker panicked");
-
-        Bitset::from_sorted_iter(per_chunk.into_iter().flatten())
+        let mut audiences = self.materialize_all(std::slice::from_ref(model));
+        audiences.pop().expect("one audience per model")
     }
 
-    /// Sequential kernel over `users ∈ [start, end)`.
-    fn materialize_range(&self, model: &AttributeModel, start: u32, end: u32) -> Vec<u32> {
-        let mut members = Vec::new();
-        // Attribute draws live in their own seed space so they can never
-        // collide with the universe's demographic/latent streams.
-        let draw_seed = mix(self.config.seed, 0xA77B, model.seed);
-        for user in start..end {
-            let demo = Demographics::unpack(self.demographics[user as usize]);
-            let z = self.latent(user);
-            let p = model.probability(z, demo);
-            if uniform_f64(draw_seed, user as u64, 0) < p {
-                members.push(user);
-            }
-        }
-        members
+    /// Materialises the audiences of `models`, in order: for each, the
+    /// set of users whose Bernoulli draw (log-odds from
+    /// [`AttributeModel::logit`]) succeeds. Deterministic per
+    /// `(universe seed, model seed, user)`, whatever the thread count.
+    ///
+    /// One thread scope for the whole catalog: workers claim models one
+    /// at a time and the calling thread draws too; only the calling
+    /// thread builds bitsets.
+    pub fn materialize_all(&self, models: &[AttributeModel]) -> Vec<Bitset> {
+        draw_all(
+            self.config.seed,
+            models,
+            0,
+            &self.demographics,
+            &self.latent,
+            parallelism(),
+        )
     }
 
     /// Exact membership probability of one user for a model (used by tests
     /// and the calibration tooling; the platforms only see realised sets).
     pub fn membership_probability(&self, model: &AttributeModel, user: u32) -> f64 {
-        model.probability(self.latent(user), self.demographics(user))
+        model.probability(&self.latent(user), self.demographics(user))
     }
 }
 
@@ -211,17 +209,50 @@ impl std::fmt::Debug for Universe {
     }
 }
 
-/// Fills demographics and latent vectors for users starting at `start`.
+/// Hardware threads available to generation and materialisation.
+pub(crate) fn parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+
+/// Generates the `len` users starting at `start`, in parallel: their
+/// packed demographics and their dimension-major latent slab
+/// (`latent[d * len + offset]`).
 ///
-/// Shared with the streamed segment generator ([`crate::segment`]): every
-/// per-user quantity is a pure function of `(seed, user id)`, so any
-/// partition of the id space produces byte-identical users.
-pub(crate) fn fill_users(
+/// Shared by the resident universe and the streamed segment generator
+/// ([`crate::segment`]): every per-user quantity is a pure function of
+/// `(seed, user id)`, so any partition of the id space produces
+/// byte-identical users.
+pub(crate) fn generate_users(
     config: &UniverseConfig,
     start: u32,
-    demos: &mut [u8],
-    latents: &mut [f32],
-) {
+    len: usize,
+) -> (Vec<u8>, Vec<f32>) {
+    let mut demos = vec![0u8; len];
+    let mut latent = vec![0f32; len * LATENT_DIMS];
+    let chunk = len.div_ceil(parallelism()).max(1024);
+    // Every column cut into the same user chunks as `demos`.
+    let mut columns: Vec<Vec<&mut [f32]>> = (0..len.div_ceil(chunk))
+        .map(|_| Vec::with_capacity(LATENT_DIMS))
+        .collect();
+    for column in latent.chunks_mut(len) {
+        for (parts, part) in columns.iter_mut().zip(column.chunks_mut(chunk)) {
+            parts.push(part);
+        }
+    }
+    std::thread::scope(|scope| {
+        for (idx, (dchunk, mut cols)) in demos.chunks_mut(chunk).zip(columns).enumerate() {
+            let chunk_start = start + (idx * chunk) as u32;
+            scope.spawn(move || fill_users(config, chunk_start, dchunk, &mut cols));
+        }
+    });
+    (demos, latent)
+}
+
+/// Fills demographics and latent columns for the users starting at
+/// `start`: every user's demographics first, then each dimension's
+/// column contiguously, then the demographic shifts on the correlated
+/// axes. `latent[d]` is the users' column of dimension `d`.
+fn fill_users(config: &UniverseConfig, start: u32, demos: &mut [u8], latent: &mut [&mut [f32]]) {
     let age_cdf = config.profile.age_cdf();
     for (offset, packed) in demos.iter_mut().enumerate() {
         let user = start + offset as u32;
@@ -235,17 +266,158 @@ pub(crate) fn fill_users(
         let age_u = uniform_f64(config.seed, stream::AGE, user as u64);
         let age_idx = age_cdf.iter().position(|&c| age_u < c).unwrap_or(3);
         let age = AgeBucket::from_index(age_idx);
-        let demo = Demographics { gender, age };
-        *packed = demo.pack();
-
-        let z = &mut latents[offset * LATENT_DIMS..(offset + 1) * LATENT_DIMS];
-        for (dim, zi) in z.iter_mut().enumerate() {
+        *packed = Demographics { gender, age }.pack();
+    }
+    for (dim, column) in latent.iter_mut().enumerate() {
+        for (offset, zi) in column.iter_mut().enumerate() {
+            let user = start + offset as u32;
             *zi = normal_f32(config.seed, stream::LATENT_BASE + dim as u64, user as u64);
         }
-        // Demographic shifts on the correlated axes.
-        z[0] += gender.signal() * config.profile.gender_signal;
-        z[1] += age.signal() * config.profile.age_signal;
     }
+    // Demographic shifts on the correlated axes.
+    for (offset, &packed) in demos.iter().enumerate() {
+        let demo = Demographics::unpack(packed);
+        latent[0][offset] += demo.gender.signal() * config.profile.gender_signal;
+        latent[1][offset] += demo.age.signal() * config.profile.age_signal;
+    }
+}
+
+/// The gender and age audiences of the users starting at `start`, not
+/// yet run-optimised.
+pub(crate) fn demographic_audiences(start: u32, demos: &[u8]) -> ([Bitset; 2], [Bitset; 4]) {
+    let mut gender_ids: [Vec<u32>; 2] = Default::default();
+    let mut age_ids: [Vec<u32>; 4] = Default::default();
+    for (offset, &packed) in demos.iter().enumerate() {
+        let d = Demographics::unpack(packed);
+        let user = start + offset as u32;
+        gender_ids[d.gender.index()].push(user);
+        age_ids[d.age.index()].push(user);
+    }
+    (
+        gender_ids.map(Bitset::from_sorted_iter),
+        age_ids.map(Bitset::from_sorted_iter),
+    )
+}
+
+/// Users per kernel tile: a tile's logits stay in L1 while its draws
+/// are made.
+const TILE: usize = 1024;
+
+/// The draw kernel: one bit per user of `[start, start + demos.len())`,
+/// set when the user's Bernoulli draw for `model` succeeds. Bit `i % 64`
+/// of `members[i / 64]` is user `start + i`; every word is overwritten.
+/// `latent` is the users' dimension-major slab.
+///
+/// Per tile, the logits are accumulated one dimension at a time
+/// ([`AttributeModel::logits`], bit-identical to
+/// [`AttributeModel::logit`]); a second pass compares each user's
+/// uniform draw with the membership probability and packs the outcomes
+/// into words without a branch. Attribute draws live in their own seed
+/// space so they can never collide with the universe's demographic and
+/// latent streams.
+fn draw_members(
+    seed: u64,
+    model: &AttributeModel,
+    start: u32,
+    demos: &[u8],
+    latent: &[f32],
+    members: &mut [u64],
+) {
+    let n = demos.len();
+    let draw_seed = mix(seed, 0xA77B, model.seed);
+    let mut logits = [0f32; TILE];
+    for (tile, words) in members.chunks_mut(TILE / 64).enumerate() {
+        let first = tile * TILE;
+        let logits = &mut logits[..TILE.min(n - first)];
+        model.logits(&demos[first..], &latent[first..], n, logits);
+        for (w, (word, xs)) in words.iter_mut().zip(logits.chunks(64)).enumerate() {
+            let base = start + (first + w * 64) as u32;
+            let mut bits = 0u64;
+            for (bit, &x) in xs.iter().enumerate() {
+                let user = base + bit as u32;
+                let hit = uniform_f64(draw_seed, u64::from(user), 0) < sigmoid(f64::from(x));
+                bits |= u64::from(hit) << bit;
+            }
+            *word = bits;
+        }
+    }
+}
+
+/// The audience whose members [`draw_members`] marked in `members`.
+fn audience(start: u32, members: &[u64]) -> Bitset {
+    Bitset::from_sorted_iter(members.iter().enumerate().flat_map(|(w, &word)| {
+        let base = start + (w * 64) as u32;
+        // Each step clears the lowest set bit.
+        std::iter::successors((word != 0).then_some(word), |&bits| {
+            let rest = bits & (bits - 1);
+            (rest != 0).then_some(rest)
+        })
+        .map(move |bits| base + bits.trailing_zeros())
+    }))
+}
+
+/// The one materialisation driver: every model's audience over the users
+/// `[start, start + demos.len())`, in model order.
+///
+/// One thread scope per call. `workers − 1` spawned threads and the
+/// calling thread claim models from an atomic counter and draw them
+/// with [`draw_members`]. Only the calling thread builds bitsets, so
+/// every audience is allocated in the caller's heap (audiences built on
+/// workers stay pinned in their allocator arenas after they are freed):
+/// a worker hands its member words over and takes a buffer the caller
+/// has read back from the spares for its next model.
+pub(crate) fn draw_all(
+    seed: u64,
+    models: &[AttributeModel],
+    start: u32,
+    demos: &[u8],
+    latent: &[f32],
+    workers: usize,
+) -> Vec<Bitset> {
+    let next = AtomicUsize::new(0);
+    // Relaxed: the counter only hands out indices; drawn words reach the
+    // caller through the channel.
+    let claim = || {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        (i < models.len()).then_some(i)
+    };
+    let draw = |i: usize, members: &mut [u64]| {
+        draw_members(seed, &models[i], start, demos, latent, members);
+    };
+    let words = demos.len().div_ceil(64);
+    let spares = Mutex::new(Vec::<Vec<u64>>::new());
+    let mut audiences = vec![Bitset::new(); models.len()];
+    let (done, drawn) = mpsc::channel::<(usize, Vec<u64>)>();
+    std::thread::scope(|scope| {
+        for _ in 1..workers.min(models.len()) {
+            let done = done.clone();
+            let (claim, draw, spares) = (&claim, &draw, &spares);
+            scope.spawn(move || {
+                while let Some(i) = claim() {
+                    let spare = spares.lock().expect("spares lock").pop();
+                    let mut members = spare.unwrap_or_else(|| vec![0; words]);
+                    draw(i, &mut members);
+                    done.send((i, members))
+                        .expect("the receiver outlives the scope");
+                }
+            });
+        }
+        // Once the workers exit, the channel closes and `drawn` drains.
+        drop(done);
+        let mut own = vec![0; words];
+        while let Some(i) = claim() {
+            draw(i, &mut own);
+            audiences[i] = audience(start, &own);
+            for (j, members) in drawn.try_iter() {
+                audiences[j] = audience(start, &members);
+                spares.lock().expect("spares lock").push(members);
+            }
+        }
+        for (j, members) in drawn.iter() {
+            audiences[j] = audience(start, &members);
+        }
+    });
+    audiences
 }
 
 #[cfg(test)]
@@ -368,16 +540,87 @@ mod tests {
         );
     }
 
+    /// The scalar materialiser the kernel replaced: one user at a time,
+    /// the whole logit per user, a branch per member.
+    fn reference(u: &Universe, model: &AttributeModel, start: u32, end: u32) -> Bitset {
+        let draw_seed = mix(u.config.seed, 0xA77B, model.seed);
+        Bitset::from_sorted_iter((start..end).filter(|&user| {
+            let p = model.probability(&u.latent(user), u.demographics(user));
+            uniform_f64(draw_seed, user as u64, 0) < p
+        }))
+    }
+
+    /// Models with every term of the logit drawn at random.
+    fn random_models(seed: u64, count: u64) -> Vec<AttributeModel> {
+        (0..count)
+            .map(|i| {
+                let draw = |k: u64| normal_f32(seed, i, k);
+                let loadings = std::array::from_fn(|d| draw(d as u64));
+                let popularity = 0.01 + 0.9 * uniform_f64(seed, i, 99);
+                AttributeModel::new(seed ^ i)
+                    .popularity(popularity)
+                    .loadings(loadings)
+                    .gender_bias(draw(20))
+                    .age_biases([draw(21), draw(22), draw(23), draw(24)])
+            })
+            .collect()
+    }
+
     #[test]
-    fn materialize_matches_sequential_reference() {
-        let u = small(13);
-        let m = AttributeModel::new(77)
-            .popularity(0.3)
-            .gender_bias(-0.5)
-            .loading(4, 1.0);
-        let parallel = u.materialize(&m);
-        let sequential = Bitset::from_sorted_iter(u.materialize_range(&m, 0, u.n_users()));
-        assert_eq!(parallel, sequential);
+    fn draw_all_matches_scalar_reference() {
+        let models = random_models(5, 6);
+        for n_users in [1, 1_023, 1_024, 1_025, 65_537] {
+            let config = UniverseConfig {
+                n_users,
+                seed: u64::from(n_users),
+                scale: 1.0,
+                profile: DemographicProfile::balanced(),
+            };
+            let u = Universe::generate(&config);
+            let expected: Vec<Bitset> = models
+                .iter()
+                .map(|m| reference(&u, m, 0, n_users))
+                .collect();
+            for workers in 1..=4 {
+                let drawn = draw_all(config.seed, &models, 0, &u.demographics, &u.latent, workers);
+                assert_eq!(drawn, expected, "{n_users} users, {workers} workers");
+            }
+            // A slab starting mid-universe, as a segment is drawn.
+            let start = n_users / 3;
+            let (demos, latent) = generate_users(&config, start, (n_users - start) as usize);
+            let drawn = draw_all(config.seed, &models, start, &demos, &latent, 2);
+            for (set, m) in drawn.iter().zip(&models) {
+                assert_eq!(set, &reference(&u, m, start, n_users), "slab of {n_users}");
+            }
+        }
+    }
+
+    #[test]
+    fn tile_logits_are_bit_identical_to_logit() {
+        let u = small(15);
+        let n = u.n_users() as usize;
+        let mut logits = vec![0f32; n];
+        for model in random_models(8, 16) {
+            model.logits(&u.demographics, &u.latent, n, &mut logits);
+            for (user, x) in logits.iter().enumerate() {
+                let user = user as u32;
+                let scalar = model.logit(&u.latent(user), u.demographics(user));
+                assert_eq!(x.to_bits(), scalar.to_bits(), "user {user}");
+            }
+        }
+    }
+
+    #[test]
+    fn slab_columns_match_the_universe() {
+        let u = small(14);
+        let (start, len) = (7_001, 5_000);
+        let (demos, latent) = generate_users(u.config(), start, len);
+        for offset in 0..len {
+            let user = start + offset as u32;
+            assert_eq!(demos[offset], u.demographics[user as usize]);
+            let column = |d: usize| latent[d * len + offset];
+            assert_eq!(std::array::from_fn(column), u.latent(user), "user {user}");
+        }
     }
 
     #[test]

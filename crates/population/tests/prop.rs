@@ -1,6 +1,9 @@
 //! Property tests for the universe generator: demographic partitions,
 //! prior adherence, determinism, and monotonicity of the attribute model.
 
+use std::sync::OnceLock;
+
+use adcomp_population::segment::SegmentManifest;
 use adcomp_population::{
     AgeBucket, AttributeInference, AttributeModel, DemographicProfile, Gender, SegmentAudience,
     SegmentStore, Universe, UniverseConfig, SEGMENT_ALIGN,
@@ -222,5 +225,109 @@ proptest! {
         let realised = audience.len() as f64 / u.n_users() as f64;
         prop_assert!((mean_p - realised).abs() < 0.02,
                      "mean p {mean_p} vs realised {realised}");
+    }
+}
+
+/// `manifest.bin` of a valid two-segment store with three attributes.
+fn valid_manifest() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let dir = std::env::temp_dir().join(format!("adcomp-prop-manifest-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = UniverseConfig {
+            n_users: SEGMENT_ALIGN + 100,
+            seed: 3,
+            scale: 2.0,
+            profile: DemographicProfile::balanced(),
+        };
+        let models: Vec<_> = (0..3)
+            .map(|i| AttributeModel::new(i).popularity(0.2))
+            .collect();
+        SegmentStore::create(&dir, &config, SEGMENT_ALIGN, &models, 1 << 20).unwrap();
+        let bytes = std::fs::read(dir.join("manifest.bin")).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        bytes
+    })
+}
+
+/// Byte offsets of the manifest's header fields.
+mod field {
+    pub const N_USERS: usize = 8;
+    pub const SCALE: usize = 20;
+    pub const MALE_FRACTION: usize = 28;
+    pub const AGE_WEIGHTS: usize = 36;
+    pub const GENDER_SIGNAL: usize = 68;
+    pub const SEGMENT_USERS: usize = 84;
+    pub const N_ATTRIBUTES: usize = 88;
+    pub const N_SEGMENTS: usize = 92;
+}
+
+/// A header field overwritten with a value no valid manifest holds.
+fn arb_bad_field() -> impl Strategy<Value = (usize, Vec<u8>)> {
+    let le32 = |v: u32| v.to_le_bytes().to_vec();
+    let le64 = |v: u64| v.to_le_bytes().to_vec();
+    let bad_scale = prop_oneof![
+        Just(0.0f64),
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        (1e-9f64..1e9).prop_map(|v| -v),
+    ];
+    prop_oneof![
+        Just((field::N_USERS, le32(0))),
+        bad_scale.prop_map(move |v| (field::SCALE, le64(v.to_bits()))),
+        prop_oneof![Just(f64::NAN), 1.0001f64..1e6, -1e6f64..-0.0001]
+            .prop_map(move |v| (field::MALE_FRACTION, le64(v.to_bits()))),
+        (
+            0usize..4,
+            prop_oneof![Just(f64::NAN), Just(f64::INFINITY), -1e6f64..-0.0001]
+        )
+            .prop_map(move |(i, v)| (field::AGE_WEIGHTS + 8 * i, le64(v.to_bits()))),
+        Just((field::AGE_WEIGHTS, vec![0u8; 32])),
+        prop_oneof![Just(f32::NAN), Just(f32::INFINITY)]
+            .prop_map(move |v| (field::GENDER_SIGNAL, le64(u64::from(v.to_bits())))),
+        any::<u32>()
+            .prop_filter("misaligned", |v| v % SEGMENT_ALIGN != 0)
+            .prop_map(move |v| (field::SEGMENT_USERS, le32(v))),
+        Just((field::SEGMENT_USERS, le32(0))),
+        prop_oneof![any::<u32>(), (u32::MAX - 8)..=u32::MAX]
+            .prop_filter("not the real count", |v| *v != 3)
+            .prop_map(move |v| (field::N_ATTRIBUTES, le32(v))),
+        any::<u32>()
+            .prop_filter("not the real count", |v| *v != 2)
+            .prop_map(move |v| (field::N_SEGMENTS, le32(v))),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn manifest_decode_rejects_random_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
+        prop_assert!(SegmentManifest::decode(&bytes).is_err());
+        // The same garbage behind a valid magic.
+        let mut framed = valid_manifest()[..8].to_vec();
+        framed.extend_from_slice(&bytes);
+        prop_assert!(SegmentManifest::decode(&framed).is_err());
+    }
+
+    #[test]
+    fn manifest_decode_rejects_truncation_and_extension(
+        cut in any::<proptest::sample::Index>(),
+        extra in proptest::collection::vec(any::<u8>(), 1..64))
+    {
+        let valid = valid_manifest();
+        prop_assert!(SegmentManifest::decode(valid).is_ok());
+        prop_assert!(SegmentManifest::decode(&valid[..cut.index(valid.len())]).is_err());
+        let mut longer = valid.to_vec();
+        longer.extend_from_slice(&extra);
+        prop_assert!(SegmentManifest::decode(&longer).is_err());
+    }
+
+    #[test]
+    fn manifest_decode_rejects_bad_header_fields((at, value) in arb_bad_field()) {
+        let mut bytes = valid_manifest().to_vec();
+        bytes[at..at + value.len()].copy_from_slice(&value);
+        prop_assert!(SegmentManifest::decode(&bytes).is_err(), "field at {at}");
     }
 }
