@@ -1,6 +1,8 @@
 //! Targeting-evaluation benchmarks: the cost of one audience computation,
 //! by spec shape, materialised (`exact_audience`) and counted
-//! (`evaluate_len`, what one size-estimate query costs the platform).
+//! (`evaluate_len`, what one size-estimate query costs the platform),
+//! and of the audit's estimate batches asked one request at a time and
+//! as one `reach_estimates` call.
 
 use adcomp_platform::{AdPlatform, SimScale, Simulation};
 use adcomp_population::{AgeBucket, Gender};
@@ -105,6 +107,86 @@ fn bench_estimate_endpoint(c: &mut Criterion) {
     });
 }
 
+fn bench_batch(c: &mut Criterion) {
+    // The audit's three batch shapes on paper-scale Facebook, asked one
+    // request at a time and as one `reach_estimates` batch: one measured
+    // targeting's seven requests, one Table 1 cell's overlap batch (every
+    // pair of 20 compositions, AND-ed and constrained to the class) and
+    // one inclusion–exclusion order (the triples of its top 10).
+    use adcomp_platform::{build_facebook, EstimateRequest, SimScale};
+    let fb = build_facebook(82, SimScale::Paper);
+    let female = |spec: TargetingSpec| {
+        let mut spec = spec;
+        spec.demographics.genders = Some(vec![Gender::Female]);
+        spec
+    };
+    let base = TargetingSpec::and_of([AttributeId(0), AttributeId(1)]);
+    let mut seven = vec![base.clone()];
+    for g in Gender::ALL {
+        seven.push(
+            TargetingSpec::builder()
+                .gender(g)
+                .build()
+                .intersect(&base)
+                .unwrap(),
+        );
+    }
+    for a in AgeBucket::ALL {
+        seven.push(
+            TargetingSpec::builder()
+                .age(a)
+                .build()
+                .intersect(&base)
+                .unwrap(),
+        );
+    }
+    let compositions: Vec<TargetingSpec> = (0..7u32)
+        .flat_map(|a| {
+            (a + 1..7).map(move |b| TargetingSpec::and_of([AttributeId(a), AttributeId(b)]))
+        })
+        .take(20)
+        .collect();
+    let overlap: Vec<TargetingSpec> = (0..20)
+        .flat_map(|i| (i + 1..20).map(move |j| (i, j)))
+        .map(|(i, j)| female(compositions[i].intersect(&compositions[j]).unwrap()))
+        .collect();
+    let mut union_order3 = Vec::new();
+    for i in 0..10 {
+        for j in i + 1..10 {
+            for k in j + 1..10 {
+                let ij = compositions[i].intersect(&compositions[j]).unwrap();
+                union_order3.push(female(ij.intersect(&compositions[k]).unwrap()));
+            }
+        }
+    }
+    let objective = fb.config().default_objective;
+    let mut group = c.benchmark_group("batch");
+    for (label, specs) in [
+        ("seven", &seven),
+        ("overlap", &overlap),
+        ("union_order3", &union_order3),
+    ] {
+        let requests: Vec<EstimateRequest> = specs
+            .iter()
+            .map(|spec| EstimateRequest::borrowed(spec, objective))
+            .collect();
+        let one_at_a_time = || {
+            requests
+                .iter()
+                .map(|r| fb.reach_estimate(r))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(fb.reach_estimates(&requests), one_at_a_time(), "{label}");
+        group.bench_function(format!("{label}/loop"), |bencher| {
+            bencher.iter(|| std::hint::black_box(one_at_a_time()))
+        });
+        group.bench_function(format!("{label}/reach_estimates"), |bencher| {
+            bencher.iter(|| std::hint::black_box(fb.reach_estimates(&requests)))
+        });
+    }
+    group.finish();
+}
+
 fn bench_lookalike(c: &mut Criterion) {
     use adcomp_platform::LookalikeConfig;
     let sim = Simulation::build(86, SimScale::Test);
@@ -137,6 +219,7 @@ criterion_group!(
     benches,
     bench_eval,
     bench_estimate_endpoint,
+    bench_batch,
     bench_lookalike
 );
 criterion_main!(benches);

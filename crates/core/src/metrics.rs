@@ -91,41 +91,26 @@ impl SpecMeasurement {
 }
 
 /// Measures a targeting through an [`AuditTarget`]: one total query plus
-/// one per class value (7 rounded estimates), mirroring §3.
+/// one per class value (7 rounded estimates), mirroring §3, submitted as
+/// one batch — the one-spec case of [`measure_spec_batch`].
 pub fn measure_spec(
     target: &AuditTarget,
     spec: &TargetingSpec,
 ) -> Result<SpecMeasurement, SourceError> {
-    let total = target.total_estimate(spec)?;
-    let mut by_gender = [0u64; 2];
-    for g in Gender::ALL {
-        by_gender[g.index()] = target.class_estimate(spec, SensitiveClass::Gender(g))?;
-    }
-    let mut by_age = [0u64; 4];
-    for a in AgeBucket::ALL {
-        by_age[a.index()] = target.class_estimate(spec, SensitiveClass::Age(a))?;
-    }
-    Ok(SpecMeasurement {
-        total,
-        by_gender,
-        by_age,
-    })
+    let mut measured = measure_spec_batch(target, std::slice::from_ref(spec))?;
+    Ok(measured.pop().expect("one measurement per spec"))
 }
 
 /// Number of estimate queries one [`measure_spec`] issues (total + two
 /// genders + four ages).
 pub const QUERIES_PER_SPEC: usize = 7;
 
-/// Batch form of [`measure_spec`]: measures every spec with the same
-/// seven queries per spec, submitted as one batch so a scheduled
-/// measurement interface ([`ScheduledSource`](crate::distributed::ScheduledSource))
-/// can spread them across its endpoints.
-///
-/// The query list — per spec: total, both genders, all four ages — is
-/// identical to what the serial loop issues, in the same order, so query
-/// accounting is unchanged and results are bit-identical on
-/// deterministic sources. On error, the first failure in submission
-/// order is returned, matching the error `measure_spec` would surface.
+/// Measures every spec with the seven queries per spec — total, both
+/// genders, all four ages, in that order — submitted as one batch: a
+/// platform counts the batch in one pass, and a scheduled measurement
+/// interface ([`ScheduledSource`](crate::distributed::ScheduledSource))
+/// spreads it across its endpoints. On error, the first failure in
+/// submission order is returned.
 pub fn measure_spec_batch(
     target: &AuditTarget,
     specs: &[TargetingSpec],

@@ -197,9 +197,10 @@ pub trait EstimateSource: Send + Sync {
 
     /// Estimates a batch of specs, returning one result per spec **in
     /// order**. The default loops [`estimate`](EstimateSource::estimate)
-    /// serially; sources with a cheaper bulk path (the pipelined wire
-    /// client, the [`ScheduledSource`](crate::distributed::ScheduledSource)
-    /// worker pool) override it. Semantics must match the serial loop
+    /// serially; sources with a cheaper bulk path (a platform, which
+    /// counts the batch in one pass; the pipelined wire client; the
+    /// [`ScheduledSource`](crate::distributed::ScheduledSource) worker
+    /// pool) override it. Semantics must match the serial loop
     /// query-for-query.
     fn estimate_batch(&self, specs: &[TargetingSpec]) -> Vec<Result<u64, SourceError>> {
         specs.iter().map(|s| self.estimate(s)).collect()
@@ -243,6 +244,19 @@ impl<P: PlatformApi + ?Sized> EstimateSource for P {
     fn estimate(&self, spec: &TargetingSpec) -> Result<u64, SourceError> {
         let req = EstimateRequest::borrowed(spec, self.config().default_objective);
         Ok(self.reach_estimate(&req)?.value)
+    }
+
+    /// One [`PlatformApi::reach_estimates`] call for the whole batch.
+    fn estimate_batch(&self, specs: &[TargetingSpec]) -> Vec<Result<u64, SourceError>> {
+        let objective = self.config().default_objective;
+        let requests: Vec<EstimateRequest> = specs
+            .iter()
+            .map(|spec| EstimateRequest::borrowed(spec, objective))
+            .collect();
+        self.reach_estimates(&requests)
+            .into_iter()
+            .map(|answer| Ok(answer?.value))
+            .collect()
     }
 
     fn check(&self, spec: &TargetingSpec) -> Result<(), SourceError> {
@@ -300,6 +314,13 @@ impl PlatformApi for ApiSource {
 
     fn reach_estimate(&self, request: &EstimateRequest) -> Result<SizeEstimate, PlatformError> {
         self.0.reach_estimate(request)
+    }
+
+    fn reach_estimates(
+        &self,
+        requests: &[EstimateRequest],
+    ) -> Vec<Result<SizeEstimate, PlatformError>> {
+        self.0.reach_estimates(requests)
     }
 
     fn check(&self, spec: &TargetingSpec) -> Result<(), PlatformError> {

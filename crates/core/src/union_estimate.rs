@@ -42,6 +42,12 @@ pub fn pairwise_overlap(
 /// Median pairwise overlap among the first `limit` specs (the paper uses
 /// the top 100 most skewed compositions). Pairs whose smaller audience is
 /// below the reporting floor are skipped.
+///
+/// The queries are [`pairwise_overlap`]'s for every pair, sent as two
+/// batches: first both class sizes of every pair, then `a ∧ b` for each
+/// pair whose smaller size is non-zero and whose demographics are
+/// compatible. The set of queries is the serial loop's, and so is the
+/// error: the first failure in the serial loop's order.
 pub fn median_pairwise_overlap(
     target: &AuditTarget,
     specs: &[TargetingSpec],
@@ -49,13 +55,55 @@ pub fn median_pairwise_overlap(
     limit: usize,
 ) -> Result<Option<f64>, SourceError> {
     let specs = &specs[..specs.len().min(limit)];
-    let mut overlaps = Vec::new();
-    for i in 0..specs.len() {
-        for j in i + 1..specs.len() {
-            if let Some(v) = pairwise_overlap(target, &specs[i], &specs[j], selector)? {
-                overlaps.push(v);
+    let pairs: Vec<(usize, usize)> = (0..specs.len())
+        .flat_map(|i| (i + 1..specs.len()).map(move |j| (i, j)))
+        .collect();
+    let constrained: Vec<TargetingSpec> = specs
+        .iter()
+        .map(|spec| selector.constrain(&target.translate(spec)))
+        .collect();
+    let size_queries: Vec<TargetingSpec> = pairs
+        .iter()
+        .flat_map(|&(i, j)| [constrained[i].clone(), constrained[j].clone()])
+        .collect();
+    let mut sizes = target.measurement.estimate_batch(&size_queries).into_iter();
+    // Per pair up to the first failing size (the serial loop stops
+    // there): the smaller size, and whether `a ∧ b` is queried.
+    let mut measured: Vec<(u64, bool)> = Vec::with_capacity(pairs.len());
+    let mut both_queries: Vec<TargetingSpec> = Vec::new();
+    let mut size_error = None;
+    for &(i, j) in &pairs {
+        let mut next = || sizes.next().expect("one result per query");
+        let smaller = match (next(), next()) {
+            (Ok(a), Ok(b)) => a.min(b),
+            (Err(e), _) | (Ok(_), Err(e)) => {
+                size_error = Some(e);
+                break;
             }
+        };
+        let both = (smaller > 0)
+            .then(|| specs[i].intersect(&specs[j]))
+            .flatten();
+        measured.push((smaller, both.is_some()));
+        if let Some(ab) = both {
+            both_queries.push(selector.constrain(&target.translate(&ab)));
         }
+    }
+    let mut boths = target.measurement.estimate_batch(&both_queries).into_iter();
+    let mut overlaps = Vec::new();
+    for (smaller, queried) in measured {
+        if smaller == 0 {
+            continue;
+        }
+        let both = if queried {
+            boths.next().expect("one result per query")?
+        } else {
+            0
+        };
+        overlaps.push(both as f64 / smaller as f64);
+    }
+    if let Some(e) = size_error {
+        return Err(e);
     }
     Ok(crate::stats::median(&overlaps))
 }
@@ -217,6 +265,56 @@ mod tests {
                 // the smaller rounded side; allow a small margin.
                 assert!((0.0..=1.05).contains(&o), "overlap {o} for ({a},{b})");
             }
+        }
+    }
+
+    #[test]
+    fn batched_median_overlap_matches_the_serial_pair_loop() {
+        use crate::source::SensitiveClass;
+        use adcomp_population::AgeBucket;
+        // A simulation of its own: the query counts are compared.
+        let sim = Simulation::build(44, SimScale::Test);
+        let not_young = Selector::Complement(SensitiveClass::Age(AgeBucket::A18_24));
+        let mut specs: Vec<TargetingSpec> = (0..5)
+            .map(|i| TargetingSpec::and_of([AttributeId(i), AttributeId(i + 7)]))
+            .collect();
+        // A niche composition, two with contradictory genders, and one
+        // past the limit.
+        specs.push(TargetingSpec::and_of((20..26).map(AttributeId)));
+        for (id, gender) in [(3, Gender::Male), (4, Gender::Female)] {
+            let spec = TargetingSpec::builder()
+                .attribute(AttributeId(id))
+                .gender(gender)
+                .build();
+            specs.push(spec);
+        }
+        specs.push(TargetingSpec::and_of([AttributeId(1)]));
+        let limit = specs.len() - 1;
+        for (platform, selector) in [
+            (&sim.facebook, FEMALE),
+            (&sim.facebook, not_young),
+            (&sim.facebook_restricted, not_young),
+            (&sim.linkedin, FEMALE),
+        ] {
+            let target = AuditTarget::for_platform(platform, &sim);
+            let measured = || sim.facebook.stats().estimates + sim.linkedin.stats().estimates;
+            let start = measured();
+            let batched = median_pairwise_overlap(&target, &specs, selector, limit).unwrap();
+            let batch_queries = measured() - start;
+            let mut serial = Vec::new();
+            for i in 0..limit {
+                for j in i + 1..limit {
+                    if let Some(v) =
+                        pairwise_overlap(&target, &specs[i], &specs[j], selector).unwrap()
+                    {
+                        serial.push(v);
+                    }
+                }
+            }
+            let serial_queries = measured() - start - batch_queries;
+            assert_eq!(batched, crate::stats::median(&serial), "{selector}");
+            assert!(batched.is_some());
+            assert_eq!(batch_queries, serial_queries, "{selector}");
         }
     }
 

@@ -2,8 +2,9 @@
 //!
 //! [`PlatformApi`] is exactly the surface a serving layer (the wire
 //! server, or any other transport) needs from a platform: describe,
-//! browse, validate, estimate, count. Every [`Platform`] implements it
-//! directly, whatever its audience backend;
+//! browse, validate, estimate (one request or a batch), count. Every
+//! [`Platform`] implements it directly, whatever its audience backend,
+//! and answers a batch by counting it in one pass;
 //! [`FaultyPlatform`](crate::FaultyPlatform) implements it by delegating
 //! through a fault plan — so a server can expose any of them without
 //! knowing which it holds.
@@ -26,6 +27,18 @@ pub trait PlatformApi: Send + Sync {
 
     /// The advertiser-visible reach estimate.
     fn reach_estimate(&self, request: &EstimateRequest) -> Result<SizeEstimate, PlatformError>;
+
+    /// Reach estimates for a batch, one answer per request in order, each
+    /// what [`reach_estimate`](PlatformApi::reach_estimate) answers alone.
+    /// The default asks one request at a time (so a fault-injecting
+    /// platform keeps its per-request faults); a [`Platform`] counts the
+    /// batch in one pass.
+    fn reach_estimates(
+        &self,
+        requests: &[EstimateRequest],
+    ) -> Vec<Result<SizeEstimate, PlatformError>> {
+        requests.iter().map(|r| self.reach_estimate(r)).collect()
+    }
 
     /// Validates a spec without estimating.
     fn check(&self, spec: &TargetingSpec) -> Result<(), PlatformError>;
@@ -53,6 +66,13 @@ impl<B: AudienceBackend> PlatformApi for Platform<B> {
 
     fn reach_estimate(&self, request: &EstimateRequest) -> Result<SizeEstimate, PlatformError> {
         Platform::reach_estimate(self, request)
+    }
+
+    fn reach_estimates(
+        &self,
+        requests: &[EstimateRequest],
+    ) -> Vec<Result<SizeEstimate, PlatformError>> {
+        Platform::reach_estimates(self, requests)
     }
 
     fn check(&self, spec: &TargetingSpec) -> Result<(), PlatformError> {

@@ -4,9 +4,11 @@
 //! reach-oracle answer against an [`AudienceBackend`]: a sequence of
 //! segments over disjoint user-id ranges, each of which hands its
 //! audiences to the one evaluator as an [`AttributeResolver`]: estimates
-//! count through `adcomp_targeting::evaluate_len`, and only ground-truth
-//! callers build sets with `adcomp_targeting::evaluate`. Counts sum over
-//! segments, so a spec's length is the same however the users are split. A [`Resident`] universe, with
+//! count through `adcomp_targeting::evaluate_len_batch`, one call per
+//! segment for a whole batch of requests, and only ground-truth callers
+//! build sets with `adcomp_targeting::evaluate`. Counts sum over
+//! segments, so a spec's length is the same however the users are
+//! split. A [`Resident`] universe, with
 //! every catalog audience materialised in memory, is the one-segment
 //! case; a [`SegmentStore`](adcomp_population::SegmentStore) streams its
 //! segments from disk (`crate::segmented`).

@@ -16,8 +16,8 @@ use adcomp_bitset::Bitset;
 use adcomp_obs::metrics::{size_buckets, Counter, Histogram, Registry};
 use adcomp_population::{InferredView, SegmentStore, Universe};
 use adcomp_targeting::{
-    evaluate, evaluate_len, validate, AttributeId, AttributeResolver, Capabilities, EvalError,
-    TargetingSpec, ValidationError,
+    evaluate, evaluate_len_batch, validate, AttributeId, AttributeResolver, Capabilities,
+    EvalError, TargetingSpec, ValidationError,
 };
 use parking_lot::Mutex;
 
@@ -244,13 +244,107 @@ impl<B: AudienceBackend> Platform<B> {
         }
     }
 
-    /// The advertiser-visible reach estimate for a targeting request.
+    /// The advertiser-visible reach estimate for a targeting request: the
+    /// one-request case of [`reach_estimates`](Platform::reach_estimates).
     ///
     /// This is the paper's primary measurement endpoint: validate the spec
     /// against the interface policy, count the audience, scale to
     /// platform range (× frequency-cap multiplier on impression
     /// platforms), and round through the platform's ladder.
     pub fn reach_estimate(&self, request: &EstimateRequest) -> Result<SizeEstimate, PlatformError> {
+        self.reach_estimates(std::slice::from_ref(request))
+            .pop()
+            .expect("one answer per request")
+    }
+
+    /// Reach estimates for a batch of requests, one answer per request in
+    /// order, each exactly what [`reach_estimate`](Platform::reach_estimate)
+    /// would answer alone.
+    ///
+    /// Every request gets its own objective check, validation (failures
+    /// counted), scaling, rounding, query count and metrics, in request
+    /// order. Only the counting is shared: segment by segment, the specs
+    /// that can match there are counted together by
+    /// [`evaluate_len_batch`], which resolves each operand once and
+    /// reuses the AND prefixes neighbouring specs share. A spec that
+    /// fails in one segment is not counted in later ones.
+    pub fn reach_estimates(
+        &self,
+        requests: &[EstimateRequest],
+    ) -> Vec<Result<SizeEstimate, PlatformError>> {
+        let mut lens: Vec<Result<u64, PlatformError>> = Vec::with_capacity(requests.len());
+        let mut counted: Vec<usize> = Vec::new();
+        for (i, request) in requests.iter().enumerate() {
+            let admitted = self.admit(request);
+            let spec = &request.spec;
+            // "Everyone" is the population: nothing to evaluate or load.
+            let everyone = spec.include.is_empty()
+                && spec.exclude.is_empty()
+                && spec.demographics.is_unconstrained();
+            if admitted.is_ok() && !everyone {
+                counted.push(i);
+            }
+            lens.push(admitted.map(|()| if everyone { self.backend.n_users() } else { 0 }));
+        }
+        let mut batch: Vec<usize> = Vec::with_capacity(counted.len());
+        let mut specs: Vec<&TargetingSpec> = Vec::with_capacity(counted.len());
+        for seg in 0..self.backend.n_segments() {
+            let view = self.backend.segment(seg);
+            batch.clear();
+            specs.clear();
+            for &i in &counted {
+                if lens[i].is_err() {
+                    continue;
+                }
+                match can_match(&view, &requests[i].spec) {
+                    Ok(true) => {
+                        batch.push(i);
+                        specs.push(&requests[i].spec);
+                    }
+                    Ok(false) => {}
+                    Err(e) => lens[i] = Err(e.into()),
+                }
+            }
+            if batch.is_empty() {
+                continue;
+            }
+            for (&i, len) in batch.iter().zip(evaluate_len_batch(&view, &specs)) {
+                match len {
+                    Ok(len) => *lens[i].as_mut().expect("failed specs are not counted") += len,
+                    Err(e) => lens[i] = Err(e.into()),
+                }
+            }
+        }
+        let mut answered = 0u64;
+        let answers = requests
+            .iter()
+            .zip(lens)
+            .map(|(request, len)| {
+                let (raw, rounded) = estimate_for_len(
+                    &self.config,
+                    self.backend.scale(),
+                    len?,
+                    request.frequency_cap,
+                );
+                answered += 1;
+                self.metrics.estimate_size.observe(rounded);
+                if rounded != raw {
+                    self.metrics.rounding_applied.inc();
+                }
+                Ok(SizeEstimate {
+                    value: rounded,
+                    kind: self.config.estimate_kind,
+                })
+            })
+            .collect();
+        self.stats.lock().estimates += answered;
+        self.metrics.estimates.add(answered);
+        answers
+    }
+
+    /// A request's admission: the objective must be offered and the spec
+    /// must pass the interface policy (a failure is counted).
+    fn admit(&self, request: &EstimateRequest) -> Result<(), PlatformError> {
         if !self
             .config
             .supported_objectives
@@ -263,53 +357,7 @@ impl<B: AudienceBackend> Platform<B> {
             self.metrics.validation_failures.inc();
             return Err(e.into());
         }
-        let len = self.audience_len(&request.spec)?;
-        let (raw, rounded) = estimate_for_len(
-            &self.config,
-            self.backend.scale(),
-            len,
-            request.frequency_cap,
-        );
-        self.stats.lock().estimates += 1;
-        self.metrics.estimates.inc();
-        self.metrics.estimate_size.observe(rounded);
-        if rounded != raw {
-            self.metrics.rounding_applied.inc();
-        }
-        Ok(SizeEstimate {
-            value: rounded,
-            kind: self.config.estimate_kind,
-        })
-    }
-
-    /// Exact audience length of a spec: [`evaluate_len`] per segment,
-    /// summed. Counts only; no audience is built.
-    fn audience_len(&self, spec: &TargetingSpec) -> Result<u64, EvalError> {
-        // "Everyone" is the population: nothing to evaluate or load.
-        if spec.include.is_empty()
-            && spec.exclude.is_empty()
-            && spec.demographics.is_unconstrained()
-        {
-            return Ok(self.backend.n_users());
-        }
-        let mut total = 0u64;
-        'segments: for seg in 0..self.backend.n_segments() {
-            let view = self.backend.segment(seg);
-            // A group with no member in this segment empties the AND here,
-            // decided from audience sizes alone (which a segment store
-            // keeps in its manifest) before anything is loaded.
-            for group in &spec.include {
-                let mut attainable = 0u64;
-                for &id in &group.attributes {
-                    attainable += view.attribute_len(id)?;
-                }
-                if attainable == 0 {
-                    continue 'segments;
-                }
-            }
-            total += evaluate_len(&view, spec)?;
-        }
-        Ok(total)
+        Ok(())
     }
 
     /// Validates a spec without estimating (the UI does this eagerly).
@@ -358,6 +406,22 @@ impl<B: AudienceBackend> Platform<B> {
         self.stats.lock().rate_limited += 1;
         self.metrics.rate_limited.inc();
     }
+}
+
+/// Whether `spec` can match anyone in a segment, decided from audience
+/// sizes alone (which a segment store keeps in its manifest) before
+/// anything is loaded: a group with no member there empties the AND.
+fn can_match<R: AttributeResolver>(view: &R, spec: &TargetingSpec) -> Result<bool, EvalError> {
+    for group in &spec.include {
+        let mut attainable = 0u64;
+        for &id in &group.attributes {
+            attainable += view.attribute_len(id)?;
+        }
+        if attainable == 0 {
+            return Ok(false);
+        }
+    }
+    Ok(true)
 }
 
 /// The estimate pipeline's scale-and-round step: an exact audience length

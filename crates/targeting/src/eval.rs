@@ -1,5 +1,12 @@
 //! Evaluation of targeting specs against a population.
+//!
+//! [`evaluate`] builds a spec's audience (ground truth, delivery,
+//! lookalikes). Size estimates only count: [`evaluate_len_batch`] counts
+//! a batch of specs in one pass, resolving each operand once and sharing
+//! the AND prefixes neighbouring specs have in common, and
+//! [`evaluate_len`] is its one-spec case.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use adcomp_bitset::Bitset;
@@ -95,15 +102,17 @@ pub fn evaluate<R: AttributeResolver + ?Sized>(
     resolver: &R,
     spec: &TargetingSpec,
 ) -> Result<Bitset, EvalError> {
-    let mut include = include_operands(resolver, spec)?;
+    let mut include = operands(spec)
+        .map(|op| op.resolve(resolver))
+        .collect::<Result<Vec<_>, _>>()?;
     include.sort_by_key(|set| set.len());
-    let mut operands = include.into_iter();
-    let first = operands.next().expect("at least one include operand");
-    let mut audience = match operands.next() {
+    let mut include = include.into_iter();
+    let first = include.next().expect("at least one include operand");
+    let mut audience = match include.next() {
         Some(second) => first.and(&second),
         None => (*first).clone(),
     };
-    for set in operands {
+    for set in include {
         if audience.is_empty() {
             break;
         }
@@ -112,7 +121,12 @@ pub fn evaluate<R: AttributeResolver + ?Sized>(
     if audience.is_empty() {
         return Ok(audience);
     }
-    for set in exclude_operands(resolver, spec)? {
+    let exclude = spec
+        .exclude
+        .iter()
+        .map(|&id| resolver.attribute_audience(id))
+        .collect::<Result<Vec<_>, _>>()?;
+    for set in exclude {
         audience = audience.and_not(&set);
         if audience.is_empty() {
             break;
@@ -122,23 +136,153 @@ pub fn evaluate<R: AttributeResolver + ?Sized>(
 }
 
 /// `evaluate(resolver, spec)?.len()` without building the audience: the
-/// operands [`evaluate`] would AND are counted by the k-way kernel
-/// [`Bitset::and_not_len`]. Same operands, same resolution order, same
-/// errors; exclusions are resolved only when the included count is
-/// non-zero, so a lazily loading resolver loads what `evaluate` loads.
+/// one-spec case of [`evaluate_len_batch`].
 pub fn evaluate_len<R: AttributeResolver + ?Sized>(
     resolver: &R,
     spec: &TargetingSpec,
 ) -> Result<u64, EvalError> {
-    let include = include_operands(resolver, spec)?;
-    let include: Vec<&Bitset> = include.iter().map(|set| &**set).collect();
-    let included = Bitset::and_not_len(&include, &[]);
-    if included == 0 || spec.exclude.is_empty() {
-        return Ok(included);
+    evaluate_len_batch(resolver, &[spec])
+        .pop()
+        .expect("one result per spec")
+}
+
+/// `evaluate(resolver, spec)?.len()` for every spec of a batch, in
+/// order, counted in one pass without building any audience.
+///
+/// A spec's operands are its include groups in spec order, then its
+/// gender constraint, then its age constraint (`everyone` when it has
+/// none of these). Each distinct operand is resolved once per batch, so
+/// an OR group or a multi-valued demographic is built once however many
+/// specs share it. The batch is then sorted by operand list. A spec that
+/// shares at least two leading operands with a neighbour in that order
+/// starts from a materialised prefix AND, kept on a stack (level k is
+/// the AND of the first k operands) whose levels the next spec reuses
+/// as far as the two share operands. What remains is counted by the
+/// k-way kernel [`Bitset::and_not_len`].
+///
+/// Every slot equals what [`evaluate`] gives alone: the same operands,
+/// resolved in spec order, with the first failing one deciding the
+/// error. Exclusions are resolved only when the included count is
+/// non-zero, so a lazily loading resolver loads nothing `evaluate` would
+/// not.
+pub fn evaluate_len_batch<R: AttributeResolver + ?Sized>(
+    resolver: &R,
+    specs: &[&TargetingSpec],
+) -> Vec<Result<u64, EvalError>> {
+    let mut pool = OperandPool::new(resolver);
+    // Each spec's operands as pool slots, in one list; `spans[i]` is the
+    // range of spec `i`'s. Equal operands share a slot, so comparing
+    // slot lists compares operand lists.
+    let mut slots: Vec<u32> = Vec::new();
+    let mut spans: Vec<std::ops::Range<usize>> = Vec::with_capacity(specs.len());
+    let mut results: Vec<Result<u64, EvalError>> = Vec::with_capacity(specs.len());
+    let mut live: Vec<usize> = Vec::with_capacity(specs.len());
+    for (i, spec) in specs.iter().enumerate() {
+        let start = slots.len();
+        let resolved = pool.resolve_into(operands(spec), &mut slots);
+        if resolved.is_ok() {
+            live.push(i);
+        }
+        spans.push(start..slots.len());
+        results.push(resolved.map(|()| 0));
     }
-    let exclude = exclude_operands(resolver, spec)?;
-    let exclude: Vec<&Bitset> = exclude.iter().map(|set| &**set).collect();
-    Ok(Bitset::and_not_len(&include, &exclude))
+    let ops_of = |i: usize| &slots[spans[i].clone()];
+    live.sort_unstable_by(|&a, &b| ops_of(a).cmp(ops_of(b)));
+
+    // `prefixes[j]` is the AND of the first j + 2 operands of the last
+    // spec that used a prefix.
+    let mut prefixes: Vec<Bitset> = Vec::new();
+    let mut shared_prev = 0;
+    let mut exclude_slots = Vec::new();
+    for (pos, &i) in live.iter().enumerate() {
+        let ops = ops_of(i);
+        let shared_next = live
+            .get(pos + 1)
+            .map_or(0, |&next| common_prefix(ops, ops_of(next)));
+        let depth = shared_prev.max(shared_next);
+        prefixes.truncate(shared_prev.saturating_sub(1));
+        shared_prev = shared_next;
+        while prefixes.len() + 1 < depth {
+            let next = pool.set(ops[prefixes.len() + 1]);
+            let level = match prefixes.last() {
+                Some(prefix) => prefix.and(next),
+                None => pool.set(ops[0]).and(next),
+            };
+            prefixes.push(level);
+        }
+        let (head, rest) = match depth {
+            0 | 1 => (None, ops),
+            _ => (prefixes.last(), &ops[depth..]),
+        };
+        let included = Bitset::and_not_len(&pool.sets(head, rest), &[]);
+        let spec = specs[i];
+        if included == 0 || spec.exclude.is_empty() {
+            results[i] = Ok(included);
+            continue;
+        }
+        exclude_slots.clear();
+        let exclusions = spec
+            .exclude
+            .iter()
+            .map(|id| Operand::Group(std::slice::from_ref(id)));
+        results[i] = pool.resolve_into(exclusions, &mut exclude_slots).map(|()| {
+            Bitset::and_not_len(&pool.sets(head, rest), &pool.sets(None, &exclude_slots))
+        });
+    }
+    results
+}
+
+/// Length of the common prefix of two operand lists.
+fn common_prefix(a: &[u32], b: &[u32]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+}
+
+/// One set a spec's included audience is the AND of.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Operand<'s> {
+    /// An include group: the OR of its attributes (an exclusion is
+    /// resolved as a group of one).
+    Group(&'s [AttributeId]),
+    /// A gender constraint: the OR of its genders.
+    Genders(&'s [Gender]),
+    /// An age constraint: the OR of its buckets.
+    Ages(&'s [AgeBucket]),
+    /// Every user, for a spec with nothing else to AND.
+    Everyone,
+}
+
+/// The operands whose AND is `spec`'s included audience: one per
+/// include group, then one per demographic constraint, in that order.
+/// `everyone` joins only when there is nothing else to AND: every
+/// attribute and demographic audience is a subset of it.
+fn operands(spec: &TargetingSpec) -> impl Iterator<Item = Operand<'_>> {
+    let groups = spec
+        .include
+        .iter()
+        .map(|group| Operand::Group(&group.attributes));
+    let genders = spec.demographics.genders.as_deref().map(Operand::Genders);
+    let ages = spec.demographics.ages.as_deref().map(Operand::Ages);
+    let everyone = (spec.include.is_empty() && genders.is_none() && ages.is_none())
+        .then_some(Operand::Everyone);
+    groups.chain(genders).chain(ages).chain(everyone)
+}
+
+impl Operand<'_> {
+    /// The operand's audience; the first of its parts that fails to
+    /// resolve decides the error.
+    fn resolve<'r, R: AttributeResolver + ?Sized>(
+        self,
+        resolver: &'r R,
+    ) -> Result<Audience<'r>, EvalError> {
+        match self {
+            Operand::Group(ids) => any_of(ids.iter().map(|&id| resolver.attribute_audience(id))),
+            Operand::Genders(genders) => {
+                any_of(genders.iter().map(|&g| resolver.gender_audience(g)))
+            }
+            Operand::Ages(ages) => any_of(ages.iter().map(|&a| resolver.age_audience(a))),
+            Operand::Everyone => resolver.everyone(),
+        }
+    }
 }
 
 /// The OR of `parts`: the resolver's audience when there is one, built
@@ -162,47 +306,60 @@ fn any_of<'a>(
     Ok(Audience::Shared(Arc::new(union)))
 }
 
-/// The sets whose AND is the included audience: one per include group,
-/// then one per demographic constraint. Every group and demographic is
-/// resolved, in that order, so the first failing one decides the error.
-/// `everyone` joins only when there is nothing else to AND: every
-/// attribute and demographic audience is a subset of it.
-fn include_operands<'r, R: AttributeResolver + ?Sized>(
+/// A batch's operands, each resolved once: the first resolution of an
+/// operand is kept, success or failure, and answers every later use.
+struct OperandPool<'s, 'r, R: ?Sized> {
     resolver: &'r R,
-    spec: &TargetingSpec,
-) -> Result<Vec<Audience<'r>>, EvalError> {
-    let mut operands = Vec::with_capacity(spec.include.len() + 2);
-    for group in &spec.include {
-        operands.push(any_of(
-            group
-                .attributes
-                .iter()
-                .map(|&id| resolver.attribute_audience(id)),
-        )?);
-    }
-    if let Some(genders) = &spec.demographics.genders {
-        operands.push(any_of(
-            genders.iter().map(|&g| resolver.gender_audience(g)),
-        )?);
-    }
-    if let Some(ages) = &spec.demographics.ages {
-        operands.push(any_of(ages.iter().map(|&a| resolver.age_audience(a)))?);
-    }
-    if operands.is_empty() {
-        operands.push(resolver.everyone()?);
-    }
-    Ok(operands)
+    slots: HashMap<Operand<'s>, Result<u32, EvalError>>,
+    sets: Vec<Audience<'r>>,
 }
 
-/// The exclusion audiences, resolved in spec order.
-fn exclude_operands<'r, R: AttributeResolver + ?Sized>(
-    resolver: &'r R,
-    spec: &TargetingSpec,
-) -> Result<Vec<Audience<'r>>, EvalError> {
-    spec.exclude
-        .iter()
-        .map(|&id| resolver.attribute_audience(id))
-        .collect()
+impl<'s, 'r, R: AttributeResolver + ?Sized> OperandPool<'s, 'r, R> {
+    fn new(resolver: &'r R) -> Self {
+        OperandPool {
+            resolver,
+            slots: HashMap::new(),
+            sets: Vec::new(),
+        }
+    }
+
+    /// The slot holding `op`'s audience, resolving it on first use.
+    fn resolve(&mut self, op: Operand<'s>) -> Result<u32, EvalError> {
+        let (resolver, sets) = (self.resolver, &mut self.sets);
+        self.slots
+            .entry(op)
+            .or_insert_with(|| {
+                let set = op.resolve(resolver)?;
+                sets.push(set);
+                Ok(sets.len() as u32 - 1)
+            })
+            .clone()
+    }
+
+    /// Resolves `ops` in order, pushing their slots onto `into`; the
+    /// first failure stops the walk and is the error.
+    fn resolve_into(
+        &mut self,
+        ops: impl Iterator<Item = Operand<'s>>,
+        into: &mut Vec<u32>,
+    ) -> Result<(), EvalError> {
+        for op in ops {
+            into.push(self.resolve(op)?);
+        }
+        Ok(())
+    }
+
+    /// The audience in a resolved slot.
+    fn set(&self, slot: u32) -> &Bitset {
+        &self.sets[slot as usize]
+    }
+
+    /// `head`, when there is one, then the audiences in `slots`.
+    fn sets<'a>(&'a self, head: Option<&'a Bitset>, slots: &[u32]) -> Vec<&'a Bitset> {
+        head.into_iter()
+            .chain(slots.iter().map(|&slot| self.set(slot)))
+            .collect()
+    }
 }
 
 #[cfg(test)]

@@ -14,8 +14,8 @@
 //! This crate provides the typed AST ([`TargetingSpec`]), a canonical
 //! normal form ([`TargetingSpec::normalize`]), platform-capability
 //! validation ([`validate`]), and evaluation against a synthetic
-//! population ([`evaluate`], and [`evaluate_len`] when only the size is
-//! needed).
+//! population ([`evaluate`], and [`evaluate_len_batch`] /
+//! [`evaluate_len`] when only sizes are needed).
 //!
 //! A key algebraic property the audit relies on: the intersection of two
 //! AND-of-OR specs is again an AND-of-OR spec
@@ -45,5 +45,7 @@ mod validate;
 
 pub use ast::{AttributeId, DemographicSpec, Location, OrGroup, TargetingSpec};
 pub use builder::SpecBuilder;
-pub use eval::{evaluate, evaluate_len, AttributeResolver, Audience, EvalError};
+pub use eval::{
+    evaluate, evaluate_len, evaluate_len_batch, AttributeResolver, Audience, EvalError,
+};
 pub use validate::{validate, Capabilities, CatalogView, FeatureId, ValidationError};

@@ -7,8 +7,8 @@ use adcomp_population::{
     AgeBucket, AttributeModel, DemographicProfile, Gender, Universe, UniverseConfig,
 };
 use adcomp_targeting::{
-    evaluate, evaluate_len, AttributeId, AttributeResolver, Audience, DemographicSpec, EvalError,
-    Location, OrGroup, TargetingSpec,
+    evaluate, evaluate_len, evaluate_len_batch, AttributeId, AttributeResolver, Audience,
+    DemographicSpec, EvalError, Location, OrGroup, TargetingSpec,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -120,6 +120,92 @@ prop_compose! {
     }
 }
 
+prop_compose! {
+    /// Specs over ids up to three past the catalog, so that one spec can
+    /// hold several different unknown ids and the first one must decide
+    /// the error.
+    fn arb_unknown_spec()(
+        spec in arb_spec(),
+        include in proptest::collection::vec(
+            proptest::collection::vec(0..N_ATTRS + 3, 0..4), 1..4),
+        exclude in proptest::collection::vec(0..N_ATTRS + 3, 0..3),
+    ) -> TargetingSpec {
+        TargetingSpec {
+            include: include
+                .into_iter()
+                .map(|g| OrGroup { attributes: g.into_iter().map(AttributeId).collect() })
+                .collect(),
+            exclude: exclude.into_iter().map(AttributeId).collect(),
+            ..spec
+        }
+    }
+}
+
+prop_compose! {
+    /// A batch shaped like the audit's: each base spec (edge shapes and
+    /// unknown ids included) comes with its seven-class family (total, both genders,
+    /// all four ages) and a complemented age; every subset of two or more
+    /// bases adds its intersection (the inclusion–exclusion terms); the
+    /// first spec repeats at the end. The seed shuffles the batch.
+    fn arb_batch()(
+        plain in proptest::collection::vec(arb_spec(), 1..4),
+        edge in proptest::collection::vec(arb_edge_spec(), 0..2),
+        unknown in proptest::collection::vec(arb_unknown_spec(), 0..2),
+        complement in arb_age(),
+        seed in any::<u64>(),
+    ) -> (Vec<TargetingSpec>, u64) {
+        let bases: Vec<TargetingSpec> = plain.into_iter().chain(edge).chain(unknown).collect();
+        let mut batch = Vec::new();
+        for base in &bases {
+            batch.push(base.clone());
+            for g in [Gender::Male, Gender::Female] {
+                let mut spec = base.clone();
+                spec.demographics.genders = Some(vec![g]);
+                batch.push(spec);
+            }
+            for a in [AgeBucket::A18_24, AgeBucket::A25_34, AgeBucket::A35_54, AgeBucket::A55Plus] {
+                let mut spec = base.clone();
+                spec.demographics.ages = Some(vec![a]);
+                batch.push(spec);
+            }
+            let mut spec = base.clone();
+            spec.demographics.ages = Some(
+                [AgeBucket::A18_24, AgeBucket::A25_34, AgeBucket::A35_54, AgeBucket::A55Plus]
+                    .into_iter()
+                    .filter(|&a| a != complement)
+                    .collect(),
+            );
+            batch.push(spec);
+        }
+        for subset in 1u32..(1 << bases.len()) {
+            if subset.count_ones() < 2 {
+                continue;
+            }
+            let mut members = (0..bases.len()).filter(|i| subset & (1 << i) != 0);
+            let first = bases[members.next().unwrap()].clone();
+            if let Some(term) = members.try_fold(first, |acc, i| acc.intersect(&bases[i])) {
+                batch.push(term);
+            }
+        }
+        batch.push(batch[0].clone());
+        (batch, seed)
+    }
+}
+
+/// Fisher–Yates over a splitmix64 stream.
+fn shuffled<T: Clone>(items: &[T], mut seed: u64) -> Vec<T> {
+    let mut out = items.to_vec();
+    for i in (1..out.len()).rev() {
+        seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        out.swap(i, (z % (i as u64 + 1)) as usize);
+    }
+    out
+}
+
 /// Naive per-user reference evaluation.
 fn reference(f: &Fixture, spec: &TargetingSpec) -> Bitset {
     let mut out = Bitset::new();
@@ -169,6 +255,20 @@ proptest! {
         let f = fixture();
         for spec in [&spec, &edge] {
             prop_assert_eq!(evaluate_len(f, spec), evaluate(f, spec).map(|a| a.len()));
+        }
+    }
+
+    #[test]
+    fn evaluate_len_batch_is_evaluated_len_per_slot((batch, seed) in arb_batch()) {
+        // Every slot, errors included, as given and shuffled.
+        let f = fixture();
+        for specs in [batch.clone(), shuffled(&batch, seed)] {
+            let refs: Vec<&TargetingSpec> = specs.iter().collect();
+            let counted = evaluate_len_batch(f, &refs);
+            prop_assert_eq!(counted.len(), specs.len());
+            for (spec, len) in specs.iter().zip(counted) {
+                prop_assert_eq!(len, evaluate(f, spec).map(|a| a.len()), "spec: {}", spec);
+            }
         }
     }
 
