@@ -16,6 +16,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Mutex;
 
+use adcomp_obs::lock;
 use adcomp_obs::trace::TraceEvent;
 use adcomp_obs::RunReport;
 
@@ -68,19 +69,13 @@ impl Aggregator {
         Aggregator::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     /// Ingests one pushed record. Returns `false` when the record was
     /// dropped as stale (metric frame with a sequence number at or
     /// below the source's last accepted one) or as a duplicate alert;
     /// the push is still acked either way — dedup is the point, not an
     /// error.
     pub fn ingest(&self, source: &str, seq: u64, telemetry: Telemetry) -> bool {
-        let mut inner = self.lock();
+        let mut inner = lock(&self.inner);
         inner.pushes_total += 1;
         match telemetry {
             Telemetry::Metrics(frame) => {
@@ -133,7 +128,7 @@ impl Aggregator {
     /// The merged fleet frame: counters and gauges summed, histograms
     /// merged bucketwise, across every source.
     pub fn fleet(&self) -> MetricsFrame {
-        let inner = self.lock();
+        let inner = lock(&self.inner);
         let mut fleet = MetricsFrame::default();
         for state in inner.sources.values() {
             fleet.merge(&state.frame);
@@ -143,27 +138,27 @@ impl Aggregator {
 
     /// Every alert accepted so far, in arrival order.
     pub fn alerts(&self) -> Vec<FleetAlert> {
-        self.lock().alerts.clone()
+        lock(&self.inner).alerts.clone()
     }
 
     /// The fleet trace ring's current contents, oldest first.
     pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.lock().traces.iter().cloned().collect()
+        lock(&self.inner).traces.iter().cloned().collect()
     }
 
     /// Sources seen so far.
     pub fn sources(&self) -> Vec<String> {
-        self.lock().sources.keys().cloned().collect()
+        lock(&self.inner).sources.keys().cloned().collect()
     }
 
     /// Total pushes ingested (including stale and duplicate ones).
     pub fn pushes_total(&self) -> u64 {
-        self.lock().pushes_total
+        lock(&self.inner).pushes_total
     }
 
     /// One status line for the wire status probe.
     pub fn status_line(&self) -> String {
-        let inner = self.lock();
+        let inner = lock(&self.inner);
         format!(
             "agg: sources={} pushes={} alerts={} stale={} duplicate_alerts={}",
             inner.sources.len(),
@@ -179,7 +174,7 @@ impl Aggregator {
     /// aggregator's own meta-series.
     pub fn render_prometheus(&self) -> String {
         use std::fmt::Write as _;
-        let inner = self.lock();
+        let inner = lock(&self.inner);
         let mut out = String::new();
         let mut typed: BTreeSet<String> = BTreeSet::new();
         let mut type_line = |out: &mut String, name: &str, kind: &str| {
@@ -275,7 +270,7 @@ impl Aggregator {
     /// The fleet as a human-readable [`RunReport`]: one note per source,
     /// a degradation per alert.
     pub fn report(&self) -> RunReport {
-        let inner = self.lock();
+        let inner = lock(&self.inner);
         let mut report = RunReport::new("fleet telemetry");
         for (source, state) in &inner.sources {
             report.note(format!(

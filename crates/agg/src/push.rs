@@ -15,13 +15,13 @@
 //! being dropped as stale replays.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use adcomp_obs::metrics::{Counter, Registry};
 use adcomp_wire::{to_bytes, Client, ClientConfig};
-use crossbeam::channel::{self, TrySendError};
 
 use crate::telemetry::Telemetry;
 
@@ -52,7 +52,7 @@ impl PusherConfig {
 
 /// Background telemetry exporter; see the module docs.
 pub struct TelemetryPusher {
-    tx: Option<channel::Sender<Telemetry>>,
+    tx: Option<mpsc::SyncSender<Telemetry>>,
     pending: Arc<AtomicU64>,
     delivered: Arc<AtomicU64>,
     failed: Arc<AtomicU64>,
@@ -66,7 +66,7 @@ impl TelemetryPusher {
     /// lazy: a sink that is down costs nothing until a push is queued,
     /// and failed deliveries count rather than crash.
     pub fn start(config: PusherConfig) -> TelemetryPusher {
-        let (tx, rx) = channel::bounded::<Telemetry>(config.capacity.max(1));
+        let (tx, rx) = mpsc::sync_channel::<Telemetry>(config.capacity.max(1));
         let pending = Arc::new(AtomicU64::new(0));
         let delivered = Arc::new(AtomicU64::new(0));
         let failed = Arc::new(AtomicU64::new(0));
@@ -165,7 +165,7 @@ impl Drop for TelemetryPusher {
 }
 
 struct Worker {
-    rx: channel::Receiver<Telemetry>,
+    rx: mpsc::Receiver<Telemetry>,
     config: PusherConfig,
     pending: Arc<AtomicU64>,
     delivered: Arc<AtomicU64>,

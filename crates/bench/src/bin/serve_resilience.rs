@@ -102,7 +102,7 @@ impl EstimateSource for TimestampSource {
 
     fn estimate(&self, spec: &TargetingSpec) -> Result<u64, SourceError> {
         {
-            let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
+            let mut slot = adcomp_obs::lock(&self.slot);
             if slot.is_none() {
                 *slot = Some(Instant::now());
             }
@@ -212,15 +212,12 @@ fn main() {
     assert!(died, "the injector must have killed incarnation 1");
     drop(daemon);
 
-    *slot.lock().unwrap_or_else(|e| e.into_inner()) = None;
+    *adcomp_obs::lock(&slot) = None;
     let restart = Instant::now();
     let mut daemon = Daemon::open(recovery_cfg, provider, Arc::new(MonotonicClock::new()))
         .expect("incarnation 2");
     while daemon.tick().expect("resumed run") != Tick::Finished {}
-    let first_query = slot
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .expect("the resumed epoch must query the platform");
+    let first_query = adcomp_obs::lock(&slot).expect("the resumed epoch must query the platform");
     let recovery_ms = first_query.duration_since(restart).as_secs_f64() * 1e3;
     drop(daemon);
 

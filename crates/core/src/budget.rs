@@ -345,11 +345,11 @@ mod tests {
             QueryBudget::capped(100),
         ));
         let ok = Arc::new(AtomicU64::new(0));
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..8 {
                 let src = src.clone();
                 let ok = ok.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let spec = TargetingSpec::everyone();
                     for _ in 0..25 {
                         if src.estimate(&spec).is_ok() {
@@ -358,8 +358,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(ok.load(Ordering::Relaxed), 100);
         assert_eq!(src.used(), 200, "every attempt is counted");
         assert_eq!(src.remaining(), 0);
@@ -389,15 +388,14 @@ mod tests {
         };
         let src = Arc::new(BudgetedSource::new(sim().linkedin.clone(), budget));
         let start = Instant::now();
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..4 {
                 let src = src.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     src.estimate(&TargetingSpec::everyone()).unwrap();
                 });
             }
-        })
-        .unwrap();
+        });
         assert!(
             start.elapsed() >= Duration::from_millis(30),
             "elapsed {:?}",

@@ -16,7 +16,6 @@
 use adcomp_platform::RoundingRule;
 use adcomp_population::{AgeBucket, Gender};
 use adcomp_targeting::TargetingSpec;
-use serde::{Deserialize, Serialize};
 
 use crate::source::{AuditTarget, SensitiveClass, SourceError};
 
@@ -33,7 +32,7 @@ pub const FOUR_FIFTHS_LOW: f64 = FOUR_FIFTHS_THRESHOLD;
 pub const FOUR_FIFTHS_HIGH: f64 = 1.0 / FOUR_FIFTHS_THRESHOLD;
 
 /// Where a ratio falls relative to the four-fifths band.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SkewBand {
     /// Ratio < 0.8: the class is under-represented.
     Under,
@@ -57,7 +56,7 @@ pub fn four_fifths_band(ratio: f64) -> SkewBand {
 /// Per-class measurements of one targeting: everything the audit needs to
 /// compute ratios and recalls for any sensitive class, obtained with the
 /// paper's seven queries (total, two genders, four ages).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SpecMeasurement {
     /// `|TA|` (rounded estimate).
     pub total: u64,
@@ -186,7 +185,7 @@ pub fn recall_of(measurement: &SpecMeasurement, class: SensitiveClass) -> u64 {
 /// four inputs — the paper's robustness check that conclusions hold "even
 /// allowing for the representation ratios to take their least skewed
 /// values (subject to the rounding ranges)".
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RatioBounds {
     /// Smallest ratio any consistent exact counts could give.
     pub lo: f64,

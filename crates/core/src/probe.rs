@@ -13,6 +13,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
+use adcomp_infer::rng::splitmix64;
 use adcomp_obs::metrics::{Counter, Registry};
 use adcomp_obs::progress::ProgressReporter;
 use adcomp_obs::trace::Tracer;
@@ -218,23 +219,16 @@ pub fn granularity_from_observations(values: impl IntoIterator<Item = u64>) -> G
     }
 }
 
-/// SplitMix64 — used to derive an independent RNG per spec index, so the
-/// probe's spec sequence is a pure function of `(seed, index)` and a
-/// resumed run regenerates specs without replaying RNG state.
-fn mix(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The random spec scheduled at `index` of a granularity probe: 50/50 a
 /// single attribute or an AND pair; `None` when the pair drawn at this
 /// index is not composable on the target (the index is skipped for free).
+/// Each index seeds its own RNG through SplitMix64, so the spec sequence
+/// is a pure function of `(seed, index)` and a resumed run regenerates
+/// specs without replaying RNG state.
 fn spec_at(target: &AuditTarget, seed: u64, index: u64) -> Option<TargetingSpec> {
-    let mut rng = AuditRng::seed_from_u64(mix(seed
-        ^ 0x9A17
-        ^ index.wrapping_mul(0xA076_1D64_78BD_642F)));
+    let mut rng = AuditRng::seed_from_u64(splitmix64(
+        seed ^ 0x9A17 ^ index.wrapping_mul(0xA076_1D64_78BD_642F),
+    ));
     let n = target.targeting.catalog_len();
     let a = AttributeId(rng.gen_range(0..n));
     if rng.gen_bool(0.5) {

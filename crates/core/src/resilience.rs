@@ -22,9 +22,10 @@
 //! the moment the budget runs out.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use adcomp_obs::lock;
 use adcomp_obs::metrics::{Counter, Registry};
 use adcomp_platform::{PlatformError, RetryPolicy};
 use adcomp_targeting::{AttributeId, FeatureId, TargetingSpec};
@@ -154,21 +155,6 @@ pub struct ResilientSource {
     skipped_total: Arc<Counter>,
 }
 
-/// Same std-mutex shim `budget.rs` uses: one lock is not worth a dep.
-struct Mutex<T>(std::sync::Mutex<T>);
-
-impl<T> Mutex<T> {
-    fn new(value: T) -> Self {
-        Mutex(std::sync::Mutex::new(value))
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, T> {
-        self.0
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-}
-
 impl ResilientSource {
     /// Wraps `inner` with the given policy.
     pub fn new(inner: Arc<dyn EstimateSource>, config: ResilienceConfig) -> Self {
@@ -201,7 +187,7 @@ impl ResilientSource {
 
     /// The specs abandoned so far, with the final error that doomed each.
     pub fn skipped_specs(&self) -> Vec<(TargetingSpec, String)> {
-        self.skipped_specs.lock().clone()
+        lock(&self.skipped_specs).clone()
     }
 
     /// Drives one query to its final outcome, starting from an already
@@ -255,9 +241,7 @@ impl ResilientSource {
                 self.skipped.fetch_add(1, Ordering::Relaxed);
                 self.skipped_total.inc();
                 adcomp_obs::warn!("skipping spec after exhausted retries: {reason}");
-                self.skipped_specs
-                    .lock()
-                    .push((spec.clone(), reason.clone()));
+                lock(&self.skipped_specs).push((spec.clone(), reason.clone()));
                 SourceError::Skipped { reason }
             }
         }

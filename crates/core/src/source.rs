@@ -888,6 +888,20 @@ impl AuditTarget {
         })?;
         let targeting: Arc<dyn EstimateSource> =
             Arc::new(ReplaySource::from_index(index.clone(), &layout.targeting)?);
+        // `translate` indexes the map by targeting id: the invariant
+        // `AuditTarget::via` asserts for live targets.
+        if let Some(map) = &layout.id_map {
+            if map.len() != targeting.catalog_len() as usize {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!(
+                        "recorded id map for {targeting_label:?} has {} entries for {} attributes",
+                        map.len(),
+                        targeting.catalog_len()
+                    ),
+                ));
+            }
+        }
         let measurement: Arc<dyn EstimateSource> = if layout.measurement == layout.targeting {
             targeting.clone()
         } else {
@@ -908,6 +922,40 @@ mod tests {
 
     fn sim() -> Simulation {
         Simulation::build(90, SimScale::Test)
+    }
+
+    #[test]
+    fn replay_rejects_an_id_map_that_does_not_cover_the_catalog() {
+        use crate::recording::{record_layout, record_meta, InterfaceMeta, TargetLayout};
+        let dir = std::env::temp_dir().join(format!(
+            "adcomp-source-short-layout-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = adcomp_store::RunStore::open(&dir).unwrap();
+        for (label, n) in [("FB-restricted", 3), ("Facebook", 5)] {
+            let meta = InterfaceMeta {
+                label: label.into(),
+                supports_demographics: label == "Facebook",
+                same_feature_and: false,
+                names: (0..n).map(|i| format!("attr {i}")).collect(),
+                features: vec![0; n],
+            };
+            record_meta(&store, &meta).unwrap();
+        }
+        let layout = |ids: &[u32]| TargetLayout {
+            targeting: "FB-restricted".into(),
+            measurement: "Facebook".into(),
+            id_map: Some(ids.iter().map(|&i| AttributeId(i)).collect()),
+        };
+        record_layout(&store, &layout(&[4, 2])).unwrap();
+        let err = AuditTarget::from_replay(&store, "FB-restricted").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        record_layout(&store, &layout(&[4, 2, 0])).unwrap();
+        assert!(AuditTarget::from_replay(&store, "FB-restricted").is_ok());
+        drop(store);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

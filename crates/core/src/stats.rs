@@ -5,8 +5,6 @@
 //! percentiles (box), and the 10th/90th percentiles (whiskers).
 //! [`BoxStats`] captures exactly those five numbers plus the extremes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::discovery::AuditRng;
 use rand::SeedableRng;
 
@@ -63,7 +61,7 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
 }
 
 /// The five-number summary the paper's box plots show, plus extremes.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BoxStats {
     /// Sample count.
     pub n: usize,

@@ -4,12 +4,11 @@ use adcomp_bitset::Bitset;
 use adcomp_platform::{AdPlatform, PlatformError};
 use adcomp_population::AttributeModel;
 use adcomp_targeting::TargetingSpec;
-use serde::{Deserialize, Serialize};
 
 /// Stable campaign identifier. Auction outcomes are ordered by id, never
 /// by submission order, so delivery is permutation-invariant in the
 /// order campaigns were handed to [`DeliverySetup::new`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CampaignId(pub u32);
 
 impl std::fmt::Display for CampaignId {
@@ -19,7 +18,7 @@ impl std::fmt::Display for CampaignId {
 }
 
 /// One advertiser campaign competing in the delivery auctions.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Campaign {
     /// Unique id; the auction tie-break and the roster order.
     pub id: CampaignId,

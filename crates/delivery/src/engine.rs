@@ -27,7 +27,6 @@ use std::collections::HashMap;
 use adcomp_bitset::Bitset;
 use adcomp_population::Universe;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::auction::{effective_bid, resolve_auction, Bid, RESERVE_MICROS};
 use crate::campaign::{CampaignId, DeliverySetup};
@@ -85,7 +84,7 @@ impl DeliveryConfig {
 }
 
 /// One won impression.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Impression {
     /// Opportunity round.
     pub round: u64,
@@ -99,7 +98,7 @@ pub struct Impression {
 
 /// Unique delivered users of one campaign, split by ground-truth
 /// demographics (the simulator is the platform, so it may look).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeliveredTally {
     /// Impressions won (with frequency-capped repeats).
     pub impressions: u64,

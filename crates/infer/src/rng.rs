@@ -5,9 +5,12 @@
 //! on, extracted here so all three (and the bootstrap) share one
 //! implementation.
 
-/// splitmix64 finalizer — the same mixing function `adcomp-core`'s
-/// discovery schedule and `adcomp-delivery`'s opportunity streams use
-/// (and must keep using byte-for-byte: recorded runs depend on it).
+/// splitmix64 finalizer — the workspace's one copy, behind `adcomp-core`'s
+/// discovery schedule and probe specs, `adcomp-delivery`'s opportunity
+/// streams, `adcomp-population`'s universe hash and `adcomp-platform`'s
+/// retry jitter and fault plans (all of which must keep it byte-for-byte:
+/// recorded runs and golden digests depend on it).
+#[inline]
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -22,7 +22,8 @@
 //! * [`progress`] — an every-N-queries heartbeat with injected clock
 //!   (no wall-clock reads on the hot path);
 //! * [`report`] — the end-of-run report stitching the above together;
-//! * [`clock`] — the injected-time trait shared by all of it.
+//! * [`clock`] — the injected-time trait shared by all of it;
+//! * [`lock`] — the workspace's one poison-recovering mutex lock.
 //!
 //! Every layer of the workspace reports into the global registry and
 //! tracer; `adcomp-bench` binaries snapshot them next to their TSVs.
@@ -47,6 +48,7 @@ pub mod report;
 pub mod trace;
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 pub use attribution::{latency_attribution, LatencyAttribution};
 pub use clock::{Clock, ManualClock, MonotonicClock};
@@ -75,11 +77,27 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
+/// Locks `m`, taking the guard even if another thread panicked while
+/// holding it.
+///
+/// Recovery is sound for the workspace's mutexes because none of them
+/// guards an invariant that a panicking critical section could leave half
+/// applied and that a later reader would trust: they hold registries,
+/// rings, sinks, sockets, caches and queues whose worst case after a
+/// mid-section panic is a lost or partial update the caller already
+/// treats as a failed query. Propagating the poison instead would turn
+/// one crashed worker into a panic in every thread that shares the lock.
+/// Scheduler state that must also report each recovery uses
+/// `adcomp_sched::lock_recovering`, which counts it.
+pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Serialises tests that toggle or depend on the global kill switch.
 #[cfg(test)]
-pub(crate) fn test_enabled_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+pub(crate) fn test_enabled_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    lock(&LOCK)
 }
 
 #[cfg(test)]
@@ -96,5 +114,24 @@ mod tests {
         set_enabled(true);
         c.inc();
         assert_eq!(c.get(), 2, "the paused increment was dropped");
+    }
+
+    #[test]
+    fn lock_recovers_a_poisoned_mutex() {
+        let m = std::sync::Arc::new(Mutex::new(7));
+        let held = std::sync::Arc::clone(&m);
+        let panicked = std::thread::spawn(move || {
+            let mut guard = held.lock().unwrap();
+            *guard = 8;
+            panic!("poison the lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(m.is_poisoned());
+        let mut guard = lock(&m);
+        assert_eq!(*guard, 8, "the panicking thread's write is kept");
+        *guard += 1;
+        drop(guard);
+        assert_eq!(*lock(&m), 9);
     }
 }

@@ -437,7 +437,7 @@ impl Registry {
     /// different instrument kind.
     pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
         let key = MetricKey::new(name, labels);
-        let mut map = self.lock();
+        let mut map = crate::lock(&self.instruments);
         match map
             .entry(key)
             .or_insert_with(|| Instrument::Counter(Arc::new(Counter::new())))
@@ -459,7 +459,7 @@ impl Registry {
     /// [`counter_with`](Registry::counter_with) does.
     pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
         let key = MetricKey::new(name, labels);
-        let mut map = self.lock();
+        let mut map = crate::lock(&self.instruments);
         match map
             .entry(key)
             .or_insert_with(|| Instrument::Gauge(Arc::new(Gauge::new())))
@@ -487,7 +487,7 @@ impl Registry {
         bounds: Vec<u64>,
     ) -> Arc<Histogram> {
         let key = MetricKey::new(name, labels);
-        let mut map = self.lock();
+        let mut map = crate::lock(&self.instruments);
         match map
             .entry(key)
             .or_insert_with(|| Instrument::Histogram(Arc::new(Histogram::with_bounds(bounds))))
@@ -497,17 +497,11 @@ impl Registry {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<MetricKey, Instrument>> {
-        self.instruments
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     /// Full [`HistogramData`] for every histogram — the mergeable form
     /// a telemetry pusher ships to an aggregator (the [`Snapshot`]
     /// summary keeps only quantiles, which do not merge).
     pub fn export_histograms(&self) -> Vec<(MetricKey, HistogramData)> {
-        let map = self.lock();
+        let map = crate::lock(&self.instruments);
         map.iter()
             .filter_map(|(key, inst)| match inst {
                 Instrument::Histogram(h) => Some((key.clone(), h.data())),
@@ -518,7 +512,7 @@ impl Registry {
 
     /// A point-in-time copy of every instrument.
     pub fn snapshot(&self) -> Snapshot {
-        let map = self.lock();
+        let map = crate::lock(&self.instruments);
         let mut snap = Snapshot::default();
         for (key, inst) in map.iter() {
             match inst {
@@ -542,7 +536,7 @@ impl Registry {
     /// Prometheus text exposition of every instrument.
     pub fn render_prometheus(&self) -> String {
         use std::fmt::Write as _;
-        let map = self.lock();
+        let map = crate::lock(&self.instruments);
         let mut out = String::new();
         let mut typed: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
         for (key, inst) in map.iter() {

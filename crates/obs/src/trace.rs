@@ -402,7 +402,7 @@ impl Tracer {
     /// install.
     pub fn install_jsonl(&self, path: &Path) -> std::io::Result<bool> {
         let file = std::fs::File::create(path)?;
-        let mut guard = self.lock_sink();
+        let mut guard = crate::lock(&self.sink);
         let old = guard.replace(Sink {
             writer: Box::new(std::io::BufWriter::new(file)),
         });
@@ -418,28 +418,16 @@ impl Tracer {
 
     /// Stops streaming to the JSONL sink, flushing it.
     pub fn remove_sink(&self) {
-        if let Some(mut sink) = self.lock_sink().take() {
+        if let Some(mut sink) = crate::lock(&self.sink).take() {
             let _ = sink.writer.flush();
         }
     }
 
     /// Flushes the JSONL sink without removing it.
     pub fn flush(&self) {
-        if let Some(sink) = self.lock_sink().as_mut() {
+        if let Some(sink) = crate::lock(&self.sink).as_mut() {
             let _ = sink.writer.flush();
         }
-    }
-
-    fn lock_sink(&self) -> std::sync::MutexGuard<'_, Option<Sink>> {
-        self.sink
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    fn lock_ring(&self) -> std::sync::MutexGuard<'_, VecDeque<TraceEvent>> {
-        self.ring
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     fn emit(
@@ -469,10 +457,10 @@ impl Tracer {
     }
 
     fn record(&self, event: TraceEvent) {
-        if let Some(sink) = self.lock_sink().as_mut() {
+        if let Some(sink) = crate::lock(&self.sink).as_mut() {
             let _ = writeln!(sink.writer, "{}", event.to_json());
         }
-        let mut ring = self.lock_ring();
+        let mut ring = crate::lock(&self.ring);
         if ring.len() == self.capacity {
             ring.pop_front();
         }
@@ -567,7 +555,7 @@ impl Tracer {
 
     /// A copy of the ring's current contents, oldest first.
     pub fn ring_events(&self) -> Vec<TraceEvent> {
-        self.lock_ring().iter().cloned().collect()
+        crate::lock(&self.ring).iter().cloned().collect()
     }
 
     /// Span names seen in the ring (`span_start` events), oldest first,
@@ -575,7 +563,7 @@ impl Tracer {
     pub fn span_names(&self) -> Vec<String> {
         let mut seen = std::collections::BTreeSet::new();
         let mut names = Vec::new();
-        for e in self.lock_ring().iter() {
+        for e in crate::lock(&self.ring).iter() {
             if e.kind == EventKind::SpanStart && seen.insert(e.name.clone()) {
                 names.push(e.name.clone());
             }

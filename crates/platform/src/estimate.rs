@@ -12,10 +12,8 @@
 //! values only, exactly as the paper had to; the granularity probe
 //! (`adcomp-core`) re-infers these ladders black-box as a self-check.
 
-use serde::{Deserialize, Serialize};
-
 /// What a platform's estimate counts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EstimateKind {
     /// Count of eligible users (Facebook, LinkedIn).
     Users,
@@ -25,7 +23,7 @@ pub enum EstimateKind {
 }
 
 /// A rounded audience-size estimate as shown to advertisers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SizeEstimate {
     /// Rounded value at platform scale.
     pub value: u64,
@@ -34,7 +32,7 @@ pub struct SizeEstimate {
 }
 
 /// A platform's rounding ladder.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RoundingRule {
     /// Fixed number of significant digits with a floor: values below
     /// `minimum` are *clamped up* to it (Facebook's behaviour — the UI

@@ -22,12 +22,13 @@
 //! retries change how many transport requests one estimate needs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use adcomp_infer::rng::splitmix64;
+use adcomp_obs::lock;
 use adcomp_obs::metrics::{Counter, Registry};
 use adcomp_targeting::TargetingSpec;
-use parking_lot::Mutex;
 
 use crate::api::PlatformApi;
 use crate::catalog::Catalog;
@@ -116,13 +117,6 @@ pub struct FaultPlan {
     rules: Vec<FaultRule>,
 }
 
-fn mix(a: u64, b: u64) -> u64 {
-    let mut z = (a ^ b.rotate_left(32)).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl FaultPlan {
     /// An empty plan (no faults) with the given seed.
     pub fn new(seed: u64) -> Self {
@@ -166,7 +160,8 @@ impl FaultPlan {
             Schedule::EveryNth { period, offset } => index % period == offset % period,
             Schedule::Once { at } => index == at,
             Schedule::Random { probability } => {
-                let unit = (mix(self.seed, index) >> 11) as f64 / (1u64 << 53) as f64;
+                let unit = (splitmix64(self.seed ^ index.rotate_left(32)) >> 11) as f64
+                    / (1u64 << 53) as f64;
                 unit < probability
             }
         }
@@ -175,7 +170,8 @@ impl FaultPlan {
     /// Deterministic perturbation factor in `[1 - amplitude,
     /// 1 + amplitude]` for call `index`.
     pub fn noise_factor(&self, index: u64, amplitude: f64) -> f64 {
-        let unit = (mix(self.seed ^ 0x4E01, index) >> 11) as f64 / (1u64 << 53) as f64;
+        let unit = (splitmix64(self.seed ^ 0x4E01 ^ index.rotate_left(32)) >> 11) as f64
+            / (1u64 << 53) as f64;
         1.0 + amplitude * (2.0 * unit - 1.0)
     }
 }
@@ -241,7 +237,7 @@ impl FaultyPlatform {
 
     /// Counters of faults injected so far.
     pub fn injected(&self) -> FaultStats {
-        *self.injected.lock()
+        *lock(&self.injected)
     }
 
     /// The wrapped platform.
@@ -268,27 +264,27 @@ impl PlatformApi for FaultyPlatform {
         let index = self.calls.fetch_add(1, Ordering::SeqCst);
         match self.plan.action_at(index) {
             Some(FaultKind::Transient) => {
-                self.injected.lock().transient += 1;
+                lock(&self.injected).transient += 1;
                 self.injected_total[0].inc();
                 Err(PlatformError::Transient(format!(
                     "injected transient fault at call #{index}"
                 )))
             }
             Some(FaultKind::RateLimit { retry_after }) => {
-                self.injected.lock().rate_limited += 1;
+                lock(&self.injected).rate_limited += 1;
                 self.injected_total[1].inc();
                 self.inner.note_rate_limited();
                 Err(PlatformError::RateLimited { retry_after })
             }
             Some(FaultKind::Latency(delay)) => {
-                self.injected.lock().delayed += 1;
+                lock(&self.injected).delayed += 1;
                 self.injected_total[2].inc();
                 std::thread::sleep(delay);
                 self.inner.reach_estimate(request)
             }
             Some(FaultKind::Noise { amplitude }) => {
                 let est = self.inner.reach_estimate(request)?;
-                self.injected.lock().perturbed += 1;
+                lock(&self.injected).perturbed += 1;
                 self.injected_total[3].inc();
                 let perturbed = est.value as f64 * self.plan.noise_factor(index, amplitude);
                 Ok(SizeEstimate {
@@ -301,7 +297,7 @@ impl PlatformApi for FaultyPlatform {
             }
             Some(FaultKind::Drift { rate }) => {
                 let est = self.inner.reach_estimate(request)?;
-                self.injected.lock().perturbed += 1;
+                lock(&self.injected).perturbed += 1;
                 self.injected_total[4].inc();
                 let drifted = est.value as f64 * (1.0 + rate * index as f64);
                 Ok(SizeEstimate {

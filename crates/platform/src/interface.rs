@@ -9,17 +9,17 @@
 //! (and any real advertiser) gets to see. Ground-truth accessors exist for
 //! tests and ablations and are clearly marked.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use adcomp_bitset::Bitset;
+use adcomp_obs::lock;
 use adcomp_obs::metrics::{size_buckets, Counter, Histogram, Registry};
 use adcomp_population::{InferredView, SegmentStore, Universe};
 use adcomp_targeting::{
     evaluate, evaluate_len_batch, validate, AttributeId, AttributeResolver, Capabilities,
     EvalError, TargetingSpec, ValidationError,
 };
-use parking_lot::Mutex;
 
 use crate::backend::{AudienceBackend, Resident};
 use crate::catalog::Catalog;
@@ -337,7 +337,7 @@ impl<B: AudienceBackend> Platform<B> {
                 })
             })
             .collect();
-        self.stats.lock().estimates += answered;
+        lock(&self.stats).estimates += answered;
         self.metrics.estimates.add(answered);
         answers
     }
@@ -353,7 +353,7 @@ impl<B: AudienceBackend> Platform<B> {
             return Err(PlatformError::UnsupportedObjective(request.objective));
         }
         if let Err(e) = validate(&request.spec, &self.config.capabilities, &self.catalog) {
-            self.stats.lock().validation_failures += 1;
+            lock(&self.stats).validation_failures += 1;
             self.metrics.validation_failures.inc();
             return Err(e.into());
         }
@@ -398,12 +398,12 @@ impl<B: AudienceBackend> Platform<B> {
 
     /// Snapshot of the query counters.
     pub fn stats(&self) -> QueryStats {
-        *self.stats.lock()
+        *lock(&self.stats)
     }
 
     /// Record a rate-limited request (called by the serving layer).
     pub fn note_rate_limited(&self) {
-        self.stats.lock().rate_limited += 1;
+        lock(&self.stats).rate_limited += 1;
         self.metrics.rate_limited.inc();
     }
 }

@@ -6,10 +6,8 @@
 //! most restrictive value so that the impressions estimate approximates a
 //! user count (§3, "Measuring audience sizes").
 
-use serde::{Deserialize, Serialize};
-
 /// Campaign objectives across the three platforms.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Objective {
     /// Facebook "Reach".
     Reach,
@@ -40,7 +38,7 @@ impl std::fmt::Display for Objective {
 /// user may see the ad per month. The impressions estimate scales with
 /// it; the paper pins it to 1 ("one impression across the campaign every
 /// month per-user") so the estimate approximates unique users.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct FrequencyCap {
     /// Max impressions per user per month.
     pub per_month: u32,

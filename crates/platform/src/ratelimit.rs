@@ -10,7 +10,6 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use adcomp_obs::metrics::{duration_us_buckets, Counter, Histogram, Registry};
-use serde::{Deserialize, Serialize};
 
 /// Queries denied by the token bucket, process-wide.
 fn denied_total() -> &'static Counter {
@@ -89,7 +88,7 @@ impl TokenBucket {
 }
 
 /// Counters of advertiser-visible API activity.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Successful reach-estimate queries.
     pub estimates: u64,

@@ -17,6 +17,7 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
+use adcomp_infer::rng::splitmix64;
 use adcomp_obs::metrics::{Counter, Registry};
 
 /// `adcomp_circuit_transitions_total{to}` — every breaker in the process
@@ -34,14 +35,6 @@ fn transitions_to(state: &'static str) -> &'static Counter {
     cell.get_or_init(|| {
         Registry::global().counter_with("adcomp_circuit_transitions_total", &[("to", state)])
     })
-}
-
-/// SplitMix64 — the same deterministic mixer the audit RNG seeds with.
-fn mix(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Bounded exponential backoff with deterministic jitter.
@@ -115,7 +108,8 @@ impl RetryPolicy {
             .min(self.max_backoff);
         let jittered = if self.jitter > 0.0 {
             // Deterministic fraction in [0, 1) from (seed, attempt).
-            let frac = (mix(self.seed ^ u64::from(attempt)) >> 11) as f64 / (1u64 << 53) as f64;
+            let frac =
+                (splitmix64(self.seed ^ u64::from(attempt)) >> 11) as f64 / (1u64 << 53) as f64;
             exp.mul_f64(1.0 - self.jitter * frac)
         } else {
             exp

@@ -5,10 +5,8 @@
 //! attributes" (§3). The age buckets are the most granular ranges common
 //! to all three platforms.
 
-use serde::{Deserialize, Serialize};
-
 /// Binary gender as modelled by the 2020-era targeting interfaces.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Gender {
     /// Male users.
     Male,
@@ -57,7 +55,7 @@ impl std::fmt::Display for Gender {
 
 /// Age ranges — "the most granular targeting options common to the three ad
 /// platforms we study" (paper §3, footnote 3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AgeBucket {
     /// Ages 18–24.
     A18_24,
@@ -120,7 +118,7 @@ impl std::fmt::Display for AgeBucket {
 }
 
 /// One user's sensitive attributes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Demographics {
     /// The user's gender.
     pub gender: Gender,
@@ -150,7 +148,7 @@ impl Demographics {
 
 /// Demographic priors of a platform's user base, plus the strength with
 /// which demographics shift the latent interest space.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DemographicProfile {
     /// Fraction of users that are male.
     pub male_fraction: f64,

@@ -7,18 +7,11 @@
 //! verifies and that the audit pipeline's consistency probe re-checks
 //! against our simulators.
 //!
-//! The mixer is SplitMix64 (Steele et al., "Fast splittable pseudorandom
-//! number generators"), which passes BigCrush when used as a stream and is
-//! more than sufficient as a hash-to-uniform here.
+//! The mixer is `adcomp-infer`'s SplitMix64 (Steele et al., "Fast
+//! splittable pseudorandom number generators"), which passes BigCrush when
+//! used as a stream and is more than sufficient as a hash-to-uniform here.
 
-/// SplitMix64 finalizer over an arbitrary 64-bit input.
-#[inline]
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+use adcomp_infer::rng::splitmix64;
 
 /// Combines a seed and two stream coordinates into one well-mixed word.
 #[inline]

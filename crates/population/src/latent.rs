@@ -21,8 +21,6 @@
 //! demographics — matching the paper's observation that even "facially
 //! neutral" combinations skew.
 
-use serde::{Deserialize, Serialize};
-
 use crate::demographics::Demographics;
 
 /// Number of latent interest dimensions.
@@ -46,7 +44,7 @@ pub const LATENT_DIMS: usize = 12;
 ///     .age_biases([0.3, 0.1, -0.1, -0.3]); // skews young
 /// assert_eq!(m.seed, 1);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AttributeModel {
     /// Seed of the attribute's private Bernoulli stream. Must be unique per
     /// attribute within a universe.

@@ -302,7 +302,7 @@ mod tests {
                 .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
                 .is_ok();
             if panic_now {
-                let _guard = self.inner.buffers.lock().unwrap_or_else(|p| p.into_inner());
+                let _guard = adcomp_obs::lock(&self.inner.buffers);
                 panic!("simulated worker crash mid-update");
             }
             self.inner.run(endpoint, grant, heartbeat)

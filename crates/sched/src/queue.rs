@@ -20,6 +20,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use adcomp_obs::clock::Clock;
+use adcomp_obs::lock;
 use adcomp_obs::metrics::{duration_us_buckets, Counter, Histogram, Registry};
 
 use crate::journal::UnitJournal;
@@ -196,7 +197,7 @@ impl UnitQueue {
     /// Seeds explicit slot groups as units (slot indices must be unique
     /// across all units).
     pub fn seed_units(&self, units: Vec<Vec<usize>>) {
-        let mut s = self.lock();
+        let mut s = lock(&self.state);
         for slots in units {
             if slots.is_empty() {
                 continue;
@@ -223,7 +224,7 @@ impl UnitQueue {
     /// pending and no leased units remain). Expired leases are swept on
     /// every wake-up.
     pub fn claim(&self, worker: &str) -> Option<Grant> {
-        let mut s = self.lock();
+        let mut s = lock(&self.state);
         loop {
             self.sweep_expired(&mut s);
             if let Some(grant) = self.try_grant(&mut s, worker) {
@@ -245,7 +246,7 @@ impl UnitQueue {
     /// Non-blocking [`claim`](UnitQueue::claim): grants a unit if one is
     /// immediately available under the in-flight cap.
     pub fn try_claim(&self, worker: &str) -> Option<Grant> {
-        let mut s = self.lock();
+        let mut s = lock(&self.state);
         self.sweep_expired(&mut s);
         self.try_grant(&mut s, worker)
     }
@@ -255,7 +256,7 @@ impl UnitQueue {
     /// abandon the execution and discard its buffered results.
     #[allow(clippy::result_unit_err)]
     pub fn heartbeat(&self, lease: u64) -> Result<(), ()> {
-        let mut s = self.lock();
+        let mut s = lock(&self.state);
         self.sweep_expired(&mut s);
         let now = self.clock.now();
         match s.leased.get_mut(&lease) {
@@ -272,7 +273,7 @@ impl UnitQueue {
     /// attempt), or failed when attempts ran out. A stale lease changes
     /// nothing.
     pub fn complete(&self, lease: u64, answered: &[usize]) -> Completion {
-        let mut s = self.lock();
+        let mut s = lock(&self.state);
         self.sweep_expired(&mut s);
         let Some(mut l) = s.leased.remove(&lease) else {
             return Completion::Stale;
@@ -323,19 +324,19 @@ impl UnitQueue {
     /// Sweeps expired leases now (also done implicitly by every other
     /// call); returns how many leases expired.
     pub fn expire_overdue(&self) -> usize {
-        let mut s = self.lock();
+        let mut s = lock(&self.state);
         self.sweep_expired(&mut s)
     }
 
     /// Whether every slot has reached a terminal state (done or failed).
     pub fn is_drained(&self) -> bool {
-        let s = self.lock();
+        let s = lock(&self.state);
         s.pending.is_empty() && s.leased.is_empty()
     }
 
     /// Slots whose units exhausted their attempts, in ascending order.
     pub fn failed_slots(&self) -> Vec<usize> {
-        let s = self.lock();
+        let s = lock(&self.state);
         let mut out: Vec<usize> = s.failed.iter().flat_map(|u| u.slots.clone()).collect();
         out.sort_unstable();
         out
@@ -343,7 +344,7 @@ impl UnitQueue {
 
     /// Where every slot currently lives (see [`SlotCensus`]).
     pub fn census(&self) -> SlotCensus {
-        let s = self.lock();
+        let s = lock(&self.state);
         SlotCensus {
             done: s.done_count,
             pending: s.pending.iter().map(|u| u.slots.len()).sum(),
@@ -354,7 +355,7 @@ impl UnitQueue {
 
     /// Total slots seeded so far.
     pub fn total_slots(&self) -> usize {
-        self.lock().total_slots
+        lock(&self.state).total_slots
     }
 
     fn try_grant(&self, s: &mut State, worker: &str) -> Option<Grant> {
@@ -425,10 +426,6 @@ impl UnitQueue {
         self.metrics.requeued.inc();
         self.metrics.queued.inc();
         s.pending.push_back(unit);
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 

@@ -62,7 +62,7 @@ impl JournalAlertSink {
 
 impl AlertSink for JournalAlertSink {
     fn deliver(&self, alert: &DriftAlert) {
-        let _guard = self.lock.lock().unwrap_or_else(|p| p.into_inner());
+        let _guard = adcomp_obs::lock(&self.lock);
         let Ok(mut file) = std::fs::OpenOptions::new()
             .create(true)
             .append(true)

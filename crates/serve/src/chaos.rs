@@ -219,7 +219,7 @@ struct Injector {
 
 impl FaultInjector for Injector {
     fn should_die(&self, point: FaultPoint) -> bool {
-        let mut pending = self.pending.lock().unwrap_or_else(|e| e.into_inner());
+        let mut pending = adcomp_obs::lock(&self.pending);
         match pending.iter().position(|p| *p == point) {
             Some(i) => {
                 pending.swap_remove(i);

@@ -101,10 +101,7 @@ impl SimProvider {
     fn api_for(&self, epoch: u64) -> Arc<dyn PlatformApi> {
         match self.plans.get(&epoch) {
             None => self.platform().clone(),
-            Some(plan) => self
-                .faulty
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
+            Some(plan) => adcomp_obs::lock(&self.faulty)
                 .entry(epoch)
                 .or_insert_with(|| {
                     Arc::new(FaultyPlatform::new(self.platform().clone(), plan.clone()))

@@ -12,6 +12,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+use adcomp_obs::lock;
+
 use crate::frame::Record;
 use crate::index::SnapshotIndex;
 use crate::wal::{Wal, WalOptions, WalStats};
@@ -56,7 +58,7 @@ impl RunStore {
     /// Appends a record to the log and folds it into the keyed view.
     pub fn append(&self, kind: u8, key: u64, payload: &[u8]) -> io::Result<()> {
         let record = Record::new(kind, key, payload.to_vec());
-        let mut inner = self.lock();
+        let mut inner = lock(&self.inner);
         inner.wal.append(&record)?;
         inner.index.apply(record);
         Ok(())
@@ -64,34 +66,34 @@ impl RunStore {
 
     /// The latest `(kind, payload)` for `key`, if recorded.
     pub fn get(&self, key: u64) -> Option<(u8, Vec<u8>)> {
-        let inner = self.lock();
+        let inner = lock(&self.inner);
         inner.index.get(key).map(|(k, p)| (k, p.to_vec()))
     }
 
     /// Whether `key` has been recorded.
     pub fn contains(&self, key: u64) -> bool {
-        self.lock().index.contains(key)
+        lock(&self.inner).index.contains(key)
     }
 
     /// Number of distinct keys recorded.
     pub fn len(&self) -> usize {
-        self.lock().index.len()
+        lock(&self.inner).index.len()
     }
 
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.lock().index.is_empty()
+        lock(&self.inner).index.is_empty()
     }
 
     /// A point-in-time clone of the keyed view, for offline iteration
     /// (replay sources, drift diffs).
     pub fn snapshot(&self) -> SnapshotIndex {
-        self.lock().index.clone()
+        lock(&self.inner).index.clone()
     }
 
     /// Visits every `(key, kind, payload)` in ascending key order.
     pub fn for_each(&self, mut f: impl FnMut(u64, u8, &[u8])) {
-        let inner = self.lock();
+        let inner = lock(&self.inner);
         for (key, kind, payload) in inner.index.iter() {
             f(key, kind, payload);
         }
@@ -99,7 +101,7 @@ impl RunStore {
 
     /// Visits every record of `kind` in ascending key order.
     pub fn for_each_kind(&self, kind: u8, mut f: impl FnMut(u64, &[u8])) {
-        let inner = self.lock();
+        let inner = lock(&self.inner);
         for (key, k, payload) in inner.index.iter() {
             if k == kind {
                 f(key, payload);
@@ -109,19 +111,19 @@ impl RunStore {
 
     /// Number of recorded keys holding a record of `kind`.
     pub fn count_kind(&self, kind: u8) -> usize {
-        let inner = self.lock();
+        let inner = lock(&self.inner);
         inner.index.iter().filter(|(_, k, _)| *k == kind).count()
     }
 
     /// Forces appended records to stable storage.
     pub fn sync(&self) -> io::Result<()> {
-        self.lock().wal.sync()
+        lock(&self.inner).wal.sync()
     }
 
     /// Persists the keyed view so the next open can skip every sealed
     /// segment written so far.
     pub fn save_snapshot(&self) -> io::Result<()> {
-        let mut inner = self.lock();
+        let mut inner = lock(&self.inner);
         let sealed = inner.wal.sealed_segments();
         inner.index.set_applied_segments(sealed);
         inner.index.save(&self.dir.join(SNAPSHOT_FILE))
@@ -129,16 +131,12 @@ impl RunStore {
 
     /// WAL counters since open.
     pub fn stats(&self) -> WalStats {
-        self.lock().wal.stats()
+        lock(&self.inner).wal.stats()
     }
 
     /// The directory this run lives in.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 

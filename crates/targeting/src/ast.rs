@@ -1,7 +1,5 @@
 //! The targeting AST and its algebra.
 
-use serde::{Deserialize, Serialize};
-
 use adcomp_population::{AgeBucket, Gender};
 
 use crate::builder::SpecBuilder;
@@ -10,12 +8,12 @@ use crate::builder::SpecBuilder;
 ///
 /// Ids are platform-local: `AttributeId(3)` on Facebook and on LinkedIn
 /// name unrelated attributes. The audit never mixes ids across platforms.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AttributeId(pub u32);
 
 /// Targetable locations. The paper measures US-based users only; we keep
 /// the dimension explicit so specs read like the real interfaces.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Location {
     /// The United States (the only supported location).
     #[default]
@@ -23,7 +21,7 @@ pub enum Location {
 }
 
 /// A logical-OR group of attributes ("users matching ANY of …").
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OrGroup {
     /// The alternatives; a user matches the group by holding any one.
     pub attributes: Vec<AttributeId>,
@@ -57,7 +55,7 @@ impl FromIterator<AttributeId> for OrGroup {
 ///
 /// `None` means "no constraint" (the platform default of all genders /
 /// all ages 18+). The restricted interface *forces* `None` for both.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct DemographicSpec {
     /// Genders to include, or `None` for all.
     pub genders: Option<Vec<Gender>>,
@@ -130,7 +128,7 @@ fn intersect_option_lists<T: Clone + PartialEq>(
 
 /// A complete targeting specification: demographics ∧ (AND of OR-groups)
 /// ∧ ¬(OR of exclusions).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct TargetingSpec {
     /// Demographic constraints.
     pub demographics: DemographicSpec,

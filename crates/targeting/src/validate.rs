@@ -16,14 +16,13 @@
 //!   interface supports AND-of-ORs, exclusions allowed.
 
 use adcomp_population::{AgeBucket, Gender};
-use serde::{Deserialize, Serialize};
 
 use crate::ast::{AttributeId, TargetingSpec};
 
 /// Identifier of a targeting *feature* (a family of options that Google
 /// refuses to AND within itself — e.g. "affinity attributes" vs
 /// "placement topics").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FeatureId(pub u16);
 
 /// Read-only view of a platform catalog, as needed for validation.
@@ -35,7 +34,7 @@ pub trait CatalogView {
 }
 
 /// What a platform interface permits.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Capabilities {
     /// May the advertiser constrain gender?
     pub gender_targeting: bool,

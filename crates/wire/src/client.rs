@@ -21,14 +21,14 @@
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use adcomp_obs::lock;
 use adcomp_obs::metrics::{duration_us_buckets, Counter, Gauge, Histogram, Registry};
 use adcomp_obs::trace::{current_context, TraceContext, Tracer};
 use adcomp_platform::{CircuitBreaker, RetryPolicy};
 use adcomp_targeting::TargetingSpec;
-use parking_lot::Mutex;
 
 use crate::codec::{from_bytes, to_bytes, CodecError};
 use crate::frame::{read_frame, write_frame, FrameError};
@@ -253,7 +253,7 @@ impl Client {
         };
         // Fail fast on an unreachable endpoint, as `connect` always did.
         let conn = client.open_conn()?;
-        *client.conn.lock() = Some(conn);
+        *lock(&client.conn) = Some(conn);
         Ok(client)
     }
 
@@ -290,7 +290,7 @@ impl Client {
     /// One request/response exchange on the current connection,
     /// reconnecting first if a previous failure tore it down.
     fn exchange(&self, request: &Request) -> Result<Response, ClientError> {
-        let mut guard = self.conn.lock();
+        let mut guard = lock(&self.conn);
         if guard.is_none() {
             *guard = Some(self.open_conn().map_err(FrameError::Io)?);
             self.metrics.reconnects.inc();
@@ -325,8 +325,7 @@ impl Client {
     fn call(&self, request: &Request) -> Result<Response, ClientError> {
         let mut attempt: u32 = 0;
         loop {
-            self.breaker
-                .lock()
+            lock(&self.breaker)
                 .check(self.now())
                 .map_err(|retry_in| ClientError::CircuitOpen { retry_in })?;
             // Unwrap Traced before classifying: a rate-limit answer to a
@@ -339,7 +338,7 @@ impl Client {
                     retry_after,
                 }) => {
                     // The endpoint is alive — a throttle is not a fault.
-                    self.breaker.lock().record_success();
+                    lock(&self.breaker).record_success();
                     if self.config.retry.should_retry(attempt) {
                         self.metrics.retries_rate_limited.inc();
                         std::thread::sleep(self.config.retry.backoff(attempt, retry_after));
@@ -353,11 +352,11 @@ impl Client {
                     }
                 }
                 Ok(response) => {
-                    self.breaker.lock().record_success();
+                    lock(&self.breaker).record_success();
                     return Ok(response);
                 }
                 Err(ClientError::Transport(e)) => {
-                    self.breaker.lock().record_failure(self.now());
+                    lock(&self.breaker).record_failure(self.now());
                     if self.config.retry.should_retry(attempt) {
                         self.metrics.retries_transport.inc();
                         std::thread::sleep(self.config.retry.backoff(attempt, None));
@@ -521,9 +520,9 @@ impl Client {
         let mut todo: Vec<usize> = (0..specs.len()).collect();
         let mut rate_limit_attempt: u32 = 0;
         let mut transport_attempt: u32 = 0;
-        let mut guard = self.conn.lock();
+        let mut guard = lock(&self.conn);
         while !todo.is_empty() {
-            if let Err(retry_in) = self.breaker.lock().check(self.now()) {
+            if let Err(retry_in) = lock(&self.breaker).check(self.now()) {
                 for &slot in &todo {
                     results[slot] = Some(Err(ClientError::CircuitOpen { retry_in }));
                 }
@@ -536,7 +535,7 @@ impl Client {
                         self.metrics.reconnects.inc();
                     }
                     Err(e) => {
-                        self.breaker.lock().record_failure(self.now());
+                        lock(&self.breaker).record_failure(self.now());
                         if self.config.retry.should_retry(transport_attempt) {
                             self.metrics.retries_transport.inc();
                             std::thread::sleep(self.config.retry.backoff(transport_attempt, None));
@@ -559,7 +558,7 @@ impl Client {
             let conn = guard.as_mut().expect("connection just ensured");
             match self.pipeline_round(conn, specs, &todo, &mut results, trace) {
                 Ok(rate_limited) => {
-                    self.breaker.lock().record_success();
+                    lock(&self.breaker).record_success();
                     transport_attempt = 0;
                     if rate_limited.is_empty() {
                         break;
@@ -589,7 +588,7 @@ impl Client {
                     // Tear down; the next iteration reconnects and
                     // re-issues only what is still unanswered.
                     *guard = None;
-                    self.breaker.lock().record_failure(self.now());
+                    lock(&self.breaker).record_failure(self.now());
                     todo.retain(|&slot| results[slot].is_none());
                     if self.config.retry.should_retry(transport_attempt) {
                         self.metrics.retries_transport.inc();

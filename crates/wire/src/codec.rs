@@ -1,12 +1,11 @@
 //! Binary wire encoding.
 //!
-//! A small, explicit, length-checked codec over [`bytes`] buffers. Every
-//! type that crosses the wire implements [`WireEncode`]/[`WireDecode`].
+//! A small, explicit, length-checked codec that appends to a `Vec<u8>` and
+//! reads from a `&[u8]` cursor. Every type that crosses the wire implements
+//! [`WireEncode`]/[`WireDecode`].
 //! Integers are big-endian; strings are UTF-8 with a u32 length prefix;
 //! vectors carry a u32 count; options a presence byte. Decoding is total:
 //! malformed input yields a [`CodecError`], never a panic.
-
-use bytes::{Buf, BufMut};
 
 /// Encoding target alias.
 pub type Writer = Vec<u8>;
@@ -62,40 +61,28 @@ pub trait WireDecode: Sized {
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError>;
 }
 
-/// Checks `buf` holds at least `n` bytes.
-#[inline]
-fn need(buf: &&[u8], n: usize) -> Result<(), CodecError> {
-    if buf.remaining() < n {
-        Err(CodecError::UnexpectedEof)
-    } else {
-        Ok(())
-    }
-}
-
 macro_rules! impl_int {
-    ($ty:ty, $put:ident, $get:ident, $size:expr) => {
+    ($($ty:ty),*) => {$(
         impl WireEncode for $ty {
             fn encode(&self, buf: &mut Writer) {
-                buf.$put(*self);
+                buf.extend_from_slice(&self.to_be_bytes());
             }
         }
         impl WireDecode for $ty {
             fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-                need(buf, $size)?;
-                Ok(buf.$get())
+                let (head, rest) = buf.split_first_chunk().ok_or(CodecError::UnexpectedEof)?;
+                *buf = rest;
+                Ok(<$ty>::from_be_bytes(*head))
             }
         }
-    };
+    )*};
 }
 
-impl_int!(u8, put_u8, get_u8, 1);
-impl_int!(u16, put_u16, get_u16, 2);
-impl_int!(u32, put_u32, get_u32, 4);
-impl_int!(u64, put_u64, get_u64, 8);
+impl_int!(u8, u16, u32, u64);
 
 impl WireEncode for bool {
     fn encode(&self, buf: &mut Writer) {
-        buf.put_u8(*self as u8);
+        buf.push(*self as u8);
     }
 }
 
@@ -112,7 +99,7 @@ impl WireDecode for bool {
 impl WireEncode for str {
     fn encode(&self, buf: &mut Writer) {
         (self.len() as u32).encode(buf);
-        buf.put_slice(self.as_bytes());
+        buf.extend_from_slice(self.as_bytes());
     }
 }
 
@@ -128,8 +115,9 @@ impl WireDecode for String {
         if len > MAX_ELEMENTS {
             return Err(CodecError::LengthOverflow { declared: len });
         }
-        need(buf, len as usize)?;
-        let (head, rest) = buf.split_at(len as usize);
+        let (head, rest) = buf
+            .split_at_checked(len as usize)
+            .ok_or(CodecError::UnexpectedEof)?;
         let s = std::str::from_utf8(head)
             .map_err(|_| CodecError::InvalidUtf8)?
             .to_string();
@@ -164,9 +152,9 @@ impl<T: WireDecode> WireDecode for Vec<T> {
 impl<T: WireEncode> WireEncode for Option<T> {
     fn encode(&self, buf: &mut Writer) {
         match self {
-            None => buf.put_u8(0),
+            None => buf.push(0),
             Some(v) => {
-                buf.put_u8(1);
+                buf.push(1);
                 v.encode(buf);
             }
         }
@@ -234,6 +222,21 @@ mod tests {
         roundtrip(Some("x".to_string()));
         roundtrip(Option::<u32>::None);
         roundtrip(vec![Some(1u8), None]);
+    }
+
+    #[test]
+    fn big_endian_layout_matches_wire_format() {
+        assert_eq!(to_bytes(&0xABCDu16), [0xAB, 0xCD]);
+        assert_eq!(to_bytes(&0xDEAD_BEEFu32), [0xDE, 0xAD, 0xBE, 0xEF]);
+        assert_eq!(
+            to_bytes(&0x0123_4567_89AB_CDEFu64),
+            [0x01, 0x23, 0x45, 0x67, 0x89, 0xAB, 0xCD, 0xEF]
+        );
+        assert_eq!(to_bytes(&true), [1]);
+        assert_eq!(to_bytes(&false), [0]);
+        assert_eq!(to_bytes("xy"), [0, 0, 0, 2, b'x', b'y']);
+        assert_eq!(to_bytes(&Some(7u16)), [1, 0, 7]);
+        assert_eq!(to_bytes(&Option::<u16>::None), [0]);
     }
 
     #[test]

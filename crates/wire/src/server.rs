@@ -24,16 +24,16 @@
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use adcomp_obs::lock;
 use adcomp_obs::metrics::{Counter, Registry};
 use adcomp_obs::trace::{TraceContext, Tracer};
 use adcomp_platform::{
     EstimateRequest, FaultKind, FaultPlan, PlatformApi, PlatformError, TokenBucket,
 };
 use adcomp_targeting::ValidationError;
-use parking_lot::Mutex;
 
 use crate::codec::{from_bytes, to_bytes};
 use crate::frame::{read_frame, write_frame, FrameError};
@@ -267,7 +267,7 @@ impl ServerHandle {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        let conns = std::mem::take(&mut *self.conns.lock());
+        let conns = std::mem::take(&mut *lock(&self.conns));
         // Wait for read-but-unanswered frames; the pipeline executors
         // keep writing responses while the read threads idle.
         let deadline = Instant::now() + self.drain_timeout;
@@ -456,7 +456,7 @@ pub fn serve_service(
                         conn_tracker,
                     );
                 });
-                accept_conns.lock().push(ConnReg {
+                lock(&accept_conns).push(ConnReg {
                     stream: reg_stream,
                     tracker,
                     handle: Some(handle),
@@ -492,9 +492,12 @@ fn conn_drops_total() -> Arc<Counter> {
 /// lock, so they interleave with read-thread writes frame-atomically but
 /// may leave in any order — the correlation id is what the client keys on.
 struct PipelinePool {
-    jobs: Option<crossbeam::channel::Sender<(u64, Request, WorkToken)>>,
+    jobs: Option<mpsc::Sender<Job>>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
+
+/// One pipelined request: correlation id, request, in-flight token.
+type Job = (u64, Request, WorkToken);
 
 impl PipelinePool {
     fn start(
@@ -502,7 +505,8 @@ impl PipelinePool {
         service: Arc<dyn WireService>,
         writer: Arc<Mutex<TcpStream>>,
     ) -> Self {
-        let (tx, rx) = crossbeam::channel::unbounded::<(u64, Request, WorkToken)>();
+        let (tx, rx) = mpsc::channel::<Job>();
+        let rx = Arc::new(Mutex::new(rx));
         let workers = (0..executors.max(1))
             .map(|i| {
                 let rx = rx.clone();
@@ -510,20 +514,25 @@ impl PipelinePool {
                 let writer = writer.clone();
                 std::thread::Builder::new()
                     .name(format!("adcomp-wire-exec-{i}"))
-                    .spawn(move || {
-                        for (id, request, token) in rx.iter() {
-                            let inner = service.handle(request);
-                            let frame = to_bytes(&Response::Tagged {
-                                id,
-                                inner: Box::new(inner),
-                            });
-                            // A failed write means the client is gone;
-                            // keep draining so shutdown stays clean.
-                            let _ = write_frame(&mut *writer.lock(), &frame);
-                            // The frame counts as in-flight until its
-                            // response hits the socket.
-                            drop(token);
-                        }
+                    .spawn(move || loop {
+                        // A statement of its own, so the receiver lock is
+                        // released before the job runs and the executors
+                        // answer concurrently.
+                        let job = lock(&rx).recv();
+                        let Ok((id, request, token)) = job else {
+                            break;
+                        };
+                        let inner = service.handle(request);
+                        let frame = to_bytes(&Response::Tagged {
+                            id,
+                            inner: Box::new(inner),
+                        });
+                        // A failed write means the client is gone;
+                        // keep draining so shutdown stays clean.
+                        let _ = write_frame(&mut *lock(&writer), &frame);
+                        // The frame counts as in-flight until its
+                        // response hits the socket.
+                        drop(token);
                     })
                     .expect("spawn pipeline executor")
             })
@@ -594,7 +603,7 @@ fn rate_limit_check(
     service: &dyn WireService,
 ) -> Option<Response> {
     let limiter = limiter.as_ref()?;
-    let mut guard = limiter.lock();
+    let mut guard = lock(limiter);
     let (bucket, epoch) = &mut *guard;
     if bucket.try_acquire(epoch.elapsed()) {
         return None;
@@ -645,7 +654,7 @@ fn read_loop(
                 Some(ConnectionFault::DropMidFrame) => {
                     conn_drops_total().inc();
                     // Promise a frame, deliver half of it, hang up.
-                    let mut w = writer.lock();
+                    let mut w = lock(writer);
                     w.write_all(&64u32.to_be_bytes())?;
                     w.write_all(&[0u8; 16])?;
                     w.flush()?;
@@ -694,7 +703,7 @@ fn read_loop(
                 None => service.handle(request),
             },
         };
-        write_frame(&mut *writer.lock(), &to_bytes(&response))?;
+        write_frame(&mut *lock(writer), &to_bytes(&response))?;
         // Answered inline on the read thread: retire the frame.
         drop(token);
     }

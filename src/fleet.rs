@@ -14,10 +14,11 @@
 //! and the `sched_throughput` bench; see EXPERIMENTS.md ("Distributed
 //! audits") for the topology.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 use adcomp_core::experiments::EndpointSetFactory;
 use adcomp_core::EstimateSource;
+use adcomp_obs::lock;
 use adcomp_platform::{InterfaceKind, PlatformApi, Simulation};
 use adcomp_wire::{serve, ClientConfig, ServerConfig, ServerHandle};
 
@@ -168,7 +169,7 @@ impl Fleet {
     pub fn kill(&self, kind: InterfaceKind, replica: usize) {
         assert!(replica < self.replicas);
         let index = self.iface_index(kind) * self.replicas + replica;
-        let handle = self.lock_handles()[index].take();
+        let handle = lock(&self.handles)[index].take();
         if let Some(handle) = handle {
             handle.shutdown();
         }
@@ -176,16 +177,10 @@ impl Fleet {
 
     /// Drains and joins every still-running server.
     pub fn shutdown(&self) {
-        let handles: Vec<_> = self.lock_handles().iter_mut().map(|h| h.take()).collect();
+        let handles: Vec<_> = lock(&self.handles).iter_mut().map(|h| h.take()).collect();
         for handle in handles.into_iter().flatten() {
             handle.shutdown();
         }
-    }
-
-    fn lock_handles(&self) -> MutexGuard<'_, Vec<Option<ServerHandle>>> {
-        self.handles
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 }
 

@@ -32,6 +32,7 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use adcomp_core::{EstimateSource, SourceError};
+use adcomp_obs::lock;
 use adcomp_targeting::{AttributeId, FeatureId, TargetingSpec};
 use adcomp_wire::{Client, ClientError, InterfaceDescription};
 
@@ -71,8 +72,8 @@ impl RemoteSource {
         loop {
             let (entries, next) = self.client.catalog_page(start, 1_000)?;
             {
-                let mut names = self.lock_names();
-                let mut features = self.lock_features();
+                let mut names = lock(&self.names);
+                let mut features = lock(&self.features);
                 for (offset, (name, feature)) in entries.iter().enumerate() {
                     let id = start + offset as u32;
                     names.insert(id, name.clone());
@@ -100,27 +101,15 @@ impl RemoteSource {
     }
 
     fn feature_cached(&self, id: AttributeId) -> Option<FeatureId> {
-        if let Some(f) = self.lock_features().get(&id.0) {
+        if let Some(f) = lock(&self.features).get(&id.0) {
             return *f;
         }
         let fetched = match self.client.attribute_info(id.0) {
             Ok((_, feature)) => Some(FeatureId(feature)),
             Err(_) => None,
         };
-        self.lock_features().insert(id.0, fetched);
+        lock(&self.features).insert(id.0, fetched);
         fetched
-    }
-
-    fn lock_features(&self) -> std::sync::MutexGuard<'_, HashMap<u32, Option<FeatureId>>> {
-        self.features
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    fn lock_names(&self) -> std::sync::MutexGuard<'_, HashMap<u32, String>> {
-        self.names
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 }
 
@@ -182,12 +171,12 @@ impl EstimateSource for RemoteSource {
     }
 
     fn attribute_name(&self, id: AttributeId) -> Option<String> {
-        if let Some(name) = self.lock_names().get(&id.0) {
+        if let Some(name) = lock(&self.names).get(&id.0) {
             return Some(name.clone());
         }
         let (name, feature) = self.client.attribute_info(id.0).ok()?;
-        self.lock_names().insert(id.0, name.clone());
-        self.lock_features().insert(id.0, Some(FeatureId(feature)));
+        lock(&self.names).insert(id.0, name.clone());
+        lock(&self.features).insert(id.0, Some(FeatureId(feature)));
         Some(name)
     }
 

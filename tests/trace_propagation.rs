@@ -49,7 +49,7 @@ fn serial_config(batch: usize) -> SchedulerConfig {
 
 #[test]
 fn one_estimate_yields_one_cross_process_span_tree() {
-    let _serial = GLOBAL_TRACER.lock().unwrap_or_else(|p| p.into_inner());
+    let _serial = adcomp_obs::lock(&GLOBAL_TRACER);
     adcomp_obs::set_enabled(true);
     let client_sink = sink_path("client");
     let server_sink = sink_path("server");
@@ -176,7 +176,7 @@ fn one_estimate_yields_one_cross_process_span_tree() {
 
 #[test]
 fn kill_switch_suppresses_trace_frames_entirely() {
-    let _serial = GLOBAL_TRACER.lock().unwrap_or_else(|p| p.into_inner());
+    let _serial = adcomp_obs::lock(&GLOBAL_TRACER);
     let sink = sink_path("disabled");
     let _ = fs::remove_file(&sink);
 
