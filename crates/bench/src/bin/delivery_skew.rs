@@ -10,24 +10,26 @@
 //!    must put neutral targeting *above* the four-fifths line and the
 //!    loaded creative's delivery *below* it. This is the subsystem's
 //!    reason to exist; a bench that is fast but wrong must fail.
-//! 3. **Throughput** — auction rounds per second, serial and threaded.
-//!    The threaded floor (≥ 1.1× at 4 scoring threads) is only enforced
-//!    where the hardware can express parallelism; scoring parallelizes
-//!    but settlement is serial by design, so the ceiling is Amdahl's.
+//! 3. **Throughput** — auction rounds per second, serial and threaded,
+//!    interleaved. The threaded floor (≥ 1.1× at 4 scoring threads, best
+//!    round of each) is only enforced with two or more hardware threads;
+//!    scoring parallelizes but settlement is serial by design, so the
+//!    ceiling is Amdahl's.
 
-use std::time::Instant;
+use std::process::ExitCode;
 
-use adcomp_bench::{finish, say, Cli};
+use adcomp_bench::harness::{best, hardware_threads, interleaved, per_second, Gate, Report};
+use adcomp_bench::{finish, Cli};
 use adcomp_core::experiments::delivery_exp::{paired_campaigns, PairedAdConfig};
 use adcomp_core::source::{ApiSource, AuditTarget, SensitiveClass};
 use adcomp_core::{four_fifths_band, measure_spec, rep_ratio, SkewBand, FOUR_FIFTHS_THRESHOLD};
-use adcomp_delivery::{deliver, DeliveryConfig, DeliveryOutcome, DeliverySetup};
+use adcomp_delivery::{deliver, DeliveryConfig, DeliverySetup};
 use adcomp_platform::{SimScale, Simulation};
 use adcomp_population::Gender;
 use adcomp_targeting::TargetingSpec;
 
-/// Timed passes per thread count (best-of).
-const ROUNDS_BEST_OF: usize = 2;
+/// Timed rounds per thread count.
+const ROUNDS: usize = 2;
 /// Required speedup of 4 scoring threads over 1.
 const THRESHOLD_SPEEDUP: f64 = 1.1;
 
@@ -54,24 +56,15 @@ impl Params {
     }
 }
 
-fn best_of(
-    setup: &DeliverySetup,
-    sim: &Simulation,
-    config: &DeliveryConfig,
-) -> (f64, DeliveryOutcome) {
-    let universe = sim.facebook.universe();
-    let mut best = f64::INFINITY;
-    let mut outcome = None;
-    for _ in 0..ROUNDS_BEST_OF {
-        let start = Instant::now();
-        let pass = deliver(universe, universe.everyone(), setup, config);
-        best = best.min(start.elapsed().as_secs_f64());
-        outcome = Some(pass);
-    }
-    (best, outcome.expect("at least one pass"))
+fn gates(byte_identical: bool, separated: bool, speedup: f64, threads: usize) -> [Gate; 3] {
+    [
+        Gate::flag("byte_identical", byte_identical),
+        Gate::flag("stage_separated", separated),
+        Gate::new("speedup_4_threads", speedup, ">=", THRESHOLD_SPEEDUP).parallel(threads),
+    ]
 }
 
-fn main() {
+fn main() -> ExitCode {
     let cli = Cli::parse();
     let p = Params::for_scale(cli.scale);
     let sim = Simulation::build(cli.seed, cli.scale);
@@ -84,12 +77,6 @@ fn main() {
         c.budget_micros = p.rounds.saturating_mul(4_000);
     }
     let setup = DeliverySetup::for_platform(&sim.facebook, campaigns).expect("resolve audiences");
-    say!(
-        "{} campaigns, {} rounds/pass, window {}",
-        setup.len(),
-        p.rounds,
-        p.window
-    );
 
     let serial_cfg = DeliveryConfig::new(p.rounds, cli.seed)
         .window(p.window)
@@ -98,24 +85,31 @@ fn main() {
         .window(p.window)
         .threads(4)
         .label("bench-threaded");
+    let universe = sim.facebook.universe();
+    let run = |cfg| deliver(universe, universe.everyone(), &setup, cfg);
+    let (mut serial, mut threaded) = (None, None);
+    let [serial_s, threaded_s] = interleaved(
+        ROUNDS,
+        [&mut || serial = Some(run(&serial_cfg)), &mut || {
+            threaded = Some(run(&threaded_cfg))
+        }],
+    );
+    let serial = serial.expect("serial pass");
+    let threaded = threaded.expect("threaded pass");
 
-    let (serial_s, serial) = best_of(&setup, &sim, &serial_cfg);
-    let (threaded_s, threaded) = best_of(&setup, &sim, &threaded_cfg);
-
-    // Gate 1: determinism across thread counts, digest-level.
+    // Determinism across thread counts, digest-level.
     let byte_identical = serial.digest() == threaded.digest();
     assert_eq!(
         serial.impressions, threaded.impressions,
         "threaded scoring must not change the impression log"
     );
 
-    // Gate 2: stage separation on the job ad (index 0) vs the measured
-    // base rates — neutral targeting above the line, delivery below it.
+    // Stage separation on the job ad (index 0) vs the measured base
+    // rates — neutral targeting above the line, delivery below it.
     let target = AuditTarget::direct(std::sync::Arc::new(ApiSource(sim.facebook.clone())));
     let base = measure_spec(&target, &TargetingSpec::everyone()).expect("measure base");
     let class = SensitiveClass::Gender(Gender::Female);
     let targeting_ratio = adcomp_core::rep_ratio_of(&base, &base, class).unwrap_or(1.0);
-    let universe = sim.facebook.universe();
     let ratio_of = |index: usize| {
         let tally = serial.delivered(index, &setup, universe);
         rep_ratio(
@@ -127,58 +121,45 @@ fn main() {
         .unwrap_or(1.0)
     };
     let job_ratio = ratio_of(0);
-    let baseline_ratio = ratio_of(1);
     let separated =
         four_fifths_band(targeting_ratio) == SkewBand::Within && job_ratio < FOUR_FIFTHS_THRESHOLD;
 
-    // Gate 3: throughput floor, where enforceable.
-    let rounds_per_s = p.rounds as f64 / serial_s;
-    let threaded_rounds_per_s = p.rounds as f64 / threaded_s;
-    let speedup = serial_s / threaded_s;
-    let hardware_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let floor_enforced = hardware_threads >= 2;
-    let pass = byte_identical && separated && (!floor_enforced || speedup >= THRESHOLD_SPEEDUP);
-
-    let json = format!(
-        "{{\n  \"bench\": \"delivery_skew\",\n  \"rounds_per_pass\": {rounds},\n  \
-         \"campaigns\": {campaigns},\n  \"hardware_threads\": {hardware_threads},\n  \
-         \"serial_s\": {serial_s:.4},\n  \"threaded_s\": {threaded_s:.4},\n  \
-         \"auction_rounds_per_s\": {rounds_per_s:.0},\n  \
-         \"threaded_rounds_per_s\": {threaded_rounds_per_s:.0},\n  \
-         \"speedup_4_threads\": {speedup:.2},\n  \
-         \"threshold_speedup\": {THRESHOLD_SPEEDUP:.1},\n  \
-         \"impressions\": {impressions},\n  \"unfilled\": {unfilled},\n  \
-         \"targeting_ratio\": {targeting_ratio:.4},\n  \
-         \"job_delivery_ratio\": {job_ratio:.4},\n  \
-         \"baseline_delivery_ratio\": {baseline_ratio:.4},\n  \
-         \"stage_separated\": {separated},\n  \
-         \"byte_identical\": {byte_identical},\n  \
-         \"floor_enforced\": {floor_enforced},\n  \"pass\": {pass}\n}}\n",
-        rounds = p.rounds,
-        campaigns = setup.len(),
-        impressions = serial.impressions.len(),
-        unfilled = serial.unfilled,
-    );
-    std::fs::write("BENCH_delivery.json", &json).expect("write BENCH_delivery.json");
-    say!("{json}");
-    adcomp_obs::info!(
-        "delivery: {rounds_per_s:.0} rounds/s serial, {speedup:.2}x at 4 threads; \
-         targeting {targeting_ratio:.2} vs job delivery {job_ratio:.2}"
-    );
-    if !floor_enforced {
-        adcomp_obs::warn!(
-            "only {hardware_threads} hardware thread(s) available; the {THRESHOLD_SPEEDUP}x \
-             scaling floor cannot be enforced on this machine"
-        );
-    }
+    let serial_rate = per_second(p.rounds as f64, &serial_s);
+    let threaded_rate = per_second(p.rounds as f64, &threaded_s);
     finish("delivery_skew");
-    if !pass {
-        adcomp_obs::error!(
-            "delivery bench failed: byte_identical={byte_identical} separated={separated} \
-             speedup={speedup:.2}"
-        );
-        std::process::exit(1);
+    Report::new("delivery_skew")
+        .value("rounds_per_pass", "count", p.rounds as f64)
+        .value("campaigns", "count", setup.len() as f64)
+        .metric("serial_s", "s", &serial_s)
+        .metric("threaded_s", "s", &threaded_s)
+        .metric("auction_rounds_per_s", "1/s", &serial_rate)
+        .metric("threaded_rounds_per_s", "1/s", &threaded_rate)
+        .value("impressions", "count", serial.impressions.len() as f64)
+        .value("unfilled", "count", serial.unfilled as f64)
+        .value("targeting_ratio", "ratio", targeting_ratio)
+        .value("job_delivery_ratio", "ratio", job_ratio)
+        .value("baseline_delivery_ratio", "ratio", ratio_of(1))
+        .gates(gates(
+            byte_identical,
+            separated,
+            best(&serial_s) / best(&threaded_s),
+            hardware_threads(),
+        ))
+        .finish("BENCH_delivery.json")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn flags_always_gate_and_the_thread_floor_only_with_two_threads() {
+        let pass = |identical, separated, speedup, threads| {
+            gates(identical, separated, speedup, threads).map(|g| g.pass())
+        };
+        assert_eq!(pass(true, true, 0.85, 2), [true, true, false]); // committed
+        assert_eq!(pass(true, true, THRESHOLD_SPEEDUP, 2), [true; 3]);
+        assert_eq!(pass(true, true, 1.09, 1), [true; 3]);
+        assert_eq!(pass(false, false, 1.09, 2), [false; 3]);
     }
 }

@@ -24,9 +24,10 @@
 //! * survey throughput meets a conservative serial qps floor;
 //! * at paper scale only: ≥2x single-threaded wall-clock speedup.
 
+use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
 
+use adcomp_bench::harness::{peak_rss_mib, time, Gate, Report, ScratchDir};
 use adcomp_bench::{say, Cli};
 use adcomp_core::source::{ApiSource, AuditTarget, SensitiveClass};
 use adcomp_core::{
@@ -58,10 +59,15 @@ struct Params {
     rss_ceiling_mib: u64,
     /// Serial survey throughput floor (queries/sec).
     survey_qps_floor: f64,
-    /// Wall-clock speedup gate for bounded vs greedy (paper scale only;
-    /// the query-count gate is enforced at both scales).
-    wall_speedup_floor: Option<f64>,
+    /// Whether the bounded-vs-greedy wall-clock floor is enforced
+    /// (paper scale only; the query-count floor holds at both scales).
+    wall_floor_enforced: bool,
 }
+
+/// Required bounded-vs-greedy reduction in estimate queries.
+const QUERY_SPEEDUP_FLOOR: f64 = 2.0;
+/// Required bounded-vs-greedy single-threaded wall-clock speedup.
+const WALL_SPEEDUP_FLOOR: f64 = 2.0;
 
 impl Params {
     fn for_scale(scale: SimScale) -> Params {
@@ -80,7 +86,7 @@ impl Params {
                 min_reach: DEFAULT_MIN_REACH,
                 rss_ceiling_mib: 1024,
                 survey_qps_floor: 10.0,
-                wall_speedup_floor: Some(2.0),
+                wall_floor_enforced: true,
             },
             // Three minimal segments; the floor and popularity range are
             // rescaled so the pass/fail mix matches the paper regime.
@@ -92,28 +98,33 @@ impl Params {
                 min_reach: 3_000,
                 rss_ceiling_mib: 512,
                 survey_qps_floor: 50.0,
-                wall_speedup_floor: None,
+                wall_floor_enforced: false,
             },
         }
     }
 }
 
-/// (VmRSS, VmHWM) in MiB from `/proc/self/status`; zeros if unreadable
-/// (non-Linux dev hosts — the RSS gate then passes trivially there, but
-/// CI is Linux).
-fn rss_mib() -> (u64, u64) {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return (0, 0);
-    };
-    let field = |name: &str| {
-        status
-            .lines()
-            .find(|l| l.starts_with(name))
-            .and_then(|l| l.split_whitespace().nth(1))
-            .and_then(|kb| kb.parse::<u64>().ok())
-            .map_or(0, |kb| kb / 1024)
-    };
-    (field("VmRSS:"), field("VmHWM:"))
+fn gates(
+    p: &Params,
+    identical: bool,
+    peak_mib: f64,
+    survey_qps: f64,
+    speedup_queries: f64,
+    speedup_wall: f64,
+) -> [Gate; 5] {
+    [
+        Gate::flag("identical", identical),
+        Gate::new("peak_rss_mib", peak_mib, "<", p.rss_ceiling_mib as f64),
+        Gate::new("survey_qps", survey_qps, ">=", p.survey_qps_floor),
+        Gate::new(
+            "speedup_queries",
+            speedup_queries,
+            ">=",
+            QUERY_SPEEDUP_FLOOR,
+        ),
+        Gate::new("speedup_wall", speedup_wall, ">=", WALL_SPEEDUP_FLOOR)
+            .enforced_if(p.wall_floor_enforced),
+    ]
 }
 
 fn catalog_for(seed: u64, popularity: (f64, f64)) -> Catalog {
@@ -143,11 +154,10 @@ fn catalog_for(seed: u64, popularity: (f64, f64)) -> Catalog {
     )
 }
 
-fn main() {
+fn main() -> ExitCode {
     let cli = Cli::parse();
     let p = Params::for_scale(cli.scale);
-    let dir = std::env::temp_dir().join(format!("adcomp-population-scale-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let scratch = ScratchDir::new("population-scale");
 
     let config = UniverseConfig {
         n_users: p.n_users,
@@ -164,16 +174,16 @@ fn main() {
         p.segment_users,
         models.len()
     );
-    let gen_start = Instant::now();
-    let store = SegmentStore::create(&dir, &config, p.segment_users, &models, p.cache_bytes)
-        .expect("create segment store");
-    let gen_secs = gen_start.elapsed().as_secs_f64();
-    let (rss_after_gen, _) = rss_mib();
-    say!(
-        "generated {} segments in {gen_secs:.1}s ({:.0} users/sec), RSS {rss_after_gen} MiB",
-        store.n_segments(),
-        f64::from(p.n_users) / gen_secs
-    );
+    let (store, gen_secs) = time(|| {
+        SegmentStore::create(
+            scratch.path(),
+            &config,
+            p.segment_users,
+            &models,
+            p.cache_bytes,
+        )
+        .expect("create segment store")
+    });
 
     let platform = Arc::new(SegmentedPlatform::new(
         PlatformConfig {
@@ -188,14 +198,12 @@ fn main() {
         catalog,
     ));
     let target = AuditTarget::direct(Arc::new(ApiSource(platform.clone())));
+    let estimates = || platform.stats().estimates;
 
     // Serial survey: one estimate query per attribute plus demographics.
-    let survey_start = Instant::now();
-    let survey = survey_individuals(&target).expect("survey");
-    let survey_secs = survey_start.elapsed().as_secs_f64();
-    let survey_queries = platform.stats().estimates;
+    let (survey, survey_secs) = time(|| survey_individuals(&target).expect("survey"));
+    let survey_queries = estimates();
     let survey_qps = survey_queries as f64 / survey_secs;
-    say!("surveyed {survey_queries} queries in {survey_secs:.2}s ({survey_qps:.0} qps)");
 
     let cfg = DiscoveryConfig {
         top_k: cli.top_k,
@@ -212,96 +220,73 @@ fn main() {
 
     // Greedy first so its cold-cache penalty (if any) favours greedy,
     // then bounded over the identical candidate schedule. Both serial.
-    let before = platform.stats().estimates;
-    let greedy_start = Instant::now();
-    let greedy = top_compositions(&target, &survey, &ranked, &cfg).expect("greedy search");
-    let greedy_secs = greedy_start.elapsed().as_secs_f64();
-    let greedy_queries = platform.stats().estimates - before;
+    let before = estimates();
+    let (greedy, greedy_secs) =
+        time(|| top_compositions(&target, &survey, &ranked, &cfg).expect("greedy search"));
+    let greedy_queries = estimates() - before;
 
-    let before = platform.stats().estimates;
-    let bounded_start = Instant::now();
-    let bounded = top_compositions_bounded(&target, &survey, &ranked, &cfg, platform.as_ref())
-        .expect("bounded search");
-    let bounded_secs = bounded_start.elapsed().as_secs_f64();
-    let bounded_queries = platform.stats().estimates - before;
+    let before = estimates();
+    let (bounded, bounded_secs) = time(|| {
+        top_compositions_bounded(&target, &survey, &ranked, &cfg, platform.as_ref())
+            .expect("bounded search")
+    });
+    let bounded_queries = estimates() - before;
 
-    let identical = greedy == bounded;
     let speedup_wall = greedy_secs / bounded_secs.max(1e-9);
     let speedup_queries = greedy_queries as f64 / bounded_queries.max(1) as f64;
     let survivors = bounded_queries / QUERIES_PER_SPEC as u64;
-    let (rss_now, rss_peak) = rss_mib();
     let cache = platform.store().cache_stats();
+    let gen_rate = f64::from(p.n_users) / gen_secs;
+    Report::new("population_scale")
+        .value("n_users", "count", f64::from(p.n_users))
+        .value("segment_users", "count", f64::from(p.segment_users))
+        .value("n_segments", "count", platform.store().n_segments() as f64)
+        .value("attributes", "count", platform.catalog().len() as f64)
+        .value("top_k", "count", cfg.top_k as f64)
+        .value("min_reach", "count", cfg.min_reach as f64)
+        .value("generate_s", "s", gen_secs)
+        .value("generate_users_per_s", "1/s", gen_rate)
+        .value("survey_queries", "count", survey_queries as f64)
+        .value("survey_s", "s", survey_secs)
+        .value("greedy_compositions", "count", greedy.len() as f64)
+        .value("greedy_queries", "count", greedy_queries as f64)
+        .value("greedy_s", "s", greedy_secs)
+        .value("bounded_compositions", "count", bounded.len() as f64)
+        .value("bounded_queries", "count", bounded_queries as f64)
+        .value("bounded_survivors", "count", survivors as f64)
+        .value("bounded_s", "s", bounded_secs)
+        .value("cache_hits", "count", cache.hits as f64)
+        .value("cache_misses", "count", cache.misses as f64)
+        .value("cache_resident_bytes", "bytes", cache.resident_bytes as f64)
+        .gates(gates(
+            &p,
+            greedy == bounded,
+            peak_rss_mib(),
+            survey_qps,
+            speedup_queries,
+            speedup_wall,
+        ))
+        .finish("BENCH_population_scale.json")
+}
 
-    say!(
-        "greedy: {} compositions, {greedy_queries} queries, {greedy_secs:.2}s",
-        greedy.len()
-    );
-    say!(
-        "bounded: {} compositions, {bounded_queries} queries ({survivors} survivors), \
-         {bounded_secs:.2}s — {speedup_wall:.1}x wall, {speedup_queries:.1}x queries",
-        bounded.len()
-    );
-    say!(
-        "RSS now {rss_now} MiB, peak {rss_peak} MiB (ceiling {} MiB)",
-        p.rss_ceiling_mib
-    );
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    let rss_ok = rss_peak < p.rss_ceiling_mib;
-    let queries_ok = speedup_queries >= 2.0;
-    let qps_ok = survey_qps >= p.survey_qps_floor;
-    let wall_ok = p.wall_speedup_floor.is_none_or(|f| speedup_wall >= f);
-    let pass = identical && rss_ok && queries_ok && qps_ok && wall_ok;
-
-    let scale_name = match cli.scale {
-        SimScale::Paper => "paper",
-        SimScale::Test => "test",
-    };
-    let json = format!(
-        "{{\n  \"bench\": \"population_scale\",\n  \"scale\": \"{scale_name}\",\n  \
-         \"n_users\": {},\n  \"segment_users\": {},\n  \"n_segments\": {},\n  \
-         \"attributes\": {},\n  \"top_k\": {},\n  \"min_reach\": {},\n  \
-         \"generate\": {{ \"seconds\": {gen_secs:.2}, \"users_per_sec\": {:.0} }},\n  \
-         \"survey\": {{ \"queries\": {survey_queries}, \"seconds\": {survey_secs:.3}, \
-         \"qps\": {survey_qps:.0}, \"qps_floor\": {} }},\n  \
-         \"greedy\": {{ \"compositions\": {}, \"queries\": {greedy_queries}, \
-         \"seconds\": {greedy_secs:.3} }},\n  \
-         \"bounded\": {{ \"compositions\": {}, \"queries\": {bounded_queries}, \
-         \"survivors\": {survivors}, \"seconds\": {bounded_secs:.3} }},\n  \
-         \"speedup_wall\": {speedup_wall:.2},\n  \"speedup_queries\": {speedup_queries:.2},\n  \
-         \"identical\": {identical},\n  \
-         \"rss\": {{ \"peak_mib\": {rss_peak}, \"ceiling_mib\": {} }},\n  \
-         \"cache\": {{ \"hits\": {}, \"misses\": {}, \"resident_bytes\": {} }},\n  \
-         \"pass\": {pass}\n}}\n",
-        p.n_users,
-        p.segment_users,
-        platform.store().n_segments(),
-        platform.catalog().len(),
-        cfg.top_k,
-        cfg.min_reach,
-        f64::from(p.n_users) / gen_secs,
-        p.survey_qps_floor,
-        greedy.len(),
-        bounded.len(),
-        p.rss_ceiling_mib,
-        cache.hits,
-        cache.misses,
-        cache.resident_bytes,
-    );
-    std::fs::write("BENCH_population_scale.json", &json)
-        .expect("write BENCH_population_scale.json");
-    say!("{json}");
-
-    let _ = std::fs::remove_dir_all(&dir);
-    if !pass {
-        adcomp_obs::error!(
-            "population_scale failed: identical={identical} rss_ok={rss_ok} \
-             queries_ok={queries_ok} qps_ok={qps_ok} wall_ok={wall_ok}"
-        );
-        std::process::exit(1);
+    #[test]
+    fn gates_hold_at_their_bounds_and_fail_just_past() {
+        let paper = Params::for_scale(SimScale::Paper);
+        let pass = |p: &Params, identical, rss, qps, queries, wall| {
+            gates(p, identical, rss, qps, queries, wall).map(|g| g.pass())
+        };
+        let committed = pass(&paper, true, 69.53, 2106.8, 7.52, 1.19);
+        assert_eq!(committed, [true, true, true, true, false]);
+        assert_eq!(pass(&paper, true, 1023.9, 10.0, 2.0, 2.0), [true; 5]);
+        assert_eq!(pass(&paper, false, 1024.0, 9.99, 1.99, 1.99), [false; 5]);
+        // At test scale the wall floor is measured but not enforced.
+        let test = Params::for_scale(SimScale::Test);
+        assert_eq!(pass(&test, true, 7.6, 78092.8, 3.70, 2.24), [true; 5]);
+        let missed = pass(&test, true, 512.0, 49.9, 1.99, 0.5);
+        assert_eq!(missed, [true, false, false, false, true]);
     }
-    adcomp_obs::info!(
-        "population scale: {} users, bounded search {speedup_wall:.1}x wall / \
-         {speedup_queries:.1}x queries vs greedy, peak RSS {rss_peak} MiB",
-        p.n_users
-    );
 }

@@ -1,25 +1,24 @@
-//! Measures distributed-scheduler throughput at 1, 2 and 4 wire
-//! endpoints and records the verdict in `BENCH_sched_throughput.json`.
+//! Measures the audit survey ([`survey_individuals`], the opening move
+//! of every discovery experiment) serial, scheduled over in-process
+//! replicas, and scheduled over wire endpoints, in
+//! `BENCH_sched_throughput.json`. Each floor is gated on the platform
+//! it was set on, and enforced only with two or more hardware threads:
 //!
-//! The workload is [`survey_individuals`] with the measurement side
-//! sharded by [`AuditTarget::with_scheduler_cfg`] across N loopback
-//! wire servers, every server wrapping the **same** simulated LinkedIn.
-//! All endpoint counts must produce surveys byte-identical to the
-//! in-process serial run (asserted here, not just in the test suite) —
-//! the scheduler's determinism guarantee is half the point of the
-//! bench.
+//! * **in-process** (Facebook) — the scheduler over 4 in-process
+//!   replicas, one claiming loop each, **≥ 2×** serial (best of 5);
+//! * **wire** (LinkedIn) — the scheduler over 4 loopback wire servers
+//!   of the same platform **≥ 1.2×** over 1 server (best of 3).
 //!
-//! The budget is a **≥ 1.2×** speedup of 4 endpoints over 1; the binary
-//! exits non-zero below it so CI can gate on it. The floor is only
-//! enforceable where the hardware can express parallelism: with fewer
-//! than two available threads the endpoints serialize anyway, so the
-//! verdict records `floor_enforced: false` and passes (the numbers are
-//! still written).
+//! Every pass of every mode must be byte-identical to its platform's
+//! serial survey: the scheduler's determinism guarantee is half the
+//! point of the bench.
 
+use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use adcomp_bench::{say, Cli};
+use adcomp_bench::harness::{best, hardware_threads, interleaved, Gate, Report};
+use adcomp_bench::Cli;
 use adcomp_core::{
     survey_individuals, AuditTarget, EstimateSource, IndividualSurvey, SchedulerConfig,
 };
@@ -27,114 +26,131 @@ use adcomp_platform::Simulation;
 use adcomp_wire::{serve, ServerConfig, ServerHandle};
 use discrimination_via_composition::RemoteSource;
 
-/// Timed passes per endpoint count (best-of).
-const ROUNDS: usize = 3;
-/// Required speedup of 4 endpoints over 1.
-const THRESHOLD_SPEEDUP: f64 = 1.2;
+/// Timed rounds of the in-process modes.
+const POOLED_ROUNDS: usize = 5;
+/// Timed rounds of the wire modes.
+const WIRE_ROUNDS: usize = 3;
+/// In-process replicas — the size the in-process floor is set at.
+const REPLICAS: usize = 4;
+/// Required in-process speedup over serial at `REPLICAS` replicas.
+const POOLED_FLOOR: f64 = 2.0;
+/// Required speedup of 4 wire endpoints over 1.
+const WIRE_FLOOR: f64 = 1.2;
 
-/// `n` wire servers over one platform plus their connected clients.
-fn spawn_endpoints(
-    sim: &Simulation,
-    n: usize,
-) -> (Vec<ServerHandle>, Vec<Arc<dyn EstimateSource>>) {
-    let mut handles = Vec::with_capacity(n);
-    let mut endpoints = Vec::with_capacity(n);
-    for _ in 0..n {
-        let handle = serve(
-            sim.linkedin.clone(),
-            "127.0.0.1:0",
-            ServerConfig::default().with_executors(2),
+fn gates(pooled_speedup: f64, endpoints_4_speedup: f64, threads: usize) -> [Gate; 2] {
+    [
+        Gate::new(
+            "speedup_pooled_4_replicas",
+            pooled_speedup,
+            ">=",
+            POOLED_FLOOR,
         )
-        .expect("loopback server");
-        let remote = Arc::new(RemoteSource::connect(handle.addr()).expect("connect"));
-        handles.push(handle);
-        endpoints.push(remote as Arc<dyn EstimateSource>);
-    }
-    (handles, endpoints)
+        .parallel(threads),
+        Gate::new("speedup_4_endpoints", endpoints_4_speedup, ">=", WIRE_FLOOR).parallel(threads),
+    ]
 }
 
-/// Best-of-`ROUNDS` wall seconds for one full survey through an
-/// `n`-endpoint scheduler, plus the survey for equality checks.
-fn measure(sim: &Simulation, n: usize) -> (f64, IndividualSurvey) {
-    let (handles, endpoints) = spawn_endpoints(sim, n);
+/// A scheduled LinkedIn target over `n` fresh loopback wire servers,
+/// whose handles go to `servers`.
+fn wire_target(sim: &Simulation, n: usize, servers: &mut Vec<ServerHandle>) -> AuditTarget {
+    let endpoints = (0..n)
+        .map(|_| {
+            let handle = serve(
+                sim.linkedin.clone(),
+                "127.0.0.1:0",
+                ServerConfig::default().with_executors(2),
+            )
+            .expect("loopback server");
+            let remote = RemoteSource::connect(handle.addr()).expect("connect");
+            servers.push(handle);
+            Arc::new(remote) as Arc<dyn EstimateSource>
+        })
+        .collect();
     let cfg = SchedulerConfig {
         unit_size: 8,
         lease_ttl: Duration::from_secs(5),
         ..SchedulerConfig::default()
     };
-    let target =
-        AuditTarget::for_platform(&sim.linkedin, sim).with_scheduler_cfg(endpoints, cfg, None);
-    let survey = survey_individuals(&target).expect("survey"); // warm-up
-    let mut best = f64::INFINITY;
-    for _ in 0..ROUNDS {
-        let start = Instant::now();
-        let pass = survey_individuals(&target).expect("survey");
-        best = best.min(start.elapsed().as_secs_f64());
-        assert_eq!(pass.entries, survey.entries, "survey must be stable");
-    }
-    for handle in handles {
-        handle.shutdown();
-    }
-    (best, survey)
+    AuditTarget::for_platform(&sim.linkedin, sim).with_scheduler_cfg(endpoints, cfg, None)
 }
 
-fn main() {
+/// One survey, which must reproduce the serial `reference` exactly.
+fn survey_pass(target: &AuditTarget, reference: &IndividualSurvey) {
+    let pass = survey_individuals(target).expect("survey");
+    assert!(
+        pass.entries == reference.entries && pass.base == reference.base,
+        "a scheduled survey must be byte-identical to the serial run"
+    );
+}
+
+fn main() -> ExitCode {
     let cli = Cli::parse();
     let sim = Simulation::build(cli.seed, cli.scale);
 
-    // In-process serial reference: the bytes every endpoint count must
-    // reproduce.
-    let serial =
+    let serial = AuditTarget::for_platform(&sim.facebook, &sim);
+    let one_loop_each = SchedulerConfig {
+        workers_per_endpoint: 1,
+        ..SchedulerConfig::default()
+    };
+    let pooled = serial.with_scheduler_cfg(
+        vec![serial.measurement.clone(); REPLICAS],
+        one_loop_each,
+        None,
+    );
+    let facebook = survey_individuals(&serial).expect("serial survey");
+    let [serial_s, pooled_s] = interleaved(
+        POOLED_ROUNDS,
+        [&mut || survey_pass(&serial, &facebook), &mut || {
+            survey_pass(&pooled, &facebook)
+        }],
+    );
+
+    let linkedin =
         survey_individuals(&AuditTarget::for_platform(&sim.linkedin, &sim)).expect("serial survey");
-    let queries = serial.entries.len() as u64 + 1;
-
-    let (s1, survey1) = measure(&sim, 1);
-    let (s2, survey2) = measure(&sim, 2);
-    let (s4, survey4) = measure(&sim, 4);
-    for (n, survey) in [(1usize, &survey1), (2, &survey2), (4, &survey4)] {
-        assert_eq!(
-            survey.entries, serial.entries,
-            "{n}-endpoint survey must be byte-identical to the serial run"
-        );
-        assert_eq!(survey.base, serial.base);
+    let mut servers = Vec::new();
+    let [one, two, four] = [1, 2, 4].map(|n| wire_target(&sim, n, &mut servers));
+    let [endpoints_1_s, endpoints_2_s, endpoints_4_s] = interleaved(
+        WIRE_ROUNDS,
+        [
+            &mut || survey_pass(&one, &linkedin),
+            &mut || survey_pass(&two, &linkedin),
+            &mut || survey_pass(&four, &linkedin),
+        ],
+    );
+    for server in servers {
+        server.shutdown();
     }
 
-    let speedup_2 = s1 / s2;
-    let speedup_4 = s1 / s4;
-    let hardware_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let floor_enforced = hardware_threads >= 2;
-    let pass = !floor_enforced || speedup_4 >= THRESHOLD_SPEEDUP;
+    let speedup = |base: &[f64], mode: &[f64]| best(base) / best(mode);
+    let specs = |survey: &IndividualSurvey| (survey.entries.len() + 1) as f64;
+    let speedup_2 = speedup(&endpoints_1_s, &endpoints_2_s);
+    Report::new("sched_throughput")
+        .value("facebook_specs_per_pass", "count", specs(&facebook))
+        .metric("serial_s", "s", &serial_s)
+        .metric("pooled_4_replicas_s", "s", &pooled_s)
+        .value("linkedin_specs_per_pass", "count", specs(&linkedin))
+        .metric("endpoints_1_s", "s", &endpoints_1_s)
+        .metric("endpoints_2_s", "s", &endpoints_2_s)
+        .metric("endpoints_4_s", "s", &endpoints_4_s)
+        .value("speedup_2_endpoints", "ratio", speedup_2)
+        .gates(gates(
+            speedup(&serial_s, &pooled_s),
+            speedup(&endpoints_1_s, &endpoints_4_s),
+            hardware_threads(),
+        ))
+        .finish("BENCH_sched_throughput.json")
+}
 
-    let json = format!(
-        "{{\n  \"bench\": \"sched_throughput\",\n  \"queries_per_pass\": {queries},\n  \
-         \"rounds\": {ROUNDS},\n  \"hardware_threads\": {hardware_threads},\n  \
-         \"endpoints_1_s\": {s1:.4},\n  \"endpoints_2_s\": {s2:.4},\n  \
-         \"endpoints_4_s\": {s4:.4},\n  \
-         \"speedup_2_endpoints\": {speedup_2:.2},\n  \
-         \"speedup_4_endpoints\": {speedup_4:.2},\n  \
-         \"threshold_speedup\": {THRESHOLD_SPEEDUP:.1},\n  \
-         \"byte_identical\": true,\n  \
-         \"floor_enforced\": {floor_enforced},\n  \"pass\": {pass}\n}}\n"
-    );
-    std::fs::write("BENCH_sched_throughput.json", &json)
-        .expect("write BENCH_sched_throughput.json");
-    say!("{json}");
-    adcomp_obs::info!(
-        "scheduler throughput: {speedup_2:.2}x at 2 endpoints, {speedup_4:.2}x at 4 \
-         ({queries} queries/pass, floor {THRESHOLD_SPEEDUP}x at 4 endpoints)"
-    );
-    if !floor_enforced {
-        adcomp_obs::warn!(
-            "only {hardware_threads} hardware thread(s) available; the {THRESHOLD_SPEEDUP}x \
-             scaling floor cannot be enforced on this machine"
-        );
-    }
-    if !pass {
-        adcomp_obs::error!(
-            "4-endpoint speedup {speedup_4:.2}x is below the {THRESHOLD_SPEEDUP}x floor"
-        );
-        std::process::exit(1);
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn speedup_floors_hold_at_their_bounds_with_two_threads_only() {
+        let pass = |pooled, wire, threads| gates(pooled, wire, threads).map(|g| g.pass());
+        assert_eq!(pass(0.66, 1.71, 2), [false, true], "committed values");
+        assert_eq!(pass(POOLED_FLOOR, WIRE_FLOOR, 2), [true, true]);
+        assert_eq!(pass(1.99, 1.19, 2), [false, false]);
+        assert_eq!(pass(1.99, 1.19, 1), [true, true]);
     }
 }

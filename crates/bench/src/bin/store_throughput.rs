@@ -16,10 +16,14 @@
 //! binary only fails if the store loses or corrupts records, never on
 //! speed, so CI stays robust to noisy runners.
 
-use std::time::Instant;
+use std::path::Path;
+use std::process::ExitCode;
 
-use adcomp_bench::{say, Cli};
-use adcomp_core::recording::{encode_estimate, normalized_spec_key, KIND_ESTIMATE};
+use adcomp_bench::harness::{time, Gate, Report, ScratchDir};
+use adcomp_bench::Cli;
+use adcomp_core::recording::{
+    decode_estimate, encode_estimate, normalized_spec_key, KIND_ESTIMATE,
+};
 use adcomp_store::{RunStore, SyncPolicy, WalOptions};
 use adcomp_targeting::{AttributeId, TargetingSpec};
 
@@ -35,7 +39,7 @@ fn spec_for(i: u32) -> TargetingSpec {
 }
 
 /// Appends `n` estimate records under `sync`, returning records/sec.
-fn append_run(dir: &std::path::Path, sync: SyncPolicy, n: u32) -> f64 {
+fn append_run(dir: &Path, sync: SyncPolicy, n: u32) -> f64 {
     let store = RunStore::open_with(
         dir,
         WalOptions {
@@ -44,78 +48,92 @@ fn append_run(dir: &std::path::Path, sync: SyncPolicy, n: u32) -> f64 {
         },
     )
     .expect("open store");
-    let start = Instant::now();
-    for i in 0..n {
-        let spec = spec_for(i);
-        let key = normalized_spec_key("bench", &spec);
-        let payload = encode_estimate(&spec, u64::from(i) * 10);
-        store.append(KIND_ESTIMATE, key, &payload).expect("append");
-    }
-    store.sync().expect("final sync");
-    n as f64 / start.elapsed().as_secs_f64()
-}
-
-/// Cold-opens the store and returns (records/sec recovered, records).
-fn replay_run(dir: &std::path::Path) -> (f64, u64) {
-    let start = Instant::now();
-    let store = RunStore::open(dir).expect("reopen store");
-    let recovered = store.stats().recovered;
-    let secs = start.elapsed().as_secs_f64();
-    (recovered as f64 / secs, recovered)
-}
-
-fn main() {
-    let _cli = Cli::parse();
-    let dir = std::env::temp_dir().join(format!("adcomp-bench-store-{}", std::process::id()));
-
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create bench dir");
-    let fsync_rate = append_run(&dir, SyncPolicy::EveryRecord, FSYNC_RECORDS);
-
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create bench dir");
-    let batched_rate = append_run(&dir, SyncPolicy::Batched(64), BATCHED_RECORDS);
-
-    let (replay_rate, recovered) = replay_run(&dir);
-
-    // Correctness gate: replay must see every unique key with the right
-    // value (appends with duplicate keys are latest-wins in the index).
-    let store = RunStore::open(&dir).expect("verify store");
-    let mut pass = recovered == u64::from(BATCHED_RECORDS);
-    for i in (0..BATCHED_RECORDS).step_by(977) {
-        let spec = spec_for(i);
-        let key = normalized_spec_key("bench", &spec);
-        match store.get(key) {
-            Some((KIND_ESTIMATE, payload)) => {
-                let (decoded, value) =
-                    adcomp_core::recording::decode_estimate(&payload).expect("decode");
-                if decoded != spec || value != u64::from(i) * 10 {
-                    pass = false;
-                }
-            }
-            _ => pass = false,
+    let ((), secs) = time(|| {
+        for i in 0..n {
+            let spec = spec_for(i);
+            let key = normalized_spec_key("bench", &spec);
+            let payload = encode_estimate(&spec, u64::from(i) * 10);
+            store.append(KIND_ESTIMATE, key, &payload).expect("append");
         }
-    }
-    drop(store);
-    let _ = std::fs::remove_dir_all(&dir);
+        store.sync().expect("final sync");
+    });
+    f64::from(n) / secs
+}
 
-    let durability_cost = batched_rate / fsync_rate.max(1.0);
-    let json = format!(
-        "{{\n  \"bench\": \"store_throughput\",\n  \
-         \"append_fsync_per_record\": {{ \"records\": {FSYNC_RECORDS}, \"records_per_sec\": {fsync_rate:.0} }},\n  \
-         \"append_batched_64\": {{ \"records\": {BATCHED_RECORDS}, \"records_per_sec\": {batched_rate:.0} }},\n  \
-         \"replay\": {{ \"records\": {recovered}, \"records_per_sec\": {replay_rate:.0} }},\n  \
-         \"batched_over_fsync\": {durability_cost:.1},\n  \"pass\": {pass}\n}}\n"
+/// Whether a cold open of `dir` recovers every appended record and a
+/// sample of them reads back with the right value (appends with
+/// duplicate keys are latest-wins in the index).
+fn records_intact(dir: &Path, recovered: u64) -> bool {
+    let store = RunStore::open(dir).expect("verify store");
+    recovered == u64::from(BATCHED_RECORDS)
+        && (0..BATCHED_RECORDS).step_by(977).all(|i| {
+            let spec = spec_for(i);
+            match store.get(normalized_spec_key("bench", &spec)) {
+                Some((KIND_ESTIMATE, payload)) => {
+                    decode_estimate(&payload).expect("decode") == (spec, u64::from(i) * 10)
+                }
+                _ => false,
+            }
+        })
+}
+
+fn main() -> ExitCode {
+    let _cli = Cli::parse();
+    let scratch = ScratchDir::new("store");
+    let fsync_rate = append_run(
+        &scratch.path().join("fsync"),
+        SyncPolicy::EveryRecord,
+        FSYNC_RECORDS,
     );
-    std::fs::write("BENCH_store_throughput.json", &json)
-        .expect("write BENCH_store_throughput.json");
-    say!("{json}");
-    adcomp_obs::info!(
-        "store throughput: append {batched_rate:.0}/s batched, {fsync_rate:.0}/s fsync-per-record \
-         ({durability_cost:.1}x), replay {replay_rate:.0}/s over {recovered} records"
-    );
-    if !pass {
-        adcomp_obs::error!("store lost or corrupted records during the throughput run");
-        std::process::exit(1);
+    let dir = scratch.path().join("batched");
+    let batched_rate = append_run(&dir, SyncPolicy::Batched(64), BATCHED_RECORDS);
+    // Replay: a cold open scans and checksums the whole WAL.
+    let (recovered, replay_s) = time(|| {
+        RunStore::open(&dir)
+            .expect("reopen store")
+            .stats()
+            .recovered
+    });
+
+    Report::new("store_throughput")
+        .value(
+            "append_fsync_per_record_records",
+            "count",
+            f64::from(FSYNC_RECORDS),
+        )
+        .value("append_fsync_per_record_per_s", "1/s", fsync_rate)
+        .value(
+            "append_batched_64_records",
+            "count",
+            f64::from(BATCHED_RECORDS),
+        )
+        .value("append_batched_64_per_s", "1/s", batched_rate)
+        .value("replay_records", "count", recovered as f64)
+        .value("replay_per_s", "1/s", recovered as f64 / replay_s)
+        .value(
+            "batched_over_fsync",
+            "ratio",
+            batched_rate / fsync_rate.max(1.0),
+        )
+        .gates([Gate::flag(
+            "records_intact",
+            records_intact(&dir, recovered),
+        )])
+        .finish("BENCH_store_throughput.json")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_lost_record_fails_the_run() {
+        let scratch = ScratchDir::new("store-gate");
+        let empty = scratch.path().join("empty");
+        assert!(!records_intact(&empty, u64::from(BATCHED_RECORDS)));
+        let dir = scratch.path().join("full");
+        append_run(&dir, SyncPolicy::Never, BATCHED_RECORDS);
+        assert!(records_intact(&dir, u64::from(BATCHED_RECORDS)));
+        assert!(!records_intact(&dir, u64::from(BATCHED_RECORDS) - 1));
     }
 }

@@ -11,10 +11,11 @@
 //!    loop: a single replicate is a handful of binomial draws, too
 //!    little work to pay for a worker pool.
 
+use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
 
-use adcomp_bench::{finish, say, Cli};
+use adcomp_bench::harness::{interleaved, per_second, Gate, Report};
+use adcomp_bench::{finish, Cli};
 use adcomp_core::source::{ApiSource, AuditTarget, SensitiveClass};
 use adcomp_core::{
     bootstrap_ratios, confident_rep_ratio, measure_spec, ClassChannel, MeasuredPair,
@@ -23,9 +24,10 @@ use adcomp_core::{
 use adcomp_platform::{SimScale, Simulation};
 use adcomp_population::{AttributeInference, Gender};
 use adcomp_targeting::{AttributeId, TargetingSpec};
+use discrimination_via_composition::infer::Interval;
 
-/// Timed passes (best-of).
-const ROUNDS_BEST_OF: usize = 2;
+/// Timed passes.
+const ROUNDS: usize = 2;
 
 struct Params {
     /// Bootstrap replicates per timed pass.
@@ -43,17 +45,7 @@ impl Params {
     }
 }
 
-fn best_of(f: impl Fn() -> Vec<f64>) -> f64 {
-    (0..ROUNDS_BEST_OF)
-        .map(|_| {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            start.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
-fn main() {
+fn main() -> ExitCode {
     let cli = Cli::parse();
     let p = Params::for_scale(cli.scale);
     let sim = Simulation::build(cli.seed, cli.scale);
@@ -72,16 +64,19 @@ fn main() {
     let target = MeasuredPair::of(&target_m, class, rounding);
     let inference = AttributeInference::noisy(cli.seed ^ 0x1A7E5, 0.08, 0.12);
     let channel = ClassChannel::for_class(Some(&inference), class);
-    say!(
-        "{} replicates/pass over target {}/{} vs base {}/{}",
-        p.replicates,
-        target.class_count,
-        target.complement_count,
-        base.class_count,
-        base.complement_count
-    );
 
-    let serial_s = best_of(|| bootstrap_ratios(cli.seed, &target, &base, &channel, p.replicates));
+    let [serial_s] = interleaved(
+        ROUNDS,
+        [&mut || {
+            std::hint::black_box(bootstrap_ratios(
+                cli.seed,
+                &target,
+                &base,
+                &channel,
+                p.replicates,
+            ));
+        }],
+    );
 
     // Gate: the assembled confident ratio contains its point.
     let ucfg = UncertaintyConfig {
@@ -89,40 +84,33 @@ fn main() {
         confidence: 0.95,
     };
     let ratio = confident_rep_ratio(&target, &base, &channel, cli.seed, &ucfg);
-    let contains_point = ratio.interval.contains(ratio.point);
+    adcomp_obs::info!("confident ratio verdict: {}", ratio.verdict().label());
 
-    let serial_per_s = p.replicates as f64 / serial_s;
-    let hardware_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let pass = contains_point;
-
-    let json = format!(
-        "{{\n  \"bench\": \"uncertainty\",\n  \"replicates_per_pass\": {replicates},\n  \
-         \"hardware_threads\": {hardware_threads},\n  \
-         \"serial_s\": {serial_s:.4},\n  \
-         \"serial_replicates_per_s\": {serial_per_s:.0},\n  \
-         \"ratio_point\": {point:.4},\n  \
-         \"ratio_lo\": {lo:.4},\n  \"ratio_hi\": {hi:.4},\n  \
-         \"verdict\": \"{verdict}\",\n  \
-         \"contains_point\": {contains_point},\n  \"pass\": {pass}\n}}\n",
-        replicates = p.replicates,
-        point = ratio.point,
-        lo = ratio.interval.lo,
-        hi = ratio.interval.hi,
-        verdict = ratio.verdict().label(),
-    );
-    std::fs::write("BENCH_uncertainty.json", &json).expect("write BENCH_uncertainty.json");
-    say!("{json}");
-    adcomp_obs::info!(
-        "uncertainty: {serial_per_s:.0} replicates/s; ratio {:.2} in [{:.2}, {:.2}]",
-        ratio.point,
-        ratio.interval.lo,
-        ratio.interval.hi
-    );
+    let rate = per_second(f64::from(p.replicates), &serial_s);
     finish("uncertainty");
-    if !pass {
-        adcomp_obs::error!("uncertainty bench failed: contains_point={contains_point}");
-        std::process::exit(1);
+    Report::new("uncertainty")
+        .value("replicates_per_pass", "count", f64::from(p.replicates))
+        .metric("serial_s", "s", &serial_s)
+        .metric("serial_replicates_per_s", "1/s", &rate)
+        .value("ratio_point", "ratio", ratio.point)
+        .value("ratio_lo", "ratio", ratio.interval.lo)
+        .value("ratio_hi", "ratio", ratio.interval.hi)
+        .gates([gate(&ratio.interval, ratio.point)])
+        .finish("BENCH_uncertainty.json")
+}
+
+fn gate(interval: &Interval, point: f64) -> Gate {
+    Gate::flag("contains_point", interval.contains(point))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_interval_missing_its_point_fails() {
+        let committed = Interval::new(0.7155, 0.9554);
+        assert!(gate(&committed, 0.8047).pass() && gate(&committed, 0.9554).pass());
+        assert!(!gate(&committed, 0.9555).pass() && !gate(&committed, 0.7154).pass());
     }
 }

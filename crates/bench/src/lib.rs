@@ -1,7 +1,8 @@
 //! Shared harness for the experiment binaries.
 //!
-//! Every binary regenerates one paper artifact (figure or table). They
-//! all accept the same flags:
+//! Every binary regenerates one paper artifact (figure or table), or
+//! writes one `BENCH_*.json` through [`harness`]. They all accept the
+//! same flags:
 //!
 //! ```text
 //! --scale test|paper   simulation size (default: paper)
@@ -21,11 +22,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod harness;
 pub mod plot;
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use adcomp_core::experiments::{ExperimentConfig, ExperimentContext};
 use adcomp_core::DiscoveryConfig;
@@ -117,7 +118,6 @@ macro_rules! say {
 
 /// Builds the experiment context, reporting build time.
 pub fn context(cli: Cli) -> ExperimentContext {
-    let start = Instant::now();
     let config = ExperimentConfig {
         seed: cli.seed,
         scale: cli.scale,
@@ -128,10 +128,9 @@ pub fn context(cli: Cli) -> ExperimentContext {
         resilience: None,
         inference: None,
     };
-    let ctx = ExperimentContext::new(config);
+    let (ctx, secs) = harness::time(|| ExperimentContext::new(config));
     adcomp_obs::info!(
-        "simulation built in {:.1}s (scale {:?}, seed {}, top-k {})",
-        start.elapsed().as_secs_f64(),
+        "simulation built in {secs:.1}s (scale {:?}, seed {}, top-k {})",
         cli.scale,
         cli.seed,
         cli.top_k
@@ -151,9 +150,8 @@ pub fn print_block(name: &str, header: &str, rows: impl IntoIterator<Item = Stri
 /// Runs a stage inside a trace span, logging its wall time.
 pub fn timed<T>(label: &str, f: impl FnOnce() -> T) -> T {
     let _span = adcomp_obs::Tracer::global().span_with("bench:stage", &[("label", label.into())]);
-    let start = Instant::now();
-    let out = f();
-    adcomp_obs::info!("{label}: {:.1}s", start.elapsed().as_secs_f64());
+    let (out, secs) = harness::time(f);
+    adcomp_obs::info!("{label}: {secs:.1}s");
     out
 }
 

@@ -12,11 +12,7 @@ use adcomp_serve::{
     run_chaos, run_clean, ChaosPlan, EpochJournal, KillPoint, ServeConfig, SimProvider,
 };
 
-fn tmp_root(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("adcomp-serve-chaos-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+mod common;
 
 /// Chaos config: fsync everywhere (the guarantees under test are
 /// durability guarantees) and no in-process retries (a killed process
@@ -61,7 +57,7 @@ fn killed_daemon_converges_byte_identically_with_zero_reissued_queries() {
     let resumes_metric = Registry::global().counter("adcomp_serve_resumes_total");
 
     // ── Baseline: the same three epochs with no kills. ──────────────
-    let clean_root = tmp_root("clean");
+    let clean_root = common::temp_dir("clean");
     let clean_cfg = chaos_config(&clean_root);
     let clean_provider = provider_for(&clean_cfg);
     let alerts_before_clean = alerts_metric.get();
@@ -88,7 +84,7 @@ fn killed_daemon_converges_byte_identically_with_zero_reissued_queries() {
     // * during epoch 1's drift diff, after its AlertRaised is durable
     //   and before its DriftChecked is — the exactly-once-alert window;
     // * between epochs 1 and 2.
-    let chaos_root = tmp_root("killed");
+    let chaos_root = common::temp_dir("killed");
     let chaos_cfg = chaos_config(&chaos_root);
     let chaos_provider = provider_for(&chaos_cfg);
     let plan = ChaosPlan {
@@ -159,7 +155,7 @@ fn chaos_runs_are_reproducible_across_identical_schedules() {
     };
     let mut digests = Vec::new();
     for tag in ["repro-a", "repro-b"] {
-        let root = tmp_root(tag);
+        let root = common::temp_dir(tag);
         let mut cfg = chaos_config(&root);
         cfg.max_epochs = 2;
         // Clean provider: this test may run alongside the alert test,

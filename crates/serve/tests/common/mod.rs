@@ -1,0 +1,16 @@
+//! Helpers shared by the integration tests.
+
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU32, Ordering};
+
+/// A fresh, empty directory under the system temp dir, unique to this
+/// call: its name joins `tag`, the pid and a per-process counter, so
+/// tests running in parallel never share one.
+pub fn temp_dir(tag: &str) -> PathBuf {
+    static NEXT: AtomicU32 = AtomicU32::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("adcomp-{tag}-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    dir
+}

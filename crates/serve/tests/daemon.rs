@@ -12,11 +12,7 @@ use adcomp_serve::{Daemon, ServeConfig, SimProvider, SourceProvider, StatusServi
 use adcomp_targeting::{AttributeId, FeatureId, TargetingSpec};
 use adcomp_wire::{serve_service, Client, ClientConfig, ServerConfig};
 
-fn tmp_root(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("adcomp-serve-test-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+mod common;
 
 fn fast_config(root: &std::path::Path) -> ServeConfig {
     let mut cfg = ServeConfig::default_at(root);
@@ -53,7 +49,7 @@ fn drifting_plan() -> FaultPlan {
 
 #[test]
 fn daemon_runs_epochs_on_the_injected_clock() {
-    let root = tmp_root("schedule");
+    let root = common::temp_dir("schedule");
     let cfg = fast_config(&root);
     let provider = Arc::new(SimProvider::from_config(&cfg));
     let clock = Arc::new(ManualClock::new());
@@ -102,7 +98,7 @@ fn daemon_runs_epochs_on_the_injected_clock() {
 
 #[test]
 fn config_reload_applies_between_epochs_without_dropping_state() {
-    let root = tmp_root("reload");
+    let root = common::temp_dir("reload");
     std::fs::create_dir_all(&root).unwrap();
     let config_file = root.join("serve.conf");
     let base = format!(
@@ -246,7 +242,7 @@ impl SourceProvider for FlakyProvider {
 
 #[test]
 fn failed_epoch_retries_with_backoff_and_journals_the_attempt() {
-    let root = tmp_root("retry");
+    let root = common::temp_dir("retry");
     let mut cfg = fast_config(&root);
     cfg.max_epochs = 1;
     cfg.epoch_retries = 2;
@@ -327,8 +323,8 @@ impl SourceProvider for HalfDeadProvider {
 
 #[test]
 fn dead_replica_degrades_the_epoch_but_not_the_results() {
-    let root_half = tmp_root("degraded-half");
-    let root_clean = tmp_root("degraded-clean");
+    let root_half = common::temp_dir("degraded-half");
+    let root_clean = common::temp_dir("degraded-clean");
     let mut cfg_half = fast_config(&root_half);
     cfg_half.max_epochs = 1;
     let mut cfg_clean = fast_config(&root_clean);
@@ -367,7 +363,7 @@ fn dead_replica_degrades_the_epoch_but_not_the_results() {
 
 #[test]
 fn status_endpoint_serves_live_counters_over_the_wire() {
-    let root = tmp_root("status");
+    let root = common::temp_dir("status");
     let mut cfg = fast_config(&root);
     cfg.max_epochs = 2;
     let provider = Arc::new(SimProvider::from_config(&cfg));
@@ -399,7 +395,7 @@ fn status_endpoint_serves_live_counters_over_the_wire() {
 
 #[test]
 fn four_fifths_crossing_raises_exactly_one_alert() {
-    let root = tmp_root("alert");
+    let root = common::temp_dir("alert");
     let mut cfg = fast_config(&root);
     cfg.max_epochs = 3;
     // Epoch 1 is served through a noisy, drifting platform; epochs 0

@@ -58,16 +58,9 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 mod tests {
     use super::*;
 
-    fn tmp_dir(tag: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("adcomp-store-atomic-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
     #[test]
     fn writes_and_replaces() {
-        let dir = tmp_dir("replace");
+        let dir = crate::test_dir("replace");
         let path = dir.join("target.txt");
         write_atomic(&path, b"first").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"first");
@@ -85,7 +78,7 @@ mod tests {
 
     #[test]
     fn rejects_bare_directory_path() {
-        let dir = tmp_dir("bare");
+        let dir = crate::test_dir("bare");
         assert!(write_atomic(&dir.join(""), b"x").is_err());
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -122,13 +122,6 @@ impl SnapshotIndex {
 mod tests {
     use super::*;
 
-    fn tmp_path(tag: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("adcomp-store-index-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("index.snap")
-    }
-
     fn sample() -> SnapshotIndex {
         let mut idx = SnapshotIndex::new();
         idx.apply(Record::new(1, 10, vec![1, 2, 3]));
@@ -149,7 +142,7 @@ mod tests {
 
     #[test]
     fn save_load_roundtrip() {
-        let path = tmp_path("roundtrip");
+        let path = crate::test_dir("roundtrip").join("index.snap");
         let idx = sample();
         idx.save(&path).unwrap();
         let back = SnapshotIndex::load(&path).unwrap().unwrap();
@@ -160,14 +153,14 @@ mod tests {
 
     #[test]
     fn missing_snapshot_is_none() {
-        let path = tmp_path("missing");
+        let path = crate::test_dir("missing").join("index.snap");
         assert!(SnapshotIndex::load(&path).unwrap().is_none());
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]
     fn damaged_snapshot_is_none_not_garbage() {
-        let path = tmp_path("damaged");
+        let path = crate::test_dir("damaged").join("index.snap");
         let idx = sample();
         idx.save(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();

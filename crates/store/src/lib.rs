@@ -46,3 +46,17 @@ pub use frame::{crc32, Record};
 pub use index::SnapshotIndex;
 pub use run::RunStore;
 pub use wal::{SyncPolicy, Wal, WalOptions, WalStats};
+
+/// A fresh, empty directory under the system temp dir for one test,
+/// unique to this call: its name joins `tag`, the pid and a per-process
+/// counter, so tests running in parallel never share one.
+#[cfg(test)]
+fn test_dir(tag: &str) -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicU32, Ordering};
+    static NEXT: AtomicU32 = AtomicU32::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("adcomp-store-{tag}-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create test dir");
+    dir
+}

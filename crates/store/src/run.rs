@@ -145,13 +145,6 @@ mod tests {
     use super::*;
     use crate::wal::SyncPolicy;
 
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("adcomp-store-run-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
     fn small_opts() -> WalOptions {
         WalOptions {
             segment_bytes: 96,
@@ -161,7 +154,7 @@ mod tests {
 
     #[test]
     fn append_reopen_roundtrip_latest_wins() {
-        let dir = tmp_dir("roundtrip");
+        let dir = crate::test_dir("roundtrip");
         {
             let store = RunStore::open_with(&dir, small_opts()).unwrap();
             for i in 0..25u64 {
@@ -179,7 +172,7 @@ mod tests {
 
     #[test]
     fn snapshot_skips_sealed_segments_on_reopen() {
-        let dir = tmp_dir("snapshot");
+        let dir = crate::test_dir("snapshot");
         {
             let store = RunStore::open_with(&dir, small_opts()).unwrap();
             for i in 0..40u64 {
@@ -206,7 +199,7 @@ mod tests {
 
     #[test]
     fn damaged_snapshot_falls_back_to_full_replay() {
-        let dir = tmp_dir("bad-snap");
+        let dir = crate::test_dir("bad-snap");
         {
             let store = RunStore::open_with(&dir, small_opts()).unwrap();
             for i in 0..30u64 {
@@ -224,7 +217,7 @@ mod tests {
 
     #[test]
     fn shared_across_threads() {
-        let dir = tmp_dir("threads");
+        let dir = crate::test_dir("threads");
         let store = std::sync::Arc::new(RunStore::open_with(&dir, small_opts()).unwrap());
         let handles: Vec<_> = (0..4u64)
             .map(|t| {

@@ -401,13 +401,6 @@ fn new_segment(path: &Path) -> io::Result<File> {
 mod tests {
     use super::*;
 
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("adcomp-store-wal-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
     fn opts(segment_bytes: u64) -> WalOptions {
         WalOptions {
             segment_bytes,
@@ -424,7 +417,7 @@ mod tests {
 
     #[test]
     fn append_and_recover_in_order() {
-        let dir = tmp_dir("order");
+        let dir = crate::test_dir("order");
         {
             let mut wal = Wal::open(&dir, opts(1 << 20)).unwrap();
             for i in 0..50u64 {
@@ -439,7 +432,7 @@ mod tests {
 
     #[test]
     fn rotation_seals_segments_and_keeps_order() {
-        let dir = tmp_dir("rotate");
+        let dir = crate::test_dir("rotate");
         {
             // Tiny segments: every few records forces a rotation.
             let mut wal = Wal::open(&dir, opts(64)).unwrap();
@@ -460,7 +453,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated_and_appends_continue() {
-        let dir = tmp_dir("torn");
+        let dir = crate::test_dir("torn");
         {
             let mut wal = Wal::open(&dir, opts(1 << 20)).unwrap();
             for i in 0..10u64 {
@@ -485,7 +478,7 @@ mod tests {
 
     #[test]
     fn torn_header_restarts_segment() {
-        let dir = tmp_dir("torn-header");
+        let dir = crate::test_dir("torn-header");
         drop(Wal::open(&dir, opts(1 << 20)).unwrap());
         let active = list_segments(&dir).unwrap().1.unwrap().1;
         // Crash after only 3 header bytes hit disk.
@@ -501,7 +494,7 @@ mod tests {
 
     #[test]
     fn sealed_corruption_is_an_error_not_silent_loss() {
-        let dir = tmp_dir("sealed-corrupt");
+        let dir = crate::test_dir("sealed-corrupt");
         {
             let mut wal = Wal::open(&dir, opts(64)).unwrap();
             for i in 0..20u64 {
@@ -526,7 +519,7 @@ mod tests {
 
     #[test]
     fn skip_sealed_skips_exactly_that_prefix() {
-        let dir = tmp_dir("skip");
+        let dir = crate::test_dir("skip");
         {
             let mut wal = Wal::open(&dir, opts(64)).unwrap();
             for i in 0..30u64 {
@@ -547,7 +540,7 @@ mod tests {
 
     #[test]
     fn sync_policy_every_record_counts_fsyncs() {
-        let dir = tmp_dir("sync");
+        let dir = crate::test_dir("sync");
         let mut wal = Wal::open(
             &dir,
             WalOptions {

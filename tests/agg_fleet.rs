@@ -20,11 +20,7 @@ use discrimination_via_composition::serve::{
 };
 use discrimination_via_composition::wire::{serve_service, ServerConfig};
 
-fn tmp_root(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("adcomp-agg-fleet-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+mod common;
 
 fn daemon_config(root: &std::path::Path) -> ServeConfig {
     let mut cfg = ServeConfig::default_at(root);
@@ -98,7 +94,7 @@ fn drive(daemon: &mut Daemon, clock: &Arc<ManualClock>) -> Result<Vec<u64>, Stri
 #[test]
 fn three_daemons_converge_on_one_aggregator_with_exactly_once_alerts() {
     // ── Baseline: same world, telemetry never attached. ─────────────
-    let baseline_root = tmp_root("baseline");
+    let baseline_root = common::temp_dir("baseline");
     let baseline_cfg = daemon_config(&baseline_root);
     let baseline = run_clean(&baseline_cfg, provider(&baseline_cfg)).unwrap();
     assert_eq!(baseline.digests.len(), 3);
@@ -124,7 +120,7 @@ fn three_daemons_converge_on_one_aggregator_with_exactly_once_alerts() {
     let mut statuses = Vec::new();
     for i in 0..3usize {
         let source = format!("serve-{i}");
-        let root = tmp_root(&source);
+        let root = common::temp_dir(&source);
         let cfg = daemon_config(&root);
         let pusher = Arc::new(TelemetryPusher::start(PusherConfig::new(
             agg_addr.clone(),

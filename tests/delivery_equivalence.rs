@@ -19,12 +19,7 @@ use discrimination_via_composition::platform::Simulation;
 use discrimination_via_composition::store::RunStore;
 use discrimination_via_composition::Fleet;
 
-fn temp_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("adcomp-deliv-eq-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+mod common;
 
 /// Estimates the backing platforms actually answered. The delivery
 /// simulation resolves eligibility through ground-truth audiences
@@ -99,7 +94,7 @@ fn recorded_delivery_run_resumes_without_reissuing_queries() {
     let plain_tsv = delivery_table_tsv(&delivery_table(&ExperimentContext::new(config)).unwrap());
 
     // Uninterrupted distributed+recorded run: one full run's query budget.
-    let ref_dir = temp_dir("ref");
+    let ref_dir = common::temp_dir("ref");
     let ref_fleet_sim = Simulation::build(config.seed, config.scale);
     let ref_fleet = Arc::new(Fleet::launch(&ref_fleet_sim, 3).unwrap());
     let ref_store = Arc::new(RunStore::open(&ref_dir).unwrap());
@@ -116,7 +111,7 @@ fn recorded_delivery_run_resumes_without_reissuing_queries() {
     ref_fleet.shutdown();
 
     // "Killed coordinator": only the first interface's cell completes.
-    let dir = temp_dir("resume");
+    let dir = common::temp_dir("resume");
     let fleet_sim_a = Simulation::build(config.seed, config.scale);
     let fleet_a = Arc::new(Fleet::launch(&fleet_sim_a, 3).unwrap());
     let store_a = Arc::new(RunStore::open(&dir).unwrap());

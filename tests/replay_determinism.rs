@@ -24,15 +24,7 @@ use discrimination_via_composition::wire::{
 };
 use discrimination_via_composition::RemoteSource;
 
-fn temp_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "adcomp-replay-determinism-{name}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+mod common;
 
 fn platform_queries(sim: &Simulation) -> u64 {
     sim.facebook.stats().estimates
@@ -43,7 +35,7 @@ fn platform_queries(sim: &Simulation) -> u64 {
 
 #[test]
 fn recorded_table1_replays_byte_identically_offline() {
-    let dir = temp_dir("table1");
+    let dir = common::temp_dir("table1");
     let config = ExperimentConfig::test(7);
 
     // Record a complete Table-1 run.
@@ -147,7 +139,7 @@ fn lossy_plan(seed: u64) -> FaultPlan {
 
 #[test]
 fn faulty_wire_run_replays_after_the_platform_is_torn_down() {
-    let dir = temp_dir("wire");
+    let dir = common::temp_dir("wire");
     let sim = Simulation::build(616, SimScale::Test);
 
     // Record a survey plus Table-1 metrics through a faulty wire

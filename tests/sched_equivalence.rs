@@ -23,12 +23,7 @@ use discrimination_via_composition::store::RunStore;
 use discrimination_via_composition::wire::{ClientConfig, FaultPlanHook, ServerConfig};
 use discrimination_via_composition::Fleet;
 
-fn temp_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("adcomp-sched-eq-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+mod common;
 
 /// Estimates the backing platforms actually answered — targeting-side
 /// queries land on `local`, scheduled measurement queries on the
@@ -140,7 +135,7 @@ fn coordinator_kill_resume_reissues_no_answered_query() {
 
     // Uninterrupted distributed+recorded run: the total platform-side
     // query budget of one complete run.
-    let ref_dir = temp_dir("ref");
+    let ref_dir = common::temp_dir("ref");
     let ref_fleet_sim = Simulation::build(config.seed, config.scale);
     let ref_fleet = Arc::new(Fleet::launch(&ref_fleet_sim, 3).unwrap());
     let ref_store = Arc::new(RunStore::open(&ref_dir).unwrap());
@@ -157,7 +152,7 @@ fn coordinator_kill_resume_reissues_no_answered_query() {
 
     // "Killed coordinator": only the first favoured population's row
     // completes, then every handle is dropped — store, fleet, context.
-    let dir = temp_dir("resume");
+    let dir = common::temp_dir("resume");
     let fleet_sim_a = Simulation::build(config.seed, config.scale);
     let fleet_a = Arc::new(Fleet::launch(&fleet_sim_a, 3).unwrap());
     let store_a = Arc::new(RunStore::open(&dir).unwrap());

@@ -23,14 +23,7 @@ use discrimination_via_composition::targeting::{
 use discrimination_via_composition::wire::{serve, ClientConfig, ServerConfig};
 use discrimination_via_composition::{Fleet, RemoteSource};
 
-/// A fresh temp dir, unique per call even when tests run in parallel.
-fn temp_dir(name: &str) -> std::path::PathBuf {
-    static NEXT: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
-    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("adcomp-{name}-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+mod common;
 
 /// A three-segment store behind the Facebook interface config.
 fn segmented_platform(dir: &std::path::Path, seed: u64) -> Arc<SegmentedPlatform> {
@@ -88,7 +81,7 @@ fn segmented_platform(dir: &std::path::Path, seed: u64) -> Arc<SegmentedPlatform
 
 #[test]
 fn wire_served_segment_store_equals_in_process() {
-    let dir = temp_dir("segwire");
+    let dir = common::temp_dir("segwire");
     let platform = segmented_platform(&dir, 808);
 
     let handle = serve(
@@ -143,7 +136,7 @@ fn wire_served_segment_store_equals_in_process() {
 
 #[test]
 fn fleet_replicates_a_segmented_platform() {
-    let dir = temp_dir("segfleet");
+    let dir = common::temp_dir("segfleet");
     let platform = segmented_platform(&dir, 909);
     let baseline = AuditTarget::direct(Arc::new(ApiSource(platform.clone())));
     let spec = TargetingSpec::and_of([AttributeId(2), AttributeId(20)]);

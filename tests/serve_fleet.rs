@@ -17,11 +17,7 @@ use discrimination_via_composition::serve::{
 };
 use discrimination_via_composition::Fleet;
 
-fn tmp_root(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("adcomp-serve-fleet-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+mod common;
 
 fn fleet_config(root: &std::path::Path) -> ServeConfig {
     let mut cfg = ServeConfig::default_at(root);
@@ -56,13 +52,13 @@ impl SourceProvider for FleetProvider {
 #[test]
 fn fleet_backed_daemon_degrades_on_replica_kill_with_identical_results() {
     // ── Local baseline: same seed, same world, no wire. ─────────────
-    let local_root = tmp_root("local");
+    let local_root = common::temp_dir("local");
     let local_cfg = fleet_config(&local_root);
     let baseline = run_clean(&local_cfg, Arc::new(SimProvider::from_config(&local_cfg))).unwrap();
     assert_eq!(baseline.digests.len(), 2);
 
     // ── Fleet run: two wire replicas, one killed between epochs. ────
-    let fleet_root = tmp_root("wire");
+    let fleet_root = common::temp_dir("wire");
     let cfg = fleet_config(&fleet_root);
     let sim = Simulation::build(cfg.seed, cfg.scale);
     let fleet = Arc::new(Fleet::launch(&sim, 2).unwrap());

@@ -22,13 +22,7 @@ use discrimination_via_composition::platform::{SimScale, Simulation};
 use discrimination_via_composition::store::RunStore;
 use discrimination_via_composition::targeting::{AttributeId, FeatureId, TargetingSpec};
 
-fn temp_dir(name: &str) -> std::path::PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("adcomp-store-replay-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+mod common;
 
 /// Total estimate queries the simulated platforms actually answered —
 /// the ground truth for "did the audit touch the platform again?".
@@ -95,7 +89,7 @@ impl EstimateSource for FailAfter {
 #[test]
 fn killed_survey_resumes_without_reissuing_answered_queries() {
     const SEED: u64 = 4242;
-    let dir = temp_dir("survey-resume");
+    let dir = common::temp_dir("survey-resume");
 
     // Clean reference run: the entries a survey must produce.
     let clean_sim = Simulation::build(SEED, SimScale::Test);
@@ -105,7 +99,7 @@ fn killed_survey_resumes_without_reissuing_answered_queries() {
     // Clean *recorded* run over a throwaway store: how many platform
     // queries a survey costs when answered queries are deduplicated
     // through the store (the apples-to-apples baseline for resume).
-    let ref_dir = temp_dir("survey-resume-ref");
+    let ref_dir = common::temp_dir("survey-resume-ref");
     let ref_sim = Simulation::build(SEED, SimScale::Test);
     let ref_store = Arc::new(RunStore::open(&ref_dir).unwrap());
     let ref_target = AuditTarget::for_platform(&ref_sim.linkedin, &ref_sim)
@@ -168,7 +162,7 @@ fn killed_survey_resumes_without_reissuing_answered_queries() {
 
 #[test]
 fn killed_table1_resumes_and_then_replays_entirely_from_disk() {
-    let dir = temp_dir("table1-resume");
+    let dir = common::temp_dir("table1-resume");
     let config = ExperimentConfig::test(33);
 
     // Plain uninterrupted run: the reference TSV.
@@ -177,7 +171,7 @@ fn killed_table1_resumes_and_then_replays_entirely_from_disk() {
 
     // Full recorded run over a throwaway store: the query budget of one
     // complete run with store-level deduplication.
-    let ref_dir = temp_dir("table1-resume-ref");
+    let ref_dir = common::temp_dir("table1-resume-ref");
     let ref_store = Arc::new(RunStore::open(&ref_dir).unwrap());
     let ref_ctx = ExperimentContext::recorded(config, ref_store.clone());
     let ref_tsv = table1_tsv(&table1(&ref_ctx).unwrap());

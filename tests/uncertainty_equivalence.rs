@@ -25,12 +25,7 @@ use discrimination_via_composition::platform::{AdPlatform, Simulation};
 use discrimination_via_composition::population::AttributeInference;
 use discrimination_via_composition::store::RunStore;
 
-fn temp_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("adcomp-unc-eq-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+mod common;
 
 /// Four in-process replicas of each interface of `sim`, as the endpoint
 /// sets of [`ExperimentContext::distributed`].
@@ -227,7 +222,7 @@ fn recorded_uncertainty_run_resumes_without_reissuing_queries() {
     };
 
     // Uninterrupted recorded run: one full run's query budget.
-    let ref_dir = temp_dir("ref");
+    let ref_dir = common::temp_dir("ref");
     let ref_platforms: Platforms = Default::default();
     let ref_tsv = uncertainty_tsv(
         &uncertainty_table_with(config, &ucfg, hook(ref_dir.clone(), ref_platforms.clone()))
@@ -238,7 +233,7 @@ fn recorded_uncertainty_run_resumes_without_reissuing_queries() {
     assert!(full_queries > 0);
 
     // "Killed coordinator": only the first scenario's cells complete.
-    let dir = temp_dir("resume");
+    let dir = common::temp_dir("resume");
     let partial_platforms: Platforms = Default::default();
     let scenarios = scenario_family(config.seed);
     {
