@@ -2,7 +2,8 @@
 //!
 //! [`AggService`] implements [`WireService`] so the aggregator rides
 //! the same `adcomp-wire` server (draining shutdown, rate limiting,
-//! per-connection executors) as every other daemon in the stack:
+//! one thread per connection answering in receive order) as every
+//! other daemon in the stack:
 //!
 //! * `Request::TelemetryPush` — decode the opaque payload as a
 //!   [`Telemetry`](crate::telemetry::Telemetry) record, ingest, ack by

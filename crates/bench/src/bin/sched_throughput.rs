@@ -55,12 +55,8 @@ fn gates(pooled_speedup: f64, endpoints_4_speedup: f64, threads: usize) -> [Gate
 fn wire_target(sim: &Simulation, n: usize, servers: &mut Vec<ServerHandle>) -> AuditTarget {
     let endpoints = (0..n)
         .map(|_| {
-            let handle = serve(
-                sim.linkedin.clone(),
-                "127.0.0.1:0",
-                ServerConfig::default().with_executors(2),
-            )
-            .expect("loopback server");
+            let handle = serve(sim.linkedin.clone(), "127.0.0.1:0", ServerConfig::default())
+                .expect("loopback server");
             let remote = RemoteSource::connect(handle.addr()).expect("connect");
             servers.push(handle);
             Arc::new(remote) as Arc<dyn EstimateSource>

@@ -144,8 +144,14 @@ mod tests {
     use super::*;
     use adcomp_platform::{SimScale, Simulation};
 
+    /// A fresh, empty directory unique to this call (`name`, the pid and
+    /// a per-process counter), so parallel tests never share one.
     fn temp_dir(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("adcomp-epoch-{name}-{}", std::process::id()));
+        use std::sync::atomic::{AtomicU32, Ordering};
+        static NEXT: AtomicU32 = AtomicU32::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("adcomp-epoch-{name}-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir

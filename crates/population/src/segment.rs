@@ -573,9 +573,16 @@ mod tests {
     use crate::demographics::DemographicProfile;
     use crate::universe::Universe;
 
+    /// A path under the system temp dir unique to this call (`tag`, the
+    /// pid and a per-process counter), so parallel tests never share one.
     fn tmpdir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("adcomp-segment-test-{tag}-{}", std::process::id()));
+        use std::sync::atomic::{AtomicU32, Ordering};
+        static NEXT: AtomicU32 = AtomicU32::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!(
+            "adcomp-segment-test-{tag}-{}-{n}",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }

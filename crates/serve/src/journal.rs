@@ -152,9 +152,16 @@ impl EpochJournal {
 mod tests {
     use super::*;
 
+    /// A path under the system temp dir unique to this call (`tag`, the
+    /// pid and a per-process counter), so parallel tests never share one.
     fn tmp(tag: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("adcomp-serve-journal-{tag}-{}", std::process::id()));
+        use std::sync::atomic::{AtomicU32, Ordering};
+        static NEXT: AtomicU32 = AtomicU32::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!(
+            "adcomp-serve-journal-{tag}-{}-{n}",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }

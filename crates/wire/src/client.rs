@@ -30,8 +30,8 @@ use adcomp_obs::trace::{current_context, TraceContext, Tracer};
 use adcomp_platform::{CircuitBreaker, RetryPolicy};
 use adcomp_targeting::TargetingSpec;
 
-use crate::codec::{from_bytes, to_bytes, CodecError};
-use crate::frame::{read_frame, write_frame, FrameError};
+use crate::codec::{from_bytes, CodecError};
+use crate::frame::{read_frame, write_message, FrameError};
 use crate::message::{ErrorCode, Request, Response};
 
 /// Client-side failures.
@@ -298,7 +298,7 @@ impl Client {
         let conn = guard.as_mut().expect("connection just ensured");
         let started = Instant::now();
         let result = (|| {
-            write_frame(&mut conn.writer, &to_bytes(request))?;
+            write_message(&mut conn.writer, request)?;
             let payload = read_frame(&mut conn.reader)?;
             Ok(from_bytes::<Response>(&payload)?)
         })();
@@ -660,8 +660,7 @@ impl Client {
                     id: slot as u64,
                     inner: Box::new(inner),
                 };
-                write_frame(&mut conn.writer, &to_bytes(&request))
-                    .map_err(RoundAbort::Transport)?;
+                write_message(&mut conn.writer, &request).map_err(RoundAbort::Transport)?;
                 in_flight.insert(slot as u64, slot);
                 next = queue.next();
             }

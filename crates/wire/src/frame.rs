@@ -3,12 +3,16 @@
 //! Each frame is a big-endian `u32` payload length followed by the
 //! payload. The length is bounded by [`MAX_FRAME_BYTES`] so a corrupt or
 //! hostile peer cannot make the reader allocate unbounded memory — the
-//! classic framing pitfall.
+//! classic framing pitfall. A frame leaves in one `write` call (prefix
+//! and payload in one buffer), so on a `TCP_NODELAY` socket it costs one
+//! syscall and one segment, not two.
 
 use std::io::{Read, Write};
 use std::sync::{Arc, OnceLock};
 
 use adcomp_obs::metrics::{Counter, Registry};
+
+use crate::codec::WireEncode;
 
 /// Upper bound on a frame payload (1 MiB — far above any protocol
 /// message, far below trouble).
@@ -67,18 +71,41 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
-/// Writes one frame (length prefix + payload) and flushes.
+/// Writes one frame (length prefix + payload) in one `write_all` and
+/// flushes.
 pub fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> Result<(), FrameError> {
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&[0; 4]);
+    frame.extend_from_slice(payload);
+    send(writer, frame)
+}
+
+/// Encodes `message` straight into one frame buffer, behind a reserved
+/// length prefix, and writes it in one `write_all` — the send path of
+/// both client and server.
+pub fn write_message<W: Write, T: WireEncode + ?Sized>(
+    writer: &mut W,
+    message: &T,
+) -> Result<(), FrameError> {
+    let mut frame = vec![0; 4];
+    message.encode(&mut frame);
+    send(writer, frame)
+}
+
+/// Fills in the length prefix of `frame` (4 placeholder bytes, then the
+/// payload) and writes it whole.
+fn send<W: Write>(writer: &mut W, mut frame: Vec<u8>) -> Result<(), FrameError> {
+    let len = frame.len() - 4;
     assert!(
-        payload.len() as u64 <= MAX_FRAME_BYTES as u64,
+        len as u64 <= MAX_FRAME_BYTES as u64,
         "oversized outgoing frame"
     );
-    writer.write_all(&(payload.len() as u32).to_be_bytes())?;
-    writer.write_all(payload)?;
+    frame[..4].copy_from_slice(&(len as u32).to_be_bytes());
+    writer.write_all(&frame)?;
     writer.flush()?;
     let (frames, bytes) = traffic("out");
     frames.inc();
-    bytes.add(4 + payload.len() as u64);
+    bytes.add(frame.len() as u64);
     Ok(())
 }
 
@@ -119,6 +146,43 @@ mod tests {
         assert_eq!(read_frame(&mut cursor).unwrap(), b"");
         assert_eq!(read_frame(&mut cursor).unwrap(), vec![7u8; 1000]);
         assert!(matches!(read_frame(&mut cursor), Err(FrameError::Closed)));
+    }
+
+    /// Counts `write` calls and accepts every byte offered.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write_call() {
+        let mut sink = CountingWriter::default();
+        write_frame(&mut sink, b"hello").unwrap();
+        assert_eq!(sink.writes, 1, "write_frame");
+        write_frame(&mut sink, b"").unwrap();
+        assert_eq!(sink.writes, 2, "empty payload");
+        write_message(&mut sink, "hello").unwrap();
+        assert_eq!(sink.writes, 3, "write_message");
+        let mut cursor = Cursor::new(sink.bytes);
+        assert_eq!(read_frame(&mut cursor).unwrap(), b"hello");
+        assert_eq!(read_frame(&mut cursor).unwrap(), b"");
+        assert_eq!(
+            read_frame(&mut cursor).unwrap(),
+            crate::codec::to_bytes("hello")
+        );
     }
 
     #[test]

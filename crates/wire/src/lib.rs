@@ -8,7 +8,8 @@
 //! no async runtime required at audit query rates.
 //!
 //! * [`codec`] — length-checked binary encoding of every protocol type;
-//! * [`frame`] — u32-length-prefixed frames with a hard size cap;
+//! * [`frame`] — u32-length-prefixed frames with a hard size cap, each
+//!   sent in one write;
 //! * [`message`] — the request/response protocol (describe, browse,
 //!   validate, estimate, stats), plus correlation-id-tagged frames
 //!   ([`Request::Tagged`]/[`Response::Tagged`]) that let a client keep
@@ -17,10 +18,9 @@
 //! * [`server`] — expose any [`PlatformApi`](adcomp_platform::PlatformApi)
 //!   (a plain [`AdPlatform`](adcomp_platform::AdPlatform) or a
 //!   fault-injecting wrapper) on a TCP socket, with optional
-//!   token-bucket rate limiting and a connection-fault hook; tagged
-//!   requests are answered by a per-connection executor pool while
-//!   admission control (fault hook, rate limiter) stays on the read
-//!   thread in receive order, so fault plans remain deterministic;
+//!   token-bucket rate limiting and a connection-fault hook; each
+//!   connection's thread answers its requests, tagged or not, in
+//!   receive order, so fault plans remain deterministic;
 //! * [`client`] — blocking client with timeouts, automatic reconnect,
 //!   retry with backoff, a circuit breaker, and pipelined
 //!   [`estimate_batch`](Client::estimate_batch) (a sliding window of
@@ -69,7 +69,7 @@ pub mod server;
 
 pub use client::{CatalogPage, Client, ClientConfig, ClientError, InterfaceDescription};
 pub use codec::{from_bytes, to_bytes, CodecError, WireDecode, WireEncode};
-pub use frame::{read_frame, write_frame, FrameError, MAX_FRAME_BYTES};
+pub use frame::{read_frame, write_frame, write_message, FrameError, MAX_FRAME_BYTES};
 pub use message::{ErrorCode, Request, Response};
 pub use server::{
     serve, serve_service, ConnectionFault, ConnectionFaultHook, FaultPlanHook, PlatformService,

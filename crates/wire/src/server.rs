@@ -2,9 +2,17 @@
 //!
 //! One accept thread plus one thread per connection — the smoltcp-style
 //! synchronous event model is plenty for an audit workload of one or a
-//! few measurement clients. A shared token-bucket rate limiter models the
-//! query throttling real platforms apply (and that the paper's ethics
-//! section respected from the client side).
+//! few measurement clients. A connection's thread owns its socket: it
+//! reads a frame, answers it and writes the answer (one `write` per
+//! frame) before it reads the next, so every request, pipelined
+//! ([`Request::Tagged`]) or not, is answered on that thread in receive
+//! order. A pipelining client keeps frames queued on the socket, so the
+//! thread goes straight from one answer to the next request. Shutdown
+//! closes the read half of each socket: a thread answers what its client
+//! already sent, reads end-of-stream and exits (see
+//! [`ServerHandle::shutdown`]). A shared token-bucket rate limiter
+//! models the query throttling real platforms apply (and that the
+//! paper's ethics section respected from the client side).
 //!
 //! The server dispatches to a [`WireService`] — any request handler.
 //! [`serve`] wraps a [`PlatformApi`] in the standard [`PlatformService`]
@@ -22,9 +30,9 @@
 //! query counters stay deterministic whatever the transport does.
 
 use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use adcomp_obs::lock;
@@ -35,8 +43,8 @@ use adcomp_platform::{
 };
 use adcomp_targeting::ValidationError;
 
-use crate::codec::{from_bytes, to_bytes};
-use crate::frame::{read_frame, write_frame, FrameError};
+use crate::codec::from_bytes;
+use crate::frame::{read_frame, write_message};
 use crate::message::{ErrorCode, Request, Response};
 
 /// A request handler behind the wire transport.
@@ -117,17 +125,8 @@ pub struct ServerConfig {
     pub burst: f64,
     /// Transport-fault injector, consulted once per received frame.
     pub fault_hook: Option<Arc<dyn ConnectionFaultHook>>,
-    /// Executor threads per connection for pipelined
-    /// ([`Request::Tagged`]) requests. Fault hooks and rate limiting are
-    /// always applied on the read thread in receive order, so they stay
-    /// deterministic at any setting; with the default of 1 the platform
-    /// itself also sees requests in receive order, which keeps
-    /// platform-level fault plans deterministic too. Raise it only when
-    /// that ordering does not matter.
-    pub executors: usize,
-    /// How long [`ServerHandle::shutdown`] waits for in-flight frames
-    /// (read but not yet answered) to finish before force-closing
-    /// connections.
+    /// How long [`ServerHandle::shutdown`] waits for frames clients sent
+    /// before it to be answered before force-closing connections.
     pub drain_timeout: Duration,
     /// Tracer that server-side continuation spans ([`Request::Traced`])
     /// are recorded into; `None` uses the process-global tracer. Inject
@@ -142,7 +141,6 @@ impl Default for ServerConfig {
             rate_limit: None,
             burst: 50.0,
             fault_hook: None,
-            executors: 1,
             drain_timeout: Duration::from_secs(5),
             tracer: None,
         }
@@ -162,13 +160,6 @@ impl ServerConfig {
     /// Attaches a connection-fault hook (builder style).
     pub fn with_fault_hook(mut self, hook: Arc<dyn ConnectionFaultHook>) -> Self {
         self.fault_hook = Some(hook);
-        self
-    }
-
-    /// Sets the per-connection executor count for pipelined requests
-    /// (builder style; clamped to at least 1).
-    pub fn with_executors(mut self, executors: usize) -> Self {
-        self.executors = executors.max(1);
         self
     }
 
@@ -192,46 +183,31 @@ impl std::fmt::Debug for ServerConfig {
             .field("rate_limit", &self.rate_limit)
             .field("burst", &self.burst)
             .field("fault_hook", &self.fault_hook.as_ref().map(|_| "…"))
-            .field("executors", &self.executors)
             .field("drain_timeout", &self.drain_timeout)
             .field("tracer", &self.tracer.as_ref().map(|_| "…"))
             .finish()
     }
 }
 
-/// Per-connection count of frames read off the socket but not yet
-/// answered (or dropped by the fault hook). Shutdown drains on this.
-struct ConnTracker {
-    in_flight: AtomicU64,
-}
-
-/// RAII accounting for one read frame: created right after `read_frame`
-/// succeeds, dropped once its response is written (the executor side for
-/// pipelined requests) or the frame is otherwise disposed of.
-struct WorkToken {
-    tracker: Arc<ConnTracker>,
-}
-
-impl WorkToken {
-    fn new(tracker: &Arc<ConnTracker>) -> WorkToken {
-        tracker.in_flight.fetch_add(1, Ordering::AcqRel);
-        WorkToken {
-            tracker: tracker.clone(),
-        }
-    }
-}
-
-impl Drop for WorkToken {
-    fn drop(&mut self) {
-        self.tracker.in_flight.fetch_sub(1, Ordering::AcqRel);
-    }
+/// What every connection thread of one server shares.
+struct Shared {
+    service: Arc<dyn WireService>,
+    limiter: Option<Mutex<(TokenBucket, Instant)>>,
+    fault_hook: Option<Arc<dyn ConnectionFaultHook>>,
+    /// One counter across all connections: reconnecting does not reset
+    /// the fault schedule.
+    request_counter: AtomicU64,
+    /// Set when a shutdown's drain window has passed: connection threads
+    /// answer nothing more.
+    drain_expired: AtomicBool,
+    /// Frames clients sent that an expired drain left unanswered.
+    abandoned: AtomicU64,
 }
 
 /// A live connection as the shutdown path sees it.
 struct ConnReg {
     stream: TcpStream,
-    tracker: Arc<ConnTracker>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    handle: std::thread::JoinHandle<()>,
 }
 
 type ConnRegistry = Arc<Mutex<Vec<ConnReg>>>;
@@ -242,6 +218,7 @@ pub struct ServerHandle {
     shutdown: Arc<AtomicBool>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
     conns: ConnRegistry,
+    shared: Arc<Shared>,
     drain_timeout: Duration,
 }
 
@@ -251,12 +228,13 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Stops accepting and **drains**: every frame already read off a
-    /// socket gets its response written (up to the configured
+    /// Stops accepting and **drains**: every frame a client sent before
+    /// the call gets its response written (up to the configured
     /// [`drain_timeout`](ServerConfig::drain_timeout)) before
-    /// connections are closed and their threads joined. No new frames
-    /// are read once the signal lands, so a pipelining client can
-    /// distinguish a draining endpoint (all admitted requests answered)
+    /// connections are closed and their threads joined. Frames left
+    /// unanswered when the window closes are counted in
+    /// `adcomp_wire_drain_abandoned`, so a pipelining client can
+    /// distinguish a draining endpoint (all sent requests answered)
     /// from a killed one (responses lost mid-window).
     pub fn shutdown(mut self) {
         self.shutdown_now();
@@ -268,20 +246,30 @@ impl ServerHandle {
             let _ = t.join();
         }
         let conns = std::mem::take(&mut *lock(&self.conns));
-        // Wait for read-but-unanswered frames; the pipeline executors
-        // keep writing responses while the read threads idle.
-        let deadline = Instant::now() + self.drain_timeout;
+        // Stop reading: a connection thread still gets the bytes already
+        // queued on its socket (the frames its client sent), answers
+        // them in order, then reads end-of-stream and exits — at once
+        // for a client that sent nothing.
         for conn in &conns {
-            while conn.tracker.in_flight.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            let _ = conn.stream.shutdown(Shutdown::Read);
+        }
+        let deadline = Instant::now() + self.drain_timeout;
+        while conns.iter().any(|c| !c.handle.is_finished()) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Past the window, threads still busy stop answering and count
+        // what they leave; closing both halves also unblocks a write to
+        // a client that stopped reading.
+        self.shared.drain_expired.store(true, Ordering::Release);
+        for conn in &conns {
+            let _ = conn.stream.shutdown(Shutdown::Both);
+        }
+        for conn in conns {
+            let _ = conn.handle.join();
         }
         // A timed-out drain abandons frames a client already sent; that
         // must never pass silently — the client sees lost responses.
-        let abandoned: u64 = conns
-            .iter()
-            .map(|c| c.tracker.in_flight.load(Ordering::Acquire))
-            .sum();
+        let abandoned = self.shared.abandoned.load(Ordering::Acquire);
         if abandoned > 0 {
             Registry::global()
                 .counter("adcomp_wire_drain_abandoned")
@@ -291,16 +279,6 @@ impl ServerHandle {
                  frame(s)",
                 self.drain_timeout
             );
-        }
-        // Now actively close: this unblocks read threads parked in
-        // `read_frame` on clients that never hang up.
-        for conn in &conns {
-            let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-        }
-        for mut conn in conns {
-            if let Some(h) = conn.handle.take() {
-                let _ = h.join();
-            }
         }
     }
 
@@ -404,21 +382,21 @@ pub fn serve_service(
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
-    let limiter = config.rate_limit.map(|rate| {
-        Arc::new(Mutex::new((
-            TokenBucket::new(rate, config.burst),
-            Instant::now(),
-        )))
+    let shared = Arc::new(Shared {
+        service,
+        limiter: config
+            .rate_limit
+            .map(|rate| Mutex::new((TokenBucket::new(rate, config.burst), Instant::now()))),
+        fault_hook: config.fault_hook,
+        request_counter: AtomicU64::new(0),
+        drain_expired: AtomicBool::new(false),
+        abandoned: AtomicU64::new(0),
     });
-    let fault_hook = config.fault_hook;
-    let executors = config.executors.max(1);
-    // One counter across all connections: reconnecting does not reset the
-    // fault schedule.
-    let request_counter = Arc::new(AtomicU64::new(0));
     let conns: ConnRegistry = Arc::new(Mutex::new(Vec::new()));
 
     let accept_shutdown = shutdown.clone();
     let accept_conns = conns.clone();
+    let accept_shared = shared.clone();
     let accept_thread = std::thread::Builder::new()
         .name("adcomp-wire-accept".into())
         .spawn(move || {
@@ -430,36 +408,22 @@ pub fn serve_service(
                 let Ok(reg_stream) = stream.try_clone() else {
                     continue;
                 };
-                let service = service.clone();
-                let limiter = limiter.clone();
-                let fault_hook = fault_hook.clone();
-                let request_counter = request_counter.clone();
-                let conn_shutdown = accept_shutdown.clone();
-                let tracker = Arc::new(ConnTracker {
-                    in_flight: AtomicU64::new(0),
-                });
-                let conn_tracker = tracker.clone();
+                let shared = accept_shared.clone();
                 // Connection threads are not joined here (that would
                 // deadlock a shutdown while a client keeps its connection
                 // open — the thread blocks in read_frame); the registry
-                // keeps their handles so shutdown can drain in-flight
-                // frames, close the sockets, and then join.
+                // keeps their handles so shutdown can drain, close the
+                // sockets, and then join.
                 let handle = std::thread::spawn(move || {
-                    let _ = handle_connection(
-                        stream,
-                        service,
-                        limiter,
-                        fault_hook,
-                        request_counter,
-                        conn_shutdown,
-                        executors,
-                        conn_tracker,
-                    );
+                    let _ = handle_connection(stream, &shared);
                 });
-                lock(&accept_conns).push(ConnReg {
+                let mut conns = lock(&accept_conns);
+                // Forget connections whose thread is done, or each one
+                // would hold its socket open until shutdown.
+                conns.retain(|c| !c.handle.is_finished());
+                conns.push(ConnReg {
                     stream: reg_stream,
-                    tracker,
-                    handle: Some(handle),
+                    handle,
                 });
             }
         })
@@ -470,16 +434,32 @@ pub fn serve_service(
         shutdown,
         accept_thread: Some(accept_thread),
         conns,
+        shared,
         drain_timeout: config.drain_timeout,
     })
 }
 
-type SharedLimiter = Arc<Mutex<(TokenBucket, Instant)>>;
-
 /// `adcomp_wire_requests_total{kind}` — requests dispatched to the
-/// platform, by request kind.
-fn requests_total(kind: &'static str) -> Arc<Counter> {
-    Registry::global().counter_with("adcomp_wire_requests_total", &[("kind", kind)])
+/// platform, by request kind. Each kind's counter is resolved from the
+/// registry once, on its first request.
+fn requests_total(request: &Request) -> &'static Counter {
+    static COUNTERS: [OnceLock<Arc<Counter>>; 11] = [const { OnceLock::new() }; 11];
+    let (slot, kind) = match request {
+        Request::Describe => (0, "describe"),
+        Request::AttributeInfo { .. } => (1, "attribute_info"),
+        Request::Check { .. } => (2, "check"),
+        Request::Estimate { .. } => (3, "estimate"),
+        Request::CatalogPage { .. } => (4, "catalog_page"),
+        Request::Stats => (5, "stats"),
+        Request::Status => (6, "status"),
+        Request::Tagged { .. } => (7, "tagged"),
+        Request::Traced { .. } => (8, "traced"),
+        Request::Metrics => (9, "metrics"),
+        Request::TelemetryPush { .. } => (10, "telemetry_push"),
+    };
+    COUNTERS[slot].get_or_init(|| {
+        Registry::global().counter_with("adcomp_wire_requests_total", &[("kind", kind)])
+    })
 }
 
 /// Connections killed by the transport fault hook.
@@ -487,180 +467,54 @@ fn conn_drops_total() -> Arc<Counter> {
     Registry::global().counter("adcomp_wire_conn_drops_total")
 }
 
-/// Per-connection executor pool answering pipelined ([`Request::Tagged`])
-/// requests off the read thread. Responses go through a shared writer
-/// lock, so they interleave with read-thread writes frame-atomically but
-/// may leave in any order — the correlation id is what the client keys on.
-struct PipelinePool {
-    jobs: Option<mpsc::Sender<Job>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-/// One pipelined request: correlation id, request, in-flight token.
-type Job = (u64, Request, WorkToken);
-
-impl PipelinePool {
-    fn start(
-        executors: usize,
-        service: Arc<dyn WireService>,
-        writer: Arc<Mutex<TcpStream>>,
-    ) -> Self {
-        let (tx, rx) = mpsc::channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..executors.max(1))
-            .map(|i| {
-                let rx = rx.clone();
-                let service = service.clone();
-                let writer = writer.clone();
-                std::thread::Builder::new()
-                    .name(format!("adcomp-wire-exec-{i}"))
-                    .spawn(move || loop {
-                        // A statement of its own, so the receiver lock is
-                        // released before the job runs and the executors
-                        // answer concurrently.
-                        let job = lock(&rx).recv();
-                        let Ok((id, request, token)) = job else {
-                            break;
-                        };
-                        let inner = service.handle(request);
-                        let frame = to_bytes(&Response::Tagged {
-                            id,
-                            inner: Box::new(inner),
-                        });
-                        // A failed write means the client is gone;
-                        // keep draining so shutdown stays clean.
-                        let _ = write_frame(&mut *lock(&writer), &frame);
-                        // The frame counts as in-flight until its
-                        // response hits the socket.
-                        drop(token);
-                    })
-                    .expect("spawn pipeline executor")
-            })
-            .collect();
-        PipelinePool {
-            jobs: Some(tx),
-            workers,
-        }
-    }
-
-    fn submit(&self, id: u64, request: Request, token: WorkToken) {
-        let _ = self
-            .jobs
-            .as_ref()
-            .expect("pool is running")
-            .send((id, request, token));
-    }
-
-    fn join(mut self) {
-        self.jobs.take();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn handle_connection(
-    stream: TcpStream,
-    service: Arc<dyn WireService>,
-    limiter: Option<SharedLimiter>,
-    fault_hook: Option<Arc<dyn ConnectionFaultHook>>,
-    request_counter: Arc<AtomicU64>,
-    shutdown: Arc<AtomicBool>,
-    executors: usize,
-    tracker: Arc<ConnTracker>,
-) -> Result<(), FrameError> {
+fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
-    let writer = Arc::new(Mutex::new(stream.try_clone()?));
+    let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    // Started on the first tagged request, so plain request/response
-    // connections never pay for extra threads.
-    let mut pipeline: Option<PipelinePool> = None;
-    let result = read_loop(
-        &mut reader,
-        &writer,
-        &service,
-        &limiter,
-        &fault_hook,
-        &request_counter,
-        &shutdown,
-        executors,
-        &mut pipeline,
-        &tracker,
-    );
-    if let Some(pool) = pipeline {
-        // Drain in-flight work before the connection thread exits.
-        pool.join();
-    }
-    result
-}
-
-/// Checks the shared limiter for one request, in receive order on the
-/// read thread. Returns the rejection to send when the request is over
-/// the rate.
-fn rate_limit_check(
-    limiter: &Option<SharedLimiter>,
-    service: &dyn WireService,
-) -> Option<Response> {
-    let limiter = limiter.as_ref()?;
-    let mut guard = lock(limiter);
-    let (bucket, epoch) = &mut *guard;
-    if bucket.try_acquire(epoch.elapsed()) {
-        return None;
-    }
-    let retry_after = bucket.retry_after(epoch.elapsed());
-    drop(guard);
-    service.note_rate_limited();
-    Some(Response::Error {
-        code: ErrorCode::RateLimited,
-        message: "query rate exceeded".into(),
-        retry_after: Some(retry_after),
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn read_loop(
-    reader: &mut BufReader<TcpStream>,
-    writer: &Arc<Mutex<TcpStream>>,
-    service: &Arc<dyn WireService>,
-    limiter: &Option<SharedLimiter>,
-    fault_hook: &Option<Arc<dyn ConnectionFaultHook>>,
-    request_counter: &Arc<AtomicU64>,
-    shutdown: &Arc<AtomicBool>,
-    executors: usize,
-    pipeline: &mut Option<PipelinePool>,
-    tracker: &Arc<ConnTracker>,
-) -> Result<(), FrameError> {
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return Ok(());
+    let in_hand = answer_frames(&mut reader, &mut writer, shared);
+    if shared.drain_expired.load(Ordering::Acquire) {
+        // The drain window closed on this connection: count the frame in
+        // hand and every complete frame still queued behind it.
+        let mut left = u64::from(in_hand);
+        while read_frame(&mut reader).is_ok() {
+            left += 1;
         }
-        let payload = match read_frame(reader) {
-            Ok(p) => p,
-            Err(FrameError::Closed) => return Ok(()),
-            Err(e) => return Err(e),
+        shared.abandoned.fetch_add(left, Ordering::AcqRel);
+    }
+    Ok(())
+}
+
+/// Answers frames in receive order until the peer hangs up, the socket
+/// fails, the fault hook kills the connection or the drain window
+/// closes. Returns whether it stopped holding a frame it had read but
+/// not answered.
+fn answer_frames(
+    reader: &mut BufReader<TcpStream>,
+    writer: &mut TcpStream,
+    shared: &Shared,
+) -> bool {
+    loop {
+        let Ok(payload) = read_frame(reader) else {
+            return false;
         };
-        // From here until its response is on the socket (or the fault
-        // hook disposes of it) this frame is in-flight for drain
-        // accounting.
-        let token = WorkToken::new(tracker);
-        if let Some(hook) = fault_hook {
-            let index = request_counter.fetch_add(1, Ordering::SeqCst);
-            match hook.fault_for(index) {
-                Some(ConnectionFault::Drop) => {
-                    conn_drops_total().inc();
-                    return Ok(());
+        if shared.drain_expired.load(Ordering::Acquire) {
+            return true;
+        }
+        if let Some(hook) = &shared.fault_hook {
+            let index = shared.request_counter.fetch_add(1, Ordering::SeqCst);
+            if let Some(fault) = hook.fault_for(index) {
+                conn_drops_total().inc();
+                if fault == ConnectionFault::DropMidFrame {
+                    // Promise a 64-byte frame, deliver 16 bytes, hang up.
+                    let mut torn = 64u32.to_be_bytes().to_vec();
+                    torn.resize(4 + 16, 0);
+                    let _ = writer.write_all(&torn);
                 }
-                Some(ConnectionFault::DropMidFrame) => {
-                    conn_drops_total().inc();
-                    // Promise a frame, deliver half of it, hang up.
-                    let mut w = lock(writer);
-                    w.write_all(&64u32.to_be_bytes())?;
-                    w.write_all(&[0u8; 16])?;
-                    w.flush()?;
-                    return Ok(());
-                }
-                None => {}
+                // Hang up now: the shutdown registry's handle on the
+                // socket would otherwise keep it open, and the client
+                // would only notice at its read timeout.
+                let _ = writer.shutdown(Shutdown::Both);
+                return false;
             }
         }
         let response = match from_bytes::<Request>(&payload) {
@@ -670,60 +524,50 @@ fn read_loop(
                 retry_after: None,
             },
             Ok(Request::Tagged { id, inner }) => {
-                // Pipelined request: admission control (fault hook above,
-                // rate limiter here) runs on the read thread in receive
-                // order — determinism is independent of the executor
-                // count — and only admitted platform work is dispatched.
-                let rejection = if matches!(*inner, Request::Tagged { .. }) {
-                    Some(Response::Error {
+                let inner = if matches!(*inner, Request::Tagged { .. }) {
+                    Response::Error {
                         code: ErrorCode::BadRequest,
                         message: "nested Tagged request".into(),
                         retry_after: None,
-                    })
-                } else {
-                    rate_limit_check(limiter, service.as_ref())
-                };
-                match rejection {
-                    Some(error) => Response::Tagged {
-                        id,
-                        inner: Box::new(error),
-                    },
-                    None => {
-                        pipeline
-                            .get_or_insert_with(|| {
-                                PipelinePool::start(executors, service.clone(), writer.clone())
-                            })
-                            .submit(id, *inner, token);
-                        continue;
                     }
+                } else {
+                    admit(*inner, shared)
+                };
+                Response::Tagged {
+                    id,
+                    inner: Box::new(inner),
                 }
             }
-            Ok(request) => match rate_limit_check(limiter, service.as_ref()) {
-                Some(error) => error,
-                None => service.handle(request),
-            },
+            Ok(request) => admit(request, shared),
         };
-        write_frame(&mut *lock(writer), &to_bytes(&response))?;
-        // Answered inline on the read thread: retire the frame.
-        drop(token);
+        if write_message(writer, &response).is_err() {
+            return true;
+        }
     }
 }
 
+/// Checks the shared limiter for one request, in receive order, and
+/// answers it when it is within the rate.
+fn admit(request: Request, shared: &Shared) -> Response {
+    if let Some(limiter) = &shared.limiter {
+        let mut guard = lock(limiter);
+        let (bucket, epoch) = &mut *guard;
+        if !bucket.try_acquire(epoch.elapsed()) {
+            let retry_after = bucket.retry_after(epoch.elapsed());
+            drop(guard);
+            shared.service.note_rate_limited();
+            return Response::Error {
+                code: ErrorCode::RateLimited,
+                message: "query rate exceeded".into(),
+                retry_after: Some(retry_after),
+            };
+        }
+    }
+    shared.service.handle(request)
+}
+
 fn handle_request(platform: &dyn PlatformApi, request: Request) -> Response {
-    requests_total(match &request {
-        Request::Describe => "describe",
-        Request::AttributeInfo { .. } => "attribute_info",
-        Request::Check { .. } => "check",
-        Request::Estimate { .. } => "estimate",
-        Request::CatalogPage { .. } => "catalog_page",
-        Request::Stats => "stats",
-        Request::Status => "status",
-        Request::Tagged { .. } => "tagged",
-        Request::Traced { .. } => "traced",
-        Request::Metrics => "metrics",
-        Request::TelemetryPush { .. } => "telemetry_push",
-    })
-    .inc();
+    requests_total(&request).inc();
     match request {
         Request::Describe => {
             let caps = &platform.config().capabilities;
@@ -797,7 +641,7 @@ fn handle_request(platform: &dyn PlatformApi, request: Request) -> Response {
             healthy: true,
             body: format!("platform {} serving", platform.label()),
         },
-        // The read loop unwraps tagging before dispatch; reaching this
+        // The connection loop unwraps tagging before dispatch; reaching this
         // arm means a nested Tagged slipped through.
         Request::Tagged { .. } => Response::Error {
             code: ErrorCode::BadRequest,

@@ -7,8 +7,8 @@ use adcomp_platform::{FaultKind, FaultPlan, Schedule, SimScale, Simulation};
 use adcomp_population::Gender;
 use adcomp_targeting::{AttributeId, TargetingSpec};
 use adcomp_wire::{
-    serve, serve_service, Client, ClientConfig, ClientError, ErrorCode, FaultPlanHook, Request,
-    Response, ServerConfig, WireService,
+    from_bytes, read_frame, serve, serve_service, write_message, Client, ClientConfig, ClientError,
+    ErrorCode, FaultPlanHook, Request, Response, ServerConfig, WireService,
 };
 
 fn sim() -> &'static Simulation {
@@ -391,7 +391,7 @@ fn pipelined_batch_matches_serial_estimates() {
     let handle = serve(
         sim().facebook.clone(),
         "127.0.0.1:0",
-        ServerConfig::default().with_executors(4),
+        ServerConfig::default(),
     )
     .unwrap();
     let client = Client::connect_with(
@@ -415,6 +415,67 @@ fn pipelined_batch_matches_serial_estimates() {
         );
     }
     handle.shutdown();
+}
+
+#[test]
+fn pipelined_batch_matches_answers_that_arrive_out_of_order() {
+    // A hand-rolled peer reads a whole pipelined window, then answers it
+    // in reverse: the client must file each answer under its correlation
+    // id, not by arrival order. (The real server answers in order.)
+    use std::io::BufReader;
+    use std::net::TcpListener;
+
+    const WINDOW: usize = 8;
+    let specs: Vec<TargetingSpec> = (0..WINDOW as u32)
+        .map(|i| TargetingSpec::and_of([AttributeId(i)]))
+        .collect();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer_specs = specs.clone();
+    let peer = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        let mut window = Vec::new();
+        for _ in 0..WINDOW {
+            let payload = read_frame(&mut reader).unwrap();
+            let Request::Tagged { id, inner } = from_bytes::<Request>(&payload).unwrap() else {
+                panic!("expected a tagged request");
+            };
+            let Request::Estimate { spec } = *inner else {
+                panic!("expected a tagged estimate");
+            };
+            window.push((id, spec));
+        }
+        for (id, spec) in window.into_iter().rev() {
+            // Each answer names its spec's slot, so a misfiled one shows.
+            let slot = peer_specs.iter().position(|s| *s == spec).unwrap();
+            let answer = Response::Tagged {
+                id,
+                inner: Box::new(Response::Estimate {
+                    value: 1_000 + slot as u64,
+                }),
+            };
+            write_message(&mut writer, &answer).unwrap();
+        }
+    });
+    let client = Client::connect_with(
+        addr,
+        ClientConfig {
+            pipeline_window: WINDOW,
+            ..ClientConfig::fast()
+        },
+    )
+    .unwrap();
+    let results = client.estimate_batch(&specs);
+    peer.join().unwrap();
+    for (slot, result) in results.iter().enumerate() {
+        assert_eq!(
+            result.as_ref().unwrap(),
+            &(1_000 + slot as u64),
+            "slot {slot}"
+        );
+    }
 }
 
 #[test]
@@ -516,10 +577,10 @@ impl adcomp_platform::PlatformApi for SlowPlatform {
 
 #[test]
 fn shutdown_drains_in_flight_pipelined_frames() {
-    // 16 pipelined estimates at 30ms each over 2 executors ≈ 240ms of
-    // server-side work. Shutdown lands mid-flight and must hold the
-    // connection open until every admitted frame is answered — before
-    // graceful drain, the active close could cut off queued responses.
+    // 16 pipelined estimates at 30ms each ≈ 480ms of server-side work.
+    // Shutdown lands mid-flight and must hold the connection open until
+    // every frame sent is answered — before graceful drain, the active
+    // close could cut off queued responses.
     let slow = Arc::new(SlowPlatform {
         inner: sim().linkedin.clone(),
         delay: std::time::Duration::from_millis(30),
@@ -527,9 +588,7 @@ fn shutdown_drains_in_flight_pipelined_frames() {
     let handle = serve(
         slow,
         "127.0.0.1:0",
-        ServerConfig::default()
-            .with_executors(2)
-            .with_drain_timeout(std::time::Duration::from_secs(30)),
+        ServerConfig::default().with_drain_timeout(std::time::Duration::from_secs(30)),
     )
     .unwrap();
     let expected = {

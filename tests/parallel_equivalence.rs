@@ -78,9 +78,7 @@ fn pipelined_retries_over_a_faulty_wire_never_double_charge_the_budget() {
         FaultKind::Drop { mid_frame: false },
         Schedule::Once { at: 9 },
     );
-    let config = ServerConfig::default()
-        .with_executors(4)
-        .with_fault_hook(Arc::new(FaultPlanHook(plan)));
+    let config = ServerConfig::default().with_fault_hook(Arc::new(FaultPlanHook(plan)));
     let handle = serve(sim.linkedin.clone(), "127.0.0.1:0", config).unwrap();
     let client = Client::connect_with(
         handle.addr(),
