@@ -30,9 +30,13 @@ use adcomp_obs::trace::{current_context, TraceContext, Tracer};
 use adcomp_platform::{CircuitBreaker, RetryPolicy};
 use adcomp_targeting::TargetingSpec;
 
-use crate::codec::{from_bytes, CodecError};
-use crate::frame::{read_frame, write_message, FrameError};
-use crate::message::{ErrorCode, Request, Response};
+use crate::codec::{from_bytes, CodecError, WireEncode};
+use crate::frame::{read_frame, write_message, FrameError, MAX_FRAME_BYTES};
+use crate::message::{ErrorCode, Request, Response, MAX_BATCH_SPECS};
+
+/// Spec bytes one batch frame may carry: the frame limit less room for
+/// the `Tagged`, `Traced` and batch headers (31 bytes).
+const BATCH_SPEC_BYTES: usize = MAX_FRAME_BYTES as usize - 64;
 
 /// Client-side failures.
 #[derive(Debug)]
@@ -110,9 +114,10 @@ pub struct ClientConfig {
     pub breaker_threshold: u32,
     /// How long an open circuit rejects requests before probing.
     pub breaker_cooldown: Duration,
-    /// Maximum tagged requests in flight on the connection during
-    /// [`Client::estimate_batch`] (clamped to at least 1). A window of 1
-    /// degenerates to request/response with per-frame correlation ids.
+    /// Maximum batch frames in flight on the connection during
+    /// [`Client::estimate_batch`] (clamped to at least 1). Each frame
+    /// carries up to [`MAX_BATCH_SPECS`] specs, so a window of 1 still
+    /// sends a batch of that size as one frame and one reply.
     pub pipeline_window: usize,
 }
 
@@ -179,7 +184,7 @@ struct ClientMetrics {
     /// Timed-out operations, by phase.
     timeouts_connect: Arc<Counter>,
     timeouts_io: Arc<Counter>,
-    /// Tagged requests currently in flight during a pipelined batch.
+    /// Batch frames currently in flight during a pipelined batch.
     pipeline_inflight: Arc<Gauge>,
 }
 
@@ -495,24 +500,24 @@ impl Client {
         }
     }
 
-    /// Fetches estimates for a batch of specs by pipelining tagged
-    /// requests over the one connection: up to
-    /// [`ClientConfig::pipeline_window`] requests ride in flight at once
-    /// and the server's [`Response::Tagged`] answers — possibly out of
-    /// order — are matched back to their slot by correlation id, so a
-    /// batch costs about one round-trip per window instead of one per
-    /// query.
+    /// Fetches estimates for a batch of specs in batch frames
+    /// ([`Request::EstimateBatch`]): the specs are cut into frames that
+    /// each hold at most [`MAX_BATCH_SPECS`] specs and fit
+    /// [`MAX_FRAME_BYTES`], up to [`ClientConfig::pipeline_window`]
+    /// frames ride in flight at once, and the server's
+    /// [`Response::Tagged`] answers — possibly out of order — are matched
+    /// back to their frame by correlation id. A batch that fits one frame
+    /// costs one round trip.
     ///
     /// Per-query server failures land in that query's slot. A transport
     /// failure tears the connection down, reconnects, and re-issues only
-    /// the *unanswered* requests (under the retry policy), so answered
-    /// queries are never replayed; rate-limited entries are retried per
+    /// the *unanswered* slots (under the retry policy), so answered
+    /// queries are never replayed; rate-limited slots are retried per
     /// policy honouring the server's back-off hint. The connection lock
     /// is held for the whole batch.
     pub fn estimate_batch(&self, specs: &[TargetingSpec]) -> Vec<Result<u64, ClientError>> {
-        // One wire:rtt span covers the whole pipelined batch; each
-        // in-flight request carries its context so the server parents
-        // its per-query spans under it.
+        // One wire:rtt span covers the whole batch; each frame carries
+        // its context so the server parents its per-frame spans under it.
         let span = current_context().map(|_| Tracer::global().span("wire:rtt"));
         let trace = span.as_ref().map(|s| s.context());
         let mut results: Vec<Option<Result<u64, ClientError>>> =
@@ -625,10 +630,10 @@ impl Client {
     }
 
     /// One sliding-window pass over `todo` on the current connection:
-    /// issues tagged estimates, keeps up to the configured window in
-    /// flight, and files answers into `results` as they arrive.
-    /// Rate-limited slots are returned with their back-off hints for the
-    /// caller's retry loop.
+    /// sends its slots as tagged batch frames, keeps up to the configured
+    /// window of frames in flight, and files answers into `results` as
+    /// they arrive. Rate-limited slots are returned with their back-off
+    /// hints for the caller's retry loop.
     fn pipeline_round(
         &self,
         conn: &mut Conn,
@@ -639,63 +644,75 @@ impl Client {
     ) -> Result<Vec<(usize, Option<Duration>)>, RoundAbort> {
         let window = self.config.pipeline_window.max(1);
         let mut rate_limited = Vec::new();
-        let mut in_flight: HashMap<u64, usize> = HashMap::new();
-        let mut queue = todo.iter().copied();
-        let mut next = queue.next();
+        // Keyed by the frame's first slot, which no other frame holds.
+        let mut in_flight: HashMap<u64, &[usize]> = HashMap::new();
+        let mut frames = batch_frames(specs, todo).into_iter();
+        // A failed send stops sending, but the answers to frames already
+        // sent may have arrived: read them before giving up, so they are
+        // not asked again.
+        let mut send_failed = None;
         loop {
-            while in_flight.len() < window {
-                let Some(slot) = next else { break };
-                let estimate = Request::Estimate {
-                    spec: specs[slot].clone(),
+            while send_failed.is_none() && in_flight.len() < window {
+                let Some(slots) = frames.next() else { break };
+                let batch = Request::EstimateBatch {
+                    specs: slots.iter().map(|&slot| specs[slot].clone()).collect(),
                 };
                 let inner = match trace {
                     Some(ctx) => Request::Traced {
                         trace_id: ctx.trace_id,
                         span_id: ctx.span_id,
-                        inner: Box::new(estimate),
+                        inner: Box::new(batch),
                     },
-                    None => estimate,
+                    None => batch,
                 };
+                let id = slots[0] as u64;
                 let request = Request::Tagged {
-                    id: slot as u64,
+                    id,
                     inner: Box::new(inner),
                 };
-                write_message(&mut conn.writer, &request).map_err(RoundAbort::Transport)?;
-                in_flight.insert(slot as u64, slot);
-                next = queue.next();
+                match write_message(&mut conn.writer, &request) {
+                    Ok(()) => {
+                        in_flight.insert(id, slots);
+                    }
+                    Err(e) => send_failed = Some(e),
+                }
             }
             self.metrics.pipeline_inflight.set(in_flight.len() as i64);
             if in_flight.is_empty() {
-                return Ok(rate_limited);
+                return match send_failed {
+                    Some(e) => Err(RoundAbort::Transport(e)),
+                    None => Ok(rate_limited),
+                };
             }
-            let payload = read_frame(&mut conn.reader).map_err(RoundAbort::Transport)?;
+            let payload = read_frame(&mut conn.reader)
+                .map_err(|e| RoundAbort::Transport(send_failed.take().unwrap_or(e)))?;
             let response = from_bytes::<Response>(&payload)
                 .map_err(|e| RoundAbort::Fatal(ClientError::Codec(e)))?;
             let Response::Tagged { id, inner } = response else {
                 return Err(RoundAbort::Fatal(ClientError::UnexpectedResponse));
             };
-            let Some(slot) = in_flight.remove(&id) else {
+            let Some(slots) = in_flight.remove(&id) else {
                 return Err(RoundAbort::Fatal(ClientError::UnexpectedResponse));
             };
             match Self::trace_unwrap(*inner) {
-                Response::Estimate { value } => results[slot] = Some(Ok(value)),
-                Response::Error {
-                    code: ErrorCode::RateLimited,
-                    retry_after,
-                    ..
-                } => rate_limited.push((slot, retry_after)),
-                Response::Error {
-                    code,
-                    message,
-                    retry_after,
-                } => {
-                    results[slot] = Some(Err(ClientError::Server {
-                        code,
-                        message,
-                        retry_after,
-                    }))
+                Response::Estimates { answers } if answers.len() == slots.len() => {
+                    for (&slot, answer) in slots.iter().zip(answers) {
+                        file_answer(slot, answer, results, &mut rate_limited);
+                    }
                 }
-                _ => results[slot] = Some(Err(ClientError::UnexpectedResponse)),
+                // An error for the frame as a whole (`BadRequest` from a
+                // service that does not serve batches) answers each slot;
+                // any other shape answers none of them.
+                whole @ Response::Error { .. } => {
+                    for &slot in slots {
+                        file_answer(slot, whole.clone(), results, &mut rate_limited);
+                    }
+                }
+                _ => {
+                    for &slot in slots {
+                        results[slot] = Some(Err(ClientError::UnexpectedResponse));
+                    }
+                }
             }
         }
     }
@@ -803,4 +820,59 @@ impl Client {
             _ => Err(ClientError::UnexpectedResponse),
         }
     }
+}
+
+/// Cuts `todo` into consecutive runs that each fit one batch frame: at
+/// most [`MAX_BATCH_SPECS`] specs and [`BATCH_SPEC_BYTES`] of them. A
+/// spec too large to share a frame goes alone.
+fn batch_frames<'a>(specs: &[TargetingSpec], todo: &'a [usize]) -> Vec<&'a [usize]> {
+    let mut frames = Vec::new();
+    let mut encoded = Vec::new();
+    let (mut start, mut bytes) = (0, 0);
+    for (i, &slot) in todo.iter().enumerate() {
+        encoded.clear();
+        specs[slot].encode(&mut encoded);
+        let len = encoded.len();
+        if i > start && (i - start == MAX_BATCH_SPECS || bytes + len > BATCH_SPEC_BYTES) {
+            frames.push(&todo[start..i]);
+            (start, bytes) = (i, 0);
+        }
+        bytes += len;
+    }
+    if start < todo.len() {
+        frames.push(&todo[start..]);
+    }
+    frames
+}
+
+/// Files one slot's answer: a value, a server error, or a rate-limit
+/// refusal left for the caller's retry loop.
+fn file_answer(
+    slot: usize,
+    answer: Response,
+    results: &mut [Option<Result<u64, ClientError>>],
+    rate_limited: &mut Vec<(usize, Option<Duration>)>,
+) {
+    let result = match answer {
+        Response::Estimate { value } => Ok(value),
+        Response::Error {
+            code: ErrorCode::RateLimited,
+            retry_after,
+            ..
+        } => {
+            rate_limited.push((slot, retry_after));
+            return;
+        }
+        Response::Error {
+            code,
+            message,
+            retry_after,
+        } => Err(ClientError::Server {
+            code,
+            message,
+            retry_after,
+        }),
+        _ => Err(ClientError::UnexpectedResponse),
+    };
+    results[slot] = Some(result);
 }

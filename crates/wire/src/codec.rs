@@ -137,16 +137,28 @@ impl<T: WireEncode> WireEncode for Vec<T> {
 
 impl<T: WireDecode> WireDecode for Vec<T> {
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        let len = u32::decode(buf)? as u64;
-        if len > MAX_ELEMENTS {
-            return Err(CodecError::LengthOverflow { declared: len });
-        }
-        let mut out = Vec::with_capacity(len.min(4096) as usize);
-        for _ in 0..len {
-            out.push(T::decode(buf)?);
-        }
-        Ok(out)
+        decode_seq(buf, MAX_ELEMENTS as usize, T::decode)
     }
+}
+
+/// Decodes a `Vec` encoding (u32 count, then the items) of at most `max`
+/// items, each read by `item`.
+pub(crate) fn decode_seq<T>(
+    buf: &mut &[u8],
+    max: usize,
+    mut item: impl FnMut(&mut &[u8]) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    let len = u32::decode(buf)? as usize;
+    if len > max {
+        return Err(CodecError::LengthOverflow {
+            declared: len as u64,
+        });
+    }
+    let mut out = Vec::with_capacity(len.min(4096));
+    for _ in 0..len {
+        out.push(item(buf)?);
+    }
+    Ok(out)
 }
 
 impl<T: WireEncode> WireEncode for Option<T> {

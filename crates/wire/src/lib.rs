@@ -11,7 +11,8 @@
 //! * [`frame`] — u32-length-prefixed frames with a hard size cap, each
 //!   sent in one write;
 //! * [`message`] — the request/response protocol (describe, browse,
-//!   validate, estimate, stats), plus correlation-id-tagged frames
+//!   validate, estimate, batch estimate, stats), plus
+//!   correlation-id-tagged frames
 //!   ([`Request::Tagged`]/[`Response::Tagged`]) that let a client keep
 //!   several requests in flight on one connection and match the
 //!   possibly-out-of-order answers back by id (pipelining);
@@ -22,9 +23,10 @@
 //!   connection's thread answers its requests, tagged or not, in
 //!   receive order, so fault plans remain deterministic;
 //! * [`client`] — blocking client with timeouts, automatic reconnect,
-//!   retry with backoff, a circuit breaker, and pipelined
+//!   retry with backoff, a circuit breaker, and
 //!   [`estimate_batch`](Client::estimate_batch) (a sliding window of
-//!   tagged requests; reconnects re-issue only unanswered queries).
+//!   tagged [`Request::EstimateBatch`] frames; reconnects re-issue only
+//!   unanswered queries).
 //!
 //! # Distributed tracing
 //!
@@ -70,8 +72,8 @@ pub mod server;
 pub use client::{CatalogPage, Client, ClientConfig, ClientError, InterfaceDescription};
 pub use codec::{from_bytes, to_bytes, CodecError, WireDecode, WireEncode};
 pub use frame::{read_frame, write_frame, write_message, FrameError, MAX_FRAME_BYTES};
-pub use message::{ErrorCode, Request, Response};
+pub use message::{ErrorCode, Request, Response, MAX_BATCH_SPECS};
 pub use server::{
-    serve, serve_service, ConnectionFault, ConnectionFaultHook, FaultPlanHook, PlatformService,
-    ServerConfig, ServerHandle, WireService,
+    serve, serve_service, ConnectionFault, ConnectionFaultHook, CountingHook, FaultPlanHook,
+    PlatformService, ServerConfig, ServerHandle, WireService,
 };

@@ -10,7 +10,15 @@ use std::time::Duration;
 use adcomp_population::{AgeBucket, Gender};
 use adcomp_targeting::{AttributeId, DemographicSpec, Location, OrGroup, TargetingSpec};
 
-use crate::codec::{CodecError, WireDecode, WireEncode, Writer};
+use crate::codec::{decode_seq, CodecError, WireDecode, WireEncode, Writer};
+use crate::frame::MAX_FRAME_BYTES;
+
+/// Most specs one [`Request::EstimateBatch`] may carry, and so most
+/// answers in one [`Response::Estimates`]. It leaves each answer a
+/// kibibyte of the reply frame: an estimate takes 9 bytes and a platform
+/// error about a hundred, so a full reply stays well inside
+/// [`MAX_FRAME_BYTES`].
+pub const MAX_BATCH_SPECS: usize = MAX_FRAME_BYTES as usize / 1024;
 
 /// Client → server messages.
 #[derive(Clone, Debug, PartialEq)]
@@ -32,6 +40,14 @@ pub enum Request {
         /// The spec.
         spec: TargetingSpec,
     },
+    /// Estimates for up to [`MAX_BATCH_SPECS`] specs in one frame,
+    /// answered by one [`Response::Estimates`] in slot order. The server
+    /// admits each spec through its rate limiter on its own and counts
+    /// the admitted ones in one pass.
+    EstimateBatch {
+        /// The specs, in slot order.
+        specs: Vec<TargetingSpec>,
+    },
     /// Query-counter snapshot.
     Stats,
     /// A page of catalog entries (bulk metadata download, so clients need
@@ -45,8 +61,8 @@ pub enum Request {
     /// A correlation-id-tagged request: the client may have several of
     /// these in flight on one connection (pipelining) and matches the
     /// server's [`Response::Tagged`] answers — which may arrive out of
-    /// order — by id. Nesting `Tagged` inside `Tagged` is a protocol
-    /// error.
+    /// order — by id. Only a frame's outermost message may be `Tagged`;
+    /// the decoder rejects any other nesting.
     Tagged {
         /// Correlation id, echoed verbatim in the response.
         id: u64,
@@ -60,8 +76,8 @@ pub enum Request {
     /// A request carrying the caller's trace context, so the server
     /// continues the caller's span instead of starting fresh and both
     /// sides' JSONL sinks share one `trace_id`. Wraps the real request;
-    /// rides *inside* [`Request::Tagged`] when pipelined. Nesting
-    /// `Traced` or `Tagged` inside `Traced` is a protocol error.
+    /// rides *inside* [`Request::Tagged`] when pipelined. The decoder
+    /// rejects `Traced` or `Tagged` inside `Traced`.
     Traced {
         /// The caller's trace id (the root span's id).
         trace_id: u64,
@@ -122,6 +138,13 @@ pub enum Response {
     Estimate {
         /// Rounded value at platform scale.
         value: u64,
+    },
+    /// Answer to a [`Request::EstimateBatch`]: one answer per spec, in
+    /// slot order, each an [`Estimate`](Response::Estimate) or an
+    /// [`Error`](Response::Error) (the decoder rejects anything else).
+    Estimates {
+        /// Per-slot answers.
+        answers: Vec<Response>,
     },
     /// Counter snapshot.
     Stats {
@@ -323,6 +346,23 @@ impl WireDecode for TargetingSpec {
 
 // --- Request / Response encoding --------------------------------------
 
+/// Where a message sits in its frame. The legal shapes are
+/// `Tagged ⊃ Traced ⊃ plain`, each wrapper optional, and in a reply the
+/// answers of an `Estimates`, each an `Estimate` or an `Error`. The
+/// decoders reject every other nesting, so however a frame's bytes
+/// nest, decoding it recurses at most three messages deep.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Nest {
+    /// The frame's outermost message.
+    Frame,
+    /// Inside a `Tagged`.
+    Tagged,
+    /// Inside a `Traced`: plain messages only.
+    Traced,
+    /// One answer of an `Estimates`.
+    Answer,
+}
+
 impl WireEncode for Request {
     fn encode(&self, buf: &mut Writer) {
         match self {
@@ -372,13 +412,35 @@ impl WireEncode for Request {
                 seq.encode(buf);
                 payload.encode(buf);
             }
+            Request::EstimateBatch { specs } => {
+                11u8.encode(buf);
+                specs.encode(buf);
+            }
         }
     }
 }
 
 impl WireDecode for Request {
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(match u8::decode(buf)? {
+        Request::decode_at(buf, Nest::Frame)
+    }
+}
+
+impl Request {
+    fn decode_at(buf: &mut &[u8], at: Nest) -> Result<Self, CodecError> {
+        let tag = u8::decode(buf)?;
+        let legal = match tag {
+            6 => at == Nest::Frame,
+            8 => at != Nest::Traced,
+            _ => true,
+        };
+        if !legal {
+            return Err(CodecError::InvalidTag {
+                what: "nested Request",
+                tag,
+            });
+        }
+        Ok(match tag {
             0 => Request::Describe,
             1 => Request::AttributeInfo {
                 id: u32::decode(buf)?,
@@ -396,19 +458,22 @@ impl WireDecode for Request {
             },
             6 => Request::Tagged {
                 id: u64::decode(buf)?,
-                inner: Box::new(Request::decode(buf)?),
+                inner: Box::new(Request::decode_at(buf, Nest::Tagged)?),
             },
             7 => Request::Status,
             8 => Request::Traced {
                 trace_id: u64::decode(buf)?,
                 span_id: u64::decode(buf)?,
-                inner: Box::new(Request::decode(buf)?),
+                inner: Box::new(Request::decode_at(buf, Nest::Traced)?),
             },
             9 => Request::Metrics,
             10 => Request::TelemetryPush {
                 source: String::decode(buf)?,
                 seq: u64::decode(buf)?,
                 payload: Vec::decode(buf)?,
+            },
+            11 => Request::EstimateBatch {
+                specs: decode_seq(buf, MAX_BATCH_SPECS, TargetingSpec::decode)?,
             },
             tag => {
                 return Err(CodecError::InvalidTag {
@@ -505,13 +570,37 @@ impl WireEncode for Response {
                 11u8.encode(buf);
                 seq.encode(buf);
             }
+            Response::Estimates { answers } => {
+                12u8.encode(buf);
+                answers.encode(buf);
+            }
         }
     }
 }
 
 impl WireDecode for Response {
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(match u8::decode(buf)? {
+        Response::decode_at(buf, Nest::Frame)
+    }
+}
+
+impl Response {
+    fn decode_at(buf: &mut &[u8], at: Nest) -> Result<Self, CodecError> {
+        let tag = u8::decode(buf)?;
+        let legal = match (at, tag) {
+            (Nest::Answer, tag) => matches!(tag, 3 | 5),
+            (at, 7) => at == Nest::Frame,
+            (at, 9) => matches!(at, Nest::Frame | Nest::Tagged),
+            _ => true,
+        };
+        if !legal {
+            let what = match at {
+                Nest::Answer => "Estimates answer",
+                _ => "nested Response",
+            };
+            return Err(CodecError::InvalidTag { what, tag });
+        }
+        Ok(match tag {
             0 => Response::Described {
                 label: String::decode(buf)?,
                 catalog_len: u32::decode(buf)?,
@@ -546,7 +635,7 @@ impl WireDecode for Response {
             },
             7 => Response::Tagged {
                 id: u64::decode(buf)?,
-                inner: Box::new(Response::decode(buf)?),
+                inner: Box::new(Response::decode_at(buf, Nest::Tagged)?),
             },
             8 => Response::StatusReport {
                 healthy: bool::decode(buf)?,
@@ -554,13 +643,18 @@ impl WireDecode for Response {
             },
             9 => Response::Traced {
                 server_us: u64::decode(buf)?,
-                inner: Box::new(Response::decode(buf)?),
+                inner: Box::new(Response::decode_at(buf, Nest::Traced)?),
             },
             10 => Response::MetricsText {
                 text: String::decode(buf)?,
             },
             11 => Response::TelemetryAck {
                 seq: u64::decode(buf)?,
+            },
+            12 => Response::Estimates {
+                answers: decode_seq(buf, MAX_BATCH_SPECS, |buf| {
+                    Response::decode_at(buf, Nest::Answer)
+                })?,
             },
             tag => {
                 return Err(CodecError::InvalidTag {
@@ -770,6 +864,141 @@ mod tests {
             payload: Vec::new(),
         });
         roundtrip_resp(Response::TelemetryAck { seq: 41 });
+    }
+
+    #[test]
+    fn batch_messages_roundtrip() {
+        roundtrip_req(Request::EstimateBatch {
+            specs: vec![sample_spec(), TargetingSpec::everyone()],
+        });
+        roundtrip_req(Request::EstimateBatch { specs: vec![] });
+        roundtrip_req(Request::Tagged {
+            id: 4,
+            inner: Box::new(Request::Traced {
+                trace_id: 1,
+                span_id: 2,
+                inner: Box::new(Request::EstimateBatch {
+                    specs: vec![sample_spec()],
+                }),
+            }),
+        });
+        roundtrip_resp(Response::Tagged {
+            id: 4,
+            inner: Box::new(Response::Traced {
+                server_us: 12,
+                inner: Box::new(Response::Estimates {
+                    answers: vec![
+                        Response::Estimate { value: 1_000 },
+                        Response::Error {
+                            code: ErrorCode::RateLimited,
+                            message: "query rate exceeded".into(),
+                            retry_after: Some(Duration::from_millis(3)),
+                        },
+                    ],
+                }),
+            }),
+        });
+    }
+
+    #[test]
+    fn illegal_nesting_is_rejected() {
+        let estimate = || {
+            Box::new(Request::Estimate {
+                spec: TargetingSpec::everyone(),
+            })
+        };
+        let tagged = |inner| Request::Tagged { id: 1, inner };
+        let traced = |inner| Request::Traced {
+            trace_id: 1,
+            span_id: 2,
+            inner,
+        };
+        for bad in [
+            tagged(Box::new(tagged(estimate()))),
+            traced(Box::new(traced(estimate()))),
+            traced(Box::new(tagged(estimate()))),
+            tagged(Box::new(traced(Box::new(tagged(estimate()))))),
+        ] {
+            assert!(
+                matches!(
+                    from_bytes::<Request>(&to_bytes(&bad)),
+                    Err(CodecError::InvalidTag { .. })
+                ),
+                "{bad:?}"
+            );
+        }
+        let ok = || Box::new(Response::Ok);
+        let tagged = |inner| Response::Tagged { id: 1, inner };
+        let traced = |inner| Response::Traced {
+            server_us: 1,
+            inner,
+        };
+        let batch = |answer| Response::Estimates {
+            answers: vec![Response::Estimate { value: 1 }, answer],
+        };
+        for bad in [
+            tagged(Box::new(tagged(ok()))),
+            traced(Box::new(traced(ok()))),
+            traced(Box::new(tagged(ok()))),
+            batch(Response::Ok),
+            batch(tagged(Box::new(Response::Estimate { value: 2 }))),
+            batch(batch(Response::Estimate { value: 2 })),
+        ] {
+            assert!(
+                matches!(
+                    from_bytes::<Response>(&to_bytes(&bad)),
+                    Err(CodecError::InvalidTag { .. })
+                ),
+                "{bad:?}"
+            );
+        }
+    }
+
+    /// `[tag, id: u64]` repeated to fill a maximal frame: wrappers nested
+    /// about 116k deep.
+    fn deeply_nested(tag: u8) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        while bytes.len() + 9 <= MAX_FRAME_BYTES as usize {
+            bytes.push(tag);
+            bytes.extend_from_slice(&7u64.to_be_bytes());
+        }
+        bytes
+    }
+
+    #[test]
+    fn deeply_nested_frames_fail_without_recursing() {
+        // A connection thread's default stack: unbounded recursion over
+        // this frame overflows it and aborts the whole process.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                assert!(matches!(
+                    from_bytes::<Request>(&deeply_nested(6)),
+                    Err(CodecError::InvalidTag { .. })
+                ));
+                assert!(matches!(
+                    from_bytes::<Response>(&deeply_nested(7)),
+                    Err(CodecError::InvalidTag { .. })
+                ));
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    #[test]
+    fn oversized_batches_are_rejected() {
+        let mut bytes = vec![11u8];
+        (MAX_BATCH_SPECS as u32 + 1).encode(&mut bytes);
+        assert!(matches!(
+            from_bytes::<Request>(&bytes),
+            Err(CodecError::LengthOverflow { .. })
+        ));
+        bytes[0] = 12;
+        assert!(matches!(
+            from_bytes::<Response>(&bytes),
+            Err(CodecError::LengthOverflow { .. })
+        ));
     }
 
     #[test]

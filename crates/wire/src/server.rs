@@ -6,8 +6,11 @@
 //! reads a frame, answers it and writes the answer (one `write` per
 //! frame) before it reads the next, so every request, pipelined
 //! ([`Request::Tagged`]) or not, is answered on that thread in receive
-//! order. A pipelining client keeps frames queued on the socket, so the
-//! thread goes straight from one answer to the next request. Shutdown
+//! order. A batch frame ([`Request::EstimateBatch`]) passes the rate
+//! limiter one spec at a time and reaches the platform as one
+//! [`PlatformApi::reach_estimates`] call. A pipelining client keeps
+//! frames queued on the socket, so the thread goes straight from one
+//! answer to the next request. Shutdown
 //! closes the read half of each socket: a thread answers what its client
 //! already sent, reads end-of-stream and exits (see
 //! [`ServerHandle::shutdown`]). A shared token-bucket rate limiter
@@ -39,9 +42,9 @@ use adcomp_obs::lock;
 use adcomp_obs::metrics::{Counter, Registry};
 use adcomp_obs::trace::{TraceContext, Tracer};
 use adcomp_platform::{
-    EstimateRequest, FaultKind, FaultPlan, PlatformApi, PlatformError, TokenBucket,
+    EstimateRequest, FaultKind, FaultPlan, PlatformApi, PlatformError, SizeEstimate, TokenBucket,
 };
-use adcomp_targeting::ValidationError;
+use adcomp_targeting::{TargetingSpec, ValidationError};
 
 use crate::codec::from_bytes;
 use crate::frame::{read_frame, write_message};
@@ -114,6 +117,48 @@ impl ConnectionFaultHook for FaultPlanHook {
     }
 }
 
+/// Wraps a hook and counts the frames it is consulted on and the faults
+/// it fires, so a test can assert that its injected drops happened
+/// rather than passing because the schedule never came due.
+#[derive(Debug, Default)]
+pub struct CountingHook<H> {
+    inner: H,
+    frames: AtomicU64,
+    fired: AtomicU64,
+}
+
+impl<H> CountingHook<H> {
+    /// Counts what `inner` sees, starting from zero.
+    pub fn new(inner: H) -> Self {
+        CountingHook {
+            inner,
+            frames: AtomicU64::new(0),
+            fired: AtomicU64::new(0),
+        }
+    }
+
+    /// Frames the hook has been consulted on, across all connections.
+    pub fn frames(&self) -> u64 {
+        self.frames.load(Ordering::SeqCst)
+    }
+
+    /// Connections the hook has killed.
+    pub fn fired(&self) -> u64 {
+        self.fired.load(Ordering::SeqCst)
+    }
+}
+
+impl<H: ConnectionFaultHook> ConnectionFaultHook for CountingHook<H> {
+    fn fault_for(&self, index: u64) -> Option<ConnectionFault> {
+        self.frames.fetch_add(1, Ordering::SeqCst);
+        let fault = self.inner.fault_for(index);
+        if fault.is_some() {
+            self.fired.fetch_add(1, Ordering::SeqCst);
+        }
+        fault
+    }
+}
+
 /// Server tuning.
 #[derive(Clone)]
 pub struct ServerConfig {
@@ -126,7 +171,9 @@ pub struct ServerConfig {
     /// Transport-fault injector, consulted once per received frame.
     pub fault_hook: Option<Arc<dyn ConnectionFaultHook>>,
     /// How long [`ServerHandle::shutdown`] waits for frames clients sent
-    /// before it to be answered before force-closing connections.
+    /// before it to be answered before force-closing connections. A frame
+    /// the service is already answering is finished first, so shutdown
+    /// can overrun this by up to one frame's work.
     pub drain_timeout: Duration,
     /// Tracer that server-side continuation spans ([`Request::Traced`])
     /// are recorded into; `None` uses the process-global tracer. Inject
@@ -194,6 +241,8 @@ struct Shared {
     service: Arc<dyn WireService>,
     limiter: Option<Mutex<(TokenBucket, Instant)>>,
     fault_hook: Option<Arc<dyn ConnectionFaultHook>>,
+    /// Where continuation spans go; `None` is the process-global tracer.
+    tracer: Option<Arc<Tracer>>,
     /// One counter across all connections: reconnecting does not reset
     /// the fault schedule.
     request_counter: AtomicU64,
@@ -202,6 +251,36 @@ struct Shared {
     drain_expired: AtomicBool,
     /// Frames clients sent that an expired drain left unanswered.
     abandoned: AtomicU64,
+}
+
+impl Shared {
+    /// Takes one token from the shared limiter. A refusal comes back as
+    /// the `RateLimited` answer, already counted by the service.
+    fn admit(&self) -> Result<(), Response> {
+        let Some(limiter) = &self.limiter else {
+            return Ok(());
+        };
+        let mut guard = lock(limiter);
+        let (bucket, epoch) = &mut *guard;
+        if bucket.try_acquire(epoch.elapsed()) {
+            return Ok(());
+        }
+        let retry_after = bucket.retry_after(epoch.elapsed());
+        drop(guard);
+        self.service.note_rate_limited();
+        Err(Response::Error {
+            code: ErrorCode::RateLimited,
+            message: "query rate exceeded".into(),
+            retry_after: Some(retry_after),
+        })
+    }
+
+    fn tracer(&self) -> &Tracer {
+        match &self.tracer {
+            Some(t) => t.as_ref(),
+            None => Tracer::global(),
+        }
+    }
 }
 
 /// A live connection as the shutdown path sees it.
@@ -236,6 +315,11 @@ impl ServerHandle {
     /// `adcomp_wire_drain_abandoned`, so a pipelining client can
     /// distinguish a draining endpoint (all sent requests answered)
     /// from a killed one (responses lost mid-window).
+    ///
+    /// A connection thread checks the window between frames, never inside
+    /// one: a frame the service is already answering — a batch frame of
+    /// up to [`MAX_BATCH_SPECS`](crate::MAX_BATCH_SPECS) specs on a slow
+    /// platform — holds shutdown until it is done, past the window.
     pub fn shutdown(mut self) {
         self.shutdown_now();
     }
@@ -307,78 +391,12 @@ pub fn serve(
     serve_service(Arc::new(PlatformService(platform)), addr, config)
 }
 
-/// Unwraps [`Request::Traced`] in front of any service: continues the
-/// caller's span on the server tracer for the duration of the inner
-/// handling and wraps the answer in [`Response::Traced`] with the
-/// measured server time. Untraced requests pass through untouched, so
-/// the wrapper costs one enum match when tracing is off the wire.
-struct TracedService {
-    inner: Arc<dyn WireService>,
-    tracer: Option<Arc<Tracer>>,
-}
-
-impl TracedService {
-    fn tracer(&self) -> &Tracer {
-        match &self.tracer {
-            Some(t) => t.as_ref(),
-            None => Tracer::global(),
-        }
-    }
-}
-
-impl WireService for TracedService {
-    fn handle(&self, request: Request) -> Response {
-        match request {
-            Request::Traced {
-                trace_id,
-                span_id,
-                inner,
-            } => {
-                if matches!(*inner, Request::Traced { .. } | Request::Tagged { .. }) {
-                    return Response::Error {
-                        code: ErrorCode::BadRequest,
-                        message: "nested Traced/Tagged inside Traced".into(),
-                        retry_after: None,
-                    };
-                }
-                let started = Instant::now();
-                let ctx = TraceContext {
-                    trace_id,
-                    span_id,
-                    parent: None,
-                };
-                let name = match &*inner {
-                    Request::Estimate { .. } => "platform:estimate",
-                    Request::Check { .. } => "platform:check",
-                    _ => "platform:serve",
-                };
-                let span = self.tracer().continue_span(ctx, name, &[]);
-                let response = self.inner.handle(*inner);
-                drop(span);
-                Response::Traced {
-                    server_us: started.elapsed().as_micros() as u64,
-                    inner: Box::new(response),
-                }
-            }
-            other => self.inner.handle(other),
-        }
-    }
-
-    fn note_rate_limited(&self) {
-        self.inner.note_rate_limited();
-    }
-}
-
 /// Starts serving an arbitrary [`WireService`] on `addr`.
 pub fn serve_service(
     service: Arc<dyn WireService>,
     addr: &str,
     config: ServerConfig,
 ) -> std::io::Result<ServerHandle> {
-    let service: Arc<dyn WireService> = Arc::new(TracedService {
-        inner: service,
-        tracer: config.tracer.clone(),
-    });
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
@@ -388,6 +406,7 @@ pub fn serve_service(
             .rate_limit
             .map(|rate| Mutex::new((TokenBucket::new(rate, config.burst), Instant::now()))),
         fault_hook: config.fault_hook,
+        tracer: config.tracer,
         request_counter: AtomicU64::new(0),
         drain_expired: AtomicBool::new(false),
         abandoned: AtomicU64::new(0),
@@ -443,7 +462,7 @@ pub fn serve_service(
 /// platform, by request kind. Each kind's counter is resolved from the
 /// registry once, on its first request.
 fn requests_total(request: &Request) -> &'static Counter {
-    static COUNTERS: [OnceLock<Arc<Counter>>; 11] = [const { OnceLock::new() }; 11];
+    static COUNTERS: [OnceLock<Arc<Counter>>; 12] = [const { OnceLock::new() }; 12];
     let (slot, kind) = match request {
         Request::Describe => (0, "describe"),
         Request::AttributeInfo { .. } => (1, "attribute_info"),
@@ -456,6 +475,7 @@ fn requests_total(request: &Request) -> &'static Counter {
         Request::Traced { .. } => (8, "traced"),
         Request::Metrics => (9, "metrics"),
         Request::TelemetryPush { .. } => (10, "telemetry_push"),
+        Request::EstimateBatch { .. } => (11, "estimate_batch"),
     };
     COUNTERS[slot].get_or_init(|| {
         Registry::global().counter_with("adcomp_wire_requests_total", &[("kind", kind)])
@@ -523,22 +543,7 @@ fn answer_frames(
                 message: e.to_string(),
                 retry_after: None,
             },
-            Ok(Request::Tagged { id, inner }) => {
-                let inner = if matches!(*inner, Request::Tagged { .. }) {
-                    Response::Error {
-                        code: ErrorCode::BadRequest,
-                        message: "nested Tagged request".into(),
-                        retry_after: None,
-                    }
-                } else {
-                    admit(*inner, shared)
-                };
-                Response::Tagged {
-                    id,
-                    inner: Box::new(inner),
-                }
-            }
-            Ok(request) => admit(request, shared),
+            Ok(request) => answer(request, shared),
         };
         if write_message(writer, &response).is_err() {
             return true;
@@ -546,24 +551,91 @@ fn answer_frames(
     }
 }
 
-/// Checks the shared limiter for one request, in receive order, and
-/// answers it when it is within the rate.
-fn admit(request: Request, shared: &Shared) -> Response {
-    if let Some(limiter) = &shared.limiter {
-        let mut guard = lock(limiter);
-        let (bucket, epoch) = &mut *guard;
-        if !bucket.try_acquire(epoch.elapsed()) {
-            let retry_after = bucket.retry_after(epoch.elapsed());
-            drop(guard);
-            shared.service.note_rate_limited();
-            return Response::Error {
-                code: ErrorCode::RateLimited,
-                message: "query rate exceeded".into(),
-                retry_after: Some(retry_after),
+/// Answers one decoded request in receive order. Decoding has enforced
+/// the nesting `Tagged ⊃ Traced ⊃ plain`, so this recurses at most
+/// twice: a `Tagged` answer echoes its id, a `Traced` one continues the
+/// caller's span around the inner answer and reports the time it took,
+/// and a plain request passes the rate limiter before the service sees
+/// it.
+fn answer(request: Request, shared: &Shared) -> Response {
+    match request {
+        Request::Tagged { id, inner } => Response::Tagged {
+            id,
+            inner: Box::new(answer(*inner, shared)),
+        },
+        Request::Traced {
+            trace_id,
+            span_id,
+            inner,
+        } => {
+            let started = Instant::now();
+            let ctx = TraceContext {
+                trace_id,
+                span_id,
+                parent: None,
             };
+            let name = match &*inner {
+                Request::Estimate { .. } => "platform:estimate",
+                Request::EstimateBatch { .. } => "platform:estimate_batch",
+                Request::Check { .. } => "platform:check",
+                _ => "platform:serve",
+            };
+            let span = shared.tracer().continue_span(ctx, name, &[]);
+            let response = answer(*inner, shared);
+            drop(span);
+            Response::Traced {
+                server_us: started.elapsed().as_micros() as u64,
+                inner: Box::new(response),
+            }
+        }
+        Request::EstimateBatch { specs } => answer_batch(specs, shared),
+        request => match shared.admit() {
+            Ok(()) => shared.service.handle(request),
+            Err(refused) => refused,
+        },
+    }
+}
+
+/// Answers a batch frame. Each spec takes its own token from the rate
+/// limiter, in slot order; a refused spec answers `RateLimited` in its
+/// slot, and the admitted ones go to the service as one batch.
+fn answer_batch(specs: Vec<TargetingSpec>, shared: &Shared) -> Response {
+    let mut answers = Vec::with_capacity(specs.len());
+    let mut admitted = Vec::with_capacity(specs.len());
+    for spec in specs {
+        match shared.admit() {
+            Ok(()) => {
+                answers.push(None);
+                admitted.push(spec);
+            }
+            Err(refused) => answers.push(Some(refused)),
         }
     }
-    shared.service.handle(request)
+    if admitted.is_empty() {
+        return Response::Estimates {
+            answers: answers.into_iter().flatten().collect(),
+        };
+    }
+    let count = admitted.len();
+    match shared
+        .service
+        .handle(Request::EstimateBatch { specs: admitted })
+    {
+        Response::Estimates { answers: served } if served.len() == count => {
+            let mut served = served.into_iter();
+            Response::Estimates {
+                answers: answers
+                    .into_iter()
+                    .map(|refused| {
+                        refused.unwrap_or_else(|| served.next().expect("one per admitted spec"))
+                    })
+                    .collect(),
+            }
+        }
+        // A service that answers the frame as a whole (one that does not
+        // serve batches answers `BadRequest`) answers every slot.
+        whole => whole,
+    }
 }
 
 fn handle_request(platform: &dyn PlatformApi, request: Request) -> Response {
@@ -601,9 +673,22 @@ fn handle_request(platform: &dyn PlatformApi, request: Request) -> Response {
         },
         Request::Estimate { spec } => {
             let req = EstimateRequest::new(spec, platform.config().default_objective);
-            match platform.reach_estimate(&req) {
-                Ok(est) => Response::Estimate { value: est.value },
-                Err(e) => platform_error_to_response(e),
+            estimate_answer(platform.reach_estimate(&req))
+        }
+        // One `reach_estimates` call: a platform counts the batch in one
+        // pass, a fault-injecting one still faults request by request.
+        Request::EstimateBatch { specs } => {
+            let objective = platform.config().default_objective;
+            let requests: Vec<EstimateRequest> = specs
+                .into_iter()
+                .map(|spec| EstimateRequest::new(spec, objective))
+                .collect();
+            Response::Estimates {
+                answers: platform
+                    .reach_estimates(&requests)
+                    .into_iter()
+                    .map(estimate_answer)
+                    .collect(),
             }
         }
         Request::CatalogPage { start, limit } => {
@@ -641,17 +726,11 @@ fn handle_request(platform: &dyn PlatformApi, request: Request) -> Response {
             healthy: true,
             body: format!("platform {} serving", platform.label()),
         },
-        // The connection loop unwraps tagging before dispatch; reaching this
-        // arm means a nested Tagged slipped through.
-        Request::Tagged { .. } => Response::Error {
+        // The transport unwraps both wrappers before dispatch; one that
+        // reaches a service came from a caller that skipped the transport.
+        Request::Tagged { .. } | Request::Traced { .. } => Response::Error {
             code: ErrorCode::BadRequest,
-            message: "nested Tagged request".into(),
-            retry_after: None,
-        },
-        // The TracedService wrapper unwraps tracing before dispatch.
-        Request::Traced { .. } => Response::Error {
-            code: ErrorCode::BadRequest,
-            message: "nested Traced request".into(),
+            message: "Tagged and Traced are unwrapped by the transport".into(),
             retry_after: None,
         },
         // The scrape endpoint: whatever this process has recorded.
@@ -665,6 +744,13 @@ fn handle_request(platform: &dyn PlatformApi, request: Request) -> Response {
             message: "platform endpoints do not accept telemetry pushes".into(),
             retry_after: None,
         },
+    }
+}
+
+fn estimate_answer(result: Result<SizeEstimate, PlatformError>) -> Response {
+    match result {
+        Ok(est) => Response::Estimate { value: est.value },
+        Err(e) => platform_error_to_response(e),
     }
 }
 

@@ -7,8 +7,9 @@ use adcomp_platform::{FaultKind, FaultPlan, Schedule, SimScale, Simulation};
 use adcomp_population::Gender;
 use adcomp_targeting::{AttributeId, TargetingSpec};
 use adcomp_wire::{
-    from_bytes, read_frame, serve, serve_service, write_message, Client, ClientConfig, ClientError,
-    ErrorCode, FaultPlanHook, Request, Response, ServerConfig, WireService,
+    from_bytes, read_frame, serve, serve_service, write_frame, write_message, Client, ClientConfig,
+    ClientError, CountingHook, ErrorCode, FaultPlanHook, Request, Response, ServerConfig,
+    WireService, MAX_BATCH_SPECS, MAX_FRAME_BYTES,
 };
 
 fn sim() -> &'static Simulation {
@@ -419,42 +420,54 @@ fn pipelined_batch_matches_serial_estimates() {
 
 #[test]
 fn pipelined_batch_matches_answers_that_arrive_out_of_order() {
-    // A hand-rolled peer reads a whole pipelined window, then answers it
-    // in reverse: the client must file each answer under its correlation
-    // id, not by arrival order. (The real server answers in order.)
+    // A hand-rolled peer reads a whole pipelined window of batch frames,
+    // then answers the frames in reverse: the client must file each
+    // frame's answers under its correlation id, not by arrival order.
+    // (The real server answers in order.) The middle frame gets one bare
+    // estimate instead of a batch answer, which must fill none of its
+    // slots with that value.
+    use std::collections::HashMap;
     use std::io::BufReader;
     use std::net::TcpListener;
 
-    const WINDOW: usize = 8;
-    let specs: Vec<TargetingSpec> = (0..WINDOW as u32)
+    const FRAMES: usize = 3;
+    let specs: Vec<TargetingSpec> = (0..(FRAMES * MAX_BATCH_SPECS) as u32)
         .map(|i| TargetingSpec::and_of([AttributeId(i)]))
         .collect();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let peer_specs = specs.clone();
+    let slot_of: HashMap<TargetingSpec, u64> = specs.iter().cloned().zip(0..).collect();
     let peer = std::thread::spawn(move || {
         let (stream, _) = listener.accept().unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut writer = stream;
         let mut window = Vec::new();
-        for _ in 0..WINDOW {
+        for _ in 0..FRAMES {
             let payload = read_frame(&mut reader).unwrap();
             let Request::Tagged { id, inner } = from_bytes::<Request>(&payload).unwrap() else {
                 panic!("expected a tagged request");
             };
-            let Request::Estimate { spec } = *inner else {
-                panic!("expected a tagged estimate");
+            let Request::EstimateBatch { specs } = *inner else {
+                panic!("expected a tagged batch");
             };
-            window.push((id, spec));
+            window.push((id, specs));
         }
-        for (id, spec) in window.into_iter().rev() {
+        for (id, specs) in window.into_iter().rev() {
             // Each answer names its spec's slot, so a misfiled one shows.
-            let slot = peer_specs.iter().position(|s| *s == spec).unwrap();
+            let answers = specs
+                .iter()
+                .map(|spec| Response::Estimate {
+                    value: 1_000 + slot_of[spec],
+                })
+                .collect();
+            let inner = if id == MAX_BATCH_SPECS as u64 {
+                Response::Estimate { value: 7 }
+            } else {
+                Response::Estimates { answers }
+            };
             let answer = Response::Tagged {
                 id,
-                inner: Box::new(Response::Estimate {
-                    value: 1_000 + slot as u64,
-                }),
+                inner: Box::new(inner),
             };
             write_message(&mut writer, &answer).unwrap();
         }
@@ -462,7 +475,7 @@ fn pipelined_batch_matches_answers_that_arrive_out_of_order() {
     let client = Client::connect_with(
         addr,
         ClientConfig {
-            pipeline_window: WINDOW,
+            pipeline_window: FRAMES,
             ..ClientConfig::fast()
         },
     )
@@ -470,11 +483,18 @@ fn pipelined_batch_matches_answers_that_arrive_out_of_order() {
     let results = client.estimate_batch(&specs);
     peer.join().unwrap();
     for (slot, result) in results.iter().enumerate() {
-        assert_eq!(
-            result.as_ref().unwrap(),
-            &(1_000 + slot as u64),
-            "slot {slot}"
-        );
+        if (MAX_BATCH_SPECS..2 * MAX_BATCH_SPECS).contains(&slot) {
+            assert!(
+                matches!(result, Err(ClientError::UnexpectedResponse)),
+                "slot {slot}: {result:?}"
+            );
+        } else {
+            assert_eq!(
+                result.as_ref().unwrap(),
+                &(1_000 + slot as u64),
+                "slot {slot}"
+            );
+        }
     }
 }
 
@@ -562,6 +582,15 @@ impl adcomp_platform::PlatformApi for SlowPlatform {
         self.inner.reach_estimate(request)
     }
 
+    /// One delay per call, so a batch frame costs what one estimate does.
+    fn reach_estimates(
+        &self,
+        requests: &[adcomp_platform::EstimateRequest],
+    ) -> Vec<Result<adcomp_platform::SizeEstimate, adcomp_platform::PlatformError>> {
+        std::thread::sleep(self.delay);
+        self.inner.reach_estimates(requests)
+    }
+
     fn check(&self, spec: &TargetingSpec) -> Result<(), adcomp_platform::PlatformError> {
         adcomp_platform::AdPlatform::check(&self.inner, spec)
     }
@@ -577,10 +606,11 @@ impl adcomp_platform::PlatformApi for SlowPlatform {
 
 #[test]
 fn shutdown_drains_in_flight_pipelined_frames() {
-    // 16 pipelined estimates at 30ms each ≈ 480ms of server-side work.
-    // Shutdown lands mid-flight and must hold the connection open until
-    // every frame sent is answered — before graceful drain, the active
-    // close could cut off queued responses.
+    // 16 pipelined batch frames at 30ms each ≈ 480ms of server-side
+    // work. Shutdown lands mid-flight, with frames still queued on the
+    // socket, and must hold the connection open until every frame sent
+    // is answered — before graceful drain, the active close could cut
+    // off queued responses.
     let slow = Arc::new(SlowPlatform {
         inner: sim().linkedin.clone(),
         delay: std::time::Duration::from_millis(30),
@@ -611,14 +641,14 @@ fn shutdown_drains_in_flight_pipelined_frames() {
     )
     .unwrap();
     let batch = std::thread::spawn(move || {
-        let specs = vec![TargetingSpec::everyone(); 16];
+        let specs = vec![TargetingSpec::everyone(); 16 * MAX_BATCH_SPECS];
         client.estimate_batch(&specs)
     });
     // Let the window land server-side so frames are read and queued.
     std::thread::sleep(std::time::Duration::from_millis(100));
     handle.shutdown();
     let results = batch.join().unwrap();
-    assert_eq!(results.len(), 16);
+    assert_eq!(results.len(), 16 * MAX_BATCH_SPECS);
     for (i, r) in results.iter().enumerate() {
         assert_eq!(
             r.as_ref().expect("drained shutdown answers every frame"),
@@ -682,8 +712,9 @@ fn custom_service_rides_the_wire_transport() {
 #[test]
 fn expired_drain_is_surfaced_not_silent() {
     // Admitted frames that cannot be answered inside the drain window
-    // must be counted, not dropped on the floor. 8 pipelined estimates
-    // at 200ms each against a 20ms drain window guarantees leftovers.
+    // must be counted, not dropped on the floor. 8 pipelined batch
+    // frames at 200ms each against a 20ms drain window guarantees
+    // leftovers: the frames still queued behind the one in hand.
     let abandoned = adcomp_obs::metrics::Registry::global().counter("adcomp_wire_drain_abandoned");
     let before = abandoned.get();
     let slow = Arc::new(SlowPlatform {
@@ -706,7 +737,7 @@ fn expired_drain_is_surfaced_not_silent() {
     )
     .unwrap();
     let batch = std::thread::spawn(move || {
-        let specs = vec![TargetingSpec::everyone(); 8];
+        let specs = vec![TargetingSpec::everyone(); 8 * MAX_BATCH_SPECS];
         client.estimate_batch(&specs)
     });
     // Let the window land server-side so frames are read and queued.
@@ -714,20 +745,23 @@ fn expired_drain_is_surfaced_not_silent() {
     handle.shutdown();
     let _ = batch.join().unwrap();
     assert!(
-        abandoned.get() > before,
-        "an expired drain must increment adcomp_wire_drain_abandoned"
+        abandoned.get() >= before + 2,
+        "an expired drain must count the queued frames in adcomp_wire_drain_abandoned"
     );
 }
 
 #[test]
 fn pipelined_batch_reconnects_and_reissues_only_unanswered() {
-    // Kill the connection mid-batch; the client reconnects and re-issues
-    // the unanswered tail, so every slot ends up filled and correct.
+    // Six batch frames, four in flight; the connection dies at the
+    // fourth. The first three are answered, so the client reconnects
+    // and re-issues the last three only, and every slot ends up filled
+    // and correct.
     let plan = FaultPlan::new(31).with(
         FaultKind::Drop { mid_frame: false },
-        Schedule::Once { at: 5 },
+        Schedule::Once { at: 3 },
     );
-    let config = ServerConfig::default().with_fault_hook(Arc::new(FaultPlanHook(plan)));
+    let hook = Arc::new(CountingHook::new(FaultPlanHook(plan)));
+    let config = ServerConfig::default().with_fault_hook(hook.clone());
     let handle = serve(sim().linkedin.clone(), "127.0.0.1:0", config).unwrap();
     let client = Client::connect_with(
         handle.addr(),
@@ -737,13 +771,51 @@ fn pipelined_batch_reconnects_and_reissues_only_unanswered() {
         },
     )
     .unwrap();
-    let specs: Vec<TargetingSpec> = (0..10)
-        .map(|i| TargetingSpec::and_of([AttributeId(i)]))
+    let specs: Vec<TargetingSpec> = (0..6 * MAX_BATCH_SPECS as u32)
+        .map(|i| TargetingSpec::and_of([AttributeId(i % 60)]))
         .collect();
     let results = client.estimate_batch(&specs);
-    for (i, r) in results.iter().enumerate() {
-        let clean = client.estimate(&specs[i]).unwrap();
-        assert_eq!(r.as_ref().unwrap(), &clean, "slot {i}");
+    assert_eq!(hook.fired(), 1, "the drop at frame 3 fired");
+    assert_eq!(
+        hook.frames(),
+        4 + 3,
+        "frames 0-3, then the three unanswered"
+    );
+    let clean = client.estimate_batch(&specs);
+    for (i, (r, clean)) in results.iter().zip(&clean).enumerate() {
+        assert_eq!(r.as_ref().unwrap(), clean.as_ref().unwrap(), "slot {i}");
     }
+    handle.shutdown();
+}
+
+#[test]
+fn deeply_nested_frame_is_refused_and_the_server_keeps_serving() {
+    // A maximal frame of `Tagged` wrappers nested ~116k deep. Decoding it
+    // recursively would overflow the connection thread's stack and abort
+    // the whole process; it must come back as one BadRequest instead.
+    use std::io::BufReader;
+    let handle = serve(
+        sim().linkedin.clone(),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let mut nested = Vec::new();
+    while nested.len() + 9 <= MAX_FRAME_BYTES as usize {
+        nested.push(6u8);
+        nested.extend_from_slice(&7u64.to_be_bytes());
+    }
+    let raw = std::net::TcpStream::connect(handle.addr()).unwrap();
+    write_frame(&mut &raw, &nested).unwrap();
+    let answer = read_frame(&mut BufReader::new(&raw)).unwrap();
+    assert!(matches!(
+        from_bytes::<Response>(&answer).unwrap(),
+        Response::Error {
+            code: ErrorCode::BadRequest,
+            ..
+        }
+    ));
+    let client = Client::connect(handle.addr()).unwrap();
+    assert!(client.estimate(&TargetingSpec::everyone()).unwrap() > 0);
     handle.shutdown();
 }

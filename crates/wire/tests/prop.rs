@@ -44,6 +44,8 @@ fn arb_request() -> impl Strategy<Value = Request> {
         arb_spec().prop_map(|spec| Request::Check { spec }),
         arb_spec().prop_map(|spec| Request::Estimate { spec }),
         Just(Request::Stats),
+        proptest::collection::vec(arb_spec(), 0..6)
+            .prop_map(|specs| Request::EstimateBatch { specs }),
     ]
 }
 
@@ -55,6 +57,19 @@ fn arb_error_code() -> impl Strategy<Value = ErrorCode> {
         Just(ErrorCode::BadRequest),
         Just(ErrorCode::Internal),
     ]
+}
+
+fn arb_error() -> impl Strategy<Value = Response> {
+    (
+        arb_error_code(),
+        any::<String>(),
+        proptest::option::of(any::<u64>()),
+    )
+        .prop_map(|(code, message, micros)| Response::Error {
+            code,
+            message,
+            retry_after: micros.map(std::time::Duration::from_micros),
+        })
 }
 
 fn arb_response() -> impl Strategy<Value = Response> {
@@ -81,16 +96,15 @@ fn arb_response() -> impl Strategy<Value = Response> {
                 rate_limited,
             }
         ),
-        (
-            arb_error_code(),
-            any::<String>(),
-            proptest::option::of(any::<u64>())
+        arb_error(),
+        proptest::collection::vec(
+            prop_oneof![
+                any::<u64>().prop_map(|value| Response::Estimate { value }),
+                arb_error(),
+            ],
+            0..6
         )
-            .prop_map(|(code, message, micros)| Response::Error {
-                code,
-                message,
-                retry_after: micros.map(std::time::Duration::from_micros),
-            }),
+        .prop_map(|answers| Response::Estimates { answers }),
     ]
 }
 

@@ -148,9 +148,10 @@ impl EstimateSource for RemoteSource {
     }
 
     fn estimate_batch(&self, specs: &[TargetingSpec]) -> Vec<Result<u64, SourceError>> {
-        // Pipelined: the client keeps a window of tagged requests in
-        // flight on the one connection instead of paying a round-trip
-        // per query.
+        // Batch frames: the server counts each frame's specs in one pass,
+        // and the client keeps a window of frames in flight on the one
+        // connection, so a batch pays a round trip per frame, not per
+        // query.
         self.client
             .estimate_batch(specs)
             .into_iter()
@@ -158,8 +159,10 @@ impl EstimateSource for RemoteSource {
             .collect()
     }
 
+    /// Every spec one call keeps in flight: a full batch frame per
+    /// pipelined frame, so a scheduler unit goes out as one call.
     fn batch_window(&self) -> usize {
-        self.client.config().pipeline_window.max(1)
+        adcomp_wire::MAX_BATCH_SPECS * self.client.config().pipeline_window.max(1)
     }
 
     fn check(&self, spec: &TargetingSpec) -> Result<(), SourceError> {

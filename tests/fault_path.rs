@@ -17,7 +17,9 @@ use discrimination_via_composition::platform::{
 };
 use discrimination_via_composition::population::Gender;
 use discrimination_via_composition::targeting::TargetingSpec;
-use discrimination_via_composition::wire::{serve, ClientConfig, FaultPlanHook, ServerConfig};
+use discrimination_via_composition::wire::{
+    serve, ClientConfig, CountingHook, FaultPlanHook, ServerConfig,
+};
 use discrimination_via_composition::RemoteSource;
 
 /// The Table-1 metrics for one favoured population: median pairwise
@@ -106,7 +108,8 @@ fn faulty_wire_audit_matches_fault_free_metrics() {
     // the transport, with the resilient client stack in front.
     let plan = lossy_plan(9);
     let faulty = Arc::new(FaultyPlatform::new(sim.linkedin.clone(), plan.clone()));
-    let config = ServerConfig::default().with_fault_hook(Arc::new(FaultPlanHook(plan)));
+    let hook = Arc::new(CountingHook::new(FaultPlanHook(plan)));
+    let config = ServerConfig::default().with_fault_hook(hook.clone());
     let handle = serve(faulty.clone(), "127.0.0.1:0", config).unwrap();
     let client = discrimination_via_composition::wire::Client::connect_with(
         handle.addr(),
@@ -126,7 +129,7 @@ fn faulty_wire_audit_matches_fault_free_metrics() {
         "faults must never change what the audit measures"
     );
     assert!(
-        faulty.injected().total() > 0,
+        faulty.injected().total() > 0 && hook.fired() > 0,
         "the plan must actually have fired (otherwise this test proves nothing)"
     );
     handle.shutdown();

@@ -14,7 +14,7 @@ use discrimination_via_composition::platform::{
 };
 use discrimination_via_composition::population::Gender;
 use discrimination_via_composition::wire::{
-    serve, Client, ClientConfig, FaultPlanHook, ServerConfig,
+    serve, Client, ClientConfig, CountingHook, FaultPlanHook, ServerConfig,
 };
 use discrimination_via_composition::RemoteSource;
 
@@ -69,16 +69,18 @@ fn pooled_audit_is_bit_identical_to_serial_on_every_platform() {
 
 #[test]
 fn pipelined_retries_over_a_faulty_wire_never_double_charge_the_budget() {
-    // Kill the connection mid-survey: the client reconnects and re-issues
-    // the unanswered tail of its pipeline window. The budget sits *above*
-    // the transport, so a logical query is charged exactly once no matter
-    // how many times the wire has to carry it.
+    // Kill the connection on the survey's batch frame (frame 0 is the
+    // client's Describe): the client reconnects and re-issues the
+    // unanswered slots. The budget sits *above* the transport, so a
+    // logical query is charged exactly once no matter how many times the
+    // wire has to carry it.
     let sim = Simulation::build(910, SimScale::Test);
     let plan = FaultPlan::new(17).with(
         FaultKind::Drop { mid_frame: false },
-        Schedule::Once { at: 9 },
+        Schedule::Once { at: 1 },
     );
-    let config = ServerConfig::default().with_fault_hook(Arc::new(FaultPlanHook(plan)));
+    let hook = Arc::new(CountingHook::new(FaultPlanHook(plan)));
+    let config = ServerConfig::default().with_fault_hook(hook.clone());
     let handle = serve(sim.linkedin.clone(), "127.0.0.1:0", config).unwrap();
     let client = Client::connect_with(
         handle.addr(),
@@ -96,6 +98,11 @@ fn pipelined_retries_over_a_faulty_wire_never_double_charge_the_budget() {
     assert!(target.prefers_batching());
 
     let survey = survey_individuals(&target).unwrap();
+    assert_eq!(
+        hook.fired(),
+        1,
+        "the drop must fire, or nothing was re-issued"
+    );
     let logical_queries = (survey.entries.len() as u64 + 1) * QUERIES_PER_SPEC as u64;
     assert_eq!(
         budgeted.used(),

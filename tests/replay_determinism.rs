@@ -20,7 +20,7 @@ use discrimination_via_composition::population::Gender;
 use discrimination_via_composition::store::RunStore;
 use discrimination_via_composition::targeting::TargetingSpec;
 use discrimination_via_composition::wire::{
-    serve, Client, ClientConfig, FaultPlanHook, ServerConfig,
+    serve, Client, ClientConfig, CountingHook, FaultPlanHook, ServerConfig,
 };
 use discrimination_via_composition::RemoteSource;
 
@@ -147,7 +147,8 @@ fn faulty_wire_run_replays_after_the_platform_is_torn_down() {
     // post-resilience answers.
     let plan = lossy_plan(5);
     let faulty = Arc::new(FaultyPlatform::new(sim.linkedin.clone(), plan.clone()));
-    let server = ServerConfig::default().with_fault_hook(Arc::new(FaultPlanHook(plan)));
+    let hook = Arc::new(CountingHook::new(FaultPlanHook(plan)));
+    let server = ServerConfig::default().with_fault_hook(hook.clone());
     let handle = serve(faulty.clone(), "127.0.0.1:0", server).unwrap();
     let client = Client::connect_with(handle.addr(), ClientConfig::fast()).unwrap();
     let remote = Arc::new(RemoteSource::new(client).unwrap());
@@ -164,7 +165,7 @@ fn faulty_wire_run_replays_after_the_platform_is_torn_down() {
     let recorded_survey = survey_individuals(&target).unwrap();
     let recorded_metrics = table1_metrics(&target);
     assert!(
-        faulty.injected().total() > 0,
+        faulty.injected().total() > 0 && hook.fired() > 0,
         "the plan must actually have fired (otherwise this test proves nothing)"
     );
     store.sync().unwrap();

@@ -8,7 +8,7 @@
 //! an answered query to any endpoint — proven with platform-side
 //! counters, not scheduler bookkeeping.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use discrimination_via_composition::audit::experiments::table1::{
@@ -20,7 +20,9 @@ use discrimination_via_composition::platform::{
     FaultKind, FaultPlan, InterfaceKind, Schedule, Simulation,
 };
 use discrimination_via_composition::store::RunStore;
-use discrimination_via_composition::wire::{ClientConfig, FaultPlanHook, ServerConfig};
+use discrimination_via_composition::wire::{
+    ClientConfig, CountingHook, FaultPlanHook, ServerConfig,
+};
 use discrimination_via_composition::Fleet;
 
 mod common;
@@ -39,7 +41,7 @@ fn platform_queries(local: &Simulation, remote: &Simulation) -> u64 {
 }
 
 /// A transport-level fault plan for the designated bad replica:
-/// connections die at a frame boundary every 23rd request. Frame-drop
+/// connections die at a frame boundary every 89th frame. Frame-drop
 /// faults are metric-neutral — the dropped request is never dispatched,
 /// the client retries or the scheduler requeues — so the merged results
 /// must not move.
@@ -77,15 +79,18 @@ fn distributed_table1_is_byte_identical_despite_fault_and_kill() {
     // Three replicas per interface; replica 1 drops connections on a
     // deterministic schedule, replica 2 will be killed mid-experiment.
     let fleet_sim = Simulation::build(config.seed, config.scale);
+    let hooks = Mutex::new(Vec::new());
     let fleet = Arc::new(
         Fleet::launch_with(
             &fleet_sim,
             3,
             |kind, replica| {
                 if replica == 1 {
-                    ServerConfig::default().with_fault_hook(Arc::new(FaultPlanHook(drop_plan(
+                    let hook = Arc::new(CountingHook::new(FaultPlanHook(drop_plan(
                         kind.label().len() as u64,
-                    ))))
+                    ))));
+                    hooks.lock().unwrap().push(hook.clone());
+                    ServerConfig::default().with_fault_hook(hook)
                 } else {
                     ServerConfig::default()
                 }
@@ -121,6 +126,11 @@ fn distributed_table1_is_byte_identical_despite_fault_and_kill() {
     assert_eq!(
         distributed_tsv, serial_tsv,
         "distributed Table 1 must be byte-identical to the serial run"
+    );
+    let drops: u64 = hooks.lock().unwrap().iter().map(|h| h.fired()).sum();
+    assert!(
+        drops > 0,
+        "the bad replicas must actually have dropped connections"
     );
     fleet.shutdown();
 }
