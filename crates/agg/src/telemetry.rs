@@ -242,7 +242,7 @@ mod tests {
             counters: vec![
                 (key("adcomp_serve_epochs_total", &[]), 7),
                 (
-                    key("adcomp_wire_requests_total", &[("kind", "estimate")]),
+                    key("adcomp_wire_requests_total", &[("kind", "estimate_batch")]),
                     42,
                 ),
             ],

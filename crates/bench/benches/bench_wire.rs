@@ -12,7 +12,7 @@ fn bench_codec(c: &mut Criterion) {
         .all_of((10..14).map(AttributeId))
         .exclude([AttributeId(20)])
         .build();
-    let request = Request::Estimate { spec };
+    let request = Request::EstimateBatch { specs: vec![spec] };
     let bytes = to_bytes(&request);
     let mut group = c.benchmark_group("codec");
     group.bench_function("encode_request", |bencher| {

@@ -34,12 +34,7 @@ fn rounding_ablation(ctx: &adcomp_core::experiments::ExperimentContext) {
     let male = SensitiveClass::Gender(Gender::Male);
     let mut rows = Vec::new();
     for kind in adcomp_core::experiments::INTERFACE_ORDER {
-        let platform = match kind {
-            InterfaceKind::FacebookNormal => &ctx.simulation.facebook,
-            InterfaceKind::FacebookRestricted => &ctx.simulation.facebook_restricted,
-            InterfaceKind::GoogleDisplay => &ctx.simulation.google,
-            InterfaceKind::LinkedIn => &ctx.simulation.linkedin,
-        };
+        let platform = ctx.simulation.platform(kind);
         let target = ctx.target(kind);
         let base = measure_spec(&target, &TargetingSpec::everyone()).expect("base");
         let universe = platform.universe();

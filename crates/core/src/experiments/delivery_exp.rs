@@ -281,15 +281,9 @@ pub fn paired_ad_cell(
     ctx: &ExperimentContext,
     kind: InterfaceKind,
 ) -> Result<DeliveryCell, SourceError> {
-    let platform = match kind {
-        InterfaceKind::FacebookNormal => &ctx.simulation.facebook,
-        InterfaceKind::FacebookRestricted => &ctx.simulation.facebook_restricted,
-        InterfaceKind::GoogleDisplay => &ctx.simulation.google,
-        InterfaceKind::LinkedIn => &ctx.simulation.linkedin,
-    };
     paired_ad_cell_for(
         &ctx.target(kind),
-        platform,
+        ctx.simulation.platform(kind),
         ctx.config.seed,
         &PairedAdConfig::for_scale(ctx.config.scale),
     )

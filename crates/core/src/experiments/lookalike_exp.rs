@@ -75,12 +75,7 @@ pub fn lookalike_for(
     kind: InterfaceKind,
     seeds: usize,
 ) -> Result<Vec<LookalikeRow>, SourceError> {
-    let platform: &AdPlatform = match kind {
-        InterfaceKind::FacebookNormal => &ctx.simulation.facebook,
-        InterfaceKind::FacebookRestricted => &ctx.simulation.facebook_restricted,
-        InterfaceKind::GoogleDisplay => &ctx.simulation.google,
-        InterfaceKind::LinkedIn => &ctx.simulation.linkedin,
-    };
+    let platform: &AdPlatform = ctx.simulation.platform(kind);
     // Rank attribute audiences by ground-truth male ratio (this is an
     // advertiser's seed choice, not an estimate-API query).
     let mut candidates: Vec<(usize, f64)> = (0..platform.catalog().len())

@@ -171,7 +171,7 @@ impl ExperimentContext {
 
     /// Like [`new`](ExperimentContext::new), but every target measures
     /// through a distributed scheduler
-    /// ([`AuditTarget::with_scheduler`]) over the replica endpoints
+    /// ([`AuditTarget::with_scheduler_cfg`]) over the replica endpoints
     /// `factory` builds per measurement interface. Every experiment
     /// driver then runs distributed without changes — results stay
     /// bit-identical to the single-endpoint serial run.
@@ -234,13 +234,8 @@ impl ExperimentContext {
             return AuditTarget::from_replay(store, kind.label())
                 .expect("interface was recorded in the replayed run store");
         }
-        let platform = match kind {
-            InterfaceKind::FacebookNormal => &self.simulation.facebook,
-            InterfaceKind::FacebookRestricted => &self.simulation.facebook_restricted,
-            InterfaceKind::GoogleDisplay => &self.simulation.google,
-            InterfaceKind::LinkedIn => &self.simulation.linkedin,
-        };
-        let mut target = AuditTarget::for_platform(platform, &self.simulation);
+        let mut target =
+            AuditTarget::for_platform(self.simulation.platform(kind), &self.simulation);
         if let Some((factory, sched_cfg)) = &self.sched {
             // The restricted interface measures via its parent, so the
             // fleet must replicate the measurement-side interface.

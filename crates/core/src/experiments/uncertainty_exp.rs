@@ -37,14 +37,12 @@
 //!
 //! [`RoundingRule::inverse_interval`]: adcomp_platform::RoundingRule::inverse_interval
 
-use std::sync::Arc;
-
 use adcomp_delivery::{deliver, DeliveryConfig, DeliverySetup};
 use adcomp_infer::{
     deconvolve_share, percentile_interval, rep_ratio_interval, resample_counts, splitmix64,
     ConfidentRatio, CountRange, Interval, RatioVerdict,
 };
-use adcomp_platform::{AdPlatform, InterfaceKind, RoundingRule, SimScale};
+use adcomp_platform::{InterfaceKind, RoundingRule, SimScale};
 use adcomp_population::{AttributeInference, Gender};
 use adcomp_targeting::TargetingSpec;
 
@@ -468,15 +466,6 @@ fn cell_seed(seed: u64, scenario: &str, stage: Stage, interface: &str, unit: &st
     ))
 }
 
-fn interface_platform(ctx: &ExperimentContext, kind: InterfaceKind) -> &Arc<AdPlatform> {
-    match kind {
-        InterfaceKind::FacebookNormal => &ctx.simulation.facebook,
-        InterfaceKind::FacebookRestricted => &ctx.simulation.facebook_restricted,
-        InterfaceKind::GoogleDisplay => &ctx.simulation.google,
-        InterfaceKind::LinkedIn => &ctx.simulation.linkedin,
-    }
-}
-
 /// The uncertainty cells of one scenario's context: per interface a
 /// Table-1-style targeting row (the most female-skewed discovered
 /// composition) and two delivery-skew rows (the loaded job ad and its
@@ -498,7 +487,7 @@ pub fn uncertainty_cells(
     let mut facebook_top: Option<MeasuredTargeting> = None;
 
     for kind in UNCERTAINTY_INTERFACES {
-        let platform = interface_platform(ctx, kind);
+        let platform = ctx.simulation.platform(kind);
         let rounding = platform.config().rounding;
         let target = ctx.target(kind);
 
@@ -617,7 +606,7 @@ pub fn uncertainty_cells(
         let target = ctx.target(kind);
         let gate = PreflightGate::new(&target, PreflightConfig::default())?;
         let verdict = gate.check_measurement(&top.measurement);
-        let rounding = interface_platform(ctx, kind).config().rounding;
+        let rounding = ctx.simulation.platform(kind).config().rounding;
         let pair = MeasuredPair::of(&top.measurement, class, rounding);
         let base = MeasuredPair::of(gate.base(), class, rounding);
         let seed = cell_seed(

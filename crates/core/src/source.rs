@@ -435,23 +435,12 @@ impl AuditTarget {
 
     /// The same target measuring through a distributed scheduler over
     /// replica `endpoints` (each typically a wire client fronting a
-    /// platform replica), with default
-    /// [`SchedulerConfig`](crate::distributed::SchedulerConfig). The
-    /// targeting interface stays local — catalog metadata, spec checks,
-    /// and composition rules don't need the fleet — while every
+    /// platform replica), with `cfg` tuning and an optional durable job
+    /// journal (see [`StoreJournal`](crate::distributed::StoreJournal)).
+    /// The targeting interface stays local — catalog metadata, spec
+    /// checks, and composition rules don't need the fleet — while every
     /// estimate is sharded across the endpoints and merged in
     /// submission order, bit-identical to a single-endpoint serial run.
-    pub fn with_scheduler(&self, endpoints: Vec<Arc<dyn EstimateSource>>) -> AuditTarget {
-        self.with_scheduler_cfg(
-            endpoints,
-            crate::distributed::SchedulerConfig::default(),
-            None,
-        )
-    }
-
-    /// [`with_scheduler`](AuditTarget::with_scheduler) with explicit
-    /// tuning and an optional durable job journal (see
-    /// [`StoreJournal`](crate::distributed::StoreJournal)).
     pub fn with_scheduler_cfg(
         &self,
         endpoints: Vec<Arc<dyn EstimateSource>>,

@@ -303,7 +303,7 @@ mod tests {
             ev(
                 10,
                 EventKind::SpanStart,
-                "platform:estimate",
+                "platform:estimate_batch",
                 1,
                 Some(999),
                 None,
@@ -311,7 +311,7 @@ mod tests {
             ev(
                 11,
                 EventKind::SpanEnd,
-                "platform:estimate",
+                "platform:estimate_batch",
                 1,
                 Some(10),
                 Some(42),

@@ -712,7 +712,7 @@ mod tests {
         let root = client.span("wire:rtt");
         let ctx = root.context();
         {
-            let _server_span = server.continue_span(ctx, "platform:estimate", &[]);
+            let _server_span = server.continue_span(ctx, "platform:estimate_batch", &[]);
         }
         drop(root);
         let start = server

@@ -116,6 +116,16 @@ impl Simulation {
         }
     }
 
+    /// The platform simulating `kind`.
+    pub fn platform(&self, kind: InterfaceKind) -> &Arc<AdPlatform> {
+        match kind {
+            InterfaceKind::FacebookNormal => &self.facebook,
+            InterfaceKind::FacebookRestricted => &self.facebook_restricted,
+            InterfaceKind::GoogleDisplay => &self.google,
+            InterfaceKind::LinkedIn => &self.linkedin,
+        }
+    }
+
     /// The four interfaces in the paper's presentation order.
     pub fn interfaces(&self) -> [&Arc<AdPlatform>; 4] {
         [

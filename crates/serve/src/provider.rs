@@ -90,12 +90,7 @@ impl SimProvider {
     }
 
     fn platform(&self) -> &Arc<adcomp_platform::AdPlatform> {
-        match self.kind {
-            InterfaceKind::FacebookNormal => &self.sim.facebook,
-            InterfaceKind::FacebookRestricted => &self.sim.facebook_restricted,
-            InterfaceKind::GoogleDisplay => &self.sim.google,
-            InterfaceKind::LinkedIn => &self.sim.linkedin,
-        }
+        self.sim.platform(self.kind)
     }
 
     fn api_for(&self, epoch: u64) -> Arc<dyn PlatformApi> {

@@ -12,16 +12,19 @@
 //!   and rate-limit rejections;
 //! * a [`CircuitBreaker`] that stops hammering a dead endpoint after
 //!   consecutive transport failures, surfacing
-//!   [`ClientError::CircuitOpen`].
+//!   [`ClientError::CircuitOpen`];
+//! * once [`Client::describe`] has seen the server's instance id, a
+//!   reconnect that reaches a different server (a killed server's port
+//!   handed to another) counts as a transport failure.
 //!
 //! Application-level failures (invalid targeting, transient platform
 //! errors) pass through untouched; the audit layer's `ResilientSource`
 //! decides whether to retry, skip, or abort those.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use adcomp_obs::lock;
@@ -35,7 +38,7 @@ use crate::frame::{read_frame, write_message, FrameError, MAX_FRAME_BYTES};
 use crate::message::{ErrorCode, Request, Response, MAX_BATCH_SPECS};
 
 /// Spec bytes one batch frame may carry: the frame limit less room for
-/// the `Tagged`, `Traced` and batch headers (31 bytes).
+/// the `Traced` and batch headers (22 bytes).
 const BATCH_SPEC_BYTES: usize = MAX_FRAME_BYTES as usize - 64;
 
 /// Client-side failures.
@@ -96,8 +99,7 @@ impl From<CodecError> for ClientError {
 enum RoundAbort {
     /// The connection failed; unanswered requests are safe to re-issue.
     Transport(FrameError),
-    /// Protocol violation (undecodable frame, untagged or unmatched
-    /// response); never retried.
+    /// Undecodable answer; never retried.
     Fatal(ClientError),
 }
 
@@ -173,7 +175,8 @@ pub struct InterfaceDescription {
 
 /// Transport instrument handles, resolved once per client.
 struct ClientMetrics {
-    /// Round-trip time of successful exchanges.
+    /// Round-trip time of successful exchanges and of each answered
+    /// batch frame.
     rtt_us: Arc<Histogram>,
     /// Connections re-opened after a transport teardown (the initial
     /// connect is not counted).
@@ -222,6 +225,8 @@ pub struct Client {
     /// Epoch for the breaker's injected clock.
     epoch: Instant,
     metrics: ClientMetrics,
+    /// The server's instance id, from the first `Described` answer.
+    instance: OnceLock<u64>,
 }
 
 struct Conn {
@@ -255,6 +260,7 @@ impl Client {
             breaker: Mutex::new(breaker),
             epoch: Instant::now(),
             metrics: ClientMetrics::resolve(),
+            instance: OnceLock::new(),
         };
         // Fail fast on an unreachable endpoint, as `connect` always did.
         let conn = client.open_conn()?;
@@ -292,13 +298,32 @@ impl Client {
         Err(last_err.expect("addrs is non-empty"))
     }
 
+    /// Opens a new connection after a teardown. Once the client knows
+    /// its server's instance id, the new connection must answer
+    /// `Describe` with that same id: a killed server's port can be handed
+    /// to another server, whose answers would otherwise pass for the old
+    /// one's. Any other answer is a transport failure, retried like one.
+    fn reopen(&self) -> Result<Conn, FrameError> {
+        let mut conn = self.open_conn()?;
+        if let Some(&expected) = self.instance.get() {
+            write_message(&mut conn.writer, &Request::Describe)?;
+            let answer = from_bytes::<Response>(&read_frame(&mut conn.reader)?);
+            if !matches!(answer, Ok(Response::Described { instance, .. }) if instance == expected) {
+                return Err(FrameError::Io(std::io::Error::other(
+                    "reconnected to a different server instance",
+                )));
+            }
+        }
+        self.metrics.reconnects.inc();
+        Ok(conn)
+    }
+
     /// One request/response exchange on the current connection,
     /// reconnecting first if a previous failure tore it down.
     fn exchange(&self, request: &Request) -> Result<Response, ClientError> {
         let mut guard = lock(&self.conn);
         if guard.is_none() {
-            *guard = Some(self.open_conn().map_err(FrameError::Io)?);
-            self.metrics.reconnects.inc();
+            *guard = Some(self.reopen()?);
         }
         let conn = guard.as_mut().expect("connection just ensured");
         let started = Instant::now();
@@ -333,10 +358,7 @@ impl Client {
             lock(&self.breaker)
                 .check(self.now())
                 .map_err(|retry_in| ClientError::CircuitOpen { retry_in })?;
-            // Unwrap Traced before classifying: a rate-limit answer to a
-            // traced request must still hit the retry arm below (each
-            // unwrap records that attempt's server time in the trace).
-            match self.exchange(request).map(Self::trace_unwrap) {
+            match self.exchange(request) {
                 Ok(Response::Error {
                     code: ErrorCode::RateLimited,
                     message,
@@ -387,15 +409,19 @@ impl Client {
                 exclusions,
                 same_feature_and,
                 impressions,
-            } => Ok(InterfaceDescription {
-                label,
-                catalog_len,
-                gender_targeting,
-                age_targeting,
-                exclusions,
-                same_feature_and,
-                impressions,
-            }),
+                instance,
+            } => {
+                self.instance.get_or_init(|| instance);
+                Ok(InterfaceDescription {
+                    label,
+                    catalog_len,
+                    gender_targeting,
+                    age_targeting,
+                    exclusions,
+                    same_feature_and,
+                    impressions,
+                })
+            }
             Response::Error {
                 code,
                 message,
@@ -443,27 +469,6 @@ impl Client {
         }
     }
 
-    /// Wraps a request in [`Request::Traced`] when the calling thread is
-    /// inside a span, opening a `wire:rtt` child span that the returned
-    /// guard closes. The server continues that span on its side.
-    fn trace_wrap(&self, inner: Request) -> (Request, Option<adcomp_obs::SpanGuard<'static>>) {
-        match current_context() {
-            Some(_) => {
-                let span = Tracer::global().span("wire:rtt");
-                let ctx = span.context();
-                (
-                    Request::Traced {
-                        trace_id: ctx.trace_id,
-                        span_id: ctx.span_id,
-                        inner: Box::new(inner),
-                    },
-                    Some(span),
-                )
-            }
-            None => (inner, None),
-        }
-    }
-
     /// Unwraps [`Response::Traced`], echoing the server's handling time
     /// into the trace as a `platform:remote` leaf (latency attribution
     /// splits wire RTT into network and platform time from it).
@@ -478,36 +483,23 @@ impl Client {
         }
     }
 
-    /// Fetches the rounded audience-size estimate for a spec. Inside a
-    /// span, the query carries the caller's [`TraceContext`] so the
-    /// server's handling joins the caller's trace.
+    /// Fetches the rounded audience-size estimate for a spec: a one-slot
+    /// [`estimate_batch`](Client::estimate_batch).
     pub fn estimate(&self, spec: &TargetingSpec) -> Result<u64, ClientError> {
-        let (request, span) = self.trace_wrap(Request::Estimate { spec: spec.clone() });
-        let response = self.call(&request)?;
-        drop(span);
-        match response {
-            Response::Estimate { value } => Ok(value),
-            Response::Error {
-                code,
-                message,
-                retry_after,
-            } => Err(ClientError::Server {
-                code,
-                message,
-                retry_after,
-            }),
-            _ => Err(ClientError::UnexpectedResponse),
-        }
+        let mut results = self.estimate_batch(std::slice::from_ref(spec));
+        results.pop().expect("one result per spec")
     }
 
     /// Fetches estimates for a batch of specs in batch frames
     /// ([`Request::EstimateBatch`]): the specs are cut into frames that
     /// each hold at most [`MAX_BATCH_SPECS`] specs and fit
     /// [`MAX_FRAME_BYTES`], up to [`ClientConfig::pipeline_window`]
-    /// frames ride in flight at once, and the server's
-    /// [`Response::Tagged`] answers — possibly out of order — are matched
-    /// back to their frame by correlation id. A batch that fits one frame
-    /// costs one round trip.
+    /// frames ride in flight at once, and since the server answers a
+    /// connection's frames in receive order, each answer belongs to the
+    /// oldest frame still in flight. A batch that fits one frame costs
+    /// one round trip. Inside a span, the frames carry the caller's
+    /// [`TraceContext`] so the server's handling joins the caller's
+    /// trace.
     ///
     /// Per-query server failures land in that query's slot. A transport
     /// failure tears the connection down, reconnects, and re-issues only
@@ -534,11 +526,8 @@ impl Client {
                 break;
             }
             if guard.is_none() {
-                match self.open_conn() {
-                    Ok(conn) => {
-                        *guard = Some(conn);
-                        self.metrics.reconnects.inc();
-                    }
+                match self.reopen() {
+                    Ok(conn) => *guard = Some(conn),
                     Err(e) => {
                         lock(&self.breaker).record_failure(self.now());
                         if self.config.retry.should_retry(transport_attempt) {
@@ -550,7 +539,7 @@ impl Client {
                         // Only the first unanswered slot carries the real
                         // error (io::Error does not clone); the rest
                         // report the connection as gone.
-                        let mut original = Some(FrameError::Io(e));
+                        let mut original = Some(e);
                         for &slot in &todo {
                             results[slot] = Some(Err(ClientError::Transport(
                                 original.take().unwrap_or(FrameError::Closed),
@@ -630,10 +619,11 @@ impl Client {
     }
 
     /// One sliding-window pass over `todo` on the current connection:
-    /// sends its slots as tagged batch frames, keeps up to the configured
-    /// window of frames in flight, and files answers into `results` as
-    /// they arrive. Rate-limited slots are returned with their back-off
-    /// hints for the caller's retry loop.
+    /// sends its slots as batch frames, keeps up to the configured window
+    /// of frames in flight, and files each answer into `results` under
+    /// the oldest frame in flight, recording that frame's round trip.
+    /// Rate-limited slots are returned with their back-off hints for the
+    /// caller's retry loop.
     fn pipeline_round(
         &self,
         conn: &mut Conn,
@@ -644,8 +634,9 @@ impl Client {
     ) -> Result<Vec<(usize, Option<Duration>)>, RoundAbort> {
         let window = self.config.pipeline_window.max(1);
         let mut rate_limited = Vec::new();
-        // Keyed by the frame's first slot, which no other frame holds.
-        let mut in_flight: HashMap<u64, &[usize]> = HashMap::new();
+        // Frames sent and not yet answered, oldest first, with the time
+        // each was sent.
+        let mut in_flight: VecDeque<(&[usize], Instant)> = VecDeque::new();
         let mut frames = batch_frames(specs, todo).into_iter();
         // A failed send stops sending, but the answers to frames already
         // sent may have arrived: read them before giving up, so they are
@@ -657,7 +648,7 @@ impl Client {
                 let batch = Request::EstimateBatch {
                     specs: slots.iter().map(|&slot| specs[slot].clone()).collect(),
                 };
-                let inner = match trace {
+                let request = match trace {
                     Some(ctx) => Request::Traced {
                         trace_id: ctx.trace_id,
                         span_id: ctx.span_id,
@@ -665,36 +656,25 @@ impl Client {
                     },
                     None => batch,
                 };
-                let id = slots[0] as u64;
-                let request = Request::Tagged {
-                    id,
-                    inner: Box::new(inner),
-                };
+                let sent = Instant::now();
                 match write_message(&mut conn.writer, &request) {
-                    Ok(()) => {
-                        in_flight.insert(id, slots);
-                    }
+                    Ok(()) => in_flight.push_back((slots, sent)),
                     Err(e) => send_failed = Some(e),
                 }
             }
             self.metrics.pipeline_inflight.set(in_flight.len() as i64);
-            if in_flight.is_empty() {
+            let Some((slots, sent)) = in_flight.pop_front() else {
                 return match send_failed {
                     Some(e) => Err(RoundAbort::Transport(e)),
                     None => Ok(rate_limited),
                 };
-            }
+            };
             let payload = read_frame(&mut conn.reader)
                 .map_err(|e| RoundAbort::Transport(send_failed.take().unwrap_or(e)))?;
+            self.metrics.rtt_us.observe_duration(sent.elapsed());
             let response = from_bytes::<Response>(&payload)
                 .map_err(|e| RoundAbort::Fatal(ClientError::Codec(e)))?;
-            let Response::Tagged { id, inner } = response else {
-                return Err(RoundAbort::Fatal(ClientError::UnexpectedResponse));
-            };
-            let Some(slots) = in_flight.remove(&id) else {
-                return Err(RoundAbort::Fatal(ClientError::UnexpectedResponse));
-            };
-            match Self::trace_unwrap(*inner) {
+            match Self::trace_unwrap(response) {
                 Response::Estimates { answers } if answers.len() == slots.len() => {
                     for (&slot, answer) in slots.iter().zip(answers) {
                         file_answer(slot, answer, results, &mut rate_limited);
@@ -875,4 +855,42 @@ fn file_answer(
         _ => Err(ClientError::UnexpectedResponse),
     };
     results[slot] = Some(result);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use adcomp_platform::{SimScale, Simulation};
+    use adcomp_targeting::AttributeId;
+
+    #[test]
+    fn each_answered_batch_frame_records_its_round_trip() {
+        // No other test in this binary runs a client, so the global
+        // histogram moves only for these frames.
+        let sim = Simulation::build(7, SimScale::Test);
+        let handle = crate::serve(
+            sim.linkedin.clone(),
+            "127.0.0.1:0",
+            crate::ServerConfig::default(),
+        )
+        .unwrap();
+        let client = Client::connect_with(
+            handle.addr(),
+            ClientConfig {
+                pipeline_window: 2,
+                ..ClientConfig::fast()
+            },
+        )
+        .unwrap();
+        let rtt = Registry::global().histogram("adcomp_wire_rtt_us", duration_us_buckets());
+        let specs: Vec<TargetingSpec> = (0..2 * MAX_BATCH_SPECS as u32 + 1)
+            .map(|i| TargetingSpec::and_of([AttributeId(i % 40)]))
+            .collect();
+        let before = rtt.count();
+        assert!(client.estimate_batch(&specs).iter().all(Result::is_ok));
+        assert_eq!(rtt.count() - before, 3, "one round trip per frame");
+        assert!(client.estimate(&specs[0]).is_ok());
+        assert_eq!(rtt.count() - before, 4);
+        handle.shutdown();
+    }
 }

@@ -11,30 +11,27 @@
 //! * [`frame`] — u32-length-prefixed frames with a hard size cap, each
 //!   sent in one write;
 //! * [`message`] — the request/response protocol (describe, browse,
-//!   validate, estimate, batch estimate, stats), plus
-//!   correlation-id-tagged frames
-//!   ([`Request::Tagged`]/[`Response::Tagged`]) that let a client keep
-//!   several requests in flight on one connection and match the
-//!   possibly-out-of-order answers back by id (pipelining);
+//!   validate, stats, and [`Request::EstimateBatch`], the one estimate
+//!   request: a one-shot query is a batch of one);
 //! * [`server`] — expose any [`PlatformApi`](adcomp_platform::PlatformApi)
 //!   (a plain [`AdPlatform`](adcomp_platform::AdPlatform) or a
 //!   fault-injecting wrapper) on a TCP socket, with optional
 //!   token-bucket rate limiting and a connection-fault hook; each
-//!   connection's thread answers its requests, tagged or not, in
-//!   receive order, so fault plans remain deterministic;
-//! * [`client`] — blocking client with timeouts, automatic reconnect,
+//!   connection's thread answers its frames in receive order, so fault
+//!   plans remain deterministic and a client may keep several frames in
+//!   flight on one connection (pipelining) with no correlation ids;
+//! * [`client`] — blocking client with timeouts, automatic reconnect
+//!   (checked against the server's instance id once it is known),
 //!   retry with backoff, a circuit breaker, and
 //!   [`estimate_batch`](Client::estimate_batch) (a sliding window of
-//!   tagged [`Request::EstimateBatch`] frames; reconnects re-issue only
-//!   unanswered queries).
+//!   batch frames, each answer filed under the oldest frame in flight;
+//!   reconnects re-issue only unanswered queries).
 //!
 //! # Distributed tracing
 //!
-//! The Tagged correlation-id framing extends to trace propagation:
-//! when the calling thread is inside an `adcomp-obs` span, the client
-//! wraps queries in [`Request::Traced`] carrying the caller's
-//! `TraceContext` (`trace_id` + `span_id`; nested *inside* `Tagged`
-//! when pipelined, so the pipelining machinery is untouched). The
+//! When the calling thread is inside an `adcomp-obs` span, the client
+//! wraps its batch frames in [`Request::Traced`] carrying the caller's
+//! `TraceContext` (`trace_id` + `span_id`). The
 //! server continues that span around its handling and answers with
 //! [`Response::Traced`], echoing its handling time — so one estimate
 //! yields a single span tree across processes, and wire RTT splits

@@ -35,15 +35,11 @@ pub enum Request {
         /// The spec.
         spec: TargetingSpec,
     },
-    /// Rounded audience-size estimate for a spec.
-    Estimate {
-        /// The spec.
-        spec: TargetingSpec,
-    },
-    /// Estimates for up to [`MAX_BATCH_SPECS`] specs in one frame,
-    /// answered by one [`Response::Estimates`] in slot order. The server
-    /// admits each spec through its rate limiter on its own and counts
-    /// the admitted ones in one pass.
+    /// Rounded audience-size estimates for up to [`MAX_BATCH_SPECS`]
+    /// specs in one frame — the protocol's only estimate request, a
+    /// one-shot query included. Answered by one [`Response::Estimates`]
+    /// in slot order. The server admits each spec through its rate
+    /// limiter on its own and counts the admitted ones in one pass.
     EstimateBatch {
         /// The specs, in slot order.
         specs: Vec<TargetingSpec>,
@@ -58,26 +54,15 @@ pub enum Request {
         /// Maximum entries to return (server may cap).
         limit: u32,
     },
-    /// A correlation-id-tagged request: the client may have several of
-    /// these in flight on one connection (pipelining) and matches the
-    /// server's [`Response::Tagged`] answers — which may arrive out of
-    /// order — by id. Only a frame's outermost message may be `Tagged`;
-    /// the decoder rejects any other nesting.
-    Tagged {
-        /// Correlation id, echoed verbatim in the response.
-        id: u64,
-        /// The request to answer.
-        inner: Box<Request>,
-    },
     /// Service status: health plus a human-readable body (used by the
     /// continuous-audit daemon's status endpoint; a plain platform
     /// server answers healthy with its label).
     Status,
     /// A request carrying the caller's trace context, so the server
     /// continues the caller's span instead of starting fresh and both
-    /// sides' JSONL sinks share one `trace_id`. Wraps the real request;
-    /// rides *inside* [`Request::Tagged`] when pipelined. The decoder
-    /// rejects `Traced` or `Tagged` inside `Traced`.
+    /// sides' JSONL sinks share one `trace_id`. Wraps the real request
+    /// and is only ever a frame's outermost message: the decoder rejects
+    /// `Traced` inside `Traced`.
     Traced {
         /// The caller's trace id (the root span's id).
         trace_id: u64,
@@ -124,6 +109,11 @@ pub enum Response {
         same_feature_and: bool,
         /// Estimates are impressions (vs users)?
         impressions: bool,
+        /// Id of the serving instance, unique per
+        /// [`serve`](crate::serve) call: a client that reconnects checks
+        /// it, so a port taken over by another server is never mistaken
+        /// for the one it had.
+        instance: u64,
     },
     /// Attribute metadata.
     AttributeInfo {
@@ -172,13 +162,6 @@ pub enum Response {
         entries: Vec<(String, u16)>,
         /// Id to request next, when more entries exist.
         next: Option<u32>,
-    },
-    /// Answer to a [`Request::Tagged`], carrying its correlation id.
-    Tagged {
-        /// The id of the request this answers.
-        id: u64,
-        /// The answer itself (never another `Tagged`).
-        inner: Box<Response>,
     },
     /// Answer to [`Request::Status`].
     StatusReport {
@@ -347,16 +330,18 @@ impl WireDecode for TargetingSpec {
 // --- Request / Response encoding --------------------------------------
 
 /// Where a message sits in its frame. The legal shapes are
-/// `Tagged ⊃ Traced ⊃ plain`, each wrapper optional, and in a reply the
-/// answers of an `Estimates`, each an `Estimate` or an `Error`. The
-/// decoders reject every other nesting, so however a frame's bytes
-/// nest, decoding it recurses at most three messages deep.
+/// `Traced ⊃ plain`, the wrapper optional, and in a reply the answers of
+/// an `Estimates`, each an `Estimate` or an `Error`. The decoders reject
+/// every other nesting, so however a frame's bytes nest, decoding it
+/// recurses at most three messages deep.
+///
+/// Tags 3 and 6 of a request and 7 of a response are retired (a
+/// one-shot estimate and a correlation-id wrapper): they decode as
+/// [`CodecError::InvalidTag`] and are never reassigned.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Nest {
     /// The frame's outermost message.
     Frame,
-    /// Inside a `Tagged`.
-    Tagged,
     /// Inside a `Traced`: plain messages only.
     Traced,
     /// One answer of an `Estimates`.
@@ -375,20 +360,11 @@ impl WireEncode for Request {
                 2u8.encode(buf);
                 spec.encode(buf);
             }
-            Request::Estimate { spec } => {
-                3u8.encode(buf);
-                spec.encode(buf);
-            }
             Request::Stats => 4u8.encode(buf),
             Request::CatalogPage { start, limit } => {
                 5u8.encode(buf);
                 start.encode(buf);
                 limit.encode(buf);
-            }
-            Request::Tagged { id, inner } => {
-                6u8.encode(buf);
-                id.encode(buf);
-                inner.encode(buf);
             }
             Request::Status => 7u8.encode(buf),
             Request::Traced {
@@ -429,12 +405,7 @@ impl WireDecode for Request {
 impl Request {
     fn decode_at(buf: &mut &[u8], at: Nest) -> Result<Self, CodecError> {
         let tag = u8::decode(buf)?;
-        let legal = match tag {
-            6 => at == Nest::Frame,
-            8 => at != Nest::Traced,
-            _ => true,
-        };
-        if !legal {
+        if tag == 8 && at == Nest::Traced {
             return Err(CodecError::InvalidTag {
                 what: "nested Request",
                 tag,
@@ -448,17 +419,10 @@ impl Request {
             2 => Request::Check {
                 spec: TargetingSpec::decode(buf)?,
             },
-            3 => Request::Estimate {
-                spec: TargetingSpec::decode(buf)?,
-            },
             4 => Request::Stats,
             5 => Request::CatalogPage {
                 start: u32::decode(buf)?,
                 limit: u32::decode(buf)?,
-            },
-            6 => Request::Tagged {
-                id: u64::decode(buf)?,
-                inner: Box::new(Request::decode_at(buf, Nest::Tagged)?),
             },
             7 => Request::Status,
             8 => Request::Traced {
@@ -496,6 +460,7 @@ impl WireEncode for Response {
                 exclusions,
                 same_feature_and,
                 impressions,
+                instance,
             } => {
                 0u8.encode(buf);
                 label.encode(buf);
@@ -505,6 +470,7 @@ impl WireEncode for Response {
                 exclusions.encode(buf);
                 same_feature_and.encode(buf);
                 impressions.encode(buf);
+                instance.encode(buf);
             }
             Response::AttributeInfo { name, feature } => {
                 1u8.encode(buf);
@@ -547,11 +513,6 @@ impl WireEncode for Response {
                 entries.encode(buf);
                 next.encode(buf);
             }
-            Response::Tagged { id, inner } => {
-                7u8.encode(buf);
-                id.encode(buf);
-                inner.encode(buf);
-            }
             Response::StatusReport { healthy, body } => {
                 8u8.encode(buf);
                 healthy.encode(buf);
@@ -589,8 +550,7 @@ impl Response {
         let tag = u8::decode(buf)?;
         let legal = match (at, tag) {
             (Nest::Answer, tag) => matches!(tag, 3 | 5),
-            (at, 7) => at == Nest::Frame,
-            (at, 9) => matches!(at, Nest::Frame | Nest::Tagged),
+            (at, 9) => at == Nest::Frame,
             _ => true,
         };
         if !legal {
@@ -609,6 +569,7 @@ impl Response {
                 exclusions: bool::decode(buf)?,
                 same_feature_and: bool::decode(buf)?,
                 impressions: bool::decode(buf)?,
+                instance: u64::decode(buf)?,
             },
             1 => Response::AttributeInfo {
                 name: String::decode(buf)?,
@@ -632,10 +593,6 @@ impl Response {
                 start: u32::decode(buf)?,
                 entries: Vec::decode(buf)?,
                 next: Option::decode(buf)?,
-            },
-            7 => Response::Tagged {
-                id: u64::decode(buf)?,
-                inner: Box::new(Response::decode_at(buf, Nest::Tagged)?),
             },
             8 => Response::StatusReport {
                 healthy: bool::decode(buf)?,
@@ -717,9 +674,6 @@ mod tests {
         roundtrip_req(Request::Check {
             spec: sample_spec(),
         });
-        roundtrip_req(Request::Estimate {
-            spec: TargetingSpec::everyone(),
-        });
         roundtrip_req(Request::Stats);
         roundtrip_req(Request::Status);
     }
@@ -734,6 +688,7 @@ mod tests {
             exclusions: true,
             same_feature_and: true,
             impressions: false,
+            instance: 0x5EED_0000_0000_0001,
         });
         roundtrip_resp(Response::AttributeInfo {
             name: "Games — Racing games".into(),
@@ -793,57 +748,17 @@ mod tests {
     }
 
     #[test]
-    fn tagged_messages_roundtrip() {
-        roundtrip_req(Request::Tagged {
-            id: 0xDEAD_BEEF_0042,
-            inner: Box::new(Request::Estimate {
-                spec: sample_spec(),
-            }),
-        });
-        roundtrip_resp(Response::Tagged {
-            id: 7,
-            inner: Box::new(Response::Estimate { value: 1_000 }),
-        });
-        roundtrip_resp(Response::Tagged {
-            id: u64::MAX,
-            inner: Box::new(Response::Error {
-                code: ErrorCode::RateLimited,
-                message: "slow down".into(),
-                retry_after: Some(Duration::from_millis(1)),
-            }),
-        });
-    }
-
-    #[test]
     fn traced_messages_roundtrip() {
         roundtrip_req(Request::Traced {
             trace_id: 0x0042_0000_0000_0001,
             span_id: 0x0042_0000_0000_0007,
-            inner: Box::new(Request::Estimate {
+            inner: Box::new(Request::Check {
                 spec: sample_spec(),
-            }),
-        });
-        // Pipelined form: Traced rides inside Tagged.
-        roundtrip_req(Request::Tagged {
-            id: 3,
-            inner: Box::new(Request::Traced {
-                trace_id: 1,
-                span_id: 2,
-                inner: Box::new(Request::Estimate {
-                    spec: TargetingSpec::everyone(),
-                }),
             }),
         });
         roundtrip_resp(Response::Traced {
             server_us: 1_234,
-            inner: Box::new(Response::Estimate { value: 5_000 }),
-        });
-        roundtrip_resp(Response::Tagged {
-            id: 3,
-            inner: Box::new(Response::Traced {
-                server_us: 9,
-                inner: Box::new(Response::Estimate { value: 10 }),
-            }),
+            inner: Box::new(Response::Ok),
         });
     }
 
@@ -872,76 +787,59 @@ mod tests {
             specs: vec![sample_spec(), TargetingSpec::everyone()],
         });
         roundtrip_req(Request::EstimateBatch { specs: vec![] });
-        roundtrip_req(Request::Tagged {
-            id: 4,
-            inner: Box::new(Request::Traced {
-                trace_id: 1,
-                span_id: 2,
-                inner: Box::new(Request::EstimateBatch {
-                    specs: vec![sample_spec()],
-                }),
+        roundtrip_req(Request::Traced {
+            trace_id: 1,
+            span_id: 2,
+            inner: Box::new(Request::EstimateBatch {
+                specs: vec![sample_spec()],
             }),
         });
-        roundtrip_resp(Response::Tagged {
-            id: 4,
-            inner: Box::new(Response::Traced {
-                server_us: 12,
-                inner: Box::new(Response::Estimates {
-                    answers: vec![
-                        Response::Estimate { value: 1_000 },
-                        Response::Error {
-                            code: ErrorCode::RateLimited,
-                            message: "query rate exceeded".into(),
-                            retry_after: Some(Duration::from_millis(3)),
-                        },
-                    ],
-                }),
+        roundtrip_resp(Response::Traced {
+            server_us: 12,
+            inner: Box::new(Response::Estimates {
+                answers: vec![
+                    Response::Estimate { value: 1_000 },
+                    Response::Error {
+                        code: ErrorCode::RateLimited,
+                        message: "query rate exceeded".into(),
+                        retry_after: Some(Duration::from_millis(3)),
+                    },
+                ],
             }),
         });
     }
 
     #[test]
     fn illegal_nesting_is_rejected() {
-        let estimate = || {
-            Box::new(Request::Estimate {
-                spec: TargetingSpec::everyone(),
+        let batch = || {
+            Box::new(Request::EstimateBatch {
+                specs: vec![TargetingSpec::everyone()],
             })
         };
-        let tagged = |inner| Request::Tagged { id: 1, inner };
         let traced = |inner| Request::Traced {
             trace_id: 1,
             span_id: 2,
             inner,
         };
-        for bad in [
-            tagged(Box::new(tagged(estimate()))),
-            traced(Box::new(traced(estimate()))),
-            traced(Box::new(tagged(estimate()))),
-            tagged(Box::new(traced(Box::new(tagged(estimate()))))),
-        ] {
-            assert!(
-                matches!(
-                    from_bytes::<Request>(&to_bytes(&bad)),
-                    Err(CodecError::InvalidTag { .. })
-                ),
-                "{bad:?}"
-            );
-        }
-        let ok = || Box::new(Response::Ok);
-        let tagged = |inner| Response::Tagged { id: 1, inner };
+        let bad = traced(Box::new(traced(batch())));
+        assert!(
+            matches!(
+                from_bytes::<Request>(&to_bytes(&bad)),
+                Err(CodecError::InvalidTag { .. })
+            ),
+            "{bad:?}"
+        );
         let traced = |inner| Response::Traced {
             server_us: 1,
-            inner,
+            inner: Box::new(inner),
         };
         let batch = |answer| Response::Estimates {
             answers: vec![Response::Estimate { value: 1 }, answer],
         };
         for bad in [
-            tagged(Box::new(tagged(ok()))),
-            traced(Box::new(traced(ok()))),
-            traced(Box::new(tagged(ok()))),
+            traced(traced(Response::Ok)),
             batch(Response::Ok),
-            batch(tagged(Box::new(Response::Estimate { value: 2 }))),
+            batch(traced(Response::Estimate { value: 2 })),
             batch(batch(Response::Estimate { value: 2 })),
         ] {
             assert!(
@@ -954,13 +852,16 @@ mod tests {
         }
     }
 
-    /// `[tag, id: u64]` repeated to fill a maximal frame: wrappers nested
-    /// about 116k deep.
-    fn deeply_nested(tag: u8) -> Vec<u8> {
+    /// A `Traced` header (`tag` plus `ids` u64 fields) repeated to fill a
+    /// maximal frame: wrappers nested 60k–116k deep.
+    fn deeply_nested(tag: u8, ids: usize) -> Vec<u8> {
+        let mut header = vec![tag];
+        for _ in 0..ids {
+            header.extend_from_slice(&7u64.to_be_bytes());
+        }
         let mut bytes = Vec::new();
-        while bytes.len() + 9 <= MAX_FRAME_BYTES as usize {
-            bytes.push(tag);
-            bytes.extend_from_slice(&7u64.to_be_bytes());
+        while bytes.len() + header.len() <= MAX_FRAME_BYTES as usize {
+            bytes.extend_from_slice(&header);
         }
         bytes
     }
@@ -973,11 +874,11 @@ mod tests {
             .stack_size(2 << 20)
             .spawn(|| {
                 assert!(matches!(
-                    from_bytes::<Request>(&deeply_nested(6)),
+                    from_bytes::<Request>(&deeply_nested(8, 2)),
                     Err(CodecError::InvalidTag { .. })
                 ));
                 assert!(matches!(
-                    from_bytes::<Response>(&deeply_nested(7)),
+                    from_bytes::<Response>(&deeply_nested(9, 1)),
                     Err(CodecError::InvalidTag { .. })
                 ));
             })
@@ -998,6 +899,34 @@ mod tests {
         assert!(matches!(
             from_bytes::<Response>(&bytes),
             Err(CodecError::LengthOverflow { .. })
+        ));
+    }
+
+    #[test]
+    fn retired_tags_decode_as_invalid_tags() {
+        // Request 3 (a one-shot estimate) and 6 (a correlation-id
+        // wrapper) and response 7 (that wrapper's answer), each followed
+        // by what it used to carry.
+        let mut estimate = vec![3u8];
+        TargetingSpec::everyone().encode(&mut estimate);
+        let mut tagged = vec![6u8];
+        7u64.encode(&mut tagged);
+        tagged.push(0);
+        for (tag, bytes) in [(3, estimate), (6, tagged)] {
+            assert!(matches!(
+                from_bytes::<Request>(&bytes),
+                Err(CodecError::InvalidTag { what: "Request", tag: t }) if t == tag
+            ));
+        }
+        let mut tagged = vec![7u8];
+        7u64.encode(&mut tagged);
+        tagged.push(2);
+        assert!(matches!(
+            from_bytes::<Response>(&tagged),
+            Err(CodecError::InvalidTag {
+                what: "Response",
+                tag: 7
+            })
         ));
     }
 

@@ -4,13 +4,14 @@
 //! synchronous event model is plenty for an audit workload of one or a
 //! few measurement clients. A connection's thread owns its socket: it
 //! reads a frame, answers it and writes the answer (one `write` per
-//! frame) before it reads the next, so every request, pipelined
-//! ([`Request::Tagged`]) or not, is answered on that thread in receive
-//! order. A batch frame ([`Request::EstimateBatch`]) passes the rate
-//! limiter one spec at a time and reaches the platform as one
-//! [`PlatformApi::reach_estimates`] call. A pipelining client keeps
-//! frames queued on the socket, so the thread goes straight from one
-//! answer to the next request. Shutdown
+//! frame) before it reads the next, so a connection's answers leave in
+//! the order its requests arrived — the one pipelining rule, on which a
+//! client with several frames in flight files each answer under the
+//! oldest unanswered frame. A batch frame ([`Request::EstimateBatch`])
+//! passes the rate limiter one spec at a time and reaches the platform
+//! as one [`PlatformApi::reach_estimates`] call. A pipelining client
+//! keeps frames queued on the socket, so the thread goes straight from
+//! one answer to the next request. Shutdown
 //! closes the read half of each socket: a thread answers what its client
 //! already sent, reads end-of-stream and exits (see
 //! [`ServerHandle::shutdown`]). A shared token-bucket rate limiter
@@ -32,6 +33,7 @@
 //! are never dispatched to the platform, so the platform's own fault and
 //! query counters stay deterministic whatever the transport does.
 
+use std::hash::{BuildHasher, RandomState};
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -42,7 +44,7 @@ use adcomp_obs::lock;
 use adcomp_obs::metrics::{Counter, Registry};
 use adcomp_obs::trace::{TraceContext, Tracer};
 use adcomp_platform::{
-    EstimateRequest, FaultKind, FaultPlan, PlatformApi, PlatformError, SizeEstimate, TokenBucket,
+    EstimateRequest, FaultKind, FaultPlan, PlatformApi, PlatformError, TokenBucket,
 };
 use adcomp_targeting::{TargetingSpec, ValidationError};
 
@@ -68,16 +70,31 @@ pub trait WireService: Send + Sync {
 
 /// The standard [`WireService`]: dispatches the full platform protocol
 /// (describe/check/estimate/catalog/stats) to a [`PlatformApi`] and
-/// answers [`Request::Status`] as healthy with the platform label.
-pub struct PlatformService(pub Arc<dyn PlatformApi>);
+/// answers [`Request::Status`] as healthy with the platform label. Each
+/// one has its own instance id, which its `Described` answers carry.
+pub struct PlatformService {
+    platform: Arc<dyn PlatformApi>,
+    instance: u64,
+}
+
+impl PlatformService {
+    /// Serves `platform` under a fresh instance id.
+    pub fn new(platform: Arc<dyn PlatformApi>) -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        // Randomly keyed, so ids from other processes on the host differ
+        // too, and counted, so two services here never share one.
+        let instance = RandomState::new().hash_one(NEXT.fetch_add(1, Ordering::Relaxed));
+        PlatformService { platform, instance }
+    }
+}
 
 impl WireService for PlatformService {
     fn handle(&self, request: Request) -> Response {
-        handle_request(self.0.as_ref(), request)
+        handle_request(self.platform.as_ref(), self.instance, request)
     }
 
     fn note_rate_limited(&self) {
-        self.0.note_rate_limited();
+        self.platform.note_rate_limited();
     }
 }
 
@@ -382,13 +399,14 @@ impl Drop for ServerHandle {
 }
 
 /// Starts serving `platform` on `addr` (e.g. `"127.0.0.1:0"`) through
-/// the standard [`PlatformService`].
+/// a new [`PlatformService`], so each call serves under its own
+/// instance id.
 pub fn serve(
     platform: Arc<dyn PlatformApi>,
     addr: &str,
     config: ServerConfig,
 ) -> std::io::Result<ServerHandle> {
-    serve_service(Arc::new(PlatformService(platform)), addr, config)
+    serve_service(Arc::new(PlatformService::new(platform)), addr, config)
 }
 
 /// Starts serving an arbitrary [`WireService`] on `addr`.
@@ -462,20 +480,18 @@ pub fn serve_service(
 /// platform, by request kind. Each kind's counter is resolved from the
 /// registry once, on its first request.
 fn requests_total(request: &Request) -> &'static Counter {
-    static COUNTERS: [OnceLock<Arc<Counter>>; 12] = [const { OnceLock::new() }; 12];
+    static COUNTERS: [OnceLock<Arc<Counter>>; 10] = [const { OnceLock::new() }; 10];
     let (slot, kind) = match request {
         Request::Describe => (0, "describe"),
         Request::AttributeInfo { .. } => (1, "attribute_info"),
         Request::Check { .. } => (2, "check"),
-        Request::Estimate { .. } => (3, "estimate"),
+        Request::EstimateBatch { .. } => (3, "estimate_batch"),
         Request::CatalogPage { .. } => (4, "catalog_page"),
         Request::Stats => (5, "stats"),
         Request::Status => (6, "status"),
-        Request::Tagged { .. } => (7, "tagged"),
-        Request::Traced { .. } => (8, "traced"),
-        Request::Metrics => (9, "metrics"),
-        Request::TelemetryPush { .. } => (10, "telemetry_push"),
-        Request::EstimateBatch { .. } => (11, "estimate_batch"),
+        Request::Traced { .. } => (7, "traced"),
+        Request::Metrics => (8, "metrics"),
+        Request::TelemetryPush { .. } => (9, "telemetry_push"),
     };
     COUNTERS[slot].get_or_init(|| {
         Registry::global().counter_with("adcomp_wire_requests_total", &[("kind", kind)])
@@ -552,17 +568,12 @@ fn answer_frames(
 }
 
 /// Answers one decoded request in receive order. Decoding has enforced
-/// the nesting `Tagged ⊃ Traced ⊃ plain`, so this recurses at most
-/// twice: a `Tagged` answer echoes its id, a `Traced` one continues the
-/// caller's span around the inner answer and reports the time it took,
-/// and a plain request passes the rate limiter before the service sees
-/// it.
+/// the nesting `Traced ⊃ plain`, so this recurses at most once: a
+/// `Traced` answer continues the caller's span around the inner answer
+/// and reports the time it took, and a plain request passes the rate
+/// limiter before the service sees it.
 fn answer(request: Request, shared: &Shared) -> Response {
     match request {
-        Request::Tagged { id, inner } => Response::Tagged {
-            id,
-            inner: Box::new(answer(*inner, shared)),
-        },
         Request::Traced {
             trace_id,
             span_id,
@@ -575,7 +586,6 @@ fn answer(request: Request, shared: &Shared) -> Response {
                 parent: None,
             };
             let name = match &*inner {
-                Request::Estimate { .. } => "platform:estimate",
                 Request::EstimateBatch { .. } => "platform:estimate_batch",
                 Request::Check { .. } => "platform:check",
                 _ => "platform:serve",
@@ -638,7 +648,7 @@ fn answer_batch(specs: Vec<TargetingSpec>, shared: &Shared) -> Response {
     }
 }
 
-fn handle_request(platform: &dyn PlatformApi, request: Request) -> Response {
+fn handle_request(platform: &dyn PlatformApi, instance: u64, request: Request) -> Response {
     requests_total(&request).inc();
     match request {
         Request::Describe => {
@@ -652,6 +662,7 @@ fn handle_request(platform: &dyn PlatformApi, request: Request) -> Response {
                 same_feature_and: caps.same_feature_and,
                 impressions: platform.config().estimate_kind
                     == adcomp_platform::EstimateKind::Impressions,
+                instance,
             }
         }
         Request::AttributeInfo { id } => {
@@ -671,10 +682,6 @@ fn handle_request(platform: &dyn PlatformApi, request: Request) -> Response {
             Ok(()) => Response::Ok,
             Err(e) => platform_error_to_response(e),
         },
-        Request::Estimate { spec } => {
-            let req = EstimateRequest::new(spec, platform.config().default_objective);
-            estimate_answer(platform.reach_estimate(&req))
-        }
         // One `reach_estimates` call: a platform counts the batch in one
         // pass, a fault-injecting one still faults request by request.
         Request::EstimateBatch { specs } => {
@@ -687,7 +694,10 @@ fn handle_request(platform: &dyn PlatformApi, request: Request) -> Response {
                 answers: platform
                     .reach_estimates(&requests)
                     .into_iter()
-                    .map(estimate_answer)
+                    .map(|answer| match answer {
+                        Ok(est) => Response::Estimate { value: est.value },
+                        Err(e) => platform_error_to_response(e),
+                    })
                     .collect(),
             }
         }
@@ -726,11 +736,11 @@ fn handle_request(platform: &dyn PlatformApi, request: Request) -> Response {
             healthy: true,
             body: format!("platform {} serving", platform.label()),
         },
-        // The transport unwraps both wrappers before dispatch; one that
+        // The transport unwraps `Traced` before dispatch; one that
         // reaches a service came from a caller that skipped the transport.
-        Request::Tagged { .. } | Request::Traced { .. } => Response::Error {
+        Request::Traced { .. } => Response::Error {
             code: ErrorCode::BadRequest,
-            message: "Tagged and Traced are unwrapped by the transport".into(),
+            message: "Traced is unwrapped by the transport".into(),
             retry_after: None,
         },
         // The scrape endpoint: whatever this process has recorded.
@@ -744,13 +754,6 @@ fn handle_request(platform: &dyn PlatformApi, request: Request) -> Response {
             message: "platform endpoints do not accept telemetry pushes".into(),
             retry_after: None,
         },
-    }
-}
-
-fn estimate_answer(result: Result<SizeEstimate, PlatformError>) -> Response {
-    match result {
-        Ok(est) => Response::Estimate { value: est.value },
-        Err(e) => platform_error_to_response(e),
     }
 }
 

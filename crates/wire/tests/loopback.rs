@@ -419,13 +419,13 @@ fn pipelined_batch_matches_serial_estimates() {
 }
 
 #[test]
-fn pipelined_batch_matches_answers_that_arrive_out_of_order() {
+fn pipelined_batch_files_answers_in_receive_order() {
     // A hand-rolled peer reads a whole pipelined window of batch frames,
-    // then answers the frames in reverse: the client must file each
-    // frame's answers under its correlation id, not by arrival order.
-    // (The real server answers in order.) The middle frame gets one bare
-    // estimate instead of a batch answer, which must fill none of its
-    // slots with that value.
+    // then answers them in the order it received them, as every server
+    // does: the client must file each answer under its own frame. The
+    // middle frame gets one bare estimate instead of a batch answer,
+    // which must fill none of its slots with that value and must not
+    // shift its neighbours' answers.
     use std::collections::HashMap;
     use std::io::BufReader;
     use std::net::TcpListener;
@@ -444,15 +444,12 @@ fn pipelined_batch_matches_answers_that_arrive_out_of_order() {
         let mut window = Vec::new();
         for _ in 0..FRAMES {
             let payload = read_frame(&mut reader).unwrap();
-            let Request::Tagged { id, inner } = from_bytes::<Request>(&payload).unwrap() else {
-                panic!("expected a tagged request");
+            let Request::EstimateBatch { specs } = from_bytes::<Request>(&payload).unwrap() else {
+                panic!("expected a batch frame");
             };
-            let Request::EstimateBatch { specs } = *inner else {
-                panic!("expected a tagged batch");
-            };
-            window.push((id, specs));
+            window.push(specs);
         }
-        for (id, specs) in window.into_iter().rev() {
+        for (frame, specs) in window.into_iter().enumerate() {
             // Each answer names its spec's slot, so a misfiled one shows.
             let answers = specs
                 .iter()
@@ -460,14 +457,10 @@ fn pipelined_batch_matches_answers_that_arrive_out_of_order() {
                     value: 1_000 + slot_of[spec],
                 })
                 .collect();
-            let inner = if id == MAX_BATCH_SPECS as u64 {
+            let answer = if frame == 1 {
                 Response::Estimate { value: 7 }
             } else {
                 Response::Estimates { answers }
-            };
-            let answer = Response::Tagged {
-                id,
-                inner: Box::new(inner),
             };
             write_message(&mut writer, &answer).unwrap();
         }
@@ -789,8 +782,54 @@ fn pipelined_batch_reconnects_and_reissues_only_unanswered() {
 }
 
 #[test]
+fn reconnect_refuses_another_server_on_the_same_port() {
+    // Once the client has described its server, a reconnect checks the
+    // server's instance id. A dropped connection to the same server
+    // reconnects as before; but once that server is gone and another
+    // is given its port, every call fails and the newcomer answers no
+    // estimate.
+    let plan = FaultPlan::new(13).with(
+        FaultKind::Drop { mid_frame: false },
+        Schedule::Once { at: 2 },
+    );
+    let hook = Arc::new(CountingHook::new(FaultPlanHook(plan)));
+    let config = ServerConfig::default().with_fault_hook(hook.clone());
+    let handle = serve(sim().linkedin.clone(), "127.0.0.1:0", config).unwrap();
+    let addr = handle.addr();
+    let client = Client::connect_with(addr, ClientConfig::fast()).unwrap();
+    assert_eq!(client.describe().unwrap().label, "LinkedIn");
+    let everyone = TargetingSpec::everyone();
+    let value = client.estimate(&everyone).unwrap();
+    // Frame 2 is dropped; the reconnect's `Describe` is frame 3 and
+    // the estimate goes again as frame 4.
+    assert_eq!(client.estimate(&everyone).unwrap(), value);
+    assert_eq!((hook.fired(), hook.frames()), (1, 5));
+    handle.shutdown();
+
+    let other = Simulation::build(71, SimScale::Test);
+    let newcomer = Arc::new(CountingHook::new(FaultPlanHook(FaultPlan::new(0))));
+    let impostor = serve(
+        other.google.clone(),
+        &addr.to_string(),
+        ServerConfig::default().with_fault_hook(newcomer.clone()),
+    )
+    .unwrap();
+    let refused = |r: Result<u64, ClientError>| {
+        matches!(
+            r,
+            Err(ClientError::Transport(_) | ClientError::CircuitOpen { .. })
+        )
+    };
+    assert!(refused(client.estimate(&everyone)));
+    assert!(refused(client.describe().map(|d| d.catalog_len.into())));
+    assert!(newcomer.frames() > 0, "the client reached the new server");
+    assert_eq!(other.google.stats().estimates, 0);
+    impostor.shutdown();
+}
+
+#[test]
 fn deeply_nested_frame_is_refused_and_the_server_keeps_serving() {
-    // A maximal frame of `Tagged` wrappers nested ~116k deep. Decoding it
+    // A maximal frame of `Traced` wrappers nested ~60k deep. Decoding it
     // recursively would overflow the connection thread's stack and abort
     // the whole process; it must come back as one BadRequest instead.
     use std::io::BufReader;
@@ -801,9 +840,9 @@ fn deeply_nested_frame_is_refused_and_the_server_keeps_serving() {
     )
     .unwrap();
     let mut nested = Vec::new();
-    while nested.len() + 9 <= MAX_FRAME_BYTES as usize {
-        nested.push(6u8);
-        nested.extend_from_slice(&7u64.to_be_bytes());
+    while nested.len() + 17 <= MAX_FRAME_BYTES as usize {
+        nested.push(8u8);
+        nested.extend_from_slice(&[7; 16]);
     }
     let raw = std::net::TcpStream::connect(handle.addr()).unwrap();
     write_frame(&mut &raw, &nested).unwrap();

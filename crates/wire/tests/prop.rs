@@ -42,7 +42,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
         Just(Request::Describe),
         any::<u32>().prop_map(|id| Request::AttributeInfo { id }),
         arb_spec().prop_map(|spec| Request::Check { spec }),
-        arb_spec().prop_map(|spec| Request::Estimate { spec }),
         Just(Request::Stats),
         proptest::collection::vec(arb_spec(), 0..6)
             .prop_map(|specs| Request::EstimateBatch { specs }),
@@ -74,17 +73,24 @@ fn arb_error() -> impl Strategy<Value = Response> {
 
 fn arb_response() -> impl Strategy<Value = Response> {
     prop_oneof![
-        (any::<String>(), any::<u32>(), any::<[bool; 5]>()).prop_map(
-            |(label, catalog_len, flags)| Response::Described {
-                label,
-                catalog_len,
-                gender_targeting: flags[0],
-                age_targeting: flags[1],
-                exclusions: flags[2],
-                same_feature_and: flags[3],
-                impressions: flags[4],
-            }
-        ),
+        (
+            any::<String>(),
+            any::<u32>(),
+            any::<[bool; 5]>(),
+            any::<u64>()
+        )
+            .prop_map(
+                |(label, catalog_len, flags, instance)| Response::Described {
+                    label,
+                    catalog_len,
+                    gender_targeting: flags[0],
+                    age_targeting: flags[1],
+                    exclusions: flags[2],
+                    same_feature_and: flags[3],
+                    impressions: flags[4],
+                    instance,
+                }
+            ),
         (any::<String>(), any::<u16>())
             .prop_map(|(name, feature)| Response::AttributeInfo { name, feature }),
         Just(Response::Ok),

@@ -14,6 +14,7 @@
 //! and the `sched_throughput` bench; see EXPERIMENTS.md ("Distributed
 //! audits") for the topology.
 
+use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 
 use adcomp_core::experiments::EndpointSetFactory;
@@ -69,15 +70,7 @@ impl Fleet {
     ) -> std::io::Result<Fleet> {
         let apis = FLEET_INTERFACES
             .iter()
-            .map(|&kind| {
-                let platform = match kind {
-                    InterfaceKind::FacebookNormal => &sim.facebook,
-                    InterfaceKind::FacebookRestricted => &sim.facebook_restricted,
-                    InterfaceKind::GoogleDisplay => &sim.google,
-                    InterfaceKind::LinkedIn => &sim.linkedin,
-                };
-                (kind, platform.clone() as Arc<dyn PlatformApi>)
-            })
+            .map(|&kind| (kind, sim.platform(kind).clone() as Arc<dyn PlatformApi>))
             .collect();
         Fleet::launch_apis(apis, replicas, server_config, client_config)
     }
@@ -155,6 +148,14 @@ impl Fleet {
         self.sources[self.iface_index(kind) * self.replicas + replica].clone()
     }
 
+    /// The address one replica's server listens on, while it runs
+    /// (`None` once [`kill`](Fleet::kill)ed).
+    pub fn addr(&self, kind: InterfaceKind, replica: usize) -> Option<SocketAddr> {
+        assert!(replica < self.replicas);
+        let index = self.iface_index(kind) * self.replicas + replica;
+        lock(&self.handles)[index].as_ref().map(ServerHandle::addr)
+    }
+
     /// An [`EndpointSetFactory`] serving this fleet's endpoint sets, for
     /// [`ExperimentContext::distributed`](adcomp_core::experiments::ExperimentContext::distributed).
     pub fn factory(fleet: &Arc<Fleet>) -> EndpointSetFactory {
@@ -165,7 +166,9 @@ impl Fleet {
     /// Shuts one replica's server down **while audits may be running**.
     /// Its client starts failing with transport errors, the scheduler
     /// marks the endpoint unhealthy and requeues its leased units onto
-    /// the survivors. Idempotent: killing a dead replica is a no-op.
+    /// the survivors. That holds even if another server is later given
+    /// the freed port: the client finds a different instance id there
+    /// and refuses it. Idempotent: killing a dead replica is a no-op.
     pub fn kill(&self, kind: InterfaceKind, replica: usize) {
         assert!(replica < self.replicas);
         let index = self.iface_index(kind) * self.replicas + replica;

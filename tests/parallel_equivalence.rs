@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use discrimination_via_composition::audit::{
     rank_individuals, survey_individuals, top_compositions, AuditTarget, BudgetedSource, Direction,
-    DiscoveryConfig, QueryBudget, SensitiveClass, QUERIES_PER_SPEC,
+    DiscoveryConfig, QueryBudget, SchedulerConfig, SensitiveClass, QUERIES_PER_SPEC,
 };
 use discrimination_via_composition::platform::{
     FaultKind, FaultPlan, InterfaceKind, Schedule, SimScale, Simulation,
@@ -32,16 +32,14 @@ fn pooled_audit_is_bit_identical_to_serial_on_every_platform() {
         InterfaceKind::GoogleDisplay,
         InterfaceKind::LinkedIn,
     ] {
-        let platform = match kind {
-            InterfaceKind::FacebookNormal => &sim.facebook,
-            InterfaceKind::FacebookRestricted => &sim.facebook_restricted,
-            InterfaceKind::GoogleDisplay => &sim.google,
-            InterfaceKind::LinkedIn => &sim.linkedin,
-        };
-        let serial = AuditTarget::for_platform(platform, &sim);
+        let serial = AuditTarget::for_platform(sim.platform(kind), &sim);
         // Four in-process replicas of the measurement interface (the
         // restricted interface measures through its Facebook parent).
-        let pooled = serial.with_scheduler(vec![serial.measurement.clone(); 4]);
+        let pooled = serial.with_scheduler_cfg(
+            vec![serial.measurement.clone(); 4],
+            SchedulerConfig::default(),
+            None,
+        );
 
         let serial_survey = survey_individuals(&serial).unwrap();
         let pooled_survey = survey_individuals(&pooled).unwrap();

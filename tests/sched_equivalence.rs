@@ -21,7 +21,7 @@ use discrimination_via_composition::platform::{
 };
 use discrimination_via_composition::store::RunStore;
 use discrimination_via_composition::wire::{
-    ClientConfig, CountingHook, FaultPlanHook, ServerConfig,
+    serve, ClientConfig, CountingHook, FaultPlanHook, ServerConfig,
 };
 use discrimination_via_composition::Fleet;
 
@@ -132,6 +132,62 @@ fn distributed_table1_is_byte_identical_despite_fault_and_kill() {
         drops > 0,
         "the bad replicas must actually have dropped connections"
     );
+    fleet.shutdown();
+}
+
+#[test]
+fn killed_replica_port_served_by_another_interface_is_refused() {
+    // Replica 1 of every interface dies and another interface's server
+    // is given its exact port. The killed replica's client reconnects
+    // there, finds a different instance id and fails like a dead
+    // endpoint, so the scheduler requeues onto replica 0: the table
+    // stays byte-identical and the newcomers answer no estimate.
+    let config = ExperimentConfig::test(93);
+    let serial_tsv = table1_tsv(&table1(&ExperimentContext::new(config)).unwrap());
+
+    let fleet_sim = Simulation::build(config.seed, config.scale);
+    let fleet = Arc::new(
+        Fleet::launch_with(
+            &fleet_sim,
+            2,
+            |_, _| ServerConfig::default(),
+            |_, _| failfast_client(),
+        )
+        .unwrap(),
+    );
+    let other_sim = Simulation::build(config.seed + 1, config.scale);
+    let kinds = [
+        InterfaceKind::FacebookNormal,
+        InterfaceKind::FacebookRestricted,
+        InterfaceKind::GoogleDisplay,
+        InterfaceKind::LinkedIn,
+    ];
+    let mut newcomers = Vec::new();
+    for (i, &kind) in kinds.iter().enumerate() {
+        let addr = fleet.addr(kind, 1).unwrap();
+        fleet.kill(kind, 1);
+        let hook = Arc::new(CountingHook::new(FaultPlanHook(FaultPlan::new(0))));
+        let other = other_sim.platform(kinds[(i + 1) % kinds.len()]).clone();
+        let config = ServerConfig::default().with_fault_hook(hook.clone());
+        newcomers.push((serve(other, &addr.to_string(), config).unwrap(), hook));
+    }
+
+    let ctx =
+        ExperimentContext::distributed(config, Fleet::factory(&fleet), SchedulerConfig::fast());
+    assert_eq!(
+        table1_tsv(&table1(&ctx).unwrap()),
+        serial_tsv,
+        "distributed Table 1 must be byte-identical to the serial run"
+    );
+    let reached: u64 = newcomers.iter().map(|(_, hook)| hook.frames()).sum();
+    assert!(
+        reached > 0,
+        "the killed replicas' clients reached the newcomers"
+    );
+    assert_eq!(platform_queries(&other_sim, &other_sim), 0);
+    for (handle, _) in newcomers {
+        handle.shutdown();
+    }
     fleet.shutdown();
 }
 
