@@ -154,7 +154,10 @@ fn interface_index(kind: InterfaceKind) -> usize {
 }
 
 impl ExperimentContext {
-    /// Builds the simulation for `config`.
+    /// A context over the simulation for `config`. Its platforms are
+    /// built on first use (see
+    /// [`Simulation::build`](adcomp_platform::Simulation::build)): an
+    /// interface no experiment queries costs only its catalog.
     pub fn new(config: ExperimentConfig) -> ExperimentContext {
         ExperimentContext {
             simulation: Simulation::build_inferred(
@@ -218,7 +221,8 @@ impl ExperimentContext {
     /// A context whose targets replay `store` with the platform layer
     /// fully detached: [`target`](ExperimentContext::target) returns
     /// [`AuditTarget::from_replay`] targets, and any estimate the
-    /// recorded run never answered fails loudly as a replay miss.
+    /// recorded run never answered fails loudly as a replay miss. No
+    /// platform of its simulation is ever built.
     /// `config` must match the recorded run for the drivers to ask the
     /// same questions (spec schedules are derived from its seeds).
     pub fn replayed(config: ExperimentConfig, store: Arc<RunStore>) -> ExperimentContext {

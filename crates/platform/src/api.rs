@@ -53,6 +53,14 @@ pub trait PlatformApi: Send + Sync {
     fn label(&self) -> &'static str {
         self.config().kind.label()
     }
+
+    /// Builds now what the platform would otherwise build on its first
+    /// query (a resident platform's universe and audiences), so that
+    /// query is no slower than the rest. A server calls this before it
+    /// answers anyone: a client whose timeout took a first query waiting
+    /// out the build for a dead endpoint would issue it again, and the
+    /// platform would count it twice. Default: nothing is built lazily.
+    fn materialize(&self) {}
 }
 
 impl<B: AudienceBackend> PlatformApi for Platform<B> {
@@ -85,6 +93,10 @@ impl<B: AudienceBackend> PlatformApi for Platform<B> {
 
     fn note_rate_limited(&self) {
         Platform::note_rate_limited(self)
+    }
+
+    fn materialize(&self) {
+        self.backend.materialize();
     }
 }
 

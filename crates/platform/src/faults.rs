@@ -324,6 +324,10 @@ impl PlatformApi for FaultyPlatform {
     fn note_rate_limited(&self) {
         self.inner.note_rate_limited()
     }
+
+    fn materialize(&self) {
+        PlatformApi::materialize(self.inner.as_ref())
+    }
 }
 
 impl std::fmt::Debug for FaultyPlatform {

@@ -1,9 +1,9 @@
 //! The advertiser-facing platform interface.
 //!
-//! A [`Platform`] bundles an audience backend (a resident universe with
-//! materialised attribute audiences, or a segment store), a catalog, an
-//! interface policy ([`Capabilities`]) and a size estimator
-//! ([`RoundingRule`]). Its advertiser-visible surface is
+//! A [`Platform`] bundles an audience backend (a resident universe whose
+//! attribute audiences are materialised on first use, or a segment
+//! store), a catalog, an interface policy ([`Capabilities`]) and a size
+//! estimator ([`RoundingRule`]). Its advertiser-visible surface is
 //! deliberately narrow — browse the catalog, validate a spec, request a
 //! rounded reach estimate — because that is all the paper's methodology
 //! (and any real advertiser) gets to see. Ground-truth accessors exist for
@@ -15,13 +15,13 @@ use std::time::Duration;
 use adcomp_bitset::Bitset;
 use adcomp_obs::lock;
 use adcomp_obs::metrics::{size_buckets, Counter, Histogram, Registry};
-use adcomp_population::{InferredView, SegmentStore, Universe};
+use adcomp_population::{AttributeInference, InferredView, SegmentStore, Universe, UniverseConfig};
 use adcomp_targeting::{
     evaluate, evaluate_len_batch, validate, AttributeId, AttributeResolver, Capabilities,
     EvalError, TargetingSpec, ValidationError,
 };
 
-use crate::backend::{AudienceBackend, Resident};
+use crate::backend::{AudienceBackend, Population, Resident};
 use crate::catalog::Catalog;
 use crate::estimate::{EstimateKind, RoundingRule, SizeEstimate};
 use crate::objective::{FrequencyCap, Objective};
@@ -214,7 +214,7 @@ pub struct Platform<B> {
     pub(crate) metrics: PlatformMetrics,
 }
 
-/// A platform whose audiences are materialised in memory.
+/// A platform whose audiences are materialised in memory on first use.
 pub type AdPlatform = Platform<Resident>;
 
 /// A platform served from an on-disk segment store (see
@@ -288,7 +288,13 @@ impl<B: AudienceBackend> Platform<B> {
         }
         let mut batch: Vec<usize> = Vec::with_capacity(counted.len());
         let mut specs: Vec<&TargetingSpec> = Vec::with_capacity(counted.len());
-        for seg in 0..self.backend.n_segments() {
+        // A batch with nothing to count loads (or builds) no segment.
+        let segments = if counted.is_empty() {
+            0
+        } else {
+            self.backend.n_segments()
+        };
+        for seg in 0..segments {
             let view = self.backend.segment(seg);
             batch.clear();
             specs.clear();
@@ -443,41 +449,57 @@ pub(crate) fn estimate_for_len(
 }
 
 impl AdPlatform {
-    /// Builds a platform, materialising every catalog audience.
+    /// A platform over `universe`. Its catalog audiences are materialised
+    /// on first use (see [`Resident`]), not here.
     pub fn new(config: PlatformConfig, universe: Arc<Universe>, catalog: Catalog) -> AdPlatform {
-        let models: Vec<_> = catalog.entries().iter().map(|e| e.model.clone()).collect();
-        let audiences = universe
-            .materialize_all(&models)
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-        let backend = Resident {
-            universe,
-            audiences,
-            inferred: None,
-        };
+        AdPlatform::resident(config, Population::Universe(universe), catalog)
+    }
+
+    /// A platform over the universe `universe` generates. The universe
+    /// and the catalog audiences are built together on first use, so a
+    /// platform that is only described or validated against never
+    /// generates either.
+    pub fn generated(
+        config: PlatformConfig,
+        universe: UniverseConfig,
+        catalog: Catalog,
+    ) -> AdPlatform {
+        AdPlatform::resident(config, Population::Config(universe), catalog)
+    }
+
+    fn resident(config: PlatformConfig, population: Population, catalog: Catalog) -> AdPlatform {
+        let models = catalog.entries().iter().map(|e| e.model.clone()).collect();
+        let backend = Resident::new(population, models);
         Platform::with_backend(config, catalog, backend, None)
     }
 
-    /// Rebuilds this platform with an inferred demographic view: gender
-    /// and age constraints will resolve against `view`'s (noisy, possibly
-    /// missing) labels instead of the universe's ground truth. Totals and
-    /// attribute audiences are unchanged — the platform still serves every
-    /// user; it just *classifies* them differently.
-    pub fn with_inferred_view(mut self, view: Arc<InferredView>) -> AdPlatform {
-        self.backend.inferred = Some(view);
+    /// Attaches a demographic-inference model: gender and age constraints
+    /// will resolve against the view `model` infers of the universe
+    /// (noisy, possibly missing labels) instead of its ground truth.
+    /// Totals and attribute audiences are unchanged — the platform still
+    /// serves every user; it just *classifies* them differently. The view
+    /// is drawn when the platform is built.
+    ///
+    /// # Panics
+    /// If an interface has already been [`derived`](AdPlatform::derived)
+    /// from this one: attach the model first, so the derived interface
+    /// inherits it.
+    pub fn with_inference(mut self, model: AttributeInference) -> AdPlatform {
+        self.backend.set_inference(model);
         self
     }
 
-    /// The inferred demographic view, if one is attached.
+    /// The inferred demographic view, if an inference model is attached
+    /// (builds the platform).
     pub fn inferred_view(&self) -> Option<&Arc<InferredView>> {
-        self.backend.inferred.as_ref()
+        self.backend.built().inferred.as_ref()
     }
 
     /// Builds a *derived* interface over the same universe as `parent`,
     /// with a catalog whose entries are a subset of the parent's
-    /// (`parent_ids[i]` = id of entry `i` on the parent). Audiences are
-    /// shared with the parent, not re-materialised or copied.
+    /// (`parent_ids[i]` = id of entry `i` on the parent). It shares the
+    /// parent's lazily built audiences: whichever of the two is queried
+    /// first builds them for both, and nothing is copied.
     ///
     /// This models Facebook's restricted interface, which exposes a
     /// sanitized subset of the normal interface's options over the same
@@ -489,29 +511,28 @@ impl AdPlatform {
         parent_ids: Vec<AttributeId>,
     ) -> AdPlatform {
         assert_eq!(catalog.len(), parent_ids.len(), "one parent id per entry");
-        let audiences = parent_ids
+        if let Some(pid) = parent_ids
             .iter()
-            .map(|pid| {
-                parent
-                    .backend
-                    .audiences
-                    .get(pid.0 as usize)
-                    .unwrap_or_else(|| panic!("parent id #{} out of range", pid.0))
-                    .clone()
-            })
-            .collect();
-        let backend = Resident {
-            universe: parent.backend.universe.clone(),
-            audiences,
-            inferred: parent.backend.inferred.clone(),
-        };
+            .find(|pid| pid.0 as usize >= parent.catalog.len())
+        {
+            panic!("parent id #{} out of range", pid.0);
+        }
+        let backend = Resident::derived(&parent.backend, &parent_ids);
         Platform::with_backend(config, catalog, backend, Some(parent_ids))
+    }
+
+    /// Whether this platform's universe and audiences have been built (a
+    /// derived interface shares its parent's). Read-only: only a query
+    /// that needs the audiences, or serving the platform over the wire,
+    /// builds them.
+    pub fn is_materialized(&self) -> bool {
+        self.backend.is_built()
     }
 
     // ------------------------------------------------------------------
     // Ground-truth access — NOT part of the advertiser-visible surface.
     // Used by tests, calibration, and the rounding ablation; the audit
-    // pipeline never calls these.
+    // pipeline never calls these. Each builds the platform.
     // ------------------------------------------------------------------
 
     /// Ground truth: the exact audience of a spec, bypassing interface
@@ -523,18 +544,19 @@ impl AdPlatform {
     /// Ground truth: the materialised audience of catalog entry `idx`
     /// (index = attribute id). Used by the lookalike engine and tests.
     pub fn attribute_audience_raw(&self, idx: usize) -> Option<&Bitset> {
-        self.backend.audiences.get(idx).map(|a| a.as_ref())
+        let id = AttributeId(u32::try_from(idx).ok()?);
+        self.backend.segment(0).audience(id)
     }
 
     /// Ground truth: the universe behind the interface.
     pub fn universe(&self) -> &Universe {
-        &self.backend.universe
+        &self.backend.built().universe
     }
 
     /// Ground truth: the shared universe handle (for building derived
     /// interfaces or cross-interface audits).
     pub fn universe_arc(&self) -> Arc<Universe> {
-        self.backend.universe.clone()
+        self.backend.built().universe.clone()
     }
 }
 
@@ -689,6 +711,57 @@ mod tests {
             ))
             .unwrap();
         assert_eq!(on_restricted, on_parent);
+    }
+
+    #[test]
+    fn first_use_race_builds_once_with_eager_bits() {
+        // Eight threads race on a platform's first query. One builds; the
+        // others wait for it, and all see the same universe and audiences,
+        // bit for bit what an eager draw gives.
+        let universe = UniverseConfig {
+            n_users: 30_000,
+            seed: 8,
+            scale: 10.0,
+            profile: DemographicProfile::balanced(),
+        };
+        let eager = test_platform(InterfaceKind::FacebookNormal, Capabilities::permissive());
+        let catalog = eager.catalog().clone();
+        let p = AdPlatform::generated(eager.config().clone(), universe.clone(), catalog.clone());
+        assert!(!p.is_materialized());
+        p.check(&TargetingSpec::and_of([AttributeId(0)])).unwrap();
+        let everyone = EstimateRequest::new(TargetingSpec::everyone(), Objective::Reach);
+        assert!(p.reach_estimate(&everyone).is_ok());
+        assert!(!p.is_materialized(), "validation and totals build nothing");
+
+        let barrier = std::sync::Barrier::new(8);
+        let universes: Vec<usize> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..8)
+                .map(|i| {
+                    let (p, barrier) = (&p, &barrier);
+                    s.spawn(move || {
+                        barrier.wait();
+                        let spec = TargetingSpec::and_of([AttributeId(i % 4)]);
+                        p.reach_estimate(&EstimateRequest::new(spec, Objective::Reach))
+                            .unwrap();
+                        p.universe() as *const Universe as usize
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert!(p.is_materialized());
+        assert!(universes.iter().all(|&u| u == universes[0]), "one build");
+
+        let models: Vec<_> = catalog.entries().iter().map(|e| e.model.clone()).collect();
+        let drawn = Universe::generate(&universe).materialize_all(&models);
+        assert_eq!(drawn.len(), catalog.len());
+        for (idx, audience) in drawn.iter().enumerate() {
+            assert_eq!(
+                p.attribute_audience_raw(idx),
+                Some(audience),
+                "audience {idx}"
+            );
+        }
     }
 
     #[test]

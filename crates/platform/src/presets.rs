@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use adcomp_population::{AttributeInference, DemographicProfile, Universe, UniverseConfig};
+use adcomp_population::{AttributeInference, DemographicProfile, UniverseConfig};
 use adcomp_targeting::{Capabilities, FeatureId};
 
 use crate::catalog::{Catalog, CategorySpec, SkewProfile};
@@ -76,13 +76,17 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Builds all four interfaces deterministically from one seed.
+    /// All four interfaces, deterministically from one seed. Only their
+    /// catalogs are built here; each universe and its audiences are
+    /// built on the interface's first query (see
+    /// [`Resident`](crate::Resident)), so an audit that never queries an
+    /// interface never pays for it.
     pub fn build(seed: u64, scale: SimScale) -> Simulation {
         Simulation::build_inferred(seed, scale, None)
     }
 
-    /// Builds all four interfaces, optionally attaching an inferred
-    /// demographic view to each.
+    /// All four interfaces, optionally attaching a demographic-inference
+    /// model to each (built, like the audiences, on first use).
     ///
     /// With `Some(inference)`, every platform classifies its own universe
     /// through the inference model (each draws from streams salted by its
@@ -97,10 +101,7 @@ impl Simulation {
         inference: Option<&AttributeInference>,
     ) -> Simulation {
         let attach = |platform: AdPlatform| match inference {
-            Some(model) => {
-                let view = Arc::new(model.view(platform.universe()));
-                platform.with_inferred_view(view)
-            }
+            Some(model) => platform.with_inference(*model),
             None => platform,
         };
         let facebook = Arc::new(attach(build_facebook(seed, scale)));
@@ -147,7 +148,7 @@ const LINKEDIN_USERS: u32 = 170_000;
 /// Facebook's normal interface: 667 attributes over a slightly
 /// female-skewed user base of ≈ 220 M.
 pub fn build_facebook(seed: u64, scale: SimScale) -> AdPlatform {
-    let universe = Arc::new(Universe::generate(&UniverseConfig {
+    let universe = UniverseConfig {
         n_users: scale.users(FB_USERS),
         seed: seed ^ 0xFB,
         scale: scale.scale(FB_USERS, 1_000.0),
@@ -157,7 +158,7 @@ pub fn build_facebook(seed: u64, scale: SimScale) -> AdPlatform {
             gender_signal: 0.55,
             age_signal: 0.65,
         },
-    }));
+    };
     let f = scale.catalog_factor();
     let feat = FeatureId(0);
     let n = SkewProfile::neutral;
@@ -255,7 +256,7 @@ pub fn build_facebook(seed: u64, scale: SimScale) -> AdPlatform {
         },
     ];
     let catalog = Catalog::generate(seed ^ 0xCAFB, &specs);
-    AdPlatform::new(
+    AdPlatform::generated(
         PlatformConfig {
             kind: InterfaceKind::FacebookNormal,
             capabilities: Capabilities::permissive(),
@@ -303,7 +304,7 @@ pub fn build_facebook_restricted(facebook: &AdPlatform, scale: SimScale) -> AdPl
 /// topics (feature 1); impressions estimates; composition only across
 /// features.
 pub fn build_google(seed: u64, scale: SimScale) -> AdPlatform {
-    let universe = Arc::new(Universe::generate(&UniverseConfig {
+    let universe = UniverseConfig {
         n_users: scale.users(GOOGLE_USERS),
         seed: seed ^ 0x600613,
         // Per-user multiplier 9600 puts totals in the billions of monthly
@@ -315,7 +316,7 @@ pub fn build_google(seed: u64, scale: SimScale) -> AdPlatform {
             gender_signal: 0.5,
             age_signal: 0.7,
         },
-    }));
+    };
     let f = scale.catalog_factor();
     let attrs = FeatureId(0);
     let topics = FeatureId(1);
@@ -444,7 +445,7 @@ pub fn build_google(seed: u64, scale: SimScale) -> AdPlatform {
         },
     ];
     let catalog = Catalog::generate(seed ^ 0xCA60, &specs);
-    AdPlatform::new(
+    AdPlatform::generated(
         PlatformConfig {
             kind: InterfaceKind::GoogleDisplay,
             capabilities: Capabilities::cross_feature_only(),
@@ -461,7 +462,7 @@ pub fn build_google(seed: u64, scale: SimScale) -> AdPlatform {
 /// LinkedIn: 552 attributes over a male- and older-skewed professional
 /// member base of ≈ 170 M.
 pub fn build_linkedin(seed: u64, scale: SimScale) -> AdPlatform {
-    let universe = Arc::new(Universe::generate(&UniverseConfig {
+    let universe = UniverseConfig {
         n_users: scale.users(LINKEDIN_USERS),
         seed: seed ^ 0x11D1,
         scale: scale.scale(LINKEDIN_USERS, 1_000.0),
@@ -471,7 +472,7 @@ pub fn build_linkedin(seed: u64, scale: SimScale) -> AdPlatform {
             gender_signal: 0.65,
             age_signal: 0.7,
         },
-    }));
+    };
     let f = scale.catalog_factor();
     let feat = FeatureId(0);
     let n = SkewProfile::neutral;
@@ -541,7 +542,7 @@ pub fn build_linkedin(seed: u64, scale: SimScale) -> AdPlatform {
         },
     ];
     let catalog = Catalog::generate(seed ^ 0xCA11, &specs);
-    AdPlatform::new(
+    AdPlatform::generated(
         PlatformConfig {
             kind: InterfaceKind::LinkedIn,
             capabilities: Capabilities::permissive(),

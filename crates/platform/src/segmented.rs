@@ -1,9 +1,9 @@
 //! A platform interface served from an on-disk segment store.
 //!
 //! [`AdPlatform`](crate::AdPlatform) materialises every catalog audience
-//! in memory, which caps universes at a few million users. A
-//! [`SegmentedPlatform`] serves the identical advertiser surface from a
-//! [`SegmentStore`]: audiences live on disk as per-segment bitsets, a
+//! in memory (on its first query), which caps universes at a few million
+//! users. A [`SegmentedPlatform`] serves the identical advertiser surface
+//! from a [`SegmentStore`]: audiences live on disk as per-segment bitsets, a
 //! bounded cache keeps the hot ones resident, and every estimate is
 //! computed segment-at-a-time — so resident memory stays flat no matter
 //! how many users the universe holds.
@@ -121,7 +121,7 @@ impl AttributeResolver for SegmentView<'_> {
 mod tests {
     use super::*;
     use crate::api::PlatformApi;
-    use crate::backend::Resident;
+    use crate::backend::{Built, ResidentView};
     use crate::catalog::{CategorySpec, SkewProfile};
     use crate::estimate::{EstimateKind, RoundingRule};
     use crate::interface::{EstimateRequest, InterfaceKind, PlatformError};
@@ -229,14 +229,17 @@ mod tests {
         let inferred = AttributeInference::noisy(5, 0.1, 0.2)
             .with_missingness(0.2, 0, 1.0)
             .view(&universe);
-        let mut resident = Resident {
+        let mut built = Built {
             universe,
             audiences: Vec::new(),
             inferred: None,
         };
-        assert_demographics_within_everyone(&resident, "resident");
-        resident.inferred = Some(Arc::new(inferred));
-        assert_demographics_within_everyone(&resident, "resident, inferred view");
+        let check = |built: &Built, what| {
+            assert_demographics_within_everyone(ResidentView { built, ids: None }, what)
+        };
+        check(&built, "resident");
+        built.inferred = Some(Arc::new(inferred));
+        check(&built, "resident, inferred view");
     }
 
     #[test]

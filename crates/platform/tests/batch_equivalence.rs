@@ -103,11 +103,7 @@ fn resident() -> AdPlatform {
 }
 
 fn inferred() -> AdPlatform {
-    let platform = resident();
-    let view = AttributeInference::noisy(5, 0.1, 0.2)
-        .with_missingness(0.2, 0, 1.0)
-        .view(&platform.universe_arc());
-    platform.with_inferred_view(Arc::new(view))
+    resident().with_inference(AttributeInference::noisy(5, 0.1, 0.2).with_missingness(0.2, 0, 1.0))
 }
 
 /// A three-segment platform whose cache holds about two audiences.

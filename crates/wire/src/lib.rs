@@ -72,5 +72,5 @@ pub use frame::{read_frame, write_frame, write_message, FrameError, MAX_FRAME_BY
 pub use message::{ErrorCode, Request, Response, MAX_BATCH_SPECS};
 pub use server::{
     serve, serve_service, ConnectionFault, ConnectionFaultHook, CountingHook, FaultPlanHook,
-    PlatformService, ServerConfig, ServerHandle, WireService,
+    PlatformService, ServerConfig, ServerHandle, WireService, DRAIN_SUB_BATCH,
 };

@@ -78,8 +78,11 @@ pub struct PlatformService {
 }
 
 impl PlatformService {
-    /// Serves `platform` under a fresh instance id.
+    /// Serves `platform` under a fresh instance id. The platform is
+    /// built first ([`PlatformApi::materialize`]), so no client waits
+    /// out its build.
     pub fn new(platform: Arc<dyn PlatformApi>) -> Self {
+        platform.materialize();
         static NEXT: AtomicU64 = AtomicU64::new(0);
         // Randomly keyed, so ids from other processes on the host differ
         // too, and counted, so two services here never share one.
@@ -188,9 +191,10 @@ pub struct ServerConfig {
     /// Transport-fault injector, consulted once per received frame.
     pub fault_hook: Option<Arc<dyn ConnectionFaultHook>>,
     /// How long [`ServerHandle::shutdown`] waits for frames clients sent
-    /// before it to be answered before force-closing connections. A frame
-    /// the service is already answering is finished first, so shutdown
-    /// can overrun this by up to one frame's work.
+    /// before it to be answered before force-closing connections. The
+    /// service call already running is finished first, so shutdown can
+    /// overrun this by up to one request's work: for a batch frame, one
+    /// sub-batch of [`DRAIN_SUB_BATCH`] specs.
     pub drain_timeout: Duration,
     /// Tracer that server-side continuation spans ([`Request::Traced`])
     /// are recorded into; `None` uses the process-global tracer. Inject
@@ -333,10 +337,12 @@ impl ServerHandle {
     /// distinguish a draining endpoint (all sent requests answered)
     /// from a killed one (responses lost mid-window).
     ///
-    /// A connection thread checks the window between frames, never inside
-    /// one: a frame the service is already answering — a batch frame of
-    /// up to [`MAX_BATCH_SPECS`](crate::MAX_BATCH_SPECS) specs on a slow
-    /// platform — holds shutdown until it is done, past the window.
+    /// A connection thread checks the window between frames and, inside
+    /// a batch frame, between its sub-batches of [`DRAIN_SUB_BATCH`]
+    /// specs: the service call already running holds shutdown until it
+    /// is done, so shutdown overruns the window by at most one
+    /// sub-batch. A batch frame cut short this way is abandoned whole
+    /// and counted like any other.
     pub fn shutdown(mut self) {
         self.shutdown_now();
     }
@@ -559,7 +565,11 @@ fn answer_frames(
                 message: e.to_string(),
                 retry_after: None,
             },
-            Ok(request) => answer(request, shared),
+            Ok(request) => match answer(request, shared) {
+                Some(response) => response,
+                // The drain window closed part-way through the frame.
+                None => return true,
+            },
         };
         if write_message(writer, &response).is_err() {
             return true;
@@ -567,12 +577,13 @@ fn answer_frames(
     }
 }
 
-/// Answers one decoded request in receive order. Decoding has enforced
-/// the nesting `Traced ⊃ plain`, so this recurses at most once: a
-/// `Traced` answer continues the caller's span around the inner answer
+/// Answers one decoded request in receive order, or `None` when the
+/// drain window closed in the middle of a batch frame. Decoding has
+/// enforced the nesting `Traced ⊃ plain`, so this recurses at most once:
+/// a `Traced` answer continues the caller's span around the inner answer
 /// and reports the time it took, and a plain request passes the rate
 /// limiter before the service sees it.
-fn answer(request: Request, shared: &Shared) -> Response {
+fn answer(request: Request, shared: &Shared) -> Option<Response> {
     match request {
         Request::Traced {
             trace_id,
@@ -591,25 +602,34 @@ fn answer(request: Request, shared: &Shared) -> Response {
                 _ => "platform:serve",
             };
             let span = shared.tracer().continue_span(ctx, name, &[]);
-            let response = answer(*inner, shared);
+            let response = answer(*inner, shared)?;
             drop(span);
-            Response::Traced {
+            Some(Response::Traced {
                 server_us: started.elapsed().as_micros() as u64,
                 inner: Box::new(response),
-            }
+            })
         }
         Request::EstimateBatch { specs } => answer_batch(specs, shared),
-        request => match shared.admit() {
+        request => Some(match shared.admit() {
             Ok(()) => shared.service.handle(request),
             Err(refused) => refused,
-        },
+        }),
     }
 }
 
-/// Answers a batch frame. Each spec takes its own token from the rate
-/// limiter, in slot order; a refused spec answers `RateLimited` in its
-/// slot, and the admitted ones go to the service as one batch.
-fn answer_batch(specs: Vec<TargetingSpec>, shared: &Shared) -> Response {
+/// Admitted specs a batch frame hands the service per call. A frame of
+/// more is answered in sub-batches of this many, with the drain window
+/// checked between them, so a shutdown waits out at most one sub-batch
+/// past [`drain_timeout`](ServerConfig::drain_timeout). The frames a
+/// scheduler sends (one work unit's specs, 16 by default) stay one call.
+pub const DRAIN_SUB_BATCH: usize = 256;
+
+/// Answers a batch frame, or `None` when the drain window closed before
+/// it was done. Each spec takes its own token from the rate limiter, in
+/// slot order; a refused spec answers `RateLimited` in its slot, and the
+/// admitted ones go to the service in sub-batches of
+/// [`DRAIN_SUB_BATCH`].
+fn answer_batch(specs: Vec<TargetingSpec>, shared: &Shared) -> Option<Response> {
     let mut answers = Vec::with_capacity(specs.len());
     let mut admitted = Vec::with_capacity(specs.len());
     for spec in specs {
@@ -621,31 +641,33 @@ fn answer_batch(specs: Vec<TargetingSpec>, shared: &Shared) -> Response {
             Err(refused) => answers.push(Some(refused)),
         }
     }
-    if admitted.is_empty() {
-        return Response::Estimates {
-            answers: answers.into_iter().flatten().collect(),
-        };
-    }
-    let count = admitted.len();
-    match shared
-        .service
-        .handle(Request::EstimateBatch { specs: admitted })
-    {
-        Response::Estimates { answers: served } if served.len() == count => {
-            let mut served = served.into_iter();
-            Response::Estimates {
-                answers: answers
-                    .into_iter()
-                    .map(|refused| {
-                        refused.unwrap_or_else(|| served.next().expect("one per admitted spec"))
-                    })
-                    .collect(),
-            }
+    let mut served = Vec::with_capacity(admitted.len());
+    let mut rest = admitted;
+    while !rest.is_empty() {
+        // Every sub-batch but the first checks the drain window.
+        if !served.is_empty() && shared.drain_expired.load(Ordering::Acquire) {
+            return None;
         }
-        // A service that answers the frame as a whole (one that does not
-        // serve batches answers `BadRequest`) answers every slot.
-        whole => whole,
+        let tail = rest.split_off(rest.len().min(DRAIN_SUB_BATCH));
+        let chunk = std::mem::replace(&mut rest, tail);
+        let count = chunk.len();
+        match shared
+            .service
+            .handle(Request::EstimateBatch { specs: chunk })
+        {
+            Response::Estimates { answers } if answers.len() == count => served.extend(answers),
+            // A service that answers the frame as a whole (one that does
+            // not serve batches answers `BadRequest`) answers every slot.
+            whole => return Some(whole),
+        }
     }
+    let mut served = served.into_iter();
+    Some(Response::Estimates {
+        answers: answers
+            .into_iter()
+            .map(|refused| refused.unwrap_or_else(|| served.next().expect("one per admitted spec")))
+            .collect(),
+    })
 }
 
 fn handle_request(platform: &dyn PlatformApi, instance: u64, request: Request) -> Response {

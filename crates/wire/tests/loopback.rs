@@ -9,7 +9,7 @@ use adcomp_targeting::{AttributeId, TargetingSpec};
 use adcomp_wire::{
     from_bytes, read_frame, serve, serve_service, write_frame, write_message, Client, ClientConfig,
     ClientError, CountingHook, ErrorCode, FaultPlanHook, Request, Response, ServerConfig,
-    WireService, MAX_BATCH_SPECS, MAX_FRAME_BYTES,
+    WireService, DRAIN_SUB_BATCH, MAX_BATCH_SPECS, MAX_FRAME_BYTES,
 };
 
 fn sim() -> &'static Simulation {
@@ -30,6 +30,18 @@ fn describe_matches_platform() {
         "google composes across features only"
     );
     assert!(desc.impressions);
+    handle.shutdown();
+}
+
+#[test]
+fn serving_builds_the_platform_before_any_query() {
+    // A platform builds its audiences on first use; a served one is
+    // built before the server answers anyone, so no client's timeout
+    // runs out on a first query that waits for the build.
+    let platform = Arc::new(adcomp_platform::build_linkedin(71, SimScale::Test));
+    assert!(!platform.is_materialized());
+    let handle = serve(platform.clone(), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    assert!(platform.is_materialized());
     handle.shutdown();
 }
 
@@ -740,6 +752,68 @@ fn expired_drain_is_surfaced_not_silent() {
     assert!(
         abandoned.get() >= before + 2,
         "an expired drain must count the queued frames in adcomp_wire_drain_abandoned"
+    );
+}
+
+#[test]
+fn shutdown_overruns_the_drain_by_at_most_one_sub_batch() {
+    // One full batch frame on a platform that delays every spec: answered
+    // whole, it would hold shutdown for four sub-batches. The connection
+    // thread checks the drain window between sub-batches, so shutdown
+    // waits out the one in progress, abandons the rest of the frame and
+    // counts it.
+    const DELAY: std::time::Duration = std::time::Duration::from_millis(4);
+    const DRAIN: std::time::Duration = std::time::Duration::from_millis(20);
+    let abandoned = adcomp_obs::metrics::Registry::global().counter("adcomp_wire_drain_abandoned");
+    let before = abandoned.get();
+    let plan = FaultPlan::new(41).with(
+        FaultKind::Latency(DELAY),
+        Schedule::EveryNth {
+            period: 1,
+            offset: 0,
+        },
+    );
+    let slow = Arc::new(adcomp_platform::FaultyPlatform::new(
+        sim().linkedin.clone(),
+        plan,
+    ));
+    let handle = serve(
+        slow,
+        "127.0.0.1:0",
+        ServerConfig::default().with_drain_timeout(DRAIN),
+    )
+    .unwrap();
+    let client = Client::connect_with(
+        handle.addr(),
+        ClientConfig {
+            retry: adcomp_platform::RetryPolicy::none(),
+            ..ClientConfig::fast()
+        },
+    )
+    .unwrap();
+    let batch = std::thread::spawn(move || {
+        let specs = vec![TargetingSpec::everyone(); MAX_BATCH_SPECS];
+        client.estimate_batch(&specs)
+    });
+    // Let the frame land server-side and its first sub-batch start.
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    let started = std::time::Instant::now();
+    handle.shutdown();
+    let took = started.elapsed();
+    let sub_batch = DELAY * DRAIN_SUB_BATCH as u32;
+    const { assert!(MAX_BATCH_SPECS >= 4 * DRAIN_SUB_BATCH) };
+    assert!(
+        took < DRAIN + sub_batch + sub_batch / 2,
+        "shutdown took {took:?}: more than the drain window plus one sub-batch ({sub_batch:?})"
+    );
+    let answers = batch.join().unwrap();
+    assert!(
+        answers.iter().all(|a| a.is_err()),
+        "the cut frame is not answered"
+    );
+    assert!(
+        abandoned.get() > before,
+        "a frame cut short by the drain is counted in adcomp_wire_drain_abandoned"
     );
 }
 

@@ -1,15 +1,19 @@
 //! Offline stand-in for the `criterion` crate.
 //!
-//! Runs each registered benchmark closure a small fixed number of
-//! iterations and prints the mean wall-clock time. No statistical
-//! analysis, warm-up calibration, or HTML reports — enough to keep
-//! `cargo bench` compiling and producing comparable rough numbers.
+//! Runs each registered benchmark closure once untimed (a warm-up, so a
+//! cold first call — a lazily built platform, an empty cache, a fresh
+//! connection — is not charged to the measurement), then a small fixed
+//! number of timed iterations, and prints their median and minimum
+//! wall-clock time. No statistical analysis, warm-up calibration, or
+//! HTML reports — enough to keep `cargo bench` compiling and producing
+//! comparable rough numbers.
 
 #![forbid(unsafe_code)]
 
 use std::time::{Duration, Instant};
 
-/// Iterations per benchmark; small because there is no calibration.
+/// Timed iterations per benchmark; small because there is no
+/// calibration.
 const ITERS: u32 = 30;
 
 /// Opaque value sink preventing the optimiser from deleting the
@@ -32,35 +36,37 @@ pub enum BatchSize {
 
 /// Timer handle passed to benchmark closures.
 pub struct Bencher {
-    total: Duration,
-    runs: u32,
+    times: Vec<Duration>,
 }
 
 impl Bencher {
-    /// Times `routine` over the fixed iteration count.
+    /// Runs `routine` once untimed, then times it over the fixed
+    /// iteration count.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        for _ in 0..ITERS {
-            let start = Instant::now();
-            black_box(routine());
-            self.total += start.elapsed();
-            self.runs += 1;
-        }
+        self.iter_batched(|| (), |()| routine(), BatchSize::PerIteration);
     }
 
-    /// Times `routine` on fresh inputs from `setup`; setup time is
-    /// excluded from the measurement.
+    /// Runs `routine` once untimed, then times it on fresh inputs from
+    /// `setup`; setup time is excluded from the measurement.
     pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
     where
         S: FnMut() -> I,
         R: FnMut(I) -> O,
     {
+        black_box(routine(setup()));
         for _ in 0..ITERS {
             let input = setup();
             let start = Instant::now();
             black_box(routine(input));
-            self.total += start.elapsed();
-            self.runs += 1;
+            self.times.push(start.elapsed());
         }
+    }
+
+    /// Median and minimum of the timed iterations (zero when none ran).
+    fn summary(&mut self) -> (Duration, Duration) {
+        self.times.sort_unstable();
+        let at = |i: usize| self.times.get(i).copied().unwrap_or(Duration::ZERO);
+        (at(self.times.len() / 2), at(0))
     }
 }
 
@@ -71,27 +77,21 @@ pub struct BenchmarkGroup<'a> {
 }
 
 impl BenchmarkGroup<'_> {
-    /// Runs one benchmark and prints its mean time.
+    /// Runs one benchmark and prints its median (and minimum) time.
     pub fn bench_function<F>(&mut self, id: impl Into<String>, mut f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
-        let mut bencher = Bencher {
-            total: Duration::ZERO,
-            runs: 0,
-        };
+        let mut bencher = Bencher { times: Vec::new() };
         f(&mut bencher);
-        let mean = if bencher.runs == 0 {
-            Duration::ZERO
-        } else {
-            bencher.total / bencher.runs
-        };
+        let (median, min) = bencher.summary();
         println!(
-            "bench {}/{}: mean {:?} over {} iters",
+            "bench {}/{}: median {:?} (min {:?}) over {} iters",
             self.name,
             id.into(),
-            mean,
-            bencher.runs
+            median,
+            min,
+            bencher.times.len()
         );
         self
     }
@@ -173,5 +173,34 @@ mod tests {
     #[test]
     fn group_runner_executes() {
         benches();
+    }
+
+    #[test]
+    fn warm_up_call_is_not_timed() {
+        let mut bencher = Bencher { times: Vec::new() };
+        let mut calls = 0;
+        bencher.iter(|| {
+            calls += 1;
+            // Only the first, untimed call is slow.
+            if calls == 1 {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        });
+        assert_eq!(calls, ITERS + 1);
+        assert_eq!(bencher.times.len(), ITERS as usize);
+        let (median, min) = bencher.summary();
+        assert!(min <= median);
+        assert!(bencher.times.iter().all(|t| *t < Duration::from_millis(50)));
+    }
+
+    #[test]
+    fn summary_is_median_and_min() {
+        let mut bencher = Bencher {
+            times: [5, 1, 9, 3, 7].map(Duration::from_millis).to_vec(),
+        };
+        assert_eq!(
+            bencher.summary(),
+            (Duration::from_millis(5), Duration::from_millis(1))
+        );
     }
 }

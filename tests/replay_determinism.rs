@@ -42,6 +42,10 @@ fn recorded_table1_replays_byte_identically_offline() {
     let store = Arc::new(RunStore::open(&dir).unwrap());
     let ctx = ExperimentContext::recorded(config, store.clone());
     let recorded_tsv = table1_tsv(&table1(&ctx).unwrap());
+    assert!(
+        !ctx.simulation.google.is_materialized(),
+        "Table 1 never queries Google, so it is never built"
+    );
     store.sync().unwrap();
     drop(ctx);
     drop(store);
@@ -62,6 +66,13 @@ fn recorded_table1_replays_byte_identically_offline() {
         "replay must never touch the platform layer"
     );
     assert_eq!(store.stats().appends, 0, "replay never writes the store");
+    for platform in ctx.simulation.interfaces() {
+        assert!(
+            !platform.is_materialized(),
+            "replay never builds {}",
+            platform.label()
+        );
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }

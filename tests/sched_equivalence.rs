@@ -214,6 +214,15 @@ fn coordinator_kill_resume_reissues_no_answered_query() {
     let ref_tsv = table1_tsv(&table1(&ref_ctx).unwrap());
     assert_eq!(ref_tsv, plain_tsv, "recording must not change the table");
     let full_queries = platform_queries(&ref_ctx.simulation, &ref_fleet_sim);
+    // The fleet answers every estimate: the context's own platforms only
+    // describe catalogs and validate specs, which builds none of them.
+    for platform in ref_ctx.simulation.interfaces() {
+        assert!(
+            !platform.is_materialized(),
+            "a fleet audit never builds its local {}",
+            platform.label()
+        );
+    }
     ref_fleet.shutdown();
 
     // "Killed coordinator": only the first favoured population's row
