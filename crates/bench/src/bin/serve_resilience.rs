@@ -105,14 +105,14 @@ impl EstimateSource for TimestampSource {
         self.inner.label()
     }
 
-    fn estimate(&self, spec: &TargetingSpec) -> Result<u64, SourceError> {
+    fn estimate_batch(&self, specs: &[TargetingSpec]) -> Vec<Result<u64, SourceError>> {
         {
             let mut slot = adcomp_obs::lock(&self.slot);
             if slot.is_none() {
                 *slot = Some(Instant::now());
             }
         }
-        self.inner.estimate(spec)
+        specs.iter().map(|s| self.inner.estimate(s)).collect()
     }
 
     fn check(&self, spec: &TargetingSpec) -> Result<(), SourceError> {

@@ -165,16 +165,15 @@ impl EstimateSource for BudgetedSource {
         self.inner.label()
     }
 
-    fn estimate(&self, spec: &TargetingSpec) -> Result<u64, SourceError> {
-        self.admit()?;
-        self.inner.estimate(spec)
-    }
-
     fn estimate_batch(&self, specs: &[TargetingSpec]) -> Vec<Result<u64, SourceError>> {
         if !self.budget.min_interval.is_zero() {
-            // Throttled budgets stay serial — spacing the queries out is
-            // the whole point, so there is nothing to batch.
-            return specs.iter().map(|s| self.estimate(s)).collect();
+            // Throttled budgets go one query at a time — spacing the
+            // queries out is the whole point, so there is nothing to
+            // batch.
+            return specs
+                .iter()
+                .map(|s| self.admit().and_then(|()| self.inner.estimate(s)))
+                .collect();
         }
         // Reserve every slot up front (one atomic reservation per query),
         // so concurrent batches can never over-issue past the cap, then
@@ -191,7 +190,12 @@ impl EstimateSource for BudgetedSource {
             .filter(|(_, a)| a.is_ok())
             .map(|(s, _)| s.clone())
             .collect();
-        let mut answers = self.inner.estimate_batch(&subset).into_iter();
+        let answers = if subset.is_empty() {
+            Vec::new()
+        } else {
+            self.inner.estimate_batch(&subset)
+        };
+        let mut answers = answers.into_iter();
         admitted
             .into_iter()
             .map(|a| match a {

@@ -366,12 +366,6 @@ impl EstimateSource for ScheduledSource {
         self.label.clone()
     }
 
-    fn estimate(&self, spec: &TargetingSpec) -> Result<u64, SourceError> {
-        self.estimate_batch(std::slice::from_ref(spec))
-            .pop()
-            .expect("one result per spec")
-    }
-
     fn estimate_batch(&self, specs: &[TargetingSpec]) -> Vec<Result<u64, SourceError>> {
         if specs.is_empty() {
             return Vec::new();

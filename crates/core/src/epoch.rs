@@ -203,8 +203,14 @@ mod tests {
             fn label(&self) -> String {
                 "LinkedIn".into()
             }
-            fn estimate(&self, _: &adcomp_targeting::TargetingSpec) -> Result<u64, SourceError> {
-                Err(SourceError::Transport("down".into()))
+            fn estimate_batch(
+                &self,
+                specs: &[adcomp_targeting::TargetingSpec],
+            ) -> Vec<Result<u64, SourceError>> {
+                specs
+                    .iter()
+                    .map(|_| Err(SourceError::Transport("down".into())))
+                    .collect()
             }
             fn check(&self, _: &adcomp_targeting::TargetingSpec) -> Result<(), SourceError> {
                 Err(SourceError::Transport("down".into()))

@@ -105,34 +105,32 @@ pub fn consistency_probe(
             n_individual + n_composed
         );
     }
-    let mut inconsistent = Vec::new();
-    if target.prefers_batching() {
-        // Batched: each spec's repeats go out as one submission. The
-        // verdict is identical to the serial loop (any differing repeat
-        // marks the spec inconsistent), but an inconsistent platform may
-        // see up to `repeats − 1` more queries per flagged spec than the
-        // early-breaking serial loop — acceptable, since flagging ends
-        // the audit of that platform anyway. Recording must stay off
-        // here (replayed answers would make any platform look
-        // consistent); this probes whatever source the target carries.
-        for spec in &specs {
-            let queries = vec![target.translate(spec).into_owned(); repeats.max(1)];
-            let mut results = target.measurement.estimate_batch(&queries).into_iter();
-            let first = results.next().expect("at least one repeat")?;
-            for result in results {
-                if result? != first {
-                    inconsistent.push(spec.clone());
-                    break;
-                }
-            }
-        }
+    // A measurement interface without native batching gets one repeat
+    // per submission, so the first differing answer stops the spec's
+    // queries; one that batches gets all of a spec's repeats in one
+    // submission, and a flagged spec may cost up to `repeats − 1` more
+    // queries — acceptable, since flagging ends the audit of that
+    // platform anyway. The verdict is the same either way. Recording
+    // must stay off here (replayed answers would make any platform look
+    // consistent); this probes whatever source the target carries.
+    let per_chunk = if target.measurement.batch_window() > 1 {
+        repeats.max(1)
     } else {
-        for spec in &specs {
-            let first = target.total_estimate(spec)?;
-            for _ in 1..repeats {
-                if target.total_estimate(spec)? != first {
+        1
+    };
+    let mut inconsistent = Vec::new();
+    for spec in &specs {
+        let chunk = vec![target.translate(spec).into_owned(); per_chunk];
+        let mut first = None;
+        let mut left = repeats.max(1);
+        'repeats: while left > 0 {
+            let n = per_chunk.min(left);
+            left -= n;
+            for result in target.measurement.estimate_batch(&chunk[..n]) {
+                let value = result?;
+                if *first.get_or_insert(value) != value {
                     inconsistent.push(spec.clone());
-                    break;
+                    break 'repeats;
                 }
             }
         }
@@ -319,6 +317,11 @@ impl ProbeCheckpoint {
         use std::io::{Error, ErrorKind};
         let bad = |what: &str| Error::new(ErrorKind::InvalidData, format!("checkpoint: {what}"));
         let text = std::str::from_utf8(bytes).map_err(|_| bad("not utf-8"))?;
+        // Every line ends in a newline, so a file cut inside its last
+        // line cannot parse as a shorter value.
+        if !text.ends_with('\n') {
+            return Err(bad("truncated"));
+        }
         let mut lines = text.lines();
         if lines.next() != Some(CHECKPOINT_HEADER) {
             return Err(bad("bad header"));
@@ -344,6 +347,9 @@ impl ProbeCheckpoint {
         if observations.len() != count {
             return Err(bad("missing observations"));
         }
+        if lines.next().is_some() {
+            return Err(bad("trailing lines"));
+        }
         Ok(ProbeCheckpoint {
             seed,
             queries,
@@ -361,8 +367,9 @@ impl ProbeCheckpoint {
 /// restart it. The probe's spec schedule is indexed — spec `i` is a pure
 /// function of `(seed, i)` — so progress is just `(next_index,
 /// observations)`: checkpoint those, and a resumed probe continues
-/// exactly where the crash left off, never re-issuing an answered query.
-/// Only the single query in flight at the kill is re-asked.
+/// exactly where the crash left off. [`run`](GranularityProbe::run)
+/// and [`run_checkpointed`](GranularityProbe::run_checkpointed) say how
+/// many answered queries a kill can cost.
 #[derive(Clone, Debug)]
 pub struct GranularityProbe {
     seed: u64,
@@ -426,63 +433,72 @@ impl GranularityProbe {
     /// [`resume`](GranularityProbe::resume) later. A query abandoned by
     /// the resilience layer ([`SourceError::Skipped`]) is counted and
     /// excluded from the ladder rather than aborting the probe.
+    ///
+    /// A measurement interface without native batching is asked one
+    /// query at a time, so only the query in flight at a failure is
+    /// re-asked on resume. One that batches gets the schedule in chunks
+    /// of 4,096 queries; on a failure,
+    /// answers already issued past it in the chunk are discarded and
+    /// re-asked on resume.
     pub fn run(&mut self, target: &AuditTarget) -> Result<GranularityReport, SourceError> {
-        let _span = Tracer::global().span("probe:granularity");
-        let progress = ProgressReporter::new("granularity_probe", 1_000);
-        if target.prefers_batching() {
-            return self.run_batched(target, &progress);
-        }
-        while !self.completed() {
-            let index = self.next_index;
-            let Some(spec) = spec_at(target, self.seed, index) else {
-                // Non-composable pair: the index is consumed, no query.
-                self.next_index = index + 1;
-                continue;
-            };
-            match target.total_estimate(&spec) {
-                Ok(value) => {
-                    self.observations.push(value);
-                    self.next_index = index + 1;
-                    progress.tick();
-                }
-                Err(SourceError::Skipped { .. }) => {
-                    self.skipped += 1;
-                    probe_skipped_total().inc();
-                    self.next_index = index + 1;
-                }
-                // `next_index` still points at this spec: a resumed run
-                // re-asks the unanswered query, and only that one.
-                Err(e) => return Err(e),
-            }
-        }
-        adcomp_obs::debug!("granularity_probe: {} queries answered", progress.done());
-        Ok(self.report())
+        let chunk = if target.measurement.batch_window() > 1 {
+            Self::BATCH_CHUNK
+        } else {
+            1
+        };
+        self.walk(target, chunk, None)
     }
 
-    /// Chunk of the indexed schedule submitted per batch when the
-    /// measurement interface batches natively. Bounds the memory of a
-    /// paper-scale (>80 000 query) probe.
+    /// Queries of the schedule submitted per batch when the measurement
+    /// interface batches natively. Bounds the memory of a paper-scale
+    /// (>80 000 query) probe.
     const BATCH_CHUNK: u64 = 4_096;
 
-    /// Batched form of [`run`](GranularityProbe::run). The indexed spec
-    /// schedule makes this easy: observations land in index order, so
-    /// results are identical to the serial walk. On a hard error,
-    /// `next_index` points at the first unanswered index — the trade-off
-    /// versus the serial walk is that up to a chunk of already-issued
-    /// answers past the failure are discarded and re-asked on resume,
-    /// which is why [`run_checkpointed`](GranularityProbe::run_checkpointed)
-    /// (whose contract is exactly-once re-issue) stays serial.
-    fn run_batched(
+    /// Like [`run`](GranularityProbe::run), saving a checkpoint to
+    /// `path` every `every` answered queries (and one final time), so a
+    /// kill at any point loses at most `every − 1` answers. Always asks
+    /// one query at a time, whatever the interface: every answered query
+    /// is issued exactly once across a kill and resume.
+    pub fn run_checkpointed(
         &mut self,
         target: &AuditTarget,
-        progress: &ProgressReporter,
+        path: &Path,
+        every: usize,
     ) -> Result<GranularityReport, SourceError> {
+        assert!(every > 0, "checkpoint interval must be positive");
+        self.walk(target, 1, Some((path, every)))
+    }
+
+    /// The one walk of the indexed schedule behind [`run`] and
+    /// [`run_checkpointed`]: submits up to `chunk` scheduled specs at a
+    /// time and files their answers in index order, so the observations
+    /// do not depend on `chunk`. On a hard error `next_index` points at
+    /// the failed query.
+    ///
+    /// [`run`]: GranularityProbe::run
+    /// [`run_checkpointed`]: GranularityProbe::run_checkpointed
+    fn walk(
+        &mut self,
+        target: &AuditTarget,
+        chunk: u64,
+        checkpoint: Option<(&Path, usize)>,
+    ) -> Result<GranularityReport, SourceError> {
+        let _span = Tracer::global().span("probe:granularity");
+        let progress = ProgressReporter::new("granularity_probe", 1_000);
+        let save = |probe: &Self, path: &Path| {
+            probe
+                .checkpoint()
+                .save(path)
+                .map_err(|e| SourceError::Transport(format!("checkpoint save: {e}")))
+        };
+        let mut since_save = 0usize;
         while !self.completed() {
             let outstanding = self.queries as u64 - (self.observations.len() as u64 + self.skipped);
             let mut indices = Vec::new();
             let mut queries = Vec::new();
             let mut index = self.next_index;
-            while (queries.len() as u64) < outstanding.min(Self::BATCH_CHUNK) {
+            while (queries.len() as u64) < outstanding.min(chunk) {
+                // A non-composable pair consumes its index with no query.
                 if let Some(spec) = spec_at(target, self.seed, index) {
                     indices.push(index);
                     queries.push(target.translate(&spec).into_owned());
@@ -496,68 +512,34 @@ impl GranularityProbe {
                 match result {
                     Ok(value) => {
                         self.observations.push(value);
-                        self.next_index = index + 1;
                         progress.tick();
                     }
                     Err(SourceError::Skipped { .. }) => {
                         self.skipped += 1;
                         probe_skipped_total().inc();
-                        self.next_index = index + 1;
                     }
-                    Err(e) => return Err(e),
+                    // A resumed run re-asks this query first.
+                    Err(e) => {
+                        self.next_index = index;
+                        if let Some((path, _)) = checkpoint {
+                            let _ = save(self, path);
+                        }
+                        return Err(e);
+                    }
                 }
-            }
-        }
-        adcomp_obs::debug!("granularity_probe: {} queries answered", progress.done());
-        Ok(self.report())
-    }
-
-    /// Like [`run`](GranularityProbe::run), saving a checkpoint to
-    /// `path` every `every` answered queries (and one final time), so a
-    /// kill at any point loses at most `every − 1` answers.
-    pub fn run_checkpointed(
-        &mut self,
-        target: &AuditTarget,
-        path: &Path,
-        every: usize,
-    ) -> Result<GranularityReport, SourceError> {
-        assert!(every > 0, "checkpoint interval must be positive");
-        let _span = Tracer::global().span("probe:granularity");
-        let progress = ProgressReporter::new("granularity_probe", 1_000);
-        let mut since_save = 0usize;
-        while !self.completed() {
-            let index = self.next_index;
-            let Some(spec) = spec_at(target, self.seed, index) else {
                 self.next_index = index + 1;
-                continue;
-            };
-            match target.total_estimate(&spec) {
-                Ok(value) => {
-                    self.observations.push(value);
-                    self.next_index = index + 1;
-                    progress.tick();
+                if let Some((path, every)) = checkpoint {
+                    since_save += 1;
+                    if since_save >= every {
+                        save(self, path)?;
+                        since_save = 0;
+                    }
                 }
-                Err(SourceError::Skipped { .. }) => {
-                    self.skipped += 1;
-                    probe_skipped_total().inc();
-                    self.next_index = index + 1;
-                }
-                Err(e) => {
-                    let _ = self.checkpoint().save(path);
-                    return Err(e);
-                }
-            }
-            since_save += 1;
-            if since_save >= every {
-                self.checkpoint()
-                    .save(path)
-                    .map_err(|e| SourceError::Transport(format!("checkpoint save: {e}")))?;
-                since_save = 0;
             }
         }
-        self.checkpoint()
-            .save(path)
-            .map_err(|e| SourceError::Transport(format!("checkpoint save: {e}")))?;
+        if let Some((path, _)) = checkpoint {
+            save(self, path)?;
+        }
         adcomp_obs::debug!("granularity_probe: {} queries answered", progress.done());
         Ok(self.report())
     }
@@ -582,7 +564,7 @@ pub fn granularity_probe(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::AuditTarget;
+    use crate::source::{AuditTarget, EstimateSource};
     use adcomp_platform::{SimScale, Simulation};
     use std::sync::OnceLock;
 
@@ -654,12 +636,17 @@ mod tests {
             self.inner.label()
         }
 
-        fn estimate(&self, spec: &TargetingSpec) -> Result<u64, SourceError> {
-            let call = self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            if call == self.fail_at {
-                return Err(SourceError::Transport("injected crash".into()));
-            }
-            self.inner.estimate(spec)
+        fn estimate_batch(&self, specs: &[TargetingSpec]) -> Vec<Result<u64, SourceError>> {
+            specs
+                .iter()
+                .map(|spec| {
+                    let call = self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                    if call == self.fail_at {
+                        return Err(SourceError::Transport("injected crash".into()));
+                    }
+                    self.inner.estimate(spec)
+                })
+                .collect()
         }
 
         fn check(&self, spec: &TargetingSpec) -> Result<(), SourceError> {
@@ -750,6 +737,55 @@ mod tests {
             flaky.calls.load(std::sync::atomic::Ordering::SeqCst),
             QUERIES as u64 + 1
         );
+    }
+
+    /// `target` measured through the scheduler over one replica, so the
+    /// probes take their batching branch.
+    fn batching(target: &AuditTarget, replica: Arc<dyn EstimateSource>) -> AuditTarget {
+        let batching = target.with_scheduler_cfg(
+            vec![replica],
+            crate::distributed::SchedulerConfig::default(),
+            None,
+        );
+        assert!(batching.measurement.batch_window() > 1);
+        batching
+    }
+
+    #[test]
+    fn batching_and_one_at_a_time_probes_agree() {
+        let serial = AuditTarget::for_platform(&sim().linkedin, sim());
+        assert_eq!(serial.measurement.batch_window(), 1);
+        let batched = batching(&serial, sim().linkedin.clone());
+        assert_eq!(
+            consistency_probe(&serial, 4, 6, 6, 5).unwrap(),
+            consistency_probe(&batched, 4, 6, 6, 5).unwrap()
+        );
+        let mut one = GranularityProbe::new(9, 300);
+        let mut many = GranularityProbe::new(9, 300);
+        assert_eq!(one.run(&serial).unwrap(), many.run(&batched).unwrap());
+        assert_eq!(one.observations(), many.observations());
+
+        // Every call noised: both branches flag the same specs — all
+        // those whose repeats can differ.
+        let noised = || -> Arc<dyn EstimateSource> {
+            let plan = adcomp_platform::FaultPlan::new(31).with(
+                adcomp_platform::FaultKind::Noise { amplitude: 0.9 },
+                adcomp_platform::Schedule::EveryNth {
+                    period: 1,
+                    offset: 0,
+                },
+            );
+            Arc::new(adcomp_platform::FaultyPlatform::new(
+                sim().linkedin.clone(),
+                plan,
+            ))
+        };
+        let serial = AuditTarget::direct(noised());
+        let batched = batching(&serial, noised());
+        let one = consistency_probe(&serial, 4, 6, 6, 5).unwrap();
+        let many = consistency_probe(&batched, 4, 6, 6, 5).unwrap();
+        assert!(!one.is_consistent(), "noise must be flagged");
+        assert_eq!(one.inconsistent, many.inconsistent);
     }
 
     #[test]

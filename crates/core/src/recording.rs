@@ -174,6 +174,13 @@ impl<'a> Reader<'a> {
     fn done(&self) -> bool {
         self.off == self.bytes.len()
     }
+
+    /// Room to reserve for `n` elements of at least `min_len` encoded
+    /// bytes each: no more than the unread bytes can hold, so a forged
+    /// count cannot make a decoder allocate beyond its input's size.
+    fn capacity(&self, n: usize, min_len: usize) -> usize {
+        n.min((self.bytes.len() - self.off) / min_len)
+    }
 }
 
 /// Canonical byte encoding of a spec. Callers should pass the
@@ -235,17 +242,17 @@ fn decode_spec_from(r: &mut Reader<'_>) -> io::Result<TargetingSpec> {
         )
     };
     let n_groups = r.u32()? as usize;
-    let mut include = Vec::with_capacity(n_groups.min(1024));
+    let mut include = Vec::with_capacity(r.capacity(n_groups, 4));
     for _ in 0..n_groups {
         let n = r.u32()? as usize;
-        let mut attributes = Vec::with_capacity(n.min(1024));
+        let mut attributes = Vec::with_capacity(r.capacity(n, 4));
         for _ in 0..n {
             attributes.push(AttributeId(r.u32()?));
         }
         include.push(OrGroup { attributes });
     }
     let n_excl = r.u32()? as usize;
-    let mut exclude = Vec::with_capacity(n_excl.min(1024));
+    let mut exclude = Vec::with_capacity(r.capacity(n_excl, 4));
     for _ in 0..n_excl {
         exclude.push(AttributeId(r.u32()?));
     }
@@ -371,8 +378,9 @@ impl InterfaceMeta {
         let label = r.str()?;
         let flags = r.u8()?;
         let n = r.u32()? as usize;
-        let mut names = Vec::with_capacity(n.min(4096));
-        let mut features = Vec::with_capacity(n.min(4096));
+        // Each entry is a 2-byte feature and a 4-byte name length at least.
+        let mut names = Vec::with_capacity(r.capacity(n, 6));
+        let mut features = Vec::with_capacity(r.capacity(n, 6));
         for _ in 0..n {
             features.push(r.u16()?);
             names.push(r.str()?);
@@ -458,7 +466,7 @@ impl TargetLayout {
             0 => None,
             1 => {
                 let n = r.u32()? as usize;
-                let mut map = Vec::with_capacity(n.min(1 << 20));
+                let mut map = Vec::with_capacity(r.capacity(n, 4));
                 for _ in 0..n {
                     map.push(AttributeId(r.u32()?));
                 }

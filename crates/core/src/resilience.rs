@@ -191,9 +191,9 @@ impl ResilientSource {
     }
 
     /// Drives one query to its final outcome, starting from an already
-    /// observed first attempt — the shared engine behind both the serial
-    /// [`estimate`](EstimateSource::estimate) path and the batch path,
-    /// so a query's retry/degradation story is identical either way.
+    /// observed first attempt: each retry is a one-slot inner
+    /// [`estimate`](EstimateSource::estimate), so a query's
+    /// retry/degradation story does not depend on the batch it came in.
     fn resolve(
         &self,
         spec: &TargetingSpec,
@@ -253,15 +253,9 @@ impl EstimateSource for ResilientSource {
         self.inner.label()
     }
 
-    fn estimate(&self, spec: &TargetingSpec) -> Result<u64, SourceError> {
-        let first = self.inner.estimate(spec);
-        self.resolve(spec, first)
-    }
-
     fn estimate_batch(&self, specs: &[TargetingSpec]) -> Vec<Result<u64, SourceError>> {
         // One inner batch first (the fast path when nothing fails), then
-        // each failed slot walks the exact per-query retry/degradation
-        // path the serial estimate takes.
+        // each failed slot walks its own retry/degradation path.
         let first = self.inner.estimate_batch(specs);
         specs
             .iter()

@@ -186,30 +186,36 @@ impl From<PlatformError> for SourceError {
 }
 
 /// Anything the audit can query for rounded audience-size estimates.
+///
+/// [`estimate_batch`](EstimateSource::estimate_batch) is the one
+/// estimate method a source implements; a single
+/// [`estimate`](EstimateSource::estimate) is a one-slot batch.
 pub trait EstimateSource: Send + Sync {
     /// Report label ("Facebook", "FB-restricted", …).
     fn label(&self) -> String;
 
-    /// Rounded audience-size estimate for a spec, using the interface's
-    /// broadest objective and the most restrictive frequency cap — the
-    /// paper's settings.
-    fn estimate(&self, spec: &TargetingSpec) -> Result<u64, SourceError>;
-
-    /// Estimates a batch of specs, returning one result per spec **in
-    /// order**. The default loops [`estimate`](EstimateSource::estimate)
-    /// serially; sources with a cheaper bulk path (a platform, which
-    /// counts the batch in one pass; the pipelined wire client; the
+    /// Rounded audience-size estimates for a batch of specs, one result
+    /// per spec **in order**, using the interface's broadest objective
+    /// and the most restrictive frequency cap — the paper's settings.
+    /// A source with a bulk path (a platform, which counts the batch in
+    /// one pass; the pipelined wire client; the
     /// [`ScheduledSource`](crate::distributed::ScheduledSource) worker
-    /// pool) override it. Semantics must match the serial loop
-    /// query-for-query.
-    fn estimate_batch(&self, specs: &[TargetingSpec]) -> Vec<Result<u64, SourceError>> {
-        specs.iter().map(|s| self.estimate(s)).collect()
+    /// pool) takes it; a wrapper that acts per query forwards spec by
+    /// spec.
+    fn estimate_batch(&self, specs: &[TargetingSpec]) -> Vec<Result<u64, SourceError>>;
+
+    /// Rounded audience-size estimate for one spec: a one-slot
+    /// [`estimate_batch`](EstimateSource::estimate_batch).
+    fn estimate(&self, spec: &TargetingSpec) -> Result<u64, SourceError> {
+        self.estimate_batch(std::slice::from_ref(spec))
+            .pop()
+            .expect("one result per spec")
     }
 
     /// Preferred `estimate_batch` size (1 = no native batching). The
     /// scheduler cuts each unit into sub-batches of its endpoint's
-    /// window, and [`AuditTarget::prefers_batching`] reads it to choose
-    /// between the serial loop and batch submission.
+    /// window, and the §3 probes submit one query at a time to a
+    /// measurement interface whose window is 1.
     fn batch_window(&self) -> usize {
         1
     }
@@ -239,11 +245,6 @@ pub trait EstimateSource: Send + Sync {
 impl<P: PlatformApi + ?Sized> EstimateSource for P {
     fn label(&self) -> String {
         PlatformApi::label(self).to_string()
-    }
-
-    fn estimate(&self, spec: &TargetingSpec) -> Result<u64, SourceError> {
-        let req = EstimateRequest::borrowed(spec, self.config().default_objective);
-        Ok(self.reach_estimate(&req)?.value)
     }
 
     /// One [`PlatformApi::reach_estimates`] call for the whole batch.
@@ -460,16 +461,6 @@ impl AuditTarget {
         }
     }
 
-    /// Whether batch submission buys anything on this target: the
-    /// measurement interface batches natively (the scheduler's worker
-    /// pool, the pipelined wire client). Paths with order-sensitive
-    /// serial semantics (early-exit loops, exactly-once checkpoint
-    /// resume) use this to decide between the serial loop and batch
-    /// submission.
-    pub fn prefers_batching(&self) -> bool {
-        self.measurement.batch_window() > 1
-    }
-
     /// Translates a spec from targeting-interface ids to
     /// measurement-interface ids. Direct targets (no id map — the common
     /// case) borrow the input instead of cloning it, which keeps the
@@ -599,18 +590,6 @@ impl RecordingSource {
 impl EstimateSource for RecordingSource {
     fn label(&self) -> String {
         self.label.clone()
-    }
-
-    fn estimate(&self, spec: &TargetingSpec) -> Result<u64, SourceError> {
-        let normalized = spec.normalized();
-        let key = crate::recording::normalized_spec_key(&self.label, &normalized);
-        if let Some(value) = self.lookup(key) {
-            self.replay_hits.inc();
-            return Ok(value);
-        }
-        let value = self.inner.estimate(spec)?;
-        self.record(&normalized, key, value)?;
-        Ok(value)
     }
 
     fn estimate_batch(&self, specs: &[TargetingSpec]) -> Vec<Result<u64, SourceError>> {
@@ -753,18 +732,23 @@ impl EstimateSource for ReplaySource {
         self.meta.label.clone()
     }
 
-    fn estimate(&self, spec: &TargetingSpec) -> Result<u64, SourceError> {
-        let key = crate::recording::spec_key(&self.meta.label, spec);
-        match crate::recording::estimate_in(&self.index, key) {
-            Some(value) => {
-                self.replay_hits.inc();
-                Ok(value)
-            }
-            None => Err(SourceError::Rejected(format!(
-                "replay miss: no recorded estimate for `{spec}` on {}",
-                self.meta.label
-            ))),
-        }
+    fn estimate_batch(&self, specs: &[TargetingSpec]) -> Vec<Result<u64, SourceError>> {
+        specs
+            .iter()
+            .map(|spec| {
+                let key = crate::recording::spec_key(&self.meta.label, spec);
+                match crate::recording::estimate_in(&self.index, key) {
+                    Some(value) => {
+                        self.replay_hits.inc();
+                        Ok(value)
+                    }
+                    None => Err(SourceError::Rejected(format!(
+                        "replay miss: no recorded estimate for `{spec}` on {}",
+                        self.meta.label
+                    ))),
+                }
+            })
+            .collect()
     }
 
     fn check(&self, spec: &TargetingSpec) -> Result<(), SourceError> {

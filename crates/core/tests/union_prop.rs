@@ -87,9 +87,14 @@ impl EstimateSource for MockWorld {
         "MockWorld".into()
     }
 
-    fn estimate(&self, spec: &TargetingSpec) -> Result<u64, SourceError> {
-        let exact = self.audience(spec).count_ones() as u64;
-        Ok(exact / self.granularity * self.granularity)
+    fn estimate_batch(&self, specs: &[TargetingSpec]) -> Vec<Result<u64, SourceError>> {
+        specs
+            .iter()
+            .map(|spec| {
+                let exact = self.audience(spec).count_ones() as u64;
+                Ok(exact / self.granularity * self.granularity)
+            })
+            .collect()
     }
 
     fn check(&self, _spec: &TargetingSpec) -> Result<(), SourceError> {

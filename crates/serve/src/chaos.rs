@@ -101,25 +101,32 @@ impl EstimateSource for KillAfter {
         self.inner.label()
     }
 
-    fn estimate(&self, spec: &TargetingSpec) -> Result<u64, SourceError> {
-        if self.dead.load(Ordering::Acquire) {
-            return Err(SourceError::Transport(
-                "chaos: process died mid-survey".into(),
-            ));
-        }
-        if self.armed.load(Ordering::Acquire) {
-            // fetch_sub returns the prior budget: positive means this
-            // query is still allowed through; zero-or-less means it is
-            // the trigger and must NOT reach the platform.
-            if self.remaining.fetch_sub(1, Ordering::AcqRel) <= 0 {
-                self.armed.store(false, Ordering::Release);
-                self.dead.store(true, Ordering::Release);
-                return Err(SourceError::Transport(
-                    "chaos: process died mid-survey".into(),
-                ));
-            }
-        }
-        self.inner.estimate(spec)
+    /// Forwards spec by spec, so the kill lands on exactly one query.
+    fn estimate_batch(&self, specs: &[TargetingSpec]) -> Vec<Result<u64, SourceError>> {
+        specs
+            .iter()
+            .map(|spec| {
+                if self.dead.load(Ordering::Acquire) {
+                    return Err(SourceError::Transport(
+                        "chaos: process died mid-survey".into(),
+                    ));
+                }
+                if self.armed.load(Ordering::Acquire) {
+                    // fetch_sub returns the prior budget: positive means
+                    // this query is still allowed through; zero-or-less
+                    // means it is the trigger and must NOT reach the
+                    // platform.
+                    if self.remaining.fetch_sub(1, Ordering::AcqRel) <= 0 {
+                        self.armed.store(false, Ordering::Release);
+                        self.dead.store(true, Ordering::Release);
+                        return Err(SourceError::Transport(
+                            "chaos: process died mid-survey".into(),
+                        ));
+                    }
+                }
+                self.inner.estimate(spec)
+            })
+            .collect()
     }
 
     fn check(&self, spec: &TargetingSpec) -> Result<(), SourceError> {

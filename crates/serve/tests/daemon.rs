@@ -188,8 +188,8 @@ impl EstimateSource for FlakyCheck {
     fn label(&self) -> String {
         self.inner.label()
     }
-    fn estimate(&self, spec: &TargetingSpec) -> Result<u64, SourceError> {
-        self.inner.estimate(spec)
+    fn estimate_batch(&self, specs: &[TargetingSpec]) -> Vec<Result<u64, SourceError>> {
+        specs.iter().map(|s| self.inner.estimate(s)).collect()
     }
     fn check(&self, spec: &TargetingSpec) -> Result<(), SourceError> {
         let left = self.failures.load(Ordering::Acquire);
@@ -283,8 +283,11 @@ impl EstimateSource for DeadCheck {
     fn label(&self) -> String {
         self.inner.label()
     }
-    fn estimate(&self, _: &TargetingSpec) -> Result<u64, SourceError> {
-        Err(SourceError::Transport("unreachable".into()))
+    fn estimate_batch(&self, specs: &[TargetingSpec]) -> Vec<Result<u64, SourceError>> {
+        specs
+            .iter()
+            .map(|_| Err(SourceError::Transport("unreachable".into())))
+            .collect()
     }
     fn check(&self, _: &TargetingSpec) -> Result<(), SourceError> {
         Err(SourceError::Transport("unreachable".into()))

@@ -143,10 +143,6 @@ impl EstimateSource for RemoteSource {
         self.description.label.clone()
     }
 
-    fn estimate(&self, spec: &TargetingSpec) -> Result<u64, SourceError> {
-        self.client.estimate(spec).map_err(map_client_error)
-    }
-
     fn estimate_batch(&self, specs: &[TargetingSpec]) -> Vec<Result<u64, SourceError>> {
         // Batch frames: the server counts each frame's specs in one pass,
         // and the client keeps a window of frames in flight on the one

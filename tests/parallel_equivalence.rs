@@ -93,7 +93,7 @@ fn pipelined_retries_over_a_faulty_wire_never_double_charge_the_budget() {
     // The budget forwards the client's pipeline window, so the survey
     // goes out as batches.
     let target = AuditTarget::direct(budgeted.clone());
-    assert!(target.prefers_batching());
+    assert!(target.measurement.batch_window() > 1);
 
     let survey = survey_individuals(&target).unwrap();
     assert_eq!(

@@ -54,11 +54,16 @@ impl EstimateSource for FailAfter {
         self.inner.label()
     }
 
-    fn estimate(&self, spec: &TargetingSpec) -> Result<u64, SourceError> {
-        if self.remaining.fetch_sub(1, Ordering::SeqCst) <= 0 {
-            return Err(SourceError::Transport("simulated crash".into()));
-        }
-        self.inner.estimate(spec)
+    fn estimate_batch(&self, specs: &[TargetingSpec]) -> Vec<Result<u64, SourceError>> {
+        specs
+            .iter()
+            .map(|spec| {
+                if self.remaining.fetch_sub(1, Ordering::SeqCst) <= 0 {
+                    return Err(SourceError::Transport("simulated crash".into()));
+                }
+                self.inner.estimate(spec)
+            })
+            .collect()
     }
 
     fn check(&self, spec: &TargetingSpec) -> Result<(), SourceError> {
