@@ -21,7 +21,7 @@ use std::process::ExitCode;
 use adcomp_bench::harness::{best, hardware_threads, interleaved, per_second, Gate, Report};
 use adcomp_bench::{finish, Cli};
 use adcomp_core::experiments::delivery_exp::{paired_campaigns, PairedAdConfig};
-use adcomp_core::source::{ApiSource, AuditTarget, SensitiveClass};
+use adcomp_core::source::{AuditTarget, SensitiveClass};
 use adcomp_core::{four_fifths_band, measure_spec, rep_ratio, SkewBand, FOUR_FIFTHS_THRESHOLD};
 use adcomp_delivery::{deliver, DeliveryConfig, DeliverySetup};
 use adcomp_platform::{SimScale, Simulation};
@@ -106,7 +106,7 @@ fn main() -> ExitCode {
 
     // Stage separation on the job ad (index 0) vs the measured base
     // rates — neutral targeting above the line, delivery below it.
-    let target = AuditTarget::direct(std::sync::Arc::new(ApiSource(sim.facebook.clone())));
+    let target = AuditTarget::direct(sim.facebook.clone());
     let base = measure_spec(&target, &TargetingSpec::everyone()).expect("measure base");
     let class = SensitiveClass::Gender(Gender::Female);
     let targeting_ratio = adcomp_core::rep_ratio_of(&base, &base, class).unwrap_or(1.0);

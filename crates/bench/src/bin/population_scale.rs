@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use adcomp_bench::harness::{peak_rss_mib, time, Gate, Report, ScratchDir};
 use adcomp_bench::{say, Cli};
-use adcomp_core::source::{ApiSource, AuditTarget, SensitiveClass};
+use adcomp_core::source::{AuditTarget, SensitiveClass};
 use adcomp_core::{
     rank_individuals, survey_individuals, top_compositions, top_compositions_bounded, Direction,
     DiscoveryConfig, DEFAULT_MIN_REACH, QUERIES_PER_SPEC,
@@ -197,7 +197,7 @@ fn main() -> ExitCode {
         store,
         catalog,
     ));
-    let target = AuditTarget::direct(Arc::new(ApiSource(platform.clone())));
+    let target = AuditTarget::direct(platform.clone());
     let estimates = || platform.stats().estimates;
 
     // Serial survey: one estimate query per attribute plus demographics.

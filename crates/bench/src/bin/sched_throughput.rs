@@ -20,7 +20,8 @@ use std::time::Duration;
 use adcomp_bench::harness::{best, hardware_threads, interleaved, Gate, Report};
 use adcomp_bench::Cli;
 use adcomp_core::{
-    survey_individuals, AuditTarget, EstimateSource, IndividualSurvey, SchedulerConfig,
+    survey_individuals, AuditTarget, EstimateSource, IndividualSurvey, Layers, Replicas,
+    SchedulerConfig,
 };
 use adcomp_platform::Simulation;
 use adcomp_wire::{serve, ServerConfig, ServerHandle};
@@ -62,12 +63,20 @@ fn wire_target(sim: &Simulation, n: usize, servers: &mut Vec<ServerHandle>) -> A
             Arc::new(remote) as Arc<dyn EstimateSource>
         })
         .collect();
-    let cfg = SchedulerConfig {
-        unit_size: 8,
-        lease_ttl: Duration::from_secs(5),
-        ..SchedulerConfig::default()
-    };
-    AuditTarget::for_platform(&sim.linkedin, sim).with_scheduler_cfg(endpoints, cfg, None)
+    AuditTarget::for_platform(&sim.linkedin, sim)
+        .layered(Layers {
+            scheduler: Some(Replicas {
+                endpoints,
+                config: SchedulerConfig {
+                    unit_size: 8,
+                    lease_ttl: Duration::from_secs(5),
+                    ..SchedulerConfig::default()
+                },
+                journal: None,
+            }),
+            ..Layers::default()
+        })
+        .expect("no store to write")
 }
 
 /// One survey, which must reproduce the serial `reference` exactly.
@@ -84,15 +93,19 @@ fn main() -> ExitCode {
     let sim = Simulation::build(cli.seed, cli.scale);
 
     let serial = AuditTarget::for_platform(&sim.facebook, &sim);
-    let one_loop_each = SchedulerConfig {
-        workers_per_endpoint: 1,
-        ..SchedulerConfig::default()
-    };
-    let pooled = serial.with_scheduler_cfg(
-        vec![serial.measurement.clone(); REPLICAS],
-        one_loop_each,
-        None,
-    );
+    let pooled = serial
+        .layered(Layers {
+            scheduler: Some(Replicas {
+                endpoints: vec![serial.measurement.clone(); REPLICAS],
+                config: SchedulerConfig {
+                    workers_per_endpoint: 1,
+                    ..SchedulerConfig::default()
+                },
+                journal: None,
+            }),
+            ..Layers::default()
+        })
+        .expect("no store to write");
     let facebook = survey_individuals(&serial).expect("serial survey");
     let [serial_s, pooled_s] = interleaved(
         POOLED_ROUNDS,

@@ -12,11 +12,10 @@
 //!    little work to pay for a worker pool.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use adcomp_bench::harness::{interleaved, per_second, Gate, Report};
 use adcomp_bench::{finish, Cli};
-use adcomp_core::source::{ApiSource, AuditTarget, SensitiveClass};
+use adcomp_core::source::{AuditTarget, SensitiveClass};
 use adcomp_core::{
     bootstrap_ratios, confident_rep_ratio, measure_spec, ClassChannel, MeasuredPair,
     UncertaintyConfig,
@@ -54,7 +53,7 @@ fn main() -> ExitCode {
     // universe as the base, the first catalog attribute as the target,
     // observed through a noisy inference channel so the deconvolution
     // path is part of every replicate.
-    let audit = AuditTarget::direct(Arc::new(ApiSource(sim.facebook.clone())));
+    let audit = AuditTarget::direct(sim.facebook.clone());
     let base_m = measure_spec(&audit, &TargetingSpec::everyone()).expect("measure base");
     let target_m =
         measure_spec(&audit, &TargetingSpec::and_of([AttributeId(0)])).expect("measure target");

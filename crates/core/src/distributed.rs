@@ -26,7 +26,8 @@
 //! [`KIND_SCHED_UNIT`](crate::recording::KIND_SCHED_UNIT)), giving a
 //! crashed coordinator an auditable job history. Answered-query dedup on
 //! resume rides the existing [`RecordingSource`](crate::source) keys:
-//! wrap the scheduled target `with_recording` and a restarted run
+//! give [`AuditTarget::layered`](crate::source::AuditTarget::layered) a
+//! recording store as well as the scheduler, and a restarted run
 //! re-issues zero answered queries.
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -8,11 +8,12 @@
 //! so consecutive epochs can be diffed entirely offline by
 //! [`drift_between`](crate::drift_between).
 //!
-//! [`run_epoch`] owns the target layering — scheduler (for replicated
-//! endpoints) under resilience under recording — plus endpoint health
-//! probing: an unreachable replica is dropped for the epoch and the run
-//! continues *degraded* on the survivors, reported in the
-//! [`EpochOutcome`] rather than silently absorbed.
+//! [`run_epoch`] picks the epoch's layers — the scheduler only for
+//! several live replicas, resilience if configured, recording always —
+//! and [`AuditTarget::layered`] stacks them in its one order. It also
+//! probes endpoint health: an unreachable replica is dropped for the
+//! epoch and the run continues *degraded* on the survivors, reported in
+//! the [`EpochOutcome`] rather than silently absorbed.
 
 use std::sync::Arc;
 
@@ -22,7 +23,7 @@ use crate::discovery::survey_individuals;
 use crate::distributed::SchedulerConfig;
 use crate::recording::{fnv1a, KIND_ESTIMATE};
 use crate::resilience::ResilienceConfig;
-use crate::source::{AuditTarget, EstimateSource, SourceError};
+use crate::source::{AuditTarget, EstimateSource, Layers, Replicas, SourceError};
 
 /// Everything [`run_epoch`] needs for one epoch.
 pub struct EpochPlan {
@@ -107,21 +108,20 @@ pub fn run_epoch(plan: &EpochPlan) -> Result<EpochOutcome, SourceError> {
         )));
     }
 
-    let base = AuditTarget::direct(alive[0].clone());
-    let target = if alive.len() > 1 {
-        base.with_scheduler_cfg(alive.clone(), plan.scheduler.clone(), None)
-    } else {
-        base
-    };
-    let target = match plan.resilience {
-        Some(cfg) => target.with_resilience(cfg),
-        None => target,
-    };
+    let scheduler = (alive.len() > 1).then(|| Replicas {
+        endpoints: alive.clone(),
+        config: plan.scheduler.clone(),
+        journal: None,
+    });
     // Recording sits outermost: everything answered below it is on disk
     // before the caller sees the value, which is the whole crash-safety
     // story — a killed epoch resumes by replaying this store.
-    let target = target
-        .with_recording(plan.store.clone())
+    let target = AuditTarget::direct(alive[0].clone())
+        .layered(Layers {
+            scheduler,
+            resilience: plan.resilience,
+            recording: Some(plan.store.clone()),
+        })
         .map_err(|e| SourceError::Transport(format!("epoch store: {e}")))?;
 
     let survey = survey_individuals(&target)?;

@@ -38,7 +38,7 @@ use adcomp_store::RunStore;
 use crate::discovery::{survey_individuals, DiscoveryConfig, IndividualSurvey};
 use crate::distributed::{SchedulerConfig, StoreJournal};
 use crate::resilience::ResilienceConfig;
-use crate::source::{AuditTarget, EstimateSource, SourceError};
+use crate::source::{AuditTarget, EstimateSource, Layers, Replicas, SourceError};
 
 /// Experiment-wide configuration.
 #[derive(Clone, Copy, Debug)]
@@ -173,11 +173,10 @@ impl ExperimentContext {
     }
 
     /// Like [`new`](ExperimentContext::new), but every target measures
-    /// through a distributed scheduler
-    /// ([`AuditTarget::with_scheduler_cfg`]) over the replica endpoints
-    /// `factory` builds per measurement interface. Every experiment
-    /// driver then runs distributed without changes — results stay
-    /// bit-identical to the single-endpoint serial run.
+    /// through a distributed scheduler ([`Layers::scheduler`]) over the
+    /// replica endpoints `factory` builds for its measurement interface.
+    /// Every experiment driver then runs distributed without changes —
+    /// results stay bit-identical to the single-endpoint serial run.
     pub fn distributed(
         config: ExperimentConfig,
         factory: EndpointSetFactory,
@@ -205,13 +204,13 @@ impl ExperimentContext {
         ctx
     }
 
-    /// Like [`new`](ExperimentContext::new), but every audit target is
-    /// wrapped in a [`RecordingSource`](crate::source::RecordingSource)
-    /// writing into `store`. Recording wraps *outermost* (outside
-    /// resilience), so the store holds final post-resilience answers —
-    /// and because recorded answers are replayed from the store before
-    /// any live query, killing and re-running an experiment against the
-    /// same store resumes it with zero re-issued platform queries.
+    /// Like [`new`](ExperimentContext::new), but every audit target
+    /// records into `store` ([`Layers::recording`]).
+    /// [`AuditTarget::layered`] puts recording outermost, so the store
+    /// holds final post-resilience answers — and because recorded
+    /// answers are replayed from the store before any live query,
+    /// killing and re-running an experiment against the same store
+    /// resumes it with zero re-issued platform queries.
     pub fn recorded(config: ExperimentConfig, store: Arc<RunStore>) -> ExperimentContext {
         let mut ctx = ExperimentContext::new(config);
         ctx.store = StoreMode::Record(store);
@@ -232,39 +231,40 @@ impl ExperimentContext {
     }
 
     /// The audit target for an interface (restricted measures via its
-    /// parent automatically).
+    /// parent automatically), wrapped in this context's layers by one
+    /// [`AuditTarget::layered`] call.
     pub fn target(&self, kind: InterfaceKind) -> AuditTarget {
         if let StoreMode::Replay(store) = &self.store {
             return AuditTarget::from_replay(store, kind.label())
                 .expect("interface was recorded in the replayed run store");
         }
-        let mut target =
-            AuditTarget::for_platform(self.simulation.platform(kind), &self.simulation);
-        if let Some((factory, sched_cfg)) = &self.sched {
-            // The restricted interface measures via its parent, so the
-            // fleet must replicate the measurement-side interface.
-            let measurement_kind = match kind {
-                InterfaceKind::FacebookRestricted => InterfaceKind::FacebookNormal,
-                other => other,
-            };
-            let journal: Option<Arc<dyn adcomp_sched::UnitJournal>> = match &self.store {
-                StoreMode::Record(store) => {
-                    Some(Arc::new(StoreJournal::new(store.clone(), kind.label())))
-                }
-                _ => None,
-            };
-            target =
-                target.with_scheduler_cfg(factory(measurement_kind), sched_cfg.clone(), journal);
-        }
-        if let Some(config) = self.config.resilience {
-            target = target.with_resilience(config);
-        }
-        if let StoreMode::Record(store) = &self.store {
-            target = target
-                .with_recording(store.clone())
-                .expect("run store accepts interface metadata");
-        }
-        target
+        let base = AuditTarget::for_platform(self.simulation.platform(kind), &self.simulation);
+        let recording = match &self.store {
+            StoreMode::Record(store) => Some(store.clone()),
+            _ => None,
+        };
+        let scheduler = self.sched.as_ref().map(|(factory, config)| {
+            // The fleet replicates the interface the base target measures
+            // on (the restricted interface measures via its parent).
+            let measurement = base.measurement.label();
+            let measurement_kind = INTERFACE_ORDER
+                .into_iter()
+                .find(|k| k.label() == measurement)
+                .expect("measurement interface is simulated");
+            Replicas {
+                endpoints: factory(measurement_kind),
+                config: config.clone(),
+                journal: recording.as_ref().map(|store| {
+                    Arc::new(StoreJournal::new(store.clone(), kind.label())) as Arc<_>
+                }),
+            }
+        });
+        base.layered(Layers {
+            scheduler,
+            resilience: self.config.resilience,
+            recording,
+        })
+        .expect("run store accepts interface metadata")
     }
 
     /// The run store this context records into or replays from, if any.

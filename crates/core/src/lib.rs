@@ -105,8 +105,8 @@ pub use resilience::{
     classify, DegradationPolicy, ErrorClass, ResilienceConfig, ResilienceStats, ResilientSource,
 };
 pub use source::{
-    ApiSource, AuditTarget, EstimateSource, RecordingSource, ReplaySource, Selector,
-    SensitiveClass, SourceError,
+    ApiSource, AuditTarget, EstimateSource, Layers, RecordingSource, ReplaySource, Replicas,
+    Selector, SensitiveClass, SourceError,
 };
 pub use stats::{fraction_outside, median, percentile, BoxStats};
 pub use union_estimate::{median_pairwise_overlap, pairwise_overlap, union_recall, UnionEstimate};

@@ -287,25 +287,6 @@ impl ProbeCheckpoint {
         adcomp_store::write_atomic(path, &self.to_bytes())
     }
 
-    /// Saves the checkpoint into a [`RunStore`](adcomp_store::RunStore)
-    /// slot named `name` — the durable home any experiment driver can
-    /// use instead of a loose file (one store holds the run's estimates
-    /// *and* its progress).
-    pub fn save_to_store(&self, store: &adcomp_store::RunStore, name: &str) -> std::io::Result<()> {
-        crate::recording::save_checkpoint(store, name, &self.to_bytes())
-    }
-
-    /// Loads the latest checkpoint saved under `name`, if any.
-    pub fn load_from_store(
-        store: &adcomp_store::RunStore,
-        name: &str,
-    ) -> std::io::Result<Option<ProbeCheckpoint>> {
-        match crate::recording::load_checkpoint(store, name) {
-            Some(bytes) => ProbeCheckpoint::from_bytes(&bytes).map(Some),
-            None => Ok(None),
-        }
-    }
-
     /// Reads a checkpoint back from `path`.
     pub fn load(path: &Path) -> std::io::Result<ProbeCheckpoint> {
         ProbeCheckpoint::from_bytes(&std::fs::read(path)?)
@@ -742,11 +723,16 @@ mod tests {
     /// `target` measured through the scheduler over one replica, so the
     /// probes take their batching branch.
     fn batching(target: &AuditTarget, replica: Arc<dyn EstimateSource>) -> AuditTarget {
-        let batching = target.with_scheduler_cfg(
-            vec![replica],
-            crate::distributed::SchedulerConfig::default(),
-            None,
-        );
+        let batching = target
+            .layered(crate::source::Layers {
+                scheduler: Some(crate::source::Replicas {
+                    endpoints: vec![replica],
+                    config: crate::distributed::SchedulerConfig::default(),
+                    journal: None,
+                }),
+                ..Default::default()
+            })
+            .unwrap();
         assert!(batching.measurement.batch_window() > 1);
         batching
     }

@@ -39,8 +39,9 @@ pub const KIND_META: u8 = 2;
 /// Record kind: audit-target layout (targeting/measurement labels and
 /// the id translation between them).
 pub const KIND_TARGET: u8 = 3;
-/// Record kind: an experiment checkpoint blob (opaque to the store).
-pub const KIND_CHECKPOINT: u8 = 4;
+// Record kind 4 is retired (a named checkpoint blob; probe checkpoints
+// are files): it is never reassigned, so an old store's records of that
+// kind stay inert.
 /// Record kind: a scheduler unit lifecycle event (grant, completion,
 /// requeue, failure) — the distributed coordinator's audit trail.
 pub const KIND_SCHED_UNIT: u8 = 5;
@@ -91,11 +92,6 @@ pub fn meta_key(label: &str) -> u64 {
 /// Key of an audit target's layout record, by its targeting label.
 pub fn target_key(label: &str) -> u64 {
     salted(b"target", label, &[])
-}
-
-/// Key of a named checkpoint blob.
-pub fn checkpoint_key(name: &str) -> u64 {
-    salted(b"ckpt", name, &[])
 }
 
 /// Key of the `seq`-th scheduler event in journal scope `scope` (one
@@ -554,22 +550,6 @@ pub fn layout_in(index: &SnapshotIndex, targeting_label: &str) -> io::Result<Opt
     }
 }
 
-/// Saves an opaque checkpoint blob under `name` (latest wins), giving
-/// every experiment driver the crash-safe checkpoint slot the
-/// granularity probe used to hand-roll.
-pub fn save_checkpoint(store: &RunStore, name: &str, bytes: &[u8]) -> io::Result<()> {
-    store.append(KIND_CHECKPOINT, checkpoint_key(name), bytes)?;
-    store.sync()
-}
-
-/// Loads the latest checkpoint blob saved under `name`.
-pub fn load_checkpoint(store: &RunStore, name: &str) -> Option<Vec<u8>> {
-    match store.get(checkpoint_key(name)) {
-        Some((KIND_CHECKPOINT, payload)) => Some(payload),
-        _ => None,
-    }
-}
-
 /// One scheduler unit lifecycle event, as journaled under
 /// [`KIND_SCHED_UNIT`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -994,20 +974,6 @@ mod tests {
         assert_eq!(a_specs, vec![(spec_a.clone(), 10)]);
         assert_eq!(estimate_in(&index, spec_key("A", &spec_a)), Some(10));
         assert_eq!(estimate_in(&index, spec_key("A", &spec_b)), None);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn checkpoint_blobs_roundtrip() {
-        let dir =
-            std::env::temp_dir().join(format!("adcomp-recording-ckpt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = RunStore::open(&dir).unwrap();
-        assert!(load_checkpoint(&store, "table1").is_none());
-        save_checkpoint(&store, "table1", b"progress v1").unwrap();
-        save_checkpoint(&store, "table1", b"progress v2").unwrap();
-        assert_eq!(load_checkpoint(&store, "table1").unwrap(), b"progress v2");
-        assert!(load_checkpoint(&store, "other").is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -412,55 +412,6 @@ impl AuditTarget {
         self.targeting.label()
     }
 
-    /// The same target with retry/degradation
-    /// ([`ResilientSource`](crate::resilience::ResilientSource)) wrapped
-    /// around both interfaces. A direct target (measuring on the audited
-    /// interface itself) keeps sharing one wrapper, so retry statistics
-    /// stay unified.
-    pub fn with_resilience(&self, config: crate::resilience::ResilienceConfig) -> AuditTarget {
-        use crate::resilience::ResilientSource;
-        let targeting: Arc<dyn EstimateSource> =
-            Arc::new(ResilientSource::new(self.targeting.clone(), config));
-        let measurement: Arc<dyn EstimateSource> =
-            if Arc::ptr_eq(&self.targeting, &self.measurement) {
-                targeting.clone()
-            } else {
-                Arc::new(ResilientSource::new(self.measurement.clone(), config))
-            };
-        AuditTarget {
-            targeting,
-            measurement,
-            id_map: self.id_map.clone(),
-        }
-    }
-
-    /// The same target measuring through a distributed scheduler over
-    /// replica `endpoints` (each typically a wire client fronting a
-    /// platform replica), with `cfg` tuning and an optional durable job
-    /// journal (see [`StoreJournal`](crate::distributed::StoreJournal)).
-    /// The targeting interface stays local — catalog metadata, spec
-    /// checks, and composition rules don't need the fleet — while every
-    /// estimate is sharded across the endpoints and merged in
-    /// submission order, bit-identical to a single-endpoint serial run.
-    pub fn with_scheduler_cfg(
-        &self,
-        endpoints: Vec<Arc<dyn EstimateSource>>,
-        cfg: crate::distributed::SchedulerConfig,
-        journal: Option<Arc<dyn adcomp_sched::UnitJournal>>,
-    ) -> AuditTarget {
-        let scheduled = crate::distributed::ScheduledSource::new(endpoints, cfg, journal);
-        assert_eq!(
-            scheduled.label(),
-            self.measurement.label(),
-            "scheduler endpoints must replicate the measurement interface"
-        );
-        AuditTarget {
-            targeting: self.targeting.clone(),
-            measurement: Arc::new(scheduled),
-            id_map: self.id_map.clone(),
-        }
-    }
-
     /// Translates a spec from targeting-interface ids to
     /// measurement-interface ids. Direct targets (no id map — the common
     /// case) borrow the input instead of cloning it, which keeps the
@@ -715,16 +666,6 @@ impl ReplaySource {
     pub fn meta(&self) -> &crate::recording::InterfaceMeta {
         &self.meta
     }
-
-    /// Every `(spec, value)` estimate recorded for this interface, in
-    /// deterministic key order.
-    pub fn recorded_estimates(&self) -> Vec<(TargetingSpec, u64)> {
-        let mut out = Vec::new();
-        crate::recording::each_estimate_in(&self.index, &self.meta.label, |spec, value| {
-            out.push((spec, value));
-        });
-        out
-    }
 }
 
 impl EstimateSource for ReplaySource {
@@ -796,42 +737,102 @@ impl EstimateSource for ReplaySource {
     }
 }
 
+/// The scheduler layer of [`Layers`]: replicas of a target's
+/// measurement interface and how to schedule across them.
+pub struct Replicas {
+    /// Replica endpoints, each typically a wire client fronting a
+    /// platform replica; every one must report the measurement
+    /// interface's label.
+    pub endpoints: Vec<Arc<dyn EstimateSource>>,
+    /// Scheduler tuning.
+    pub config: crate::distributed::SchedulerConfig,
+    /// Optional durable job journal (see
+    /// [`StoreJournal`](crate::distributed::StoreJournal)).
+    pub journal: Option<Arc<dyn adcomp_sched::UnitJournal>>,
+}
+
+/// The live layers [`AuditTarget::layered`] can wrap a target in; each
+/// is optional, and `Layers::default()` adds none.
+#[derive(Default)]
+pub struct Layers {
+    /// Measure through a
+    /// [`ScheduledSource`](crate::distributed::ScheduledSource) over
+    /// these replicas.
+    pub scheduler: Option<Replicas>,
+    /// Retry and degrade
+    /// ([`ResilientSource`](crate::resilience::ResilientSource)) with
+    /// this config.
+    pub resilience: Option<crate::resilience::ResilienceConfig>,
+    /// Record every answer into this store ([`RecordingSource`]).
+    pub recording: Option<Arc<adcomp_store::RunStore>>,
+}
+
 impl AuditTarget {
-    /// The same target with a [`RecordingSource`] around both
-    /// interfaces, all writing into one shared run store. Also persists
-    /// the target's layout (labels and id translation) so
-    /// [`AuditTarget::from_replay`] can reconstruct it. A direct target
-    /// keeps sharing one wrapper, mirroring
-    /// [`with_resilience`](AuditTarget::with_resilience).
+    /// The same target wrapped in `layers`, always in one order:
     ///
-    /// Apply this *last* (outside resilience and scheduling), so the
-    /// store records final answers and replay hits bypass the whole live
-    /// stack.
-    pub fn with_recording(
-        &self,
-        store: Arc<adcomp_store::RunStore>,
-    ) -> std::io::Result<AuditTarget> {
-        let targeting: Arc<dyn EstimateSource> =
-            Arc::new(RecordingSource::new(self.targeting.clone(), store.clone())?);
-        let measurement: Arc<dyn EstimateSource> =
-            if Arc::ptr_eq(&self.targeting, &self.measurement) {
-                targeting.clone()
-            } else {
-                Arc::new(RecordingSource::new(
-                    self.measurement.clone(),
-                    store.clone(),
-                )?)
+    /// 1. The scheduler replaces the measurement interface: every
+    ///    estimate is sharded across the replicas and merged in
+    ///    submission order, bit-identical to a serial run. The targeting
+    ///    interface stays local — catalog metadata, spec checks and
+    ///    composition rules don't need the fleet.
+    /// 2. Resilience wraps both interfaces, above the scheduler.
+    /// 3. Recording wraps last, so the store holds final answers, replay
+    ///    hits bypass the whole live stack, and a killed run re-run
+    ///    against the same store re-issues no answered query. It also
+    ///    persists the target's layout (labels and id translation) so
+    ///    [`AuditTarget::from_replay`] can reconstruct it.
+    ///
+    /// Fails only when the recording store cannot be written; panics
+    /// when the replicas do not serve the measurement interface.
+    pub fn layered(&self, layers: Layers) -> std::io::Result<AuditTarget> {
+        let mut target = self.clone();
+        if let Some(replicas) = layers.scheduler {
+            let scheduled = crate::distributed::ScheduledSource::new(
+                replicas.endpoints,
+                replicas.config,
+                replicas.journal,
+            );
+            assert_eq!(
+                scheduled.label(),
+                target.measurement.label(),
+                "scheduler endpoints must replicate the measurement interface"
+            );
+            target.measurement = Arc::new(scheduled);
+        }
+        if let Some(config) = layers.resilience {
+            use crate::resilience::ResilientSource;
+            target = target.wrap_each(|inner| Ok(Arc::new(ResilientSource::new(inner, config))))?;
+        }
+        if let Some(store) = layers.recording {
+            let layout = crate::recording::TargetLayout {
+                targeting: target.targeting.label(),
+                measurement: target.measurement.label(),
+                id_map: target.id_map.as_deref().cloned(),
             };
-        let layout = crate::recording::TargetLayout {
-            targeting: self.targeting.label(),
-            measurement: self.measurement.label(),
-            id_map: self.id_map.as_ref().map(|m| m.as_ref().clone()),
+            target = target
+                .wrap_each(|inner| Ok(Arc::new(RecordingSource::new(inner, store.clone())?)))?;
+            crate::recording::record_layout(&store, &layout)?;
+        }
+        Ok(target)
+    }
+
+    /// Wraps both interfaces with `wrap`. A direct target (measuring on
+    /// the audited interface itself) gets one wrapper shared by both, so
+    /// its retry statistics and recorded metadata stay unified.
+    fn wrap_each(
+        self,
+        wrap: impl Fn(Arc<dyn EstimateSource>) -> std::io::Result<Arc<dyn EstimateSource>>,
+    ) -> std::io::Result<AuditTarget> {
+        let targeting = wrap(self.targeting.clone())?;
+        let measurement = if Arc::ptr_eq(&self.targeting, &self.measurement) {
+            targeting.clone()
+        } else {
+            wrap(self.measurement)?
         };
-        crate::recording::record_layout(&store, &layout)?;
         Ok(AuditTarget {
             targeting,
             measurement,
-            id_map: self.id_map.clone(),
+            id_map: self.id_map,
         })
     }
 
@@ -844,15 +845,7 @@ impl AuditTarget {
         store: &adcomp_store::RunStore,
         targeting_label: &str,
     ) -> std::io::Result<AuditTarget> {
-        AuditTarget::from_replay_index(Arc::new(store.snapshot()), targeting_label)
-    }
-
-    /// [`AuditTarget::from_replay`] over an already-materialized
-    /// snapshot, so several targets of one run share the index.
-    pub fn from_replay_index(
-        index: Arc<adcomp_store::SnapshotIndex>,
-        targeting_label: &str,
-    ) -> std::io::Result<AuditTarget> {
+        let index = Arc::new(store.snapshot());
         let layout = crate::recording::layout_in(&index, targeting_label)?.ok_or_else(|| {
             std::io::Error::new(
                 std::io::ErrorKind::NotFound,
@@ -897,15 +890,101 @@ mod tests {
         Simulation::build(90, SimScale::Test)
     }
 
-    #[test]
-    fn replay_rejects_an_id_map_that_does_not_cover_the_catalog() {
-        use crate::recording::{record_layout, record_meta, InterfaceMeta, TargetLayout};
+    /// A fresh directory unique to this test thread.
+    fn temp_dir(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
-            "adcomp-source-short-layout-{}-{:?}",
+            "adcomp-source-{name}-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Resilience and recording into `store`: the two layers that wrap
+    /// both interfaces.
+    fn wrapping_both(store: &Arc<adcomp_store::RunStore>) -> Layers {
+        Layers {
+            resilience: Some(crate::resilience::ResilienceConfig::standard(7)),
+            recording: Some(store.clone()),
+            ..Layers::default()
+        }
+    }
+
+    fn replicas_of(source: Arc<dyn EstimateSource>) -> Option<Replicas> {
+        Some(Replicas {
+            endpoints: vec![source],
+            config: crate::distributed::SchedulerConfig::default(),
+            journal: None,
+        })
+    }
+
+    #[test]
+    fn direct_target_shares_one_wrapper_per_layer() {
+        let s = sim();
+        let dir = temp_dir("direct-layers");
+        let store = Arc::new(adcomp_store::RunStore::open(&dir).unwrap());
+        let direct = AuditTarget::for_platform(&s.linkedin, &s);
+        let t = direct.layered(wrapping_both(&store)).unwrap();
+        assert!(Arc::ptr_eq(&t.targeting, &t.measurement));
+        // The scheduler replaces only the measurement interface, so the
+        // targeting side is wrapped on its own from then on.
+        let layers = Layers {
+            scheduler: replicas_of(s.linkedin.clone()),
+            ..wrapping_both(&store)
+        };
+        let scheduled = direct.layered(layers).unwrap();
+        assert!(!Arc::ptr_eq(&scheduled.targeting, &scheduled.measurement));
+        assert!(scheduled.measurement.batch_window() > 1);
+        let spec = TargetingSpec::and_of([AttributeId(2)]);
+        assert_eq!(
+            scheduled.total_estimate(&spec).unwrap(),
+            t.total_estimate(&spec).unwrap()
+        );
+        drop(store);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn restricted_target_gets_distinct_wrappers_and_records_its_layout() {
+        let s = sim();
+        let dir = temp_dir("via-layers");
+        let store = Arc::new(adcomp_store::RunStore::open(&dir).unwrap());
+        let live = AuditTarget::for_platform(&s.facebook_restricted, &s);
+        let t = live.layered(wrapping_both(&store)).unwrap();
+        assert!(!Arc::ptr_eq(&t.targeting, &t.measurement));
+        assert_eq!(t.label(), "FB-restricted");
+        assert_eq!(t.measurement.label(), "Facebook");
+        let layout = crate::recording::layout_in(&store.snapshot(), "FB-restricted")
+            .unwrap()
+            .expect("layout recorded");
+        assert_eq!(
+            layout,
+            crate::recording::TargetLayout {
+                targeting: live.targeting.label(),
+                measurement: live.measurement.label(),
+                id_map: live.id_map.as_deref().cloned(),
+            }
+        );
+        assert!(layout.id_map.is_some());
+        drop(store);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduler endpoints must replicate the measurement interface")]
+    fn scheduler_refuses_replicas_of_another_interface() {
+        let s = sim();
+        let _ = AuditTarget::for_platform(&s.linkedin, &s).layered(Layers {
+            scheduler: replicas_of(s.facebook.clone()),
+            ..Layers::default()
+        });
+    }
+
+    #[test]
+    fn replay_rejects_an_id_map_that_does_not_cover_the_catalog() {
+        use crate::recording::{record_layout, record_meta, InterfaceMeta, TargetLayout};
+        let dir = temp_dir("short-layout");
         let store = adcomp_store::RunStore::open(&dir).unwrap();
         for (label, n) in [("FB-restricted", 3), ("Facebook", 5)] {
             let meta = InterfaceMeta {

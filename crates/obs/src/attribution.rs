@@ -16,13 +16,14 @@
 //! concurrent children overlap their parent).
 //!
 //! Feed it one process's events (a JSONL sink re-parsed with
-//! [`TraceEvent::from_json`], or [`Tracer::ring_events`]). Merging
+//! [`TraceEvent::from_json`], or
+//! [`Tracer::ring_events`](crate::trace::Tracer::ring_events)). Merging
 //! client *and* server sinks first double-counts the platform segment:
 //! the client already echoes the server's time as `platform:remote`.
 
 use std::collections::BTreeMap;
 
-use crate::trace::{EventKind, TraceEvent, Tracer};
+use crate::trace::{EventKind, TraceEvent};
 
 /// Per-trace latency breakdown; see [`latency_attribution`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -184,11 +185,6 @@ pub fn latency_attribution(events: &[TraceEvent]) -> Vec<LatencyAttribution> {
             })
         })
         .collect()
-}
-
-/// [`latency_attribution`] over a tracer's current ring contents.
-pub fn ring_attribution(tracer: &Tracer) -> Vec<LatencyAttribution> {
-    latency_attribution(&tracer.ring_events())
 }
 
 fn field_u64(e: &TraceEvent, key: &str) -> Option<u64> {

@@ -552,12 +552,6 @@ impl AdPlatform {
     pub fn universe(&self) -> &Universe {
         &self.backend.built().universe
     }
-
-    /// Ground truth: the shared universe handle (for building derived
-    /// interfaces or cross-interface audits).
-    pub fn universe_arc(&self) -> Arc<Universe> {
-        self.backend.built().universe.clone()
-    }
 }
 
 impl<B: AudienceBackend> std::fmt::Debug for Platform<B> {

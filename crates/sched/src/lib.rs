@@ -23,7 +23,7 @@
 //! This crate is deliberately generic — units are slot-index ranges and
 //!   runners are a trait — so it depends only on `adcomp-obs` (for the
 //! clock and `adcomp_sched_*` metrics). `adcomp-core` supplies the
-//! query-aware runner and wires it in via `AuditTarget::with_scheduler_cfg`.
+//! query-aware runner and wires it in via `AuditTarget::layered`.
 
 pub mod health;
 pub mod journal;

@@ -91,14 +91,6 @@ impl RunStore {
         lock(&self.inner).index.clone()
     }
 
-    /// Visits every `(key, kind, payload)` in ascending key order.
-    pub fn for_each(&self, mut f: impl FnMut(u64, u8, &[u8])) {
-        let inner = lock(&self.inner);
-        for (key, kind, payload) in inner.index.iter() {
-            f(key, kind, payload);
-        }
-    }
-
     /// Visits every record of `kind` in ascending key order.
     pub fn for_each_kind(&self, kind: u8, mut f: impl FnMut(u64, &[u8])) {
         let inner = lock(&self.inner);

@@ -25,7 +25,9 @@ use adcomp_obs::RunReport;
 use discrimination_via_composition::audit::experiments::delivery_exp::{
     delivery_table_tsv, paired_ad_cell_for, PairedAdConfig,
 };
-use discrimination_via_composition::audit::{AuditTarget, ResilienceConfig, FOUR_FIFTHS_THRESHOLD};
+use discrimination_via_composition::audit::{
+    AuditTarget, Layers, ResilienceConfig, FOUR_FIFTHS_THRESHOLD,
+};
 use discrimination_via_composition::platform::{
     FaultKind, FaultPlan, FaultyPlatform, Schedule, SimScale, Simulation,
 };
@@ -78,7 +80,12 @@ fn main() {
     )
     .expect("connect");
     let remote = Arc::new(RemoteSource::new(client).expect("describe"));
-    let target = AuditTarget::direct(remote).with_resilience(ResilienceConfig::standard(seed));
+    let target = AuditTarget::direct(remote)
+        .layered(Layers {
+            resilience: Some(ResilienceConfig::standard(seed)),
+            ..Layers::default()
+        })
+        .expect("no store to write");
 
     // The paired experiment: measurement over the hostile wire, delivery
     // simulated platform-side.

@@ -21,7 +21,9 @@
 
 use std::sync::Arc;
 
-use discrimination_via_composition::audit::{drift_between, survey_individuals, AuditTarget};
+use discrimination_via_composition::audit::{
+    drift_between, survey_individuals, AuditTarget, Layers,
+};
 use discrimination_via_composition::platform::{
     FaultKind, FaultPlan, FaultyPlatform, Schedule, SimScale, Simulation,
 };
@@ -41,7 +43,10 @@ fn record_epoch(
     let remote = Arc::new(RemoteSource::connect(handle.addr()).expect("connect"));
     let store = Arc::new(RunStore::open(dir).expect("open run store"));
     let target = AuditTarget::direct(remote)
-        .with_recording(store.clone())
+        .layered(Layers {
+            recording: Some(store.clone()),
+            ..Layers::default()
+        })
         .expect("wrap recorder");
     let survey = survey_individuals(&target).expect("survey");
     store.save_snapshot().expect("persist snapshot");

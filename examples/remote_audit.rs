@@ -27,7 +27,7 @@ use adcomp_obs::{Registry, RunReport, Tracer};
 
 use discrimination_via_composition::audit::{
     rank_individuals, survey_individuals, top_compositions, AuditTarget, Direction,
-    DiscoveryConfig, EstimateSource, GranularityProbe, ProbeCheckpoint, ResilienceConfig,
+    DiscoveryConfig, EstimateSource, GranularityProbe, Layers, ProbeCheckpoint, ResilienceConfig,
     SensitiveClass,
 };
 use discrimination_via_composition::platform::{
@@ -149,7 +149,12 @@ fn main() {
     )
     .expect("connect");
     let remote = Arc::new(RemoteSource::new(client).expect("describe"));
-    let target = AuditTarget::direct(remote).with_resilience(ResilienceConfig::standard(2020));
+    let target = AuditTarget::direct(remote)
+        .layered(Layers {
+            resilience: Some(ResilienceConfig::standard(2020)),
+            ..Layers::default()
+        })
+        .expect("no store to write");
 
     let ckpt = std::env::temp_dir().join("remote_audit_probe.ckpt");
     let _ = std::fs::remove_file(&ckpt);

@@ -9,8 +9,8 @@ use std::time::Duration;
 
 use discrimination_via_composition::audit::{
     median_pairwise_overlap, rank_individuals, survey_individuals, top_compositions, union_recall,
-    AuditTarget, Direction, DiscoveryConfig, GranularityProbe, ProbeCheckpoint, ResilienceConfig,
-    Selector, SensitiveClass, SourceError,
+    AuditTarget, Direction, DiscoveryConfig, GranularityProbe, Layers, ProbeCheckpoint,
+    ResilienceConfig, Selector, SensitiveClass, SourceError,
 };
 use discrimination_via_composition::platform::{
     FaultKind, FaultPlan, FaultyPlatform, RetryPolicy, Schedule, SimScale, Simulation,
@@ -121,7 +121,12 @@ fn faulty_wire_audit_matches_fault_free_metrics() {
         retry: RetryPolicy::fast(8),
         degradation: discrimination_via_composition::audit::DegradationPolicy::Abort,
     };
-    let target = AuditTarget::direct(remote).with_resilience(resilience);
+    let target = AuditTarget::direct(remote)
+        .layered(Layers {
+            resilience: Some(resilience),
+            ..Layers::default()
+        })
+        .unwrap();
     let measured = table1_metrics(&target);
 
     assert_eq!(

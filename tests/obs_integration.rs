@@ -9,7 +9,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use adcomp_obs::{Registry, RunReport, Tracer};
-use discrimination_via_composition::audit::{survey_individuals, AuditTarget, ResilienceConfig};
+use discrimination_via_composition::audit::{
+    survey_individuals, AuditTarget, Layers, ResilienceConfig,
+};
 use discrimination_via_composition::platform::{
     FaultKind, FaultPlan, FaultyPlatform, Schedule, SimScale, Simulation,
 };
@@ -67,7 +69,12 @@ fn faulty_wire_audit_leaves_full_observability_record() {
 
     let client = Client::connect_with(handle.addr(), ClientConfig::fast()).expect("connect");
     let remote = Arc::new(RemoteSource::new(client).expect("describe"));
-    let target = AuditTarget::direct(remote).with_resilience(ResilienceConfig::standard(991));
+    let target = AuditTarget::direct(remote)
+        .layered(Layers {
+            resilience: Some(ResilienceConfig::standard(991)),
+            ..Layers::default()
+        })
+        .unwrap();
 
     let survey = {
         let _span = Tracer::global().span("test:obs_survey");

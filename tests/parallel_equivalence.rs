@@ -7,7 +7,8 @@ use std::sync::Arc;
 
 use discrimination_via_composition::audit::{
     rank_individuals, survey_individuals, top_compositions, AuditTarget, BudgetedSource, Direction,
-    DiscoveryConfig, QueryBudget, SchedulerConfig, SensitiveClass, QUERIES_PER_SPEC,
+    DiscoveryConfig, Layers, QueryBudget, Replicas, SchedulerConfig, SensitiveClass,
+    QUERIES_PER_SPEC,
 };
 use discrimination_via_composition::platform::{
     FaultKind, FaultPlan, InterfaceKind, Schedule, SimScale, Simulation,
@@ -35,11 +36,16 @@ fn pooled_audit_is_bit_identical_to_serial_on_every_platform() {
         let serial = AuditTarget::for_platform(sim.platform(kind), &sim);
         // Four in-process replicas of the measurement interface (the
         // restricted interface measures through its Facebook parent).
-        let pooled = serial.with_scheduler_cfg(
-            vec![serial.measurement.clone(); 4],
-            SchedulerConfig::default(),
-            None,
-        );
+        let pooled = serial
+            .layered(Layers {
+                scheduler: Some(Replicas {
+                    endpoints: vec![serial.measurement.clone(); 4],
+                    config: SchedulerConfig::default(),
+                    journal: None,
+                }),
+                ..Layers::default()
+            })
+            .unwrap();
 
         let serial_survey = survey_individuals(&serial).unwrap();
         let pooled_survey = survey_individuals(&pooled).unwrap();

@@ -10,7 +10,7 @@ use discrimination_via_composition::audit::experiments::table1::{table1, table1_
 use discrimination_via_composition::audit::experiments::{ExperimentConfig, ExperimentContext};
 use discrimination_via_composition::audit::{
     median_pairwise_overlap, rank_individuals, survey_individuals, top_compositions, union_recall,
-    AuditTarget, DegradationPolicy, Direction, DiscoveryConfig, ResilienceConfig, Selector,
+    AuditTarget, DegradationPolicy, Direction, DiscoveryConfig, Layers, ResilienceConfig, Selector,
     SensitiveClass,
 };
 use discrimination_via_composition::platform::{
@@ -169,8 +169,11 @@ fn faulty_wire_run_replays_after_the_platform_is_torn_down() {
     };
     let store = Arc::new(RunStore::open(&dir).unwrap());
     let target = AuditTarget::direct(remote)
-        .with_resilience(resilience)
-        .with_recording(store.clone())
+        .layered(Layers {
+            resilience: Some(resilience),
+            recording: Some(store.clone()),
+            ..Layers::default()
+        })
         .unwrap();
 
     let recorded_survey = survey_individuals(&target).unwrap();

@@ -7,8 +7,8 @@
 use std::sync::Arc;
 
 use discrimination_via_composition::audit::{
-    measure_spec, rank_individuals, survey_individuals, top_compositions, ApiSource, AuditTarget,
-    Direction, DiscoveryConfig, EstimateSource, SensitiveClass,
+    measure_spec, rank_individuals, survey_individuals, top_compositions, AuditTarget, Direction,
+    DiscoveryConfig, EstimateSource, SensitiveClass,
 };
 use discrimination_via_composition::platform::{
     Catalog, CategorySpec, EstimateKind, InterfaceKind, Objective, PlatformApi, PlatformConfig,
@@ -98,7 +98,7 @@ fn wire_served_segment_store_equals_in_process() {
     assert!(remote.supports_demographics());
 
     let remote_target = AuditTarget::direct(remote);
-    let local_target = AuditTarget::direct(Arc::new(ApiSource(platform.clone())));
+    let local_target = AuditTarget::direct(platform.clone());
 
     // Measurement-level equivalence on a composed spec.
     let spec = TargetingSpec::and_of([AttributeId(0), AttributeId(17)]);
@@ -138,7 +138,7 @@ fn wire_served_segment_store_equals_in_process() {
 fn fleet_replicates_a_segmented_platform() {
     let dir = common::temp_dir("segfleet");
     let platform = segmented_platform(&dir, 909);
-    let baseline = AuditTarget::direct(Arc::new(ApiSource(platform.clone())));
+    let baseline = AuditTarget::direct(platform.clone());
     let spec = TargetingSpec::and_of([AttributeId(2), AttributeId(20)]);
     let expected = measure_spec(&baseline, &spec).unwrap();
 

@@ -16,7 +16,7 @@ use discrimination_via_composition::audit::experiments::table1::{
 };
 use discrimination_via_composition::audit::experiments::{ExperimentConfig, ExperimentContext};
 use discrimination_via_composition::audit::{
-    survey_individuals, AuditTarget, EstimateSource, SourceError,
+    survey_individuals, AuditTarget, EstimateSource, Layers, SourceError,
 };
 use discrimination_via_composition::platform::{SimScale, Simulation};
 use discrimination_via_composition::store::RunStore;
@@ -108,7 +108,10 @@ fn killed_survey_resumes_without_reissuing_answered_queries() {
     let ref_sim = Simulation::build(SEED, SimScale::Test);
     let ref_store = Arc::new(RunStore::open(&ref_dir).unwrap());
     let ref_target = AuditTarget::for_platform(&ref_sim.linkedin, &ref_sim)
-        .with_recording(ref_store.clone())
+        .layered(Layers {
+            recording: Some(ref_store.clone()),
+            ..Layers::default()
+        })
         .unwrap();
     let reference = survey_individuals(&ref_target).unwrap();
     assert_eq!(reference.entries, clean.entries);
@@ -122,7 +125,10 @@ fn killed_survey_resumes_without_reissuing_answered_queries() {
     let store_a = Arc::new(RunStore::open(&dir).unwrap());
     let flaky = Arc::new(FailAfter::new(sim_a.linkedin.clone(), 25));
     let target_a = AuditTarget::direct(flaky)
-        .with_recording(store_a.clone())
+        .layered(Layers {
+            recording: Some(store_a.clone()),
+            ..Layers::default()
+        })
         .unwrap();
     let err = survey_individuals(&target_a).unwrap_err();
     assert!(
@@ -142,7 +148,10 @@ fn killed_survey_resumes_without_reissuing_answered_queries() {
     let sim_b = Simulation::build(SEED, SimScale::Test);
     let store_b = Arc::new(RunStore::open(&dir).unwrap());
     let target_b = AuditTarget::for_platform(&sim_b.linkedin, &sim_b)
-        .with_recording(store_b.clone())
+        .layered(Layers {
+            recording: Some(store_b.clone()),
+            ..Layers::default()
+        })
         .unwrap();
     let resumed = survey_individuals(&target_b).unwrap();
     let resumed_queries = sim_b.linkedin.stats().estimates;
