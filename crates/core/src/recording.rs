@@ -411,6 +411,15 @@ impl InterfaceMeta {
         fa != u16::MAX && fb != u16::MAX && fa != fb
     }
 
+    /// Attribute name, replayed (`None` for an unknown id or an empty
+    /// name).
+    pub fn name(&self, id: AttributeId) -> Option<String> {
+        match self.names.get(id.0 as usize) {
+            Some(name) if !name.is_empty() => Some(name.clone()),
+            _ => None,
+        }
+    }
+
     /// Attribute feature, replayed.
     pub fn feature(&self, id: AttributeId) -> Option<FeatureId> {
         match self.features.get(id.0 as usize) {

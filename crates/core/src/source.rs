@@ -718,10 +718,7 @@ impl EstimateSource for ReplaySource {
     }
 
     fn attribute_name(&self, id: AttributeId) -> Option<String> {
-        match self.meta.names.get(id.0 as usize) {
-            Some(name) if !name.is_empty() => Some(name.clone()),
-            _ => None,
-        }
+        self.meta.name(id)
     }
 
     fn attribute_feature(&self, id: AttributeId) -> Option<FeatureId> {

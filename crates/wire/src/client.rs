@@ -352,6 +352,10 @@ impl Client {
         self.epoch.elapsed()
     }
 
+    /// One exchange under the retry policy and the circuit breaker. An
+    /// error reply, a rate limit that outlasts its retries included,
+    /// comes back as [`ClientError::Server`], so callers match only
+    /// their success reply.
     fn call(&self, request: &Request) -> Result<Response, ClientError> {
         let mut attempt: u32 = 0;
         loop {
@@ -360,19 +364,20 @@ impl Client {
                 .map_err(|retry_in| ClientError::CircuitOpen { retry_in })?;
             match self.exchange(request) {
                 Ok(Response::Error {
-                    code: ErrorCode::RateLimited,
+                    code,
                     message,
                     retry_after,
                 }) => {
-                    // The endpoint is alive — a throttle is not a fault.
+                    // The endpoint is alive — an error reply, a throttle
+                    // included, is not a fault.
                     lock(&self.breaker).record_success();
-                    if self.config.retry.should_retry(attempt) {
+                    if code == ErrorCode::RateLimited && self.config.retry.should_retry(attempt) {
                         self.metrics.retries_rate_limited.inc();
                         std::thread::sleep(self.config.retry.backoff(attempt, retry_after));
                         attempt += 1;
                     } else {
-                        return Ok(Response::Error {
-                            code: ErrorCode::RateLimited,
+                        return Err(ClientError::Server {
+                            code,
                             message,
                             retry_after,
                         });
@@ -422,32 +427,6 @@ impl Client {
                     impressions,
                 })
             }
-            Response::Error {
-                code,
-                message,
-                retry_after,
-            } => Err(ClientError::Server {
-                code,
-                message,
-                retry_after,
-            }),
-            _ => Err(ClientError::UnexpectedResponse),
-        }
-    }
-
-    /// Fetches one attribute's name and feature.
-    pub fn attribute_info(&self, id: u32) -> Result<(String, u16), ClientError> {
-        match self.call(&Request::AttributeInfo { id })? {
-            Response::AttributeInfo { name, feature } => Ok((name, feature)),
-            Response::Error {
-                code,
-                message,
-                retry_after,
-            } => Err(ClientError::Server {
-                code,
-                message,
-                retry_after,
-            }),
             _ => Err(ClientError::UnexpectedResponse),
         }
     }
@@ -456,15 +435,6 @@ impl Client {
     pub fn check(&self, spec: &TargetingSpec) -> Result<(), ClientError> {
         match self.call(&Request::Check { spec: spec.clone() })? {
             Response::Ok => Ok(()),
-            Response::Error {
-                code,
-                message,
-                retry_after,
-            } => Err(ClientError::Server {
-                code,
-                message,
-                retry_after,
-            }),
             _ => Err(ClientError::UnexpectedResponse),
         }
     }
@@ -703,15 +673,6 @@ impl Client {
     pub fn catalog_page(&self, start: u32, limit: u32) -> Result<CatalogPage, ClientError> {
         match self.call(&Request::CatalogPage { start, limit })? {
             Response::CatalogPage { entries, next, .. } => Ok((entries, next)),
-            Response::Error {
-                code,
-                message,
-                retry_after,
-            } => Err(ClientError::Server {
-                code,
-                message,
-                retry_after,
-            }),
             _ => Err(ClientError::UnexpectedResponse),
         }
     }
@@ -721,15 +682,6 @@ impl Client {
     pub fn status(&self) -> Result<(bool, String), ClientError> {
         match self.call(&Request::Status)? {
             Response::StatusReport { healthy, body } => Ok((healthy, body)),
-            Response::Error {
-                code,
-                message,
-                retry_after,
-            } => Err(ClientError::Server {
-                code,
-                message,
-                retry_after,
-            }),
             _ => Err(ClientError::UnexpectedResponse),
         }
     }
@@ -738,15 +690,6 @@ impl Client {
     pub fn metrics(&self) -> Result<String, ClientError> {
         match self.call(&Request::Metrics)? {
             Response::MetricsText { text } => Ok(text),
-            Response::Error {
-                code,
-                message,
-                retry_after,
-            } => Err(ClientError::Server {
-                code,
-                message,
-                retry_after,
-            }),
             _ => Err(ClientError::UnexpectedResponse),
         }
     }
@@ -767,15 +710,6 @@ impl Client {
         };
         match self.call(&request)? {
             Response::TelemetryAck { seq } => Ok(seq),
-            Response::Error {
-                code,
-                message,
-                retry_after,
-            } => Err(ClientError::Server {
-                code,
-                message,
-                retry_after,
-            }),
             _ => Err(ClientError::UnexpectedResponse),
         }
     }
@@ -788,15 +722,6 @@ impl Client {
                 validation_failures,
                 rate_limited,
             } => Ok((estimates, validation_failures, rate_limited)),
-            Response::Error {
-                code,
-                message,
-                retry_after,
-            } => Err(ClientError::Server {
-                code,
-                message,
-                retry_after,
-            }),
             _ => Err(ClientError::UnexpectedResponse),
         }
     }

@@ -25,11 +25,6 @@ pub const MAX_BATCH_SPECS: usize = MAX_FRAME_BYTES as usize / 1024;
 pub enum Request {
     /// Interface description (label, catalog size, capabilities).
     Describe,
-    /// Name/feature of one attribute.
-    AttributeInfo {
-        /// Attribute id.
-        id: u32,
-    },
     /// Validate a targeting spec against interface policy.
     Check {
         /// The spec.
@@ -46,8 +41,8 @@ pub enum Request {
     },
     /// Query-counter snapshot.
     Stats,
-    /// A page of catalog entries (bulk metadata download, so clients need
-    /// not issue one `AttributeInfo` per attribute).
+    /// A page of catalog entries: the protocol's only way to read
+    /// attribute names and features.
     CatalogPage {
         /// First attribute id of the page.
         start: u32,
@@ -114,13 +109,6 @@ pub enum Response {
         /// it, so a port taken over by another server is never mistaken
         /// for the one it had.
         instance: u64,
-    },
-    /// Attribute metadata.
-    AttributeInfo {
-        /// Human-readable name.
-        name: String,
-        /// Feature family.
-        feature: u16,
     },
     /// Spec passed validation.
     Ok,
@@ -335,8 +323,9 @@ impl WireDecode for TargetingSpec {
 /// every other nesting, so however a frame's bytes nest, decoding it
 /// recurses at most three messages deep.
 ///
-/// Tags 3 and 6 of a request and 7 of a response are retired (a
-/// one-shot estimate and a correlation-id wrapper): they decode as
+/// Tags 1, 3 and 6 of a request and 1 and 7 of a response are retired
+/// (a per-attribute metadata lookup and its answer, a one-shot estimate,
+/// and a correlation-id wrapper and its answer): they decode as
 /// [`CodecError::InvalidTag`] and are never reassigned.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Nest {
@@ -352,10 +341,6 @@ impl WireEncode for Request {
     fn encode(&self, buf: &mut Writer) {
         match self {
             Request::Describe => 0u8.encode(buf),
-            Request::AttributeInfo { id } => {
-                1u8.encode(buf);
-                id.encode(buf);
-            }
             Request::Check { spec } => {
                 2u8.encode(buf);
                 spec.encode(buf);
@@ -413,9 +398,6 @@ impl Request {
         }
         Ok(match tag {
             0 => Request::Describe,
-            1 => Request::AttributeInfo {
-                id: u32::decode(buf)?,
-            },
             2 => Request::Check {
                 spec: TargetingSpec::decode(buf)?,
             },
@@ -471,11 +453,6 @@ impl WireEncode for Response {
                 same_feature_and.encode(buf);
                 impressions.encode(buf);
                 instance.encode(buf);
-            }
-            Response::AttributeInfo { name, feature } => {
-                1u8.encode(buf);
-                name.encode(buf);
-                feature.encode(buf);
             }
             Response::Ok => 2u8.encode(buf),
             Response::Estimate { value } => {
@@ -570,10 +547,6 @@ impl Response {
                 same_feature_and: bool::decode(buf)?,
                 impressions: bool::decode(buf)?,
                 instance: u64::decode(buf)?,
-            },
-            1 => Response::AttributeInfo {
-                name: String::decode(buf)?,
-                feature: u16::decode(buf)?,
             },
             2 => Response::Ok,
             3 => Response::Estimate {
@@ -670,7 +643,6 @@ mod tests {
     #[test]
     fn request_roundtrips() {
         roundtrip_req(Request::Describe);
-        roundtrip_req(Request::AttributeInfo { id: 42 });
         roundtrip_req(Request::Check {
             spec: sample_spec(),
         });
@@ -689,10 +661,6 @@ mod tests {
             same_feature_and: true,
             impressions: false,
             instance: 0x5EED_0000_0000_0001,
-        });
-        roundtrip_resp(Response::AttributeInfo {
-            name: "Games — Racing games".into(),
-            feature: 0,
         });
         roundtrip_resp(Response::Ok);
         roundtrip_resp(Response::Estimate { value: 5_200_000 });
@@ -904,30 +872,35 @@ mod tests {
 
     #[test]
     fn retired_tags_decode_as_invalid_tags() {
-        // Request 3 (a one-shot estimate) and 6 (a correlation-id
-        // wrapper) and response 7 (that wrapper's answer), each followed
-        // by what it used to carry.
+        // Request 1 (a per-attribute metadata lookup), 3 (a one-shot
+        // estimate) and 6 (a correlation-id wrapper), and response 1 (the
+        // lookup's answer) and 7 (the wrapper's answer), each followed by
+        // what it used to carry.
+        let mut info = vec![1u8];
+        42u32.encode(&mut info);
         let mut estimate = vec![3u8];
         TargetingSpec::everyone().encode(&mut estimate);
         let mut tagged = vec![6u8];
         7u64.encode(&mut tagged);
         tagged.push(0);
-        for (tag, bytes) in [(3, estimate), (6, tagged)] {
+        for (tag, bytes) in [(1, info), (3, estimate), (6, tagged)] {
             assert!(matches!(
                 from_bytes::<Request>(&bytes),
                 Err(CodecError::InvalidTag { what: "Request", tag: t }) if t == tag
             ));
         }
+        let mut info = vec![1u8];
+        "Games — Racing games".to_string().encode(&mut info);
+        0u16.encode(&mut info);
         let mut tagged = vec![7u8];
         7u64.encode(&mut tagged);
         tagged.push(2);
-        assert!(matches!(
-            from_bytes::<Response>(&tagged),
-            Err(CodecError::InvalidTag {
-                what: "Response",
-                tag: 7
-            })
-        ));
+        for (tag, bytes) in [(1, info), (7, tagged)] {
+            assert!(matches!(
+                from_bytes::<Response>(&bytes),
+                Err(CodecError::InvalidTag { what: "Response", tag: t }) if t == tag
+            ));
+        }
     }
 
     #[test]

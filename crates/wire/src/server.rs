@@ -486,18 +486,17 @@ pub fn serve_service(
 /// platform, by request kind. Each kind's counter is resolved from the
 /// registry once, on its first request.
 fn requests_total(request: &Request) -> &'static Counter {
-    static COUNTERS: [OnceLock<Arc<Counter>>; 10] = [const { OnceLock::new() }; 10];
+    static COUNTERS: [OnceLock<Arc<Counter>>; 9] = [const { OnceLock::new() }; 9];
     let (slot, kind) = match request {
         Request::Describe => (0, "describe"),
-        Request::AttributeInfo { .. } => (1, "attribute_info"),
-        Request::Check { .. } => (2, "check"),
-        Request::EstimateBatch { .. } => (3, "estimate_batch"),
-        Request::CatalogPage { .. } => (4, "catalog_page"),
-        Request::Stats => (5, "stats"),
-        Request::Status => (6, "status"),
-        Request::Traced { .. } => (7, "traced"),
-        Request::Metrics => (8, "metrics"),
-        Request::TelemetryPush { .. } => (9, "telemetry_push"),
+        Request::Check { .. } => (1, "check"),
+        Request::EstimateBatch { .. } => (2, "estimate_batch"),
+        Request::CatalogPage { .. } => (3, "catalog_page"),
+        Request::Stats => (4, "stats"),
+        Request::Status => (5, "status"),
+        Request::Traced { .. } => (6, "traced"),
+        Request::Metrics => (7, "metrics"),
+        Request::TelemetryPush { .. } => (8, "telemetry_push"),
     };
     COUNTERS[slot].get_or_init(|| {
         Registry::global().counter_with("adcomp_wire_requests_total", &[("kind", kind)])
@@ -685,19 +684,6 @@ fn handle_request(platform: &dyn PlatformApi, instance: u64, request: Request) -
                 impressions: platform.config().estimate_kind
                     == adcomp_platform::EstimateKind::Impressions,
                 instance,
-            }
-        }
-        Request::AttributeInfo { id } => {
-            match platform.catalog().get(adcomp_targeting::AttributeId(id)) {
-                Some(entry) => Response::AttributeInfo {
-                    name: entry.name.clone(),
-                    feature: entry.feature.0,
-                },
-                None => Response::Error {
-                    code: ErrorCode::UnknownAttribute,
-                    message: format!("attribute #{id} not in catalog"),
-                    retry_after: None,
-                },
             }
         }
         Request::Check { spec } => match platform.check(&spec) {

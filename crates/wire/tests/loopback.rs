@@ -80,30 +80,6 @@ fn estimates_match_in_process_values() {
 }
 
 #[test]
-fn attribute_info_and_unknown_ids() {
-    let handle = serve(
-        sim().linkedin.clone(),
-        "127.0.0.1:0",
-        ServerConfig::default(),
-    )
-    .unwrap();
-    let client = Client::connect(handle.addr()).unwrap();
-    let (name, _feature) = client.attribute_info(0).unwrap();
-    assert_eq!(
-        name,
-        sim().linkedin.catalog().get(AttributeId(0)).unwrap().name
-    );
-    match client.attribute_info(99_999) {
-        Err(ClientError::Server {
-            code: ErrorCode::UnknownAttribute,
-            ..
-        }) => {}
-        other => panic!("expected UnknownAttribute, got {other:?}"),
-    }
-    handle.shutdown();
-}
-
-#[test]
 fn policy_violations_map_to_invalid_targeting() {
     let handle = serve(
         sim().facebook_restricted.clone(),

@@ -40,7 +40,8 @@ fn arb_spec() -> impl Strategy<Value = TargetingSpec> {
 fn arb_request() -> impl Strategy<Value = Request> {
     prop_oneof![
         Just(Request::Describe),
-        any::<u32>().prop_map(|id| Request::AttributeInfo { id }),
+        (any::<u32>(), any::<u32>())
+            .prop_map(|(start, limit)| Request::CatalogPage { start, limit }),
         arb_spec().prop_map(|spec| Request::Check { spec }),
         Just(Request::Stats),
         proptest::collection::vec(arb_spec(), 0..6)
@@ -91,8 +92,16 @@ fn arb_response() -> impl Strategy<Value = Response> {
                     instance,
                 }
             ),
-        (any::<String>(), any::<u16>())
-            .prop_map(|(name, feature)| Response::AttributeInfo { name, feature }),
+        (
+            any::<u32>(),
+            proptest::collection::vec((any::<String>(), any::<u16>()), 0..6),
+            proptest::option::of(any::<u32>())
+        )
+            .prop_map(|(start, entries, next)| Response::CatalogPage {
+                start,
+                entries,
+                next,
+            }),
         Just(Response::Ok),
         any::<u64>().prop_map(|value| Response::Estimate { value }),
         (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(

@@ -172,13 +172,15 @@ fn distributed_table1() {
     println!("\n{distributed_tsv}");
     println!("byte-identical to the single-endpoint serial run ✓");
 
-    // The scheduler's own account of the turbulence.
+    // The scheduler's own account of the turbulence. Its counts depend
+    // on thread timing around the killed replica, so they go to stderr
+    // and stdout stays the same from run to run.
     let snap = Registry::global().snapshot();
     let queued = snap.counter("adcomp_sched_units_queued");
     let completed = snap.counter("adcomp_sched_units_completed");
     let requeued = snap.counter("adcomp_sched_units_requeued");
     let expired = snap.counter("adcomp_sched_lease_expired_total");
-    println!(
+    eprintln!(
         "scheduler: {queued} units queued, {completed} completed, \
          {requeued} requeued after failures, {expired} leases expired"
     );

@@ -55,12 +55,10 @@ fn main() {
     // The audit connects like the paper's scripts connected to the real
     // APIs — it sees only the wire surface.
     let remote = Arc::new(RemoteSource::connect(handle.addr()).expect("connect"));
-    let prefetched = remote.prefetch_catalog().expect("catalog download");
     println!(
-        "connected: {} ({} catalog attributes, {} prefetched in bulk)",
+        "connected: {} ({} catalog attributes, read at connect)",
         remote.label(),
-        remote.catalog_len(),
-        prefetched
+        remote.catalog_len()
     );
     let target = AuditTarget::direct(remote);
 

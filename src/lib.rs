@@ -28,64 +28,54 @@ pub use adcomp_wire as wire;
 pub mod fleet;
 pub use fleet::Fleet;
 
-use std::collections::HashMap;
-use std::sync::Mutex;
-
-use adcomp_core::{EstimateSource, SourceError};
-use adcomp_obs::lock;
+use adcomp_core::{EstimateSource, InterfaceMeta, SourceError};
 use adcomp_targeting::{AttributeId, FeatureId, TargetingSpec};
-use adcomp_wire::{Client, ClientError, InterfaceDescription};
+use adcomp_wire::{Client, ClientError};
 
 /// An [`EstimateSource`] backed by a wire-protocol [`Client`], letting
 /// every audit in `adcomp-core` run unchanged against a *remote*
 /// platform — the audit cannot tell the difference, just as the paper's
 /// scripts only saw HTTP endpoints.
 ///
-/// Attribute metadata is fetched lazily and cached; estimates always go
-/// to the server.
+/// The interface's metadata is read once, at connect, into the same
+/// [`InterfaceMeta`] a replay answers from; checks and estimates always
+/// go to the server.
 pub struct RemoteSource {
     client: Client,
-    description: InterfaceDescription,
-    features: Mutex<HashMap<u32, Option<FeatureId>>>,
-    names: Mutex<HashMap<u32, String>>,
+    meta: InterfaceMeta,
 }
 
 impl RemoteSource {
-    /// Wraps a connected client, fetching the interface description.
+    /// Wraps a connected client: asks the server to describe its
+    /// interface, then reads the whole catalog page by page. A server
+    /// whose pages do not tile `0..catalog_len` exactly — an empty page
+    /// before the end, a page past it, or a `next` other than the end of
+    /// the page — is refused with [`ClientError::UnexpectedResponse`].
     pub fn new(client: Client) -> Result<RemoteSource, ClientError> {
         let description = client.describe()?;
-        Ok(RemoteSource {
-            client,
-            description,
-            features: Mutex::new(HashMap::new()),
-            names: Mutex::new(HashMap::new()),
-        })
-    }
-
-    /// Bulk-downloads the whole catalog's metadata through the paginated
-    /// endpoint, so subsequent `attribute_name`/`attribute_feature`/
-    /// `can_compose` calls are served from cache instead of one
-    /// round-trip each. Returns the number of entries fetched.
-    pub fn prefetch_catalog(&self) -> Result<usize, ClientError> {
-        let mut start = 0u32;
-        let mut fetched = 0usize;
-        loop {
-            let (entries, next) = self.client.catalog_page(start, 1_000)?;
-            {
-                let mut names = lock(&self.names);
-                let mut features = lock(&self.features);
-                for (offset, (name, feature)) in entries.iter().enumerate() {
-                    let id = start + offset as u32;
-                    names.insert(id, name.clone());
-                    features.insert(id, Some(FeatureId(*feature)));
-                }
+        let len = description.catalog_len as usize;
+        // Grown page by page, so a false `catalog_len` reserves nothing.
+        let (mut names, mut features) = (Vec::new(), Vec::new());
+        while names.len() < len {
+            // Asks for the rest; the server caps the page.
+            let (entries, next) = client.catalog_page(names.len() as u32, u32::MAX)?;
+            let end = names.len() + entries.len();
+            if entries.is_empty() || end > len || next != (end < len).then_some(end as u32) {
+                return Err(ClientError::UnexpectedResponse);
             }
-            fetched += entries.len();
-            match next {
-                Some(n) => start = n,
-                None => return Ok(fetched),
+            for (name, feature) in entries {
+                names.push(name);
+                features.push(feature);
             }
         }
+        let meta = InterfaceMeta {
+            label: description.label,
+            supports_demographics: description.gender_targeting && description.age_targeting,
+            same_feature_and: description.same_feature_and,
+            names,
+            features,
+        };
+        Ok(RemoteSource { client, meta })
     }
 
     /// Connects and wraps in one step.
@@ -93,23 +83,6 @@ impl RemoteSource {
         let client = Client::connect(addr)
             .map_err(|e| ClientError::Transport(adcomp_wire::FrameError::Io(e)))?;
         RemoteSource::new(client)
-    }
-
-    /// The cached interface description.
-    pub fn description(&self) -> &InterfaceDescription {
-        &self.description
-    }
-
-    fn feature_cached(&self, id: AttributeId) -> Option<FeatureId> {
-        if let Some(f) = lock(&self.features).get(&id.0) {
-            return *f;
-        }
-        let fetched = match self.client.attribute_info(id.0) {
-            Ok((_, feature)) => Some(FeatureId(feature)),
-            Err(_) => None,
-        };
-        lock(&self.features).insert(id.0, fetched);
-        fetched
     }
 }
 
@@ -140,7 +113,7 @@ fn map_client_error(e: ClientError) -> SourceError {
 
 impl EstimateSource for RemoteSource {
     fn label(&self) -> String {
-        self.description.label.clone()
+        self.meta.label.clone()
     }
 
     fn estimate_batch(&self, specs: &[TargetingSpec]) -> Vec<Result<u64, SourceError>> {
@@ -166,38 +139,22 @@ impl EstimateSource for RemoteSource {
     }
 
     fn catalog_len(&self) -> u32 {
-        self.description.catalog_len
+        self.meta.catalog_len()
     }
 
     fn attribute_name(&self, id: AttributeId) -> Option<String> {
-        if let Some(name) = lock(&self.names).get(&id.0) {
-            return Some(name.clone());
-        }
-        let (name, feature) = self.client.attribute_info(id.0).ok()?;
-        lock(&self.names).insert(id.0, name.clone());
-        lock(&self.features).insert(id.0, Some(FeatureId(feature)));
-        Some(name)
+        self.meta.name(id)
     }
 
     fn attribute_feature(&self, id: AttributeId) -> Option<FeatureId> {
-        self.feature_cached(id)
+        self.meta.feature(id)
     }
 
     fn can_compose(&self, a: AttributeId, b: AttributeId) -> bool {
-        if a == b {
-            return false;
-        }
-        if self.description.same_feature_and {
-            true
-        } else {
-            match (self.feature_cached(a), self.feature_cached(b)) {
-                (Some(fa), Some(fb)) => fa != fb,
-                _ => false,
-            }
-        }
+        self.meta.can_compose(a, b)
     }
 
     fn supports_demographics(&self) -> bool {
-        self.description.gender_targeting && self.description.age_targeting
+        self.meta.supports_demographics
     }
 }

@@ -3,15 +3,19 @@
 //! running it in-process.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use discrimination_via_composition::audit::{
     measure_spec, rank_individuals, survey_individuals, top_compositions, AuditTarget, Direction,
     DiscoveryConfig, EstimateSource, SensitiveClass,
 };
-use discrimination_via_composition::platform::{SimScale, Simulation};
+use discrimination_via_composition::platform::{AdPlatform, FaultPlan, SimScale, Simulation};
 use discrimination_via_composition::population::Gender;
 use discrimination_via_composition::targeting::{AttributeId, TargetingSpec};
-use discrimination_via_composition::wire::{serve, ServerConfig};
+use discrimination_via_composition::wire::{
+    serve, serve_service, Client, ClientConfig, ClientError, CountingHook, ErrorCode,
+    FaultPlanHook, Request, Response, ServerConfig, WireService,
+};
 use discrimination_via_composition::RemoteSource;
 
 #[test]
@@ -72,20 +76,171 @@ fn remote_audit_equals_in_process_audit() {
     handle.shutdown();
 }
 
-#[test]
-fn prefetch_catalog_matches_per_id_fetches() {
-    let sim = Simulation::build(558, SimScale::Test);
-    let handle = serve(sim.facebook.clone(), "127.0.0.1:0", ServerConfig::default()).unwrap();
-    let bulk = RemoteSource::connect(handle.addr()).unwrap();
-    let fetched = bulk.prefetch_catalog().unwrap();
-    assert_eq!(fetched as u32, bulk.catalog_len());
-    let lazy = RemoteSource::connect(handle.addr()).unwrap();
-    for id in (0..bulk.catalog_len()).step_by(17) {
-        let id = AttributeId(id);
-        assert_eq!(bulk.attribute_name(id), lazy.attribute_name(id));
-        assert_eq!(bulk.attribute_feature(id), lazy.attribute_feature(id));
+/// Asserts that every metadata answer of `remote` equals the in-process
+/// platform's: names, features and the demographics flag for every id,
+/// and the composition rule over every 7th id against every 7th id.
+fn assert_catalog_matches(remote: &RemoteSource, local: &AdPlatform) {
+    let n = EstimateSource::catalog_len(local);
+    assert_eq!(remote.catalog_len(), n);
+    assert_eq!(
+        remote.supports_demographics(),
+        EstimateSource::supports_demographics(local)
+    );
+    for id in (0..n).map(AttributeId) {
+        assert_eq!(
+            remote.attribute_name(id),
+            EstimateSource::attribute_name(local, id)
+        );
+        assert_eq!(
+            remote.attribute_feature(id),
+            EstimateSource::attribute_feature(local, id)
+        );
     }
+    for a in (0..n).step_by(7).map(AttributeId) {
+        for b in (0..n).step_by(7).map(AttributeId) {
+            assert_eq!(
+                remote.can_compose(a, b),
+                EstimateSource::can_compose(local, a, b),
+                "{a:?} ∧ {b:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn catalog_read_at_connect_costs_no_frames_and_outlives_the_server() {
+    let sim = Simulation::build(558, SimScale::Test);
+    // Facebook allows same-feature AND; Google composes across features
+    // only, so its answers depend on the features read at connect.
+    for local in [&sim.facebook, &sim.google] {
+        let hook = Arc::new(CountingHook::new(FaultPlanHook(FaultPlan::new(0))));
+        let config = ServerConfig {
+            fault_hook: Some(hook.clone()),
+            ..ServerConfig::default()
+        };
+        let handle = serve(local.clone(), "127.0.0.1:0", config).unwrap();
+        let remote = RemoteSource::connect(handle.addr()).unwrap();
+        let frames = hook.frames();
+        assert_catalog_matches(&remote, local);
+        assert_eq!(hook.frames(), frames, "metadata went over the wire");
+        handle.shutdown();
+        assert_catalog_matches(&remote, local);
+    }
+}
+
+/// Serves a `catalog_len`-entry catalog whose pages come from `page`.
+struct CatalogService {
+    catalog_len: u32,
+    page: fn(u32) -> Response,
+}
+
+impl WireService for CatalogService {
+    fn handle(&self, request: Request) -> Response {
+        match request {
+            Request::Describe => Response::Described {
+                label: "Catalog".into(),
+                catalog_len: self.catalog_len,
+                gender_targeting: true,
+                age_targeting: true,
+                exclusions: true,
+                same_feature_and: false,
+                impressions: false,
+                instance: 1,
+            },
+            Request::CatalogPage { start, .. } => (self.page)(start),
+            _ => Response::Error {
+                code: ErrorCode::BadRequest,
+                message: "catalog only".into(),
+                retry_after: None,
+            },
+        }
+    }
+}
+
+/// Entries `start..end` of a catalog whose attribute `i` is named
+/// `attr i` and has feature `i % 3`.
+fn entries(start: u32, end: u32) -> Vec<(String, u16)> {
+    (start..end)
+        .map(|i| (format!("attr {i}"), (i % 3) as u16))
+        .collect()
+}
+
+/// Connects a [`RemoteSource`] to `service`, failing the test if `new`
+/// takes more than a few seconds.
+fn connect_to(service: CatalogService) -> Result<RemoteSource, ClientError> {
+    let handle = serve_service(Arc::new(service), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let client = Client::connect_with(handle.addr(), ClientConfig::fast()).unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let connecting = std::thread::spawn(move || {
+        let _ = tx.send(RemoteSource::new(client));
+    });
+    let result = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("RemoteSource::new did not return");
+    connecting.join().expect("connecting thread");
     handle.shutdown();
+    result
+}
+
+#[test]
+fn remote_source_refuses_a_catalog_that_does_not_tile() {
+    // Three-entry pages, `next` pointing past each: the honest case.
+    let honest = connect_to(CatalogService {
+        catalog_len: 10,
+        page: |start| {
+            let end = (start + 3).min(10);
+            Response::CatalogPage {
+                start,
+                entries: entries(start, end),
+                next: (end < 10).then_some(end),
+            }
+        },
+    })
+    .unwrap();
+    assert_eq!(honest.catalog_len(), 10);
+    assert_eq!(
+        honest.attribute_name(AttributeId(9)).as_deref(),
+        Some("attr 9")
+    );
+    assert!(honest.can_compose(AttributeId(0), AttributeId(4)));
+    assert!(!honest.can_compose(AttributeId(0), AttributeId(3)));
+    let liars = [
+        // `next` names the page's own start: a client that follows it
+        // asks for the same page forever.
+        CatalogService {
+            catalog_len: 10,
+            page: |start| Response::CatalogPage {
+                start,
+                entries: entries(start, start + 2),
+                next: Some(start),
+            },
+        },
+        // More entries than the catalog has.
+        CatalogService {
+            catalog_len: 10,
+            page: |start| Response::CatalogPage {
+                start,
+                entries: entries(start, 11),
+                next: None,
+            },
+        },
+        // An empty page long before the claimed end, which is too far
+        // off to reserve room for.
+        CatalogService {
+            catalog_len: u32::MAX,
+            page: |start| Response::CatalogPage {
+                start,
+                entries: Vec::new(),
+                next: Some(start),
+            },
+        },
+    ];
+    for liar in liars {
+        assert!(matches!(
+            connect_to(liar),
+            Err(ClientError::UnexpectedResponse)
+        ));
+    }
 }
 
 #[test]
