@@ -179,10 +179,6 @@ pub fn finish(name: &str) -> PathBuf {
     if probe_warnings > 0 {
         report.degradation(format!("{probe_warnings} consistency-probe warning(s)"));
     }
-    let low_budget = snap.counter("adcomp_budget_low_warnings_total");
-    if low_budget > 0 {
-        report.degradation(format!("query budget ran low {low_budget} time(s)"));
-    }
     report.note(format!("snapshot: {}", path.display()));
     if report.degraded() || narrating() {
         eprint!("{}", report.render());

@@ -81,7 +81,7 @@ pub struct IndividualSurvey {
 /// matching the paper's per-platform crawls.
 pub fn survey_individuals(target: &AuditTarget) -> Result<IndividualSurvey, SourceError> {
     // One batch: the base population first, then every attribute — the
-    // exact query list (and order) of the old serial loop, so budget
+    // exact query list (and order) of the old serial loop, so query
     // accounting is unchanged and a scheduled measurement interface
     // changes nothing but wall-clock.
     let ids: Vec<AttributeId> = (0..target.targeting.catalog_len())

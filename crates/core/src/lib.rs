@@ -24,8 +24,6 @@
 //! * [`mitigation`] — the paper's §5 proposal implemented: an
 //!   outcome-based pre-flight gate and a streaming advertiser anomaly
 //!   monitor;
-//! * [`budget`] — client-side query caps and throttling (the ethics
-//!   section's discipline);
 //! * [`resilience`] — retry, error classification, and graceful
 //!   degradation, so multi-day audits survive flaky platforms;
 //! * [`experiments`] — drivers reproducing every figure and table of the
@@ -55,7 +53,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod budget;
 pub mod discovery;
 pub mod distributed;
 pub mod drift;
@@ -71,7 +68,6 @@ pub mod source;
 pub mod stats;
 pub mod union_estimate;
 
-pub use budget::{BudgetedSource, QueryBudget};
 pub use discovery::{
     compose_and_measure, random_compositions, rank_individuals, survey_individuals,
     top_compositions, top_compositions_bounded, Direction, DiscoveryConfig, IndividualSurvey,

@@ -24,7 +24,6 @@
 //! store's frames already provide checksums and crash-safety.
 
 use std::io;
-use std::sync::Arc;
 
 use adcomp_population::{AgeBucket, Gender};
 use adcomp_store::{RunStore, SnapshotIndex};
@@ -854,9 +853,6 @@ impl EpochEvent {
         Ok(event)
     }
 }
-
-/// A [`RunStore`] shared across the audit stack.
-pub type SharedStore = Arc<RunStore>;
 
 #[cfg(test)]
 mod tests {

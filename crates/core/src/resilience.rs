@@ -6,20 +6,13 @@
 //!
 //! * [`classify`] — split [`SourceError`]s into retryable weather
 //!   (transient platform errors, throttling, torn connections) and
-//!   fatal conditions (validation failures, spent query budgets);
+//!   fatal conditions (validation failures, policy rejections);
 //! * [`ResilientSource`] — wrap a source with a
 //!   [`RetryPolicy`](adcomp_platform::RetryPolicy) and, when retries
 //!   exhaust, apply a [`DegradationPolicy`]: abort the audit, or skip
 //!   the query, record it, and move on — the paper's multi-day
 //!   measurement runs did the latter for the rare specs that never
 //!   answered.
-//!
-//! Budget charging comes from wrap order: build
-//! `ResilientSource(BudgetedSource(platform))` and every retry passes
-//! through the budget gate, so a flaky platform consumes the pledged
-//! query budget faster — exactly how a live audit's accounting works.
-//! [`SourceError::BudgetExhausted`] is classified fatal, so retries halt
-//! the moment the budget runs out.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -52,7 +45,7 @@ pub enum ErrorClass {
         /// Server-advertised back-off, when present.
         retry_after: Option<Duration>,
     },
-    /// Retrying cannot help (bad spec, spent budget, policy rejection).
+    /// Retrying cannot help (bad spec, policy rejection).
     Fatal,
 }
 
@@ -76,7 +69,6 @@ pub fn classify(error: &SourceError) -> ErrorClass {
         SourceError::CircuitOpen { retry_in } => ErrorClass::Retryable {
             retry_after: Some(*retry_in),
         },
-        SourceError::BudgetExhausted { .. } => ErrorClass::Fatal,
         SourceError::Skipped { .. } => ErrorClass::Fatal,
     }
 }
@@ -338,10 +330,6 @@ mod tests {
             }
         );
         assert_eq!(
-            classify(&SourceError::BudgetExhausted { used: 5, cap: 4 }),
-            Fatal
-        );
-        assert_eq!(
             classify(&SourceError::Platform(PlatformError::UnsupportedObjective(
                 adcomp_platform::Objective::Reach
             ))),
@@ -463,26 +451,5 @@ mod tests {
             other => panic!("expected a validation error, got {other:?}"),
         }
         assert_eq!(src.stats(), ResilienceStats::default());
-    }
-
-    #[test]
-    fn budget_is_charged_per_retry() {
-        use crate::budget::{BudgetedSource, QueryBudget};
-        // Always-transient platform behind a budget of 4: one query's
-        // retries drain it, and the budget error stops the retrying.
-        let plan = FaultPlan::new(5).with(
-            FaultKind::Transient,
-            Schedule::EveryNth {
-                period: 1,
-                offset: 0,
-            },
-        );
-        let budgeted = Arc::new(BudgetedSource::new(faulty(plan), QueryBudget::capped(4)));
-        let src = ResilientSource::new(budgeted.clone(), ResilienceConfig::test());
-        match src.estimate(&TargetingSpec::everyone()) {
-            Err(SourceError::BudgetExhausted { cap: 4, .. }) => {}
-            other => panic!("expected BudgetExhausted, got {other:?}"),
-        }
-        assert_eq!(budgeted.used(), 5, "4 admitted + 1 rejected");
     }
 }

@@ -138,14 +138,6 @@ pub enum SourceError {
         /// Time until the breaker admits a probe.
         retry_in: std::time::Duration,
     },
-    /// The query budget the audit pledged is spent; querying further
-    /// would break the ethics protocol, so this is never retried.
-    BudgetExhausted {
-        /// Queries issued.
-        used: u64,
-        /// The pledged cap.
-        cap: u64,
-    },
     /// The query failed persistently and the resilience policy chose to
     /// skip it (degraded mode) rather than abort the audit.
     Skipped {
@@ -168,9 +160,6 @@ impl std::fmt::Display for SourceError {
             SourceError::RateLimited { retry_after: None } => write!(f, "rate limited"),
             SourceError::CircuitOpen { retry_in } => {
                 write!(f, "circuit open; endpoint unavailable for {retry_in:?}")
-            }
-            SourceError::BudgetExhausted { used, cap } => {
-                write!(f, "query budget exhausted ({used}/{cap})")
             }
             SourceError::Skipped { reason } => write!(f, "query skipped: {reason}"),
         }
@@ -434,17 +423,8 @@ impl AuditTarget {
         }
     }
 
-    /// Estimate of `spec ∧ class` on the measurement interface
+    /// Estimate of `spec ∧ selector` on the measurement interface
     /// (`spec` is expressed in targeting-interface ids).
-    pub fn class_estimate(
-        &self,
-        spec: &TargetingSpec,
-        class: SensitiveClass,
-    ) -> Result<u64, SourceError> {
-        self.selector_estimate(spec, Selector::Class(class))
-    }
-
-    /// Estimate of `spec ∧ selector` on the measurement interface.
     pub fn selector_estimate(
         &self,
         spec: &TargetingSpec,
@@ -452,11 +432,6 @@ impl AuditTarget {
     ) -> Result<u64, SourceError> {
         let translated = self.translate(spec);
         self.measurement.estimate(&selector.constrain(&translated))
-    }
-
-    /// Estimate of `spec` alone on the measurement interface.
-    pub fn total_estimate(&self, spec: &TargetingSpec) -> Result<u64, SourceError> {
-        self.measurement.estimate(&self.translate(spec))
     }
 }
 
@@ -935,8 +910,8 @@ mod tests {
         assert!(scheduled.measurement.batch_window() > 1);
         let spec = TargetingSpec::and_of([AttributeId(2)]);
         assert_eq!(
-            scheduled.total_estimate(&spec).unwrap(),
-            t.total_estimate(&spec).unwrap()
+            scheduled.measurement.estimate(&spec).unwrap(),
+            t.measurement.estimate(&spec).unwrap()
         );
         drop(store);
         std::fs::remove_dir_all(&dir).ok();
@@ -1066,12 +1041,18 @@ mod tests {
             .is_err());
         // …but the target measures it through the parent.
         let male = target
-            .class_estimate(&spec, SensitiveClass::Gender(Gender::Male))
+            .selector_estimate(&spec, Selector::Class(SensitiveClass::Gender(Gender::Male)))
             .unwrap();
         let female = target
-            .class_estimate(&spec, SensitiveClass::Gender(Gender::Female))
+            .selector_estimate(
+                &spec,
+                Selector::Class(SensitiveClass::Gender(Gender::Female)),
+            )
             .unwrap();
-        let total = target.total_estimate(&spec).unwrap();
+        let total = target
+            .measurement
+            .estimate(&target.translate(&spec))
+            .unwrap();
         assert!(male > 0 && female > 0);
         assert!(total >= male.max(female));
     }
@@ -1103,7 +1084,7 @@ mod tests {
         let target = AuditTarget::for_platform(&s.linkedin, &s);
         let spec = TargetingSpec::and_of([AttributeId(2)]);
         assert_eq!(
-            target.total_estimate(&spec).unwrap(),
+            target.measurement.estimate(&spec).unwrap(),
             s.linkedin.clone().estimate(&spec).unwrap()
         );
     }

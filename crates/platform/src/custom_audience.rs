@@ -40,17 +40,6 @@ pub struct MatchedAudience {
     pub matched: usize,
 }
 
-impl MatchedAudience {
-    /// Fraction of the submitted list that matched.
-    pub fn match_rate(&self) -> f64 {
-        if self.submitted == 0 {
-            0.0
-        } else {
-            self.matched as f64 / self.submitted as f64
-        }
-    }
-}
-
 /// Stream tag separating contact hashes from every other per-user draw.
 const CONTACT_STREAM: u64 = 0xC0417AC7;
 /// Stream tag for the per-platform match-failure draw.
@@ -148,7 +137,7 @@ mod tests {
             assert!(users.contains(&user));
         }
         // Match rate reflects the simulated platform-side loss.
-        let rate = result.match_rate();
+        let rate = result.matched as f64 / result.submitted as f64;
         assert!(
             (0.6..=0.9).contains(&rate),
             "match rate {rate} should be ~{}",
@@ -164,7 +153,6 @@ mod tests {
         let result = fb.match_customer_list(&bogus);
         assert_eq!(result.matched, 0);
         assert!(result.audience.is_empty());
-        assert_eq!(result.match_rate(), 0.0);
     }
 
     #[test]

@@ -50,12 +50,6 @@ impl FrequencyCap {
         FrequencyCap { per_month: 1 }
     }
 
-    /// Google's default when the advertiser sets no cap (the UI then
-    /// estimates several impressions per user per month).
-    pub fn platform_default() -> Self {
-        FrequencyCap { per_month: 12 }
-    }
-
     /// Multiplier applied to the unique-user count to obtain the
     /// theoretical impressions estimate.
     pub fn impressions_multiplier(&self) -> f64 {
@@ -90,7 +84,7 @@ mod tests {
             1.0
         );
         assert!(
-            FrequencyCap::platform_default().impressions_multiplier()
+            FrequencyCap { per_month: 12 }.impressions_multiplier()
                 > FrequencyCap::most_restrictive().impressions_multiplier()
         );
         assert_eq!(FrequencyCap::default(), FrequencyCap::most_restrictive());

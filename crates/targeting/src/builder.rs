@@ -87,11 +87,6 @@ impl SpecBuilder {
     pub fn build(self) -> TargetingSpec {
         self.spec
     }
-
-    /// Finishes and normalises.
-    pub fn build_normalized(self) -> TargetingSpec {
-        self.spec.normalized()
-    }
 }
 
 impl From<SpecBuilder> for TargetingSpec {
@@ -141,10 +136,11 @@ mod tests {
     }
 
     #[test]
-    fn build_normalized_dedupes() {
+    fn built_spec_normalizes_to_deduped_groups() {
         let s = TargetingSpec::builder()
             .any_of([AttributeId(2), AttributeId(1), AttributeId(2)])
-            .build_normalized();
+            .build()
+            .normalized();
         assert_eq!(
             s.include[0].attributes,
             vec![AttributeId(1), AttributeId(2)]
