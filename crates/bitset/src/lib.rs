@@ -306,17 +306,6 @@ impl Bitset {
         self.intersection_len(other) == self.len()
     }
 
-    /// Jaccard similarity `|A∧B| / |A∨B|`; `0.0` for two empty sets.
-    pub fn jaccard(&self, other: &Bitset) -> f64 {
-        let inter = self.intersection_len(other);
-        let union = self.len() + other.len() - inter;
-        if union == 0 {
-            0.0
-        } else {
-            inter as f64 / union as f64
-        }
-    }
-
     /// Converts clustered containers to run encoding where that is smaller.
     ///
     /// Run containers are read-optimised: any subsequent mutation of a
@@ -489,16 +478,6 @@ mod tests {
         assert_eq!(a.difference_len(&b), 2);
         assert!(!a.is_disjoint(&b));
         assert!(a.and(&b).is_subset(&a));
-    }
-
-    #[test]
-    fn jaccard_bounds() {
-        let a: Bitset = (0..1000u32).collect();
-        let b: Bitset = (500..1500u32).collect();
-        let j = a.jaccard(&b);
-        assert!((j - 500.0 / 1500.0).abs() < 1e-12);
-        assert_eq!(Bitset::new().jaccard(&Bitset::new()), 0.0);
-        assert_eq!(a.jaccard(&a), 1.0);
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //! *retryable* error (transport failure, open circuit, rate limit)
 //! leaves the slot unanswered so the queue requeues it onto a healthier
 //! endpoint. That split is what makes a killed endpoint a routing event
-//! rather than a result change.
+//! rather than a result change. When every endpoint keeps failing, the
+//! pool stops and the unanswered slots come back as retryable
+//! [`SourceError::Transport`] errors, for a resilience layer above to
+//! retry or degrade.
 //!
 //! [`StoreJournal`] persists the queue's grant/completion trail into an
 //! `adcomp-store` [`RunStore`] (record kind
@@ -31,87 +34,16 @@
 //! re-issues zero answered queries.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::Arc;
 
-use adcomp_sched::{
-    into_inner_recovering, lock_recovering, run_pool, Grant, LeaseConfig, PoolConfig, PoolEndpoint,
-    UnitJournal, UnitQueue, UnitReport, UnitRunner,
-};
+pub use adcomp_sched::SchedulerConfig;
+use adcomp_sched::{run_pool, Grant, PoolEndpoint, UnitJournal, UnitQueue, UnitReport};
 use adcomp_store::RunStore;
 use adcomp_targeting::{AttributeId, FeatureId, TargetingSpec};
 
 use crate::recording::{sched_event_key, SchedEvent, KIND_SCHED_UNIT};
 use crate::resilience::{classify, ErrorClass};
 use crate::source::{EstimateSource, SourceError};
-
-/// Tuning for a [`ScheduledSource`].
-#[derive(Clone, Debug)]
-pub struct SchedulerConfig {
-    /// Slots per work unit (the sharding grain).
-    pub unit_size: usize,
-    /// Lease TTL; must comfortably exceed one sub-batch round-trip —
-    /// the runner heartbeats between sub-batches.
-    pub lease_ttl: Duration,
-    /// Grants per unit before its slots are declared failed
-    /// (0 = unlimited; keep a bound so a poisoned unit cannot loop).
-    pub max_attempts: u32,
-    /// Global cap on simultaneously leased units (0 = unlimited).
-    pub inflight_cap: usize,
-    /// Claiming loops per endpoint — bounds outstanding units per
-    /// endpoint.
-    pub workers_per_endpoint: usize,
-    /// Consecutive failed units before an endpoint cools down.
-    pub failure_threshold: u32,
-    /// Cooldown length for an unhealthy endpoint.
-    pub cooldown: Duration,
-}
-
-impl Default for SchedulerConfig {
-    fn default() -> Self {
-        SchedulerConfig {
-            unit_size: 16,
-            lease_ttl: Duration::from_secs(10),
-            max_attempts: 0,
-            inflight_cap: 0,
-            workers_per_endpoint: 2,
-            failure_threshold: 3,
-            cooldown: Duration::from_millis(200),
-        }
-    }
-}
-
-impl SchedulerConfig {
-    /// Aggressive settings for tests and demos: tiny units, a short
-    /// lease so expiry/requeue paths actually fire, quick cooldowns.
-    pub fn fast() -> SchedulerConfig {
-        SchedulerConfig {
-            unit_size: 4,
-            lease_ttl: Duration::from_millis(250),
-            max_attempts: 0,
-            inflight_cap: 0,
-            workers_per_endpoint: 2,
-            failure_threshold: 2,
-            cooldown: Duration::from_millis(50),
-        }
-    }
-
-    fn lease(&self) -> LeaseConfig {
-        LeaseConfig {
-            ttl: self.lease_ttl,
-            max_attempts: self.max_attempts,
-            inflight_cap: self.inflight_cap,
-        }
-    }
-
-    fn pool(&self) -> PoolConfig {
-        PoolConfig {
-            workers_per_endpoint: self.workers_per_endpoint,
-            failure_threshold: self.failure_threshold,
-            cooldown: self.cooldown,
-        }
-    }
-}
 
 /// Journals scheduler unit events into a [`RunStore`] under
 /// [`KIND_SCHED_UNIT`], one uniquely-keyed record per event so the full
@@ -231,134 +163,61 @@ impl ScheduledSource {
         }
     }
 
-    /// The replica endpoints, for metadata delegation and diagnostics.
-    pub fn endpoints(&self) -> &[Arc<dyn EstimateSource>] {
-        &self.endpoints
-    }
-
     fn reference(&self) -> &dyn EstimateSource {
         self.endpoints[0].as_ref()
     }
 }
 
-/// Buffered `(slot, value)` results for one live lease.
-type LeaseBuffer = Vec<(usize, Result<u64, SourceError>)>;
-
-struct BatchRunner<'a> {
-    specs: &'a [TargetingSpec],
-    endpoints: &'a [Arc<dyn EstimateSource>],
-    /// Buffers per live lease; moved into `merged` only when the queue
-    /// accepts the completion.
-    buffers: Mutex<std::collections::HashMap<u64, LeaseBuffer>>,
-    merged: Mutex<Vec<Option<Result<u64, SourceError>>>>,
-    /// The caller's ambient trace context, captured on the coordinating
-    /// thread so worker threads continue the same span tree (`None`
-    /// when tracing is disabled — workers then add zero overhead).
-    trace: Option<adcomp_obs::TraceContext>,
-    /// When the batch entered the queue; workers report their
-    /// queue-wait as a point event relative to this instant.
-    batch_start: std::time::Instant,
-}
-
-impl BatchRunner<'_> {
-    /// Maps the pool's endpoint label (`replica-<idx>`) back to the
-    /// endpoint source.
-    fn resolve(&self, endpoint: &str) -> &dyn EstimateSource {
-        let idx = endpoint
-            .rsplit('-')
-            .next()
-            .and_then(|s| s.parse::<usize>().ok())
-            .unwrap_or(0);
-        self.endpoints[idx.min(self.endpoints.len() - 1)].as_ref()
-    }
-}
-
-impl UnitRunner for BatchRunner<'_> {
-    fn run(&self, endpoint: &str, grant: &Grant, heartbeat: &dyn Fn() -> bool) -> UnitReport {
-        // Adopt the coordinator's trace on this worker thread, so wire
-        // client spans opened below nest under the caller's span tree.
-        let _ctx = self.trace.map(|c| c.enter());
-        let _lease_span = self.trace.map(|_| {
-            let tracer = adcomp_obs::Tracer::global();
-            tracer.event(
-                "sched:queue_wait",
-                &[(
-                    "duration_us",
-                    self.batch_start.elapsed().as_micros().to_string(),
-                )],
-            );
-            tracer.span_with(
-                "sched:lease",
-                &[
-                    ("endpoint", endpoint.to_string()),
-                    ("unit", grant.unit.to_string()),
-                    ("attempt", grant.attempt.to_string()),
-                ],
-            )
-        });
-        let source = self.resolve(endpoint);
-        let mut answered = Vec::with_capacity(grant.slots.len());
-        let mut buffered = Vec::with_capacity(grant.slots.len());
-        let mut endpoint_failed = false;
-        // Execute in sub-batches of the endpoint's native window,
-        // heartbeating between them so long units keep their lease and
-        // a lost lease aborts early.
-        let window = source.batch_window().max(1);
-        for chunk in grant.slots.chunks(window) {
-            if !heartbeat() {
-                // Lease lost mid-unit: everything buffered so far will be
-                // discarded by the pool; stop burning queries.
-                return UnitReport {
-                    answered: Vec::new(),
-                    endpoint_failed,
-                };
-            }
-            let specs: Vec<TargetingSpec> = chunk.iter().map(|&s| self.specs[s].clone()).collect();
-            let results = source.estimate_batch(&specs);
-            for (&slot, result) in chunk.iter().zip(results) {
-                let is_answer = match &result {
-                    Ok(_) => true,
-                    Err(e) => match classify(e) {
-                        // A fatal error is a deterministic answer (the
-                        // same spec fails the same way everywhere).
-                        ErrorClass::Fatal => true,
-                        ErrorClass::Retryable { .. } => {
-                            endpoint_failed |= matches!(
-                                e,
-                                SourceError::Transport(_) | SourceError::CircuitOpen { .. }
-                            );
-                            false
-                        }
-                    },
-                };
-                if is_answer {
-                    answered.push(slot);
-                    buffered.push((slot, result));
-                }
-            }
+/// Runs one granted unit on `source` in sub-batches of its native
+/// window. An `Ok` or a fatal error answers its slot; a retryable error
+/// leaves it for the queue to requeue.
+fn run_unit(
+    source: &dyn EstimateSource,
+    specs: &[TargetingSpec],
+    grant: &Grant,
+    heartbeat: &dyn Fn() -> bool,
+) -> UnitReport<Result<u64, SourceError>> {
+    let mut answered = Vec::with_capacity(grant.slots.len());
+    let mut endpoint_failed = false;
+    // Execute in sub-batches of the endpoint's native window,
+    // heartbeating between them so long units keep their lease and
+    // a lost lease aborts early.
+    let window = source.batch_window().max(1);
+    for chunk in grant.slots.chunks(window) {
+        if !heartbeat() {
+            // Lease lost mid-unit: the pool will drop whatever this unit
+            // answered; stop burning queries.
+            return UnitReport {
+                answered: Vec::new(),
+                endpoint_failed,
+            };
         }
-        // Poison-recovering: a contained worker panic must not cascade
-        // into every other replica's worker (the lease ledger makes the
-        // buffered state requeue-safe).
-        lock_recovering(&self.buffers).insert(grant.lease, buffered);
-        UnitReport {
-            answered,
-            endpoint_failed,
-        }
-    }
-
-    fn commit(&self, _endpoint: &str, grant: &Grant) {
-        if let Some(vals) = lock_recovering(&self.buffers).remove(&grant.lease) {
-            let mut merged = lock_recovering(&self.merged);
-            for (slot, result) in vals {
-                debug_assert!(merged[slot].is_none(), "slot {slot} merged twice");
-                merged[slot] = Some(result);
+        let chunk_specs: Vec<TargetingSpec> = chunk.iter().map(|&s| specs[s].clone()).collect();
+        let results = source.estimate_batch(&chunk_specs);
+        for (&slot, result) in chunk.iter().zip(results) {
+            let is_answer = match &result {
+                Ok(_) => true,
+                Err(e) => match classify(e) {
+                    // A fatal error is a deterministic answer (the
+                    // same spec fails the same way everywhere).
+                    ErrorClass::Fatal => true,
+                    ErrorClass::Retryable { .. } => {
+                        endpoint_failed |= matches!(
+                            e,
+                            SourceError::Transport(_) | SourceError::CircuitOpen { .. }
+                        );
+                        false
+                    }
+                },
+            };
+            if is_answer {
+                answered.push((slot, result));
             }
         }
     }
-
-    fn discard(&self, _endpoint: &str, grant: &Grant) {
-        lock_recovering(&self.buffers).remove(&grant.lease);
+    UnitReport {
+        answered,
+        endpoint_failed,
     }
 }
 
@@ -373,31 +232,56 @@ impl EstimateSource for ScheduledSource {
         }
         let clock: Arc<dyn adcomp_obs::clock::Clock> =
             Arc::new(adcomp_obs::clock::MonotonicClock::new());
-        let queue = UnitQueue::new(self.cfg.lease(), Arc::clone(&clock), self.journal.clone());
+        let queue = UnitQueue::new(&self.cfg, Arc::clone(&clock), self.journal.clone());
         queue.seed_slots(specs.len(), self.cfg.unit_size);
-        let pool_cfg = self.cfg.pool();
         let pool_endpoints: Vec<PoolEndpoint> = (0..self.endpoints.len())
-            .map(|i| PoolEndpoint::new(format!("replica-{i}"), &pool_cfg))
+            .map(|i| PoolEndpoint::new(format!("replica-{i}"), &self.cfg))
             .collect();
-        let runner = BatchRunner {
-            specs,
-            endpoints: &self.endpoints,
-            buffers: Mutex::new(std::collections::HashMap::new()),
-            merged: Mutex::new(vec![None; specs.len()]),
-            trace: adcomp_obs::current_context(),
-            batch_start: std::time::Instant::now(),
-        };
-        run_pool(&queue, &pool_endpoints, &runner, &pool_cfg, &clock);
-        let merged = into_inner_recovering(runner.merged);
+        // The caller's ambient trace context, captured on the coordinating
+        // thread so worker threads continue the same span tree (`None`
+        // when tracing is disabled — workers then add zero overhead).
+        let trace = adcomp_obs::current_context();
+        // When the batch entered the queue; workers report their
+        // queue-wait as a point event relative to this instant.
+        let batch_start = std::time::Instant::now();
+        let merged = run_pool(
+            &queue,
+            &pool_endpoints,
+            &self.cfg,
+            clock.as_ref(),
+            |idx, grant, heartbeat| {
+                // Adopt the coordinator's trace on this worker thread, so
+                // wire client spans opened below nest under the caller's
+                // span tree.
+                let _ctx = trace.map(|c| c.enter());
+                let _lease_span = trace.map(|_| {
+                    let tracer = adcomp_obs::Tracer::global();
+                    tracer.event(
+                        "sched:queue_wait",
+                        &[("duration_us", batch_start.elapsed().as_micros().to_string())],
+                    );
+                    tracer.span_with(
+                        "sched:lease",
+                        &[
+                            ("endpoint", pool_endpoints[idx].label.clone()),
+                            ("unit", grant.unit.to_string()),
+                            ("attempt", grant.attempt.to_string()),
+                        ],
+                    )
+                });
+                run_unit(self.endpoints[idx].as_ref(), specs, grant, heartbeat)
+            },
+        );
         merged
             .into_iter()
             .map(|slot| {
                 slot.unwrap_or_else(|| {
-                    // Attempts exhausted on every replica: degrade to a
-                    // skip, mirroring the resilience layer's vocabulary.
-                    Err(SourceError::Skipped {
-                        reason: "scheduler: unit attempts exhausted on all endpoints".to_string(),
-                    })
+                    // Every replica kept failing and the pool stopped:
+                    // retryable, so a resilience layer above can retry
+                    // or degrade the slot.
+                    Err(SourceError::Transport(
+                        "scheduler: every endpoint failed before answering".to_string(),
+                    ))
                 })
             })
             .collect()
@@ -439,6 +323,7 @@ mod tests {
     use super::*;
     use adcomp_platform::{SimScale, Simulation};
     use std::sync::OnceLock;
+    use std::time::Duration;
 
     fn sim() -> &'static Simulation {
         static SIM: OnceLock<Simulation> = OnceLock::new();
@@ -499,5 +384,68 @@ mod tests {
                 });
             }
         });
+    }
+
+    /// A replica whose every query fails in transport.
+    struct DeadReplica;
+
+    impl EstimateSource for DeadReplica {
+        fn label(&self) -> String {
+            "dead".to_string()
+        }
+
+        fn estimate_batch(&self, specs: &[TargetingSpec]) -> Vec<Result<u64, SourceError>> {
+            specs
+                .iter()
+                .map(|_| Err(SourceError::Transport("connection refused".to_string())))
+                .collect()
+        }
+
+        fn check(&self, _spec: &TargetingSpec) -> Result<(), SourceError> {
+            Ok(())
+        }
+
+        fn catalog_len(&self) -> u32 {
+            64
+        }
+
+        fn attribute_name(&self, _id: AttributeId) -> Option<String> {
+            None
+        }
+
+        fn attribute_feature(&self, _id: AttributeId) -> Option<FeatureId> {
+            None
+        }
+
+        fn can_compose(&self, _a: AttributeId, _b: AttributeId) -> bool {
+            true
+        }
+
+        fn supports_demographics(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn batch_over_failing_replicas_returns_transport_errors() {
+        let dead: Arc<dyn EstimateSource> = Arc::new(DeadReplica);
+        let source = ScheduledSource::new(vec![dead; 2], SchedulerConfig::fast(), None);
+        let batch: Vec<TargetingSpec> = (0..40)
+            .map(|i| TargetingSpec::and_of([AttributeId(i)]))
+            .collect();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(source.estimate_batch(&batch));
+        });
+        let answers = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("a batch whose every replica fails must still return");
+        assert_eq!(answers.len(), 40);
+        for answer in &answers {
+            assert!(
+                matches!(answer, Err(SourceError::Transport(_))),
+                "{answer:?}"
+            );
+        }
     }
 }

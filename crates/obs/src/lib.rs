@@ -87,8 +87,7 @@ pub fn set_enabled(on: bool) {
 /// mid-section panic is a lost or partial update the caller already
 /// treats as a failed query. Propagating the poison instead would turn
 /// one crashed worker into a panic in every thread that shares the lock.
-/// Scheduler state that must also report each recovery uses
-/// `adcomp_sched::lock_recovering`, which counts it.
+/// It is the workspace's one poison-recovering helper.
 pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }

@@ -14,31 +14,10 @@ use std::time::Duration;
 use adcomp_obs::clock::Clock;
 use adcomp_obs::metrics::{Gauge, Registry};
 
-/// Pool tuning shared by all endpoints.
-#[derive(Clone, Debug)]
-pub struct PoolConfig {
-    /// Claiming loops per endpoint (each holds at most one unit, so
-    /// this bounds outstanding units per endpoint).
-    pub workers_per_endpoint: usize,
-    /// Consecutive failed units before an endpoint cools down.
-    pub failure_threshold: u32,
-    /// How long a cooled-down endpoint waits before probing again.
-    pub cooldown: Duration,
-}
-
-impl Default for PoolConfig {
-    fn default() -> Self {
-        PoolConfig {
-            workers_per_endpoint: 2,
-            failure_threshold: 3,
-            cooldown: Duration::from_millis(200),
-        }
-    }
-}
+use crate::SchedulerConfig;
 
 /// Failure-count health state for one endpoint, shared by its workers.
 pub struct EndpointHealth {
-    label: String,
     consecutive_failures: AtomicU32,
     cooldown_until_us: AtomicU64,
     units_ok: AtomicU64,
@@ -51,9 +30,8 @@ pub struct EndpointHealth {
 impl EndpointHealth {
     /// Health tracker for the endpoint named `label` (also the
     /// `endpoint` tag on the in-flight gauge).
-    pub fn new(label: &str, cfg: &PoolConfig) -> EndpointHealth {
+    pub fn new(label: &str, cfg: &SchedulerConfig) -> EndpointHealth {
         EndpointHealth {
-            label: label.to_string(),
             consecutive_failures: AtomicU32::new(0),
             cooldown_until_us: AtomicU64::new(0),
             units_ok: AtomicU64::new(0),
@@ -63,11 +41,6 @@ impl EndpointHealth {
             threshold: cfg.failure_threshold.max(1),
             cooldown: cfg.cooldown,
         }
-    }
-
-    /// Endpoint label this tracker scores.
-    pub fn label(&self) -> &str {
-        &self.label
     }
 
     /// Time left before this endpoint may claim again (zero = healthy).
@@ -92,6 +65,12 @@ impl EndpointHealth {
             let until = (clock.now() + self.cooldown).as_micros() as u64;
             self.cooldown_until_us.fetch_max(until, Ordering::AcqRel);
         }
+    }
+
+    /// Whether the failure streak has reached the threshold (no unit
+    /// has succeeded here since).
+    pub(crate) fn failing(&self) -> bool {
+        self.consecutive_failures.load(Ordering::Acquire) >= self.threshold
     }
 
     /// Units completed cleanly / failed on this endpoint so far.
@@ -132,10 +111,10 @@ mod tests {
         let clock = ManualClock::new();
         let h = EndpointHealth::new(
             "ep-test-health",
-            &PoolConfig {
-                workers_per_endpoint: 1,
+            &SchedulerConfig {
                 failure_threshold: 2,
                 cooldown: Duration::from_millis(100),
+                ..SchedulerConfig::default()
             },
         );
         h.record_failure(&clock);
@@ -156,7 +135,7 @@ mod tests {
 
     #[test]
     fn inflight_token_balances() {
-        let h = EndpointHealth::new("ep-test-inflight", &PoolConfig::default());
+        let h = EndpointHealth::new("ep-test-inflight", &SchedulerConfig::default());
         {
             let _t1 = h.track_inflight();
             let _t2 = h.track_inflight();

@@ -23,14 +23,3 @@ pub trait UnitJournal: Send + Sync {
     /// A unit exhausted its attempts with `slots` still unanswered.
     fn unit_failed(&self, unit: u64, worker: &str, slots: usize);
 }
-
-/// Journal that drops every event — for tests and unjournaled runs.
-#[derive(Debug, Default)]
-pub struct NullJournal;
-
-impl UnitJournal for NullJournal {
-    fn unit_granted(&self, _unit: u64, _attempt: u32, _worker: &str) {}
-    fn unit_completed(&self, _unit: u64, _worker: &str, _slots: usize) {}
-    fn unit_requeued(&self, _unit: u64, _worker: &str, _reason: &str) {}
-    fn unit_failed(&self, _unit: u64, _worker: &str, _slots: usize) {}
-}

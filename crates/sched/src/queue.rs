@@ -24,29 +24,7 @@ use adcomp_obs::lock;
 use adcomp_obs::metrics::{duration_us_buckets, Counter, Histogram, Registry};
 
 use crate::journal::UnitJournal;
-
-/// Lease and admission tuning for a [`UnitQueue`].
-#[derive(Clone, Debug)]
-pub struct LeaseConfig {
-    /// How long a granted lease stays valid without a heartbeat.
-    pub ttl: Duration,
-    /// Grants a unit may receive before its remaining slots are marked
-    /// failed instead of requeued (0 = unlimited).
-    pub max_attempts: u32,
-    /// Maximum units leased out simultaneously across all workers —
-    /// the global in-flight cap (0 = unlimited).
-    pub inflight_cap: usize,
-}
-
-impl Default for LeaseConfig {
-    fn default() -> Self {
-        LeaseConfig {
-            ttl: Duration::from_secs(2),
-            max_attempts: 0,
-            inflight_cap: 0,
-        }
-    }
-}
+use crate::SchedulerConfig;
 
 /// A granted lease on one work unit.
 #[derive(Clone, Debug)]
@@ -117,9 +95,7 @@ struct State {
     done_count: usize,
     failed: Vec<Unit>,
     failed_count: usize,
-    total_slots: usize,
     next_lease: u64,
-    next_unit: u64,
 }
 
 struct Metrics {
@@ -150,17 +126,18 @@ impl Metrics {
 pub struct UnitQueue {
     state: Mutex<State>,
     cv: Condvar,
-    cfg: LeaseConfig,
+    cfg: SchedulerConfig,
     clock: Arc<dyn Clock>,
     journal: Option<Arc<dyn UnitJournal>>,
     metrics: Metrics,
 }
 
 impl UnitQueue {
-    /// An empty queue; seed it with [`seed_slots`](UnitQueue::seed_slots)
-    /// or [`seed_units`](UnitQueue::seed_units) before claiming.
+    /// An empty queue leasing for `cfg.lease_ttl` under its
+    /// `max_attempts` and `inflight_cap`; seed it with
+    /// [`seed_slots`](UnitQueue::seed_slots) before claiming.
     pub fn new(
-        cfg: LeaseConfig,
+        cfg: &SchedulerConfig,
         clock: Arc<dyn Clock>,
         journal: Option<Arc<dyn UnitJournal>>,
     ) -> UnitQueue {
@@ -172,46 +149,27 @@ impl UnitQueue {
                 done_count: 0,
                 failed: Vec::new(),
                 failed_count: 0,
-                total_slots: 0,
                 next_lease: 1,
-                next_unit: 0,
             }),
             cv: Condvar::new(),
-            cfg,
+            cfg: cfg.clone(),
             clock,
             journal,
             metrics: Metrics::new(),
         }
     }
 
-    /// Seeds slots `0..total` carved into units of `unit_size`.
+    /// Seeds slots `0..total`, carved into units of `unit_size`. A queue
+    /// is seeded once, so its slots are exactly `0..total_slots()`.
     pub fn seed_slots(&self, total: usize, unit_size: usize) {
-        let unit_size = unit_size.max(1);
-        let units: Vec<Vec<usize>> = (0..total)
-            .step_by(unit_size)
-            .map(|start| (start..(start + unit_size).min(total)).collect())
-            .collect();
-        self.seed_units(units);
-    }
-
-    /// Seeds explicit slot groups as units (slot indices must be unique
-    /// across all units).
-    pub fn seed_units(&self, units: Vec<Vec<usize>>) {
         let mut s = lock(&self.state);
-        for slots in units {
-            if slots.is_empty() {
-                continue;
-            }
-            let max = slots.iter().copied().max().unwrap_or(0);
-            if s.done.len() <= max {
-                s.done.resize(max + 1, false);
-            }
-            s.total_slots += slots.len();
-            let id = s.next_unit;
-            s.next_unit += 1;
+        assert!(s.done.is_empty(), "a queue is seeded once");
+        s.done = vec![false; total];
+        let unit_size = unit_size.max(1);
+        for (id, start) in (0..total).step_by(unit_size).enumerate() {
             s.pending.push_back(Unit {
-                id,
-                slots,
+                id: id as u64,
+                slots: (start..(start + unit_size).min(total)).collect(),
                 attempt: 0,
             });
             self.metrics.queued.inc();
@@ -234,7 +192,7 @@ impl UnitQueue {
                 return None;
             }
             // Wake on state changes, or on a tick to sweep expirations.
-            let tick = (self.cfg.ttl / 4).max(Duration::from_millis(5));
+            let tick = (self.cfg.lease_ttl / 4).max(Duration::from_millis(5));
             let (guard, _) = self
                 .cv
                 .wait_timeout(s, tick)
@@ -261,7 +219,7 @@ impl UnitQueue {
         let now = self.clock.now();
         match s.leased.get_mut(&lease) {
             Some(l) => {
-                l.deadline = now + self.cfg.ttl;
+                l.deadline = now + self.cfg.lease_ttl;
                 Ok(())
             }
             None => Err(()),
@@ -353,9 +311,9 @@ impl UnitQueue {
         }
     }
 
-    /// Total slots seeded so far.
+    /// Total slots seeded.
     pub fn total_slots(&self) -> usize {
-        lock(&self.state).total_slots
+        lock(&self.state).done.len()
     }
 
     fn try_grant(&self, s: &mut State, worker: &str) -> Option<Grant> {
@@ -380,7 +338,7 @@ impl UnitQueue {
             lease,
             Leased {
                 unit,
-                deadline: now + self.cfg.ttl,
+                deadline: now + self.cfg.lease_ttl,
                 started: now,
                 worker: worker.to_string(),
             },
@@ -437,10 +395,11 @@ mod tests {
     fn queue(ttl_ms: u64, max_attempts: u32, cap: usize) -> (UnitQueue, Arc<ManualClock>) {
         let clock = Arc::new(ManualClock::new());
         let q = UnitQueue::new(
-            LeaseConfig {
-                ttl: Duration::from_millis(ttl_ms),
+            &SchedulerConfig {
+                lease_ttl: Duration::from_millis(ttl_ms),
                 max_attempts,
                 inflight_cap: cap,
+                ..SchedulerConfig::default()
             },
             clock.clone(),
             None,

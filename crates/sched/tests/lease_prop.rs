@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use adcomp_obs::{Clock, ManualClock};
-use adcomp_sched::{Completion, Grant, LeaseConfig, UnitQueue};
+use adcomp_sched::{Completion, Grant, SchedulerConfig, UnitQueue};
 use proptest::prelude::*;
 use proptest::sample::Index;
 
@@ -63,12 +63,13 @@ struct Harness {
 impl Harness {
     fn new(total: usize, unit_size: usize, max_attempts: u32, inflight_cap: usize) -> Harness {
         let clock = Arc::new(ManualClock::new());
-        let cfg = LeaseConfig {
-            ttl: Duration::from_millis(100),
+        let cfg = SchedulerConfig {
+            lease_ttl: Duration::from_millis(100),
             max_attempts,
             inflight_cap,
+            ..SchedulerConfig::default()
         };
-        let queue = UnitQueue::new(cfg, clock.clone() as Arc<dyn Clock>, None);
+        let queue = UnitQueue::new(&cfg, clock.clone() as Arc<dyn Clock>, None);
         queue.seed_slots(total, unit_size);
         Harness {
             queue,
@@ -223,8 +224,8 @@ proptest! {
         unit_size in 1usize..6,
     ) {
         let clock = Arc::new(ManualClock::new());
-        let cfg = LeaseConfig { ttl: Duration::from_millis(50), ..LeaseConfig::default() };
-        let queue = UnitQueue::new(cfg, clock.clone() as Arc<dyn Clock>, None);
+        let cfg = SchedulerConfig { lease_ttl: Duration::from_millis(50), ..SchedulerConfig::default() };
+        let queue = UnitQueue::new(&cfg, clock.clone() as Arc<dyn Clock>, None);
         queue.seed_slots(total, unit_size);
 
         let mut expired = Vec::new();

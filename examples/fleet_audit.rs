@@ -29,7 +29,7 @@ use discrimination_via_composition::audit::SchedulerConfig;
 use discrimination_via_composition::platform::{
     FaultKind, FaultPlan, InterfaceKind, RetryPolicy, Schedule, Simulation,
 };
-use discrimination_via_composition::sched::{Completion, LeaseConfig, UnitQueue};
+use discrimination_via_composition::sched::{Completion, UnitQueue};
 use discrimination_via_composition::wire::{ClientConfig, FaultPlanHook, ServerConfig};
 use discrimination_via_composition::Fleet;
 
@@ -45,9 +45,9 @@ fn lease_expiry_walkthrough() {
     println!("--- lease expiry walkthrough ---");
     let clock = Arc::new(ManualClock::new());
     let queue = UnitQueue::new(
-        LeaseConfig {
-            ttl: Duration::from_millis(100),
-            ..LeaseConfig::default()
+        &SchedulerConfig {
+            lease_ttl: Duration::from_millis(100),
+            ..SchedulerConfig::default()
         },
         clock.clone() as Arc<dyn Clock>,
         None,
