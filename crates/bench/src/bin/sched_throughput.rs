@@ -72,7 +72,6 @@ fn wire_target(sim: &Simulation, n: usize, servers: &mut Vec<ServerHandle>) -> A
                     lease_ttl: Duration::from_secs(5),
                     ..SchedulerConfig::default()
                 },
-                journal: None,
             }),
             ..Layers::default()
         })
@@ -101,7 +100,6 @@ fn main() -> ExitCode {
                     workers_per_endpoint: 1,
                     ..SchedulerConfig::default()
                 },
-                journal: None,
             }),
             ..Layers::default()
         })

@@ -468,7 +468,7 @@ pub fn random_compositions(
     let mut seen = std::collections::HashSet::new();
     let mut out = Vec::with_capacity(cfg.top_k);
     // Bounded attempts so a tiny/incomposable catalog cannot loop forever.
-    let max_attempts = cfg.top_k * 50;
+    let attempt_limit = cfg.top_k * 50;
     let mut attempts = 0;
     // Rounds of draw-then-measure. Candidate drawing consumes per-unit
     // RNG streams (see [`draw_unit_rng`]) advanced purely by the attempt
@@ -476,10 +476,10 @@ pub fn random_compositions(
     // one batch (or sharding it across endpoints) leaves the candidate
     // schedule, the dedup set, and therefore the output bit-identical to
     // the serial single-endpoint loop.
-    while out.len() < cfg.top_k && attempts < max_attempts {
+    while out.len() < cfg.top_k && attempts < attempt_limit {
         let needed = cfg.top_k - out.len();
         let mut round: Vec<Vec<AttributeId>> = Vec::with_capacity(needed);
-        while round.len() < needed && attempts < max_attempts {
+        while round.len() < needed && attempts < attempt_limit {
             if attempts > 0 && attempts % DRAW_UNIT == 0 {
                 rng = draw_unit_rng(cfg.seed, (attempts / DRAW_UNIT) as u64);
             }

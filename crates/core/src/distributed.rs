@@ -24,106 +24,21 @@
 //! [`SourceError::Transport`] errors, for a resilience layer above to
 //! retry or degrade.
 //!
-//! [`StoreJournal`] persists the queue's grant/completion trail into an
-//! `adcomp-store` [`RunStore`] (record kind
-//! [`KIND_SCHED_UNIT`](crate::recording::KIND_SCHED_UNIT)), giving a
-//! crashed coordinator an auditable job history. Answered-query dedup on
-//! resume rides the existing [`RecordingSource`](crate::source) keys:
-//! give [`AuditTarget::layered`](crate::source::AuditTarget::layered) a
+//! The scheduler keeps no job history of its own. Answered-query dedup
+//! on resume rides the [`RecordingSource`](crate::source) keys: give
+//! [`AuditTarget::layered`](crate::source::AuditTarget::layered) a
 //! recording store as well as the scheduler, and a restarted run
 //! re-issues zero answered queries.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 pub use adcomp_sched::SchedulerConfig;
-use adcomp_sched::{run_pool, Grant, PoolEndpoint, UnitJournal, UnitQueue, UnitReport};
-use adcomp_store::RunStore;
+use adcomp_sched::{run_pool, Grant, PoolEndpoint, UnitQueue, UnitReport};
 use adcomp_targeting::{AttributeId, FeatureId, TargetingSpec};
 
-use crate::recording::{sched_event_key, SchedEvent, KIND_SCHED_UNIT};
 use crate::resilience::{classify, ErrorClass};
 use crate::source::{EstimateSource, SourceError};
-
-/// Journals scheduler unit events into a [`RunStore`] under
-/// [`KIND_SCHED_UNIT`], one uniquely-keyed record per event so the full
-/// trail survives the store's latest-wins keyed view.
-pub struct StoreJournal {
-    store: Arc<RunStore>,
-    scope: String,
-    seq: AtomicU64,
-}
-
-impl StoreJournal {
-    /// Journal into `store` under `scope` (one scope per audited
-    /// interface is the convention). Event sequencing resumes past any
-    /// events already recorded, so a restarted coordinator appends to
-    /// the trail instead of overwriting it.
-    pub fn new(store: Arc<RunStore>, scope: &str) -> StoreJournal {
-        let seq = store.count_kind(KIND_SCHED_UNIT) as u64;
-        StoreJournal {
-            store,
-            scope: scope.to_string(),
-            seq: AtomicU64::new(seq),
-        }
-    }
-
-    fn record(&self, event: SchedEvent) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        // Journal writes are advisory (the trail, not the dedup
-        // mechanism); a full disk must not take down the audit.
-        let _ = self.store.append(
-            KIND_SCHED_UNIT,
-            sched_event_key(&self.scope, seq),
-            &event.encode(),
-        );
-    }
-}
-
-impl UnitJournal for StoreJournal {
-    fn unit_granted(&self, unit: u64, attempt: u32, worker: &str) {
-        self.record(SchedEvent::Granted {
-            unit,
-            attempt,
-            worker: worker.to_string(),
-        });
-    }
-
-    fn unit_completed(&self, unit: u64, worker: &str, slots: usize) {
-        self.record(SchedEvent::Completed {
-            unit,
-            worker: worker.to_string(),
-            slots: slots as u32,
-        });
-    }
-
-    fn unit_requeued(&self, unit: u64, worker: &str, reason: &str) {
-        self.record(SchedEvent::Requeued {
-            unit,
-            worker: worker.to_string(),
-            reason: reason.to_string(),
-        });
-    }
-
-    fn unit_failed(&self, unit: u64, worker: &str, slots: usize) {
-        self.record(SchedEvent::Failed {
-            unit,
-            worker: worker.to_string(),
-            slots: slots as u32,
-        });
-    }
-}
-
-/// All [`SchedEvent`]s recorded in `store`, in key order.
-pub fn sched_events_in(store: &RunStore) -> Vec<SchedEvent> {
-    let mut events = Vec::new();
-    store.for_each_kind(KIND_SCHED_UNIT, |_, payload| {
-        if let Ok(e) = SchedEvent::decode(payload) {
-            events.push(e);
-        }
-    });
-    events
-}
 
 /// An [`EstimateSource`] that shards every batch across replica
 /// endpoints via a lease-based work queue. See the module docs for the
@@ -131,17 +46,22 @@ pub fn sched_events_in(store: &RunStore) -> Vec<SchedEvent> {
 pub struct ScheduledSource {
     endpoints: Vec<Arc<dyn EstimateSource>>,
     cfg: SchedulerConfig,
-    journal: Option<Arc<dyn UnitJournal>>,
     label: String,
 }
 
 impl ScheduledSource {
     /// Schedules over `endpoints`, which must all serve the same
     /// interface (same label — they are replicas, not a mix).
+    ///
+    /// The third argument can only be `None`: it keeps the call shape of
+    /// callers written when the queue took a job journal (`auditbench`),
+    /// and goes once `auditbench` builds its stacks with
+    /// [`AuditTarget::layered`](crate::source::AuditTarget::layered)
+    /// (ROADMAP item 1).
     pub fn new(
         endpoints: Vec<Arc<dyn EstimateSource>>,
         cfg: SchedulerConfig,
-        journal: Option<Arc<dyn UnitJournal>>,
+        _vestigial: Option<Infallible>,
     ) -> ScheduledSource {
         assert!(
             !endpoints.is_empty(),
@@ -158,7 +78,6 @@ impl ScheduledSource {
         ScheduledSource {
             endpoints,
             cfg,
-            journal,
             label,
         }
     }
@@ -232,8 +151,8 @@ impl EstimateSource for ScheduledSource {
         }
         let clock: Arc<dyn adcomp_obs::clock::Clock> =
             Arc::new(adcomp_obs::clock::MonotonicClock::new());
-        let queue = UnitQueue::new(&self.cfg, Arc::clone(&clock), self.journal.clone());
-        queue.seed_slots(specs.len(), self.cfg.unit_size);
+        let queue = UnitQueue::new(&self.cfg, Arc::clone(&clock));
+        queue.seed_slots(specs.len());
         let pool_endpoints: Vec<PoolEndpoint> = (0..self.endpoints.len())
             .map(|i| PoolEndpoint::new(format!("replica-{i}"), &self.cfg))
             .collect();

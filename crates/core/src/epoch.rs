@@ -111,7 +111,6 @@ pub fn run_epoch(plan: &EpochPlan) -> Result<EpochOutcome, SourceError> {
     let scheduler = (alive.len() > 1).then(|| Replicas {
         endpoints: alive.clone(),
         config: plan.scheduler.clone(),
-        journal: None,
     });
     // Recording sits outermost: everything answered below it is on disk
     // before the caller sees the value, which is the whole crash-safety

@@ -36,7 +36,7 @@ use adcomp_population::AttributeInference;
 use adcomp_store::RunStore;
 
 use crate::discovery::{survey_individuals, DiscoveryConfig, IndividualSurvey};
-use crate::distributed::{SchedulerConfig, StoreJournal};
+use crate::distributed::SchedulerConfig;
 use crate::resilience::ResilienceConfig;
 use crate::source::{AuditTarget, EstimateSource, Layers, Replicas, SourceError};
 
@@ -190,9 +190,7 @@ impl ExperimentContext {
     /// [`distributed`](ExperimentContext::distributed) +
     /// [`recorded`](ExperimentContext::recorded): scheduled queries are
     /// recorded into `store` (outermost, so answered queries replay
-    /// from disk on resume and are never re-issued to any endpoint) and
-    /// the scheduler journals its unit grants/completions into the same
-    /// store as the coordinator's durable job state.
+    /// from disk on resume and are never re-issued to any endpoint).
     pub fn distributed_recorded(
         config: ExperimentConfig,
         store: Arc<RunStore>,
@@ -254,9 +252,6 @@ impl ExperimentContext {
             Replicas {
                 endpoints: factory(measurement_kind),
                 config: config.clone(),
-                journal: recording.as_ref().map(|store| {
-                    Arc::new(StoreJournal::new(store.clone(), kind.label())) as Arc<_>
-                }),
             }
         });
         base.layered(Layers {

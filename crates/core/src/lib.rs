@@ -73,7 +73,7 @@ pub use discovery::{
     top_compositions, top_compositions_bounded, Direction, DiscoveryConfig, IndividualSurvey,
     MeasuredTargeting, DEFAULT_MIN_REACH,
 };
-pub use distributed::{sched_events_in, ScheduledSource, SchedulerConfig, StoreJournal};
+pub use distributed::{ScheduledSource, SchedulerConfig};
 pub use drift::{
     drift_between, drift_between_with, DriftFinding, DriftOptions, DriftReport, RatioMove,
 };
@@ -95,7 +95,7 @@ pub use probe::{
     consistency_probe, granularity_from_observations, granularity_probe, significant_digits,
     ConsistencyReport, GranularityProbe, GranularityReport, ProbeCheckpoint,
 };
-pub use recording::{EpochEvent, InterfaceMeta, SchedEvent, TargetLayout};
+pub use recording::{EpochEvent, InterfaceMeta, TargetLayout};
 pub use removal::{removal_sweep, RemovalPoint, RemovalSweep};
 pub use resilience::{
     classify, DegradationPolicy, ErrorClass, ResilienceConfig, ResilienceStats, ResilientSource,

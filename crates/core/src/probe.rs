@@ -728,7 +728,6 @@ mod tests {
                 scheduler: Some(crate::source::Replicas {
                     endpoints: vec![replica],
                     config: crate::distributed::SchedulerConfig::default(),
-                    journal: None,
                 }),
                 ..Default::default()
             })

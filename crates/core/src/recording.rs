@@ -38,12 +38,10 @@ pub const KIND_META: u8 = 2;
 /// Record kind: audit-target layout (targeting/measurement labels and
 /// the id translation between them).
 pub const KIND_TARGET: u8 = 3;
-// Record kind 4 is retired (a named checkpoint blob; probe checkpoints
-// are files): it is never reassigned, so an old store's records of that
-// kind stay inert.
-/// Record kind: a scheduler unit lifecycle event (grant, completion,
-/// requeue, failure) — the distributed coordinator's audit trail.
-pub const KIND_SCHED_UNIT: u8 = 5;
+// Record kinds 4 and 5 are retired and never reassigned, so an old
+// store's records of those kinds stay inert: 4 was a named checkpoint
+// blob (probe checkpoints are files), 5 (`KIND_SCHED_UNIT`) a scheduler
+// unit lifecycle event from a job journal the queue no longer keeps.
 /// Record kind: an audit-epoch lifecycle event (started, completed,
 /// drift checked, alert raised, degraded) — the continuous-audit
 /// daemon's crash-recovery journal.
@@ -91,13 +89,6 @@ pub fn meta_key(label: &str) -> u64 {
 /// Key of an audit target's layout record, by its targeting label.
 pub fn target_key(label: &str) -> u64 {
     salted(b"target", label, &[])
-}
-
-/// Key of the `seq`-th scheduler event in journal scope `scope` (one
-/// scope per sharded batch). Every event gets its own key so the whole
-/// trail survives in the store's latest-wins keyed view.
-pub fn sched_event_key(scope: &str, seq: u64) -> u64 {
-    salted(b"sched", scope, &seq.to_be_bytes())
 }
 
 /// Key of an epoch lifecycle event in daemon scope `scope`, keyed per
@@ -555,138 +546,6 @@ pub fn layout_in(index: &SnapshotIndex, targeting_label: &str) -> io::Result<Opt
         Some((KIND_TARGET, payload)) => TargetLayout::decode(payload).map(Some),
         Some((kind, _)) => Err(bad(&format!("target key holds kind {kind}"))),
         None => Ok(None),
-    }
-}
-
-/// One scheduler unit lifecycle event, as journaled under
-/// [`KIND_SCHED_UNIT`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SchedEvent {
-    /// Unit granted to a worker (attempt is 1-based).
-    Granted {
-        /// Unit id within the journal scope.
-        unit: u64,
-        /// Grant count for this unit.
-        attempt: u32,
-        /// Worker label (`endpoint#n`).
-        worker: String,
-    },
-    /// Unit fully completed with `slots` answered.
-    Completed {
-        /// Unit id within the journal scope.
-        unit: u64,
-        /// Worker label.
-        worker: String,
-        /// Slots answered under the accepted completion.
-        slots: u32,
-    },
-    /// Unit went back on the queue.
-    Requeued {
-        /// Unit id within the journal scope.
-        unit: u64,
-        /// Worker label that held the lapsed or partial lease.
-        worker: String,
-        /// `"partial"` or `"lease expired"`.
-        reason: String,
-    },
-    /// Unit exhausted its attempts with `slots` unanswered.
-    Failed {
-        /// Unit id within the journal scope.
-        unit: u64,
-        /// Worker label on the final attempt.
-        worker: String,
-        /// Slots left unanswered.
-        slots: u32,
-    },
-}
-
-impl SchedEvent {
-    /// Byte encoding for a [`KIND_SCHED_UNIT`] payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(32);
-        match self {
-            SchedEvent::Granted {
-                unit,
-                attempt,
-                worker,
-            } => {
-                buf.push(1);
-                buf.extend_from_slice(&unit.to_be_bytes());
-                put_u32(&mut buf, *attempt);
-                put_str(&mut buf, worker);
-            }
-            SchedEvent::Completed {
-                unit,
-                worker,
-                slots,
-            } => {
-                buf.push(2);
-                buf.extend_from_slice(&unit.to_be_bytes());
-                put_u32(&mut buf, *slots);
-                put_str(&mut buf, worker);
-            }
-            SchedEvent::Requeued {
-                unit,
-                worker,
-                reason,
-            } => {
-                buf.push(3);
-                buf.extend_from_slice(&unit.to_be_bytes());
-                put_str(&mut buf, worker);
-                put_str(&mut buf, reason);
-            }
-            SchedEvent::Failed {
-                unit,
-                worker,
-                slots,
-            } => {
-                buf.push(4);
-                buf.extend_from_slice(&unit.to_be_bytes());
-                put_u32(&mut buf, *slots);
-                put_str(&mut buf, worker);
-            }
-        }
-        buf
-    }
-
-    /// Decodes a [`KIND_SCHED_UNIT`] payload.
-    pub fn decode(bytes: &[u8]) -> io::Result<SchedEvent> {
-        let mut r = Reader::new(bytes);
-        let event = match r.u8()? {
-            1 => SchedEvent::Granted {
-                unit: r.u64()?,
-                attempt: r.u32()?,
-                worker: r.str()?,
-            },
-            2 => {
-                let unit = r.u64()?;
-                let slots = r.u32()?;
-                SchedEvent::Completed {
-                    unit,
-                    worker: r.str()?,
-                    slots,
-                }
-            }
-            3 => SchedEvent::Requeued {
-                unit: r.u64()?,
-                worker: r.str()?,
-                reason: r.str()?,
-            },
-            4 => {
-                let unit = r.u64()?;
-                let slots = r.u32()?;
-                SchedEvent::Failed {
-                    unit,
-                    worker: r.str()?,
-                    slots,
-                }
-            }
-            k => return Err(bad(&format!("unknown sched event {k}"))),
-        };
-        if !r.done() {
-            return Err(bad("trailing bytes in sched event"));
-        }
-        Ok(event)
     }
 }
 

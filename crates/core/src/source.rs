@@ -718,9 +718,6 @@ pub struct Replicas {
     pub endpoints: Vec<Arc<dyn EstimateSource>>,
     /// Scheduler tuning.
     pub config: crate::distributed::SchedulerConfig,
-    /// Optional durable job journal (see
-    /// [`StoreJournal`](crate::distributed::StoreJournal)).
-    pub journal: Option<Arc<dyn adcomp_sched::UnitJournal>>,
 }
 
 /// The live layers [`AuditTarget::layered`] can wrap a target in; each
@@ -759,11 +756,8 @@ impl AuditTarget {
     pub fn layered(&self, layers: Layers) -> std::io::Result<AuditTarget> {
         let mut target = self.clone();
         if let Some(replicas) = layers.scheduler {
-            let scheduled = crate::distributed::ScheduledSource::new(
-                replicas.endpoints,
-                replicas.config,
-                replicas.journal,
-            );
+            let scheduled =
+                crate::distributed::ScheduledSource::new(replicas.endpoints, replicas.config, None);
             assert_eq!(
                 scheduled.label(),
                 target.measurement.label(),
@@ -887,7 +881,6 @@ mod tests {
         Some(Replicas {
             endpoints: vec![source],
             config: crate::distributed::SchedulerConfig::default(),
-            journal: None,
         })
     }
 

@@ -4,7 +4,7 @@
 //! never panic a decoder.
 
 use adcomp_core::recording::{decode_estimate, decode_spec, encode_estimate, encode_spec};
-use adcomp_core::{EpochEvent, InterfaceMeta, ProbeCheckpoint, SchedEvent, TargetLayout};
+use adcomp_core::{EpochEvent, InterfaceMeta, ProbeCheckpoint, TargetLayout};
 use adcomp_population::{AgeBucket, Gender};
 use adcomp_targeting::{AttributeId, DemographicSpec, Location, OrGroup, TargetingSpec};
 use proptest::prelude::*;
@@ -72,39 +72,6 @@ fn arb_layout() -> impl Strategy<Value = TargetLayout> {
         })
 }
 
-fn arb_sched() -> impl Strategy<Value = SchedEvent> {
-    prop_oneof![
-        (any::<u64>(), any::<u32>(), any::<String>()).prop_map(|(unit, attempt, worker)| {
-            SchedEvent::Granted {
-                unit,
-                attempt,
-                worker,
-            }
-        }),
-        (any::<u64>(), any::<String>(), any::<u32>()).prop_map(|(unit, worker, slots)| {
-            SchedEvent::Completed {
-                unit,
-                worker,
-                slots,
-            }
-        }),
-        (any::<u64>(), any::<String>(), any::<String>()).prop_map(|(unit, worker, reason)| {
-            SchedEvent::Requeued {
-                unit,
-                worker,
-                reason,
-            }
-        }),
-        (any::<u64>(), any::<String>(), any::<u32>()).prop_map(|(unit, worker, slots)| {
-            SchedEvent::Failed {
-                unit,
-                worker,
-                slots,
-            }
-        }),
-    ]
-}
-
 fn arb_epoch() -> impl Strategy<Value = EpochEvent> {
     prop_oneof![
         (any::<u64>(), any::<u32>())
@@ -161,7 +128,6 @@ fn arb_encoding() -> impl Strategy<Value = Vec<u8>> {
         (arb_spec(), any::<u64>()).prop_map(|(spec, value)| encode_estimate(&spec, value)),
         arb_meta().prop_map(|meta| meta.encode()),
         arb_layout().prop_map(|layout| layout.encode()),
-        arb_sched().prop_map(|event| event.encode()),
         arb_epoch().prop_map(|event| event.encode()),
         arb_checkpoint().prop_map(|checkpoint| checkpoint.to_bytes()),
     ]
@@ -173,7 +139,6 @@ fn decode_all(bytes: &[u8]) {
     let _ = decode_estimate(bytes);
     let _ = InterfaceMeta::decode(bytes);
     let _ = TargetLayout::decode(bytes);
-    let _ = SchedEvent::decode(bytes);
     let _ = EpochEvent::decode(bytes);
     let _ = ProbeCheckpoint::from_bytes(bytes);
 }
@@ -212,13 +177,6 @@ proptest! {
         let bytes = layout.encode();
         prop_assert_eq!(TargetLayout::decode(&bytes).unwrap(), layout);
         prop_assert!(truncations_fail(&bytes, TargetLayout::decode));
-    }
-
-    #[test]
-    fn sched_events_roundtrip_and_reject_truncation(event in arb_sched()) {
-        let bytes = event.encode();
-        prop_assert_eq!(SchedEvent::decode(&bytes).unwrap(), event);
-        prop_assert!(truncations_fail(&bytes, SchedEvent::decode));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! endpoints and merges results deterministically in submission order,
 //! bit-identical to a single-endpoint serial run.
 //!
-//! The design is three small, separately testable layers, all tuned by
+//! The design is two small, separately testable layers, all tuned by
 //! one [`SchedulerConfig`]:
 //!
 //! * [`queue::UnitQueue`] — a lease-based work queue. Slots are carved
@@ -15,13 +15,14 @@
 //! * [`pool`] — claiming loops per endpoint with consecutive-failure
 //!   health scoring and cooldowns. The pull model is the routing
 //!   policy: fast endpoints claim more (weighted work stealing), cooled
-//!   endpoints probe cheaply, and `workers_per_endpoint` plus the
-//!   queue's global in-flight cap provide backpressure. The pool owns
+//!   endpoints probe cheaply, and `workers_per_endpoint` provides
+//!   backpressure (a worker holds one lease at a time). The pool owns
 //!   the commit rule: a worker keeps a unit's answers only when the
 //!   queue accepts its lease, and [`run_pool`] returns them by slot.
-//! * [`journal::UnitJournal`] — durable job-state hook; grants,
-//!   completions, requeues, and failures stream to the coordinator's
-//!   store so a crash leaves an auditable trail.
+//!
+//! The queue keeps no job history: a resumed run skips answered
+//! queries through `adcomp-core`'s recording keys, not through any
+//! scheduler state.
 //!
 //! This crate is deliberately generic — units are slot-index ranges and
 //! the runner is a closure — so it depends only on `adcomp-obs` (for
@@ -31,12 +32,10 @@
 use std::time::Duration;
 
 pub mod health;
-pub mod journal;
 pub mod pool;
 pub mod queue;
 
 pub use health::EndpointHealth;
-pub use journal::UnitJournal;
 pub use pool::{run_pool, PoolEndpoint, UnitReport};
 pub use queue::{Completion, Grant, SlotCensus, UnitQueue};
 
@@ -49,12 +48,6 @@ pub struct SchedulerConfig {
     /// the runner heartbeats between sub-batches. It also bounds how
     /// long the pool waits for an answer once every endpoint is failing.
     pub lease_ttl: Duration,
-    /// Grants per unit before its slots are declared failed
-    /// (0 = unlimited, which every stack uses: a unit that only ever
-    /// fails ends through the pool's stall rule instead).
-    pub max_attempts: u32,
-    /// Global cap on simultaneously leased units (0 = unlimited).
-    pub inflight_cap: usize,
     /// Claiming loops per endpoint — bounds outstanding units per
     /// endpoint.
     pub workers_per_endpoint: usize,
@@ -69,8 +62,6 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             unit_size: 16,
             lease_ttl: Duration::from_secs(10),
-            max_attempts: 0,
-            inflight_cap: 0,
             workers_per_endpoint: 2,
             failure_threshold: 3,
             cooldown: Duration::from_millis(200),
@@ -85,8 +76,6 @@ impl SchedulerConfig {
         SchedulerConfig {
             unit_size: 4,
             lease_ttl: Duration::from_millis(250),
-            max_attempts: 0,
-            inflight_cap: 0,
             workers_per_endpoint: 2,
             failure_threshold: 2,
             cooldown: Duration::from_millis(50),

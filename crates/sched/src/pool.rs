@@ -40,7 +40,7 @@ pub struct UnitReport<T> {
 
 /// One endpoint the pool schedules onto.
 pub struct PoolEndpoint {
-    /// Name used in grants, journal entries, and metric labels.
+    /// Name used in worker names, metric labels, and trace spans.
     pub label: String,
     health: EndpointHealth,
 }
@@ -59,8 +59,8 @@ impl PoolEndpoint {
     }
 }
 
-/// Runs the pool until every seeded slot is done or failed, or the
-/// batch stalls, and returns the accepted answers indexed by slot.
+/// Runs the pool until every seeded slot is done or the batch stalls,
+/// and returns the accepted answers indexed by slot.
 /// `runner(endpoint, grant, heartbeat)` runs one unit on
 /// `endpoints[endpoint]`; `heartbeat` extends the lease and returns
 /// `false` once it is lost, when the runner should stop early (its
@@ -110,7 +110,7 @@ where
                 }
                 continue;
             }
-            let Some(grant) = queue.claim(&worker) else {
+            let Some(grant) = queue.claim() else {
                 break;
             };
             let _inflight = ep.health.track_inflight();
@@ -135,10 +135,7 @@ where
                 }
             });
             let slots: Vec<usize> = report.answered.iter().map(|&(slot, _)| slot).collect();
-            let accepted = matches!(
-                queue.complete(grant.lease, &slots),
-                Completion::Accepted { .. }
-            );
+            let accepted = queue.complete(grant.lease, &slots) == Completion::Accepted;
             if accepted {
                 if !slots.is_empty() {
                     last_accept_us.fetch_max(micros(), Ordering::Relaxed);
@@ -199,6 +196,24 @@ mod tests {
         }
     }
 
+    /// A queue over `total` slots in units of `unit_size`.
+    fn seeded(
+        cfg: &SchedulerConfig,
+        clock: &Arc<dyn Clock>,
+        total: usize,
+        unit_size: usize,
+    ) -> UnitQueue {
+        let q = UnitQueue::new(
+            &SchedulerConfig {
+                unit_size,
+                ..cfg.clone()
+            },
+            Arc::clone(clock),
+        );
+        q.seed_slots(total);
+        q
+    }
+
     fn endpoints(labels: &[&str]) -> Vec<PoolEndpoint> {
         labels
             .iter()
@@ -235,8 +250,7 @@ mod tests {
     #[test]
     fn pool_drains_all_slots_across_endpoints() {
         let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
-        let q = UnitQueue::new(&cfg(), Arc::clone(&clock), None);
-        q.seed_slots(100, 7);
+        let q = seeded(&cfg(), &clock, 100, 7);
         let eps = endpoints(&["ep-a", "ep-b", "ep-c"]);
         let out = run_pool(&q, &eps, &cfg(), clock.as_ref(), |_, grant, heartbeat| {
             assert!(heartbeat());
@@ -250,8 +264,7 @@ mod tests {
     #[test]
     fn flaky_endpoint_cools_down_but_run_completes() {
         let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
-        let q = UnitQueue::new(&cfg(), Arc::clone(&clock), None);
-        q.seed_slots(40, 4);
+        let q = seeded(&cfg(), &clock, 40, 4);
         // Single endpoint that fails its first 6 units: every failure is
         // charged to it deterministically and cooldowns must engage
         // without wedging the run.
@@ -279,8 +292,7 @@ mod tests {
         let panics_before = panics.get();
 
         let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
-        let q = UnitQueue::new(&cfg(), Arc::clone(&clock), None);
-        q.seed_slots(60, 5);
+        let q = seeded(&cfg(), &clock, 60, 5);
         let eps = endpoints(&["ep-a", "ep-b"]);
         let crashes = AtomicUsize::new(3);
         let out = run_pool(&q, &eps, &cfg(), clock.as_ref(), |_, grant, _| {
@@ -310,8 +322,7 @@ mod tests {
             workers_per_endpoint: 1,
             ..cfg()
         };
-        let q = UnitQueue::new(&cfg, Arc::clone(&clock), None);
-        q.seed_slots(20, 4);
+        let q = seeded(&cfg, &clock, 20, 4);
         let eps = vec![PoolEndpoint::new("ep-stale", &cfg)];
         let out = run_pool(&q, &eps, &cfg, clock.as_ref(), |_, grant, _| {
             if grant.attempt > 1 {

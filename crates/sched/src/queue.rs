@@ -10,10 +10,10 @@
 //! never double-counts one.
 //!
 //! The invariant the property tests pin down: at every instant each slot
-//! is in **exactly one** of four places — done, in a pending unit, in a
-//! leased unit, or failed (attempts exhausted). All transitions happen
-//! under one mutex, keyed by a monotonically unique lease id, which is
-//! what makes the invariant easy to audit.
+//! is in **exactly one** of three places — done, in a pending unit, or
+//! in a leased unit. All transitions happen under one mutex, keyed by a
+//! monotonically unique lease id, which is what makes the invariant
+//! easy to audit.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
@@ -23,7 +23,6 @@ use adcomp_obs::clock::Clock;
 use adcomp_obs::lock;
 use adcomp_obs::metrics::{duration_us_buckets, Counter, Histogram, Registry};
 
-use crate::journal::UnitJournal;
 use crate::SchedulerConfig;
 
 /// A granted lease on one work unit.
@@ -42,13 +41,9 @@ pub struct Grant {
 /// Outcome of [`UnitQueue::complete`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Completion {
-    /// The lease was live; answered slots are now done. When some slots
-    /// were left unanswered the remnant was requeued (or failed, when
-    /// attempts ran out).
-    Accepted {
-        /// Whether unanswered slots went back on the queue.
-        requeued_remnant: bool,
-    },
+    /// The lease was live; answered slots are now done and any
+    /// unanswered ones went back on the queue.
+    Accepted,
     /// The lease had already expired (its unit was requeued) or was
     /// never granted: nothing changed, the caller must discard its
     /// buffered results.
@@ -64,14 +59,12 @@ pub struct SlotCensus {
     pub pending: usize,
     /// Slots in currently leased units.
     pub leased: usize,
-    /// Slots whose units exhausted their attempts.
-    pub failed: usize,
 }
 
 impl SlotCensus {
-    /// Sum over all four states — must always equal the seeded total.
+    /// Sum over all three states — must always equal the seeded total.
     pub fn total(&self) -> usize {
-        self.done + self.pending + self.leased + self.failed
+        self.done + self.pending + self.leased
     }
 }
 
@@ -85,7 +78,6 @@ struct Leased {
     unit: Unit,
     deadline: Duration,
     started: Duration,
-    worker: String,
 }
 
 struct State {
@@ -93,8 +85,6 @@ struct State {
     leased: HashMap<u64, Leased>,
     done: Vec<bool>,
     done_count: usize,
-    failed: Vec<Unit>,
-    failed_count: usize,
     next_lease: u64,
 }
 
@@ -128,44 +118,36 @@ pub struct UnitQueue {
     cv: Condvar,
     cfg: SchedulerConfig,
     clock: Arc<dyn Clock>,
-    journal: Option<Arc<dyn UnitJournal>>,
     metrics: Metrics,
 }
 
 impl UnitQueue {
-    /// An empty queue leasing for `cfg.lease_ttl` under its
-    /// `max_attempts` and `inflight_cap`; seed it with
+    /// An empty queue leasing units of `cfg.unit_size` slots for
+    /// `cfg.lease_ttl`; seed it with
     /// [`seed_slots`](UnitQueue::seed_slots) before claiming.
-    pub fn new(
-        cfg: &SchedulerConfig,
-        clock: Arc<dyn Clock>,
-        journal: Option<Arc<dyn UnitJournal>>,
-    ) -> UnitQueue {
+    pub fn new(cfg: &SchedulerConfig, clock: Arc<dyn Clock>) -> UnitQueue {
         UnitQueue {
             state: Mutex::new(State {
                 pending: VecDeque::new(),
                 leased: HashMap::new(),
                 done: Vec::new(),
                 done_count: 0,
-                failed: Vec::new(),
-                failed_count: 0,
                 next_lease: 1,
             }),
             cv: Condvar::new(),
             cfg: cfg.clone(),
             clock,
-            journal,
             metrics: Metrics::new(),
         }
     }
 
-    /// Seeds slots `0..total`, carved into units of `unit_size`. A queue
-    /// is seeded once, so its slots are exactly `0..total_slots()`.
-    pub fn seed_slots(&self, total: usize, unit_size: usize) {
+    /// Seeds slots `0..total`, carved into units of `cfg.unit_size`. A
+    /// queue is seeded once, so its slots are exactly `0..total_slots()`.
+    pub fn seed_slots(&self, total: usize) {
         let mut s = lock(&self.state);
         assert!(s.done.is_empty(), "a queue is seeded once");
         s.done = vec![false; total];
-        let unit_size = unit_size.max(1);
+        let unit_size = self.cfg.unit_size.max(1);
         for (id, start) in (0..total).step_by(unit_size).enumerate() {
             s.pending.push_back(Unit {
                 id: id as u64,
@@ -177,15 +159,14 @@ impl UnitQueue {
         self.cv.notify_all();
     }
 
-    /// Claims the next unit for `worker`, blocking until one is
-    /// available, and returning `None` once the queue is drained (no
-    /// pending and no leased units remain). Expired leases are swept on
-    /// every wake-up.
-    pub fn claim(&self, worker: &str) -> Option<Grant> {
+    /// Claims the next unit, blocking until one is available, and
+    /// returning `None` once the queue is drained (no pending and no
+    /// leased units remain). Expired leases are swept on every wake-up.
+    pub fn claim(&self) -> Option<Grant> {
         let mut s = lock(&self.state);
         loop {
             self.sweep_expired(&mut s);
-            if let Some(grant) = self.try_grant(&mut s, worker) {
+            if let Some(grant) = self.try_grant(&mut s) {
                 return Some(grant);
             }
             if s.pending.is_empty() && s.leased.is_empty() {
@@ -202,11 +183,11 @@ impl UnitQueue {
     }
 
     /// Non-blocking [`claim`](UnitQueue::claim): grants a unit if one is
-    /// immediately available under the in-flight cap.
-    pub fn try_claim(&self, worker: &str) -> Option<Grant> {
+    /// pending.
+    pub fn try_claim(&self) -> Option<Grant> {
         let mut s = lock(&self.state);
         self.sweep_expired(&mut s);
-        self.try_grant(&mut s, worker)
+        self.try_grant(&mut s)
     }
 
     /// Extends a live lease's deadline by one TTL. Returns `Err(())` if
@@ -227,9 +208,8 @@ impl UnitQueue {
     }
 
     /// Completes a lease with the slots the worker actually answered.
-    /// Unanswered slots are requeued as a remnant unit (counting one
-    /// attempt), or failed when attempts ran out. A stale lease changes
-    /// nothing.
+    /// Unanswered slots are requeued as a remnant unit under the same
+    /// unit id. A stale lease changes nothing.
     pub fn complete(&self, lease: u64, answered: &[usize]) -> Completion {
         let mut s = lock(&self.state);
         self.sweep_expired(&mut s);
@@ -252,25 +232,21 @@ impl UnitQueue {
             }
         }
         s.done_count += newly_done;
-        let requeued_remnant = !remnant.is_empty();
         if remnant.is_empty() {
             self.metrics.completed.inc();
             self.metrics
                 .latency
                 .observe_duration(now.saturating_sub(l.started));
-            if let Some(j) = &self.journal {
-                j.unit_completed(l.unit.id, &l.worker, newly_done);
-            }
         } else {
             let unit = Unit {
                 id: l.unit.id,
                 slots: remnant,
                 attempt: l.unit.attempt,
             };
-            self.requeue(&mut s, unit, &l.worker, "partial");
+            self.requeue(&mut s, unit);
         }
         self.cv.notify_all();
-        Completion::Accepted { requeued_remnant }
+        Completion::Accepted
     }
 
     /// Gives a lease back without answering anything — shorthand for
@@ -286,18 +262,10 @@ impl UnitQueue {
         self.sweep_expired(&mut s)
     }
 
-    /// Whether every slot has reached a terminal state (done or failed).
+    /// Whether every slot is done (no unit is pending or leased).
     pub fn is_drained(&self) -> bool {
         let s = lock(&self.state);
         s.pending.is_empty() && s.leased.is_empty()
-    }
-
-    /// Slots whose units exhausted their attempts, in ascending order.
-    pub fn failed_slots(&self) -> Vec<usize> {
-        let s = lock(&self.state);
-        let mut out: Vec<usize> = s.failed.iter().flat_map(|u| u.slots.clone()).collect();
-        out.sort_unstable();
-        out
     }
 
     /// Where every slot currently lives (see [`SlotCensus`]).
@@ -307,7 +275,6 @@ impl UnitQueue {
             done: s.done_count,
             pending: s.pending.iter().map(|u| u.slots.len()).sum(),
             leased: s.leased.values().map(|l| l.unit.slots.len()).sum(),
-            failed: s.failed_count,
         }
     }
 
@@ -316,10 +283,7 @@ impl UnitQueue {
         lock(&self.state).done.len()
     }
 
-    fn try_grant(&self, s: &mut State, worker: &str) -> Option<Grant> {
-        if self.cfg.inflight_cap != 0 && s.leased.len() >= self.cfg.inflight_cap {
-            return None;
-        }
+    fn try_grant(&self, s: &mut State) -> Option<Grant> {
         let mut unit = s.pending.pop_front()?;
         unit.attempt += 1;
         let lease = s.next_lease;
@@ -331,16 +295,12 @@ impl UnitQueue {
             slots: unit.slots.clone(),
             attempt: unit.attempt,
         };
-        if let Some(j) = &self.journal {
-            j.unit_granted(unit.id, unit.attempt, worker);
-        }
         s.leased.insert(
             lease,
             Leased {
                 unit,
                 deadline: now + self.cfg.lease_ttl,
                 started: now,
-                worker: worker.to_string(),
             },
         );
         self.metrics.leased.inc();
@@ -359,7 +319,7 @@ impl UnitQueue {
         for lease in overdue {
             let l = s.leased.remove(&lease).expect("lease present");
             self.metrics.expired.inc();
-            self.requeue(s, l.unit, &l.worker, "lease expired");
+            self.requeue(s, l.unit);
         }
         if n > 0 {
             self.cv.notify_all();
@@ -367,20 +327,9 @@ impl UnitQueue {
         n
     }
 
-    /// Puts a unit back on the queue (counting the grant it just burned)
-    /// or fails it when attempts are exhausted.
-    fn requeue(&self, s: &mut State, unit: Unit, worker: &str, reason: &str) {
-        if self.cfg.max_attempts != 0 && unit.attempt >= self.cfg.max_attempts {
-            if let Some(j) = &self.journal {
-                j.unit_failed(unit.id, worker, unit.slots.len());
-            }
-            s.failed_count += unit.slots.len();
-            s.failed.push(unit);
-            return;
-        }
-        if let Some(j) = &self.journal {
-            j.unit_requeued(unit.id, worker, reason);
-        }
+    /// Puts a unit back on the queue; its next grant counts one more
+    /// attempt.
+    fn requeue(&self, s: &mut State, unit: Unit) {
         self.metrics.requeued.inc();
         self.metrics.queued.inc();
         s.pending.push_back(unit);
@@ -392,91 +341,82 @@ mod tests {
     use super::*;
     use adcomp_obs::clock::ManualClock;
 
-    fn queue(ttl_ms: u64, max_attempts: u32, cap: usize) -> (UnitQueue, Arc<ManualClock>) {
+    fn queue(ttl_ms: u64, unit_size: usize) -> (UnitQueue, Arc<ManualClock>) {
         let clock = Arc::new(ManualClock::new());
         let q = UnitQueue::new(
             &SchedulerConfig {
                 lease_ttl: Duration::from_millis(ttl_ms),
-                max_attempts,
-                inflight_cap: cap,
+                unit_size,
                 ..SchedulerConfig::default()
             },
             clock.clone(),
-            None,
         );
         (q, clock)
     }
 
     #[test]
     fn grant_complete_drains() {
-        let (q, _) = queue(100, 0, 0);
-        q.seed_slots(10, 4);
+        let (q, _) = queue(100, 4);
+        q.seed_slots(10);
         let mut done = 0;
-        while let Some(g) = q.try_claim("w") {
-            assert!(matches!(
-                q.complete(g.lease, &g.slots),
-                Completion::Accepted {
-                    requeued_remnant: false
-                }
-            ));
+        while let Some(g) = q.try_claim() {
+            assert_eq!(q.complete(g.lease, &g.slots), Completion::Accepted);
+            assert_eq!(q.census().pending, 10 - done - g.slots.len());
             done += g.slots.len();
         }
         assert_eq!(done, 10);
         assert!(q.is_drained());
         assert_eq!(q.census().done, 10);
-        assert!(q.failed_slots().is_empty());
     }
 
     #[test]
     fn expired_lease_requeues_and_late_complete_is_stale() {
-        let (q, clock) = queue(50, 0, 0);
-        q.seed_slots(4, 4);
-        let g = q.try_claim("w1").unwrap();
+        let (q, clock) = queue(50, 4);
+        q.seed_slots(4);
+        let g = q.try_claim().unwrap();
         clock.advance(Duration::from_millis(60));
         assert_eq!(q.expire_overdue(), 1);
         // The unit is claimable again by another worker …
-        let g2 = q.try_claim("w2").unwrap();
+        let g2 = q.try_claim().unwrap();
         assert_eq!(g2.unit, g.unit);
         assert_eq!(g2.attempt, 2);
         // … and the original worker's late completion is rejected.
         assert_eq!(q.complete(g.lease, &g.slots), Completion::Stale);
-        assert!(matches!(
-            q.complete(g2.lease, &g2.slots),
-            Completion::Accepted { .. }
-        ));
+        assert_eq!(q.complete(g2.lease, &g2.slots), Completion::Accepted);
         assert_eq!(q.census().done, 4);
     }
 
     #[test]
     fn heartbeat_keeps_lease_alive() {
-        let (q, clock) = queue(50, 0, 0);
-        q.seed_slots(2, 2);
-        let g = q.try_claim("w").unwrap();
+        let (q, clock) = queue(50, 2);
+        q.seed_slots(2);
+        let g = q.try_claim().unwrap();
         for _ in 0..5 {
             clock.advance(Duration::from_millis(40));
             assert!(q.heartbeat(g.lease).is_ok());
         }
         assert_eq!(q.expire_overdue(), 0);
-        assert!(matches!(
-            q.complete(g.lease, &g.slots),
-            Completion::Accepted { .. }
-        ));
+        assert_eq!(q.complete(g.lease, &g.slots), Completion::Accepted);
         // Heartbeat on a finished lease reports staleness.
         assert!(q.heartbeat(g.lease).is_err());
     }
 
     #[test]
     fn partial_completion_requeues_remnant() {
-        let (q, _) = queue(100, 0, 0);
-        q.seed_slots(6, 6);
-        let g = q.try_claim("w").unwrap();
+        let (q, _) = queue(100, 6);
+        q.seed_slots(6);
+        let g = q.try_claim().unwrap();
+        assert_eq!(q.complete(g.lease, &[0, 2, 4]), Completion::Accepted);
         assert_eq!(
-            q.complete(g.lease, &[0, 2, 4]),
-            Completion::Accepted {
-                requeued_remnant: true
-            }
+            q.census(),
+            SlotCensus {
+                done: 3,
+                pending: 3,
+                leased: 0
+            },
+            "the unanswered remnant is pending again"
         );
-        let g2 = q.try_claim("w").unwrap();
+        let g2 = q.try_claim().unwrap();
         assert_eq!(g2.slots, vec![1, 3, 5]);
         assert_eq!(g2.unit, g.unit, "remnant keeps the unit id");
         q.complete(g2.lease, &g2.slots);
@@ -484,41 +424,16 @@ mod tests {
     }
 
     #[test]
-    fn attempts_exhaust_into_failed() {
-        let (q, _) = queue(100, 2, 0);
-        q.seed_slots(3, 3);
-        for _ in 0..2 {
-            let g = q.try_claim("w").unwrap();
-            q.abandon(g.lease);
-        }
-        assert!(q.try_claim("w").is_none());
-        assert!(q.is_drained());
-        assert_eq!(q.failed_slots(), vec![0, 1, 2]);
-        assert_eq!(q.census().failed, 3);
-    }
-
-    #[test]
-    fn inflight_cap_bounds_concurrent_leases() {
-        let (q, _) = queue(100, 0, 2);
-        q.seed_slots(12, 2);
-        let g1 = q.try_claim("a").unwrap();
-        let _g2 = q.try_claim("b").unwrap();
-        assert!(q.try_claim("c").is_none(), "cap of 2 leases");
-        q.complete(g1.lease, &g1.slots);
-        assert!(q.try_claim("c").is_some());
-    }
-
-    #[test]
     fn census_partitions_slots_at_every_step() {
-        let (q, clock) = queue(30, 3, 0);
-        q.seed_slots(20, 3);
+        let (q, clock) = queue(30, 3);
+        q.seed_slots(20);
         let total = q.total_slots();
         let mut grants = Vec::new();
         for step in 0..50 {
             assert_eq!(q.census().total(), total, "step {step}: {:?}", q.census());
             match step % 4 {
                 0 => {
-                    if let Some(g) = q.try_claim("w") {
+                    if let Some(g) = q.try_claim() {
                         grants.push(g);
                     }
                 }
@@ -539,14 +454,14 @@ mod tests {
 
     #[test]
     fn blocking_claim_returns_none_when_drained() {
-        let (q, _) = queue(100, 0, 0);
-        q.seed_slots(2, 2);
-        let g = q.try_claim("w").unwrap();
+        let (q, _) = queue(100, 2);
+        q.seed_slots(2);
+        let g = q.try_claim().unwrap();
         let handle = std::thread::spawn({
             let slots = g.slots.clone();
             move || slots
         });
         q.complete(g.lease, &handle.join().unwrap());
-        assert!(q.claim("w").is_none());
+        assert!(q.claim().is_none());
     }
 }

@@ -47,14 +47,16 @@ fn lease_expiry_walkthrough() {
     let queue = UnitQueue::new(
         &SchedulerConfig {
             lease_ttl: Duration::from_millis(100),
+            unit_size: 4,
             ..SchedulerConfig::default()
         },
         clock.clone() as Arc<dyn Clock>,
-        None,
     );
-    queue.seed_slots(4, 4);
+    queue.seed_slots(4);
 
-    let stuck = queue.try_claim("worker-a").expect("grant");
+    // The queue leases units, not workers: "worker-a" and "worker-b"
+    // name the two claims below.
+    let stuck = queue.try_claim().expect("grant");
     println!(
         "worker-a claimed unit {} (lease {})",
         stuck.unit, stuck.lease
@@ -63,7 +65,7 @@ fn lease_expiry_walkthrough() {
     let expired = queue.expire_overdue();
     println!("150 ms of silence: {expired} lease(s) expired, unit requeued");
 
-    let rescued = queue.try_claim("worker-b").expect("regrant");
+    let rescued = queue.try_claim().expect("regrant");
     assert_eq!(rescued.unit, stuck.unit);
     println!(
         "worker-b claimed the same unit (attempt {} under lease {})",
@@ -75,10 +77,10 @@ fn lease_expiry_walkthrough() {
         "the silent worker's late answer must not land"
     );
     println!("worker-a's late completion rejected as stale ✓");
-    assert!(matches!(
+    assert_eq!(
         queue.complete(rescued.lease, &rescued.slots),
-        Completion::Accepted { .. }
-    ));
+        Completion::Accepted
+    );
     assert!(queue.is_drained());
     println!("worker-b's completion accepted; queue drained ✓\n");
 }

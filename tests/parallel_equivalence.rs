@@ -40,7 +40,6 @@ fn pooled_audit_is_bit_identical_to_serial_on_every_platform() {
                 scheduler: Some(Replicas {
                     endpoints: vec![serial.measurement.clone(); 4],
                     config: SchedulerConfig::default(),
-                    journal: None,
                 }),
                 ..Layers::default()
             })

@@ -15,7 +15,7 @@ use discrimination_via_composition::audit::experiments::table1::{
     favoured_populations, table1, table1_cell, table1_tsv, TABLE1_INTERFACES,
 };
 use discrimination_via_composition::audit::experiments::{ExperimentConfig, ExperimentContext};
-use discrimination_via_composition::audit::{sched_events_in, SchedEvent, SchedulerConfig};
+use discrimination_via_composition::audit::SchedulerConfig;
 use discrimination_via_composition::platform::{
     FaultKind, FaultPlan, InterfaceKind, Schedule, Simulation,
 };
@@ -243,14 +243,6 @@ fn coordinator_kill_resume_reissues_no_answered_query() {
     }
     let partial_queries = platform_queries(&ctx_a.simulation, &fleet_sim_a);
     assert!(partial_queries > 0);
-    // The journal must already hold the partial run's unit trail.
-    let events_before_kill = sched_events_in(&store_a);
-    assert!(
-        events_before_kill
-            .iter()
-            .any(|e| matches!(e, SchedEvent::Completed { .. })),
-        "partial run must journal completed units"
-    );
     drop(ctx_a);
     drop(store_a);
     fleet_a.shutdown();
@@ -283,10 +275,6 @@ fn coordinator_kill_resume_reissues_no_answered_query() {
         full_queries,
         "coordinator resume must not re-issue answered queries"
     );
-    // And the resumed run appended its own journal trail after the
-    // partial run's (monotonic sequence keys, no overwrites).
-    let events_after = sched_events_in(&store_b);
-    assert!(events_after.len() > events_before_kill.len());
 
     fleet_b.shutdown();
     std::fs::remove_dir_all(&dir).ok();

@@ -15,8 +15,9 @@ use discrimination_via_composition::audit::experiments::table1::{
     favoured_populations, table1, table1_cell, table1_tsv, TABLE1_INTERFACES,
 };
 use discrimination_via_composition::audit::experiments::{ExperimentConfig, ExperimentContext};
+use discrimination_via_composition::audit::recording::{fnv1a, labels_in, meta_in};
 use discrimination_via_composition::audit::{
-    survey_individuals, AuditTarget, EstimateSource, Layers, SourceError,
+    survey_individuals, AuditTarget, EstimateSource, Layers, ReplaySource, SourceError,
 };
 use discrimination_via_composition::platform::{SimScale, Simulation};
 use discrimination_via_composition::store::RunStore;
@@ -244,4 +245,86 @@ fn killed_table1_resumes_and_then_replays_entirely_from_disk() {
 
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&ref_dir).ok();
+}
+
+/// A record key as the recording layer salts it: FNV-1a over
+/// `tag 0 label 0 rest`.
+fn salted_key(tag: &[u8], label: &str, rest: &[u8]) -> u64 {
+    let mut buf = tag.to_vec();
+    buf.push(0);
+    buf.extend_from_slice(label.as_bytes());
+    buf.push(0);
+    buf.extend_from_slice(rest);
+    fnv1a(&buf)
+}
+
+/// A scheduler journal payload as kind 5 stored it: event tag, unit id,
+/// then (for a grant) the attempt and the worker name.
+fn old_sched_grant(unit: u64, attempt: u32, worker: &str) -> Vec<u8> {
+    let mut buf = vec![1];
+    buf.extend_from_slice(&unit.to_be_bytes());
+    buf.extend_from_slice(&attempt.to_be_bytes());
+    buf.extend_from_slice(&(worker.len() as u32).to_be_bytes());
+    buf.extend_from_slice(worker.as_bytes());
+    buf
+}
+
+/// Run stores written before record kinds 4 (named checkpoint blobs)
+/// and 5 (scheduler journal events) were retired still hold such
+/// records. They stay inert: the store opens, every interface's
+/// metadata reads back unchanged, and the recorded Table 1 replays
+/// byte-identically with the platforms detached.
+#[test]
+fn old_store_with_retired_record_kinds_still_opens_and_replays() {
+    let dir = common::temp_dir("retired-kinds");
+    let config = ExperimentConfig::test(7);
+
+    let store = Arc::new(RunStore::open(&dir).unwrap());
+    let ctx = ExperimentContext::recorded(config, store.clone());
+    let recorded_tsv = table1_tsv(&table1(&ctx).unwrap());
+    drop(ctx);
+    let recorded = store.snapshot();
+    let labels = labels_in(&recorded);
+    assert!(!labels.is_empty());
+
+    // What an older fleet run left beside its answers: a journal trail
+    // per interface scope and a named checkpoint blob.
+    let mut seq = 0u64;
+    for label in &labels {
+        for unit in 0..3u64 {
+            let payload = old_sched_grant(unit, 1, "replica-0#0");
+            let key = salted_key(b"sched", label, &seq.to_be_bytes());
+            store.append(5, key, &payload).unwrap();
+            seq += 1;
+        }
+    }
+    store
+        .append(4, salted_key(b"ckpt", "table1", &[]), b"progress v2")
+        .unwrap();
+    store.sync().unwrap();
+    drop(store);
+
+    let store = Arc::new(RunStore::open(&dir).unwrap());
+    assert_eq!(store.count_kind(5) as u64, seq);
+    assert_eq!(store.count_kind(4), 1);
+    let reopened = store.snapshot();
+    assert_eq!(labels_in(&reopened), labels);
+    for label in &labels {
+        let meta = meta_in(&recorded, label).unwrap();
+        assert!(meta.is_some(), "{label} metadata recorded");
+        assert_eq!(meta_in(&reopened, label).unwrap(), meta);
+        let replay = ReplaySource::from_store(&store, label).unwrap();
+        assert_eq!(Some(replay.meta()), meta.as_ref());
+    }
+
+    let replay_ctx = ExperimentContext::replayed(config, store.clone());
+    let replayed_tsv = table1_tsv(&table1(&replay_ctx).unwrap());
+    assert_eq!(
+        replayed_tsv, recorded_tsv,
+        "an old store must replay Table 1 byte-identically"
+    );
+    assert_eq!(platform_queries(&replay_ctx.simulation), 0);
+    assert_eq!(store.stats().appends, 0, "replay never writes the store");
+
+    std::fs::remove_dir_all(&dir).ok();
 }
