@@ -169,19 +169,69 @@ pub fn finish(name: &str) -> PathBuf {
         Err(e) => adcomp_obs::warn!("could not write {}: {e}", path.display()),
     }
 
-    let snap = registry.snapshot();
-    let mut report = RunReport::new(name);
-    let skipped = snap.counter("adcomp_skipped_total");
-    if skipped > 0 {
-        report.degradation(format!("{skipped} spec(s) skipped after exhausted retries"));
-    }
-    let probe_warnings = snap.counter("adcomp_probe_warnings_total");
-    if probe_warnings > 0 {
-        report.degradation(format!("{probe_warnings} consistency-probe warning(s)"));
-    }
-    report.note(format!("snapshot: {}", path.display()));
+    let report = run_report(name, registry, &path);
     if report.degraded() || narrating() {
         eprint!("{}", report.render());
     }
     path
+}
+
+/// The end-of-run report over `registry`'s counters: one degradation
+/// line per counter that records a silent fallback.
+fn run_report(name: &str, registry: &Registry, snapshot: &Path) -> RunReport {
+    let snap = registry.snapshot();
+    let mut report = RunReport::new(name);
+    for (counter, what) in [
+        (
+            "adcomp_skipped_total",
+            "spec(s) skipped after exhausted retries",
+        ),
+        (
+            "adcomp_probe_warnings_total",
+            "consistency-probe warning(s)",
+        ),
+        (
+            "adcomp_platform_oracle_undecidable_total",
+            "reach-oracle answer(s) undecidable; measured instead",
+        ),
+    ] {
+        let n = snap.counter(counter);
+        if n > 0 {
+            report.degradation(format!("{n} {what}"));
+        }
+    }
+    report.note(format!("snapshot: {}", snapshot.display()));
+    report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use adcomp_obs::Tracer;
+
+    #[test]
+    fn undecidable_oracle_answers_are_a_degradation() {
+        let registry = Registry::new();
+        let quiet = run_report("t", &registry, Path::new("t.prom"));
+        assert!(!quiet.degraded());
+        registry
+            .counter_with(
+                "adcomp_platform_oracle_undecidable_total",
+                &[("interface", "a")],
+            )
+            .add(2);
+        registry
+            .counter_with(
+                "adcomp_platform_oracle_undecidable_total",
+                &[("interface", "b")],
+            )
+            .inc();
+        let report = run_report("t", &registry, Path::new("t.prom"));
+        assert!(report.degraded());
+        let text = report.render_with(&registry, &Tracer::new(16));
+        assert!(
+            text.contains("3 reach-oracle answer(s) undecidable; measured instead"),
+            "{text}"
+        );
+    }
 }

@@ -382,7 +382,7 @@ impl Container {
 /// Long runs dominate `undo_runs` on run-encoded audiences (the
 /// `everyone` audience is one 65 536-value run per chunk), so interior
 /// words are written as `u64::MAX` instead of bit-by-bit.
-fn set_range(bits: &mut [u64; BITMAP_WORDS], start: u16, end: u16) {
+pub(crate) fn set_range(bits: &mut [u64; BITMAP_WORDS], start: u16, end: u16) {
     let (sw, ew) = ((start >> 6) as usize, (end >> 6) as usize);
     let head = u64::MAX << (start & 63);
     // Mask keeping bits [0, end % 64] of the last word.

@@ -239,6 +239,26 @@ impl Bitset {
         ops::intersection_len(self, other)
     }
 
+    /// `|self ∧ o|` for every `o` in `others`, in order: the counting
+    /// kernel for many sets against one lead.
+    ///
+    /// Each chunk of `self` that some other set shares is read as an
+    /// 8 KiB bitmap once per call, and every other set's chunk is counted
+    /// against it by bit tests (arrays) or AND-popcount (bitmaps, and
+    /// runs expanded to bitmaps), with no merge.
+    ///
+    /// ```
+    /// use adcomp_bitset::Bitset;
+    ///
+    /// let lead: Bitset = (0..1000).collect();
+    /// let evens: Bitset = (0..2000).step_by(2).collect();
+    /// let far: Bitset = (1 << 20..(1 << 20) + 10).collect();
+    /// assert_eq!(lead.intersection_lens(&[&evens, &far, &lead]), [500, 0, 1000]);
+    /// ```
+    pub fn intersection_lens(&self, others: &[&Bitset]) -> Vec<u64> {
+        ops::intersection_lens(self, others)
+    }
+
     /// `|∧include ∧ ¬∨exclude|` without materialising anything: the
     /// k-way AND-count kernel behind every reach estimate.
     ///

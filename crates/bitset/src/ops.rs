@@ -14,9 +14,10 @@
 //! bit-tested against the bitmaps, then looked up in the remaining
 //! arrays by galloping. A two-set AND is the pairwise
 //! [`intersection_len`], whose array×array kernel is the same branchless
-//! merge.
+//! merge. [`intersection_lens`] counts many sets against one lead with no
+//! merge at all: each shared lead chunk is read as a bitmap once per call.
 
-use crate::container::{Container, BITMAP_WORDS};
+use crate::container::{set_range, Container, BITMAP_WORDS};
 use crate::Bitset;
 
 /// The four supported binary operations.
@@ -93,6 +94,62 @@ pub(crate) fn intersection_len(a: &Bitset, b: &Bitset) -> u64 {
     total
 }
 
+/// `|lead ∧ o|` for every `o` in `others`, in one walk of the lead.
+///
+/// Each lead chunk that some other set shares is read as an 8 KiB
+/// bitmap once per call — borrowed when it is one, expanded otherwise —
+/// so every other set's chunk is counted against it without a merge:
+/// array values by bit tests, bitmaps by AND-popcount, runs expanded to
+/// a bitmap first.
+pub(crate) fn intersection_lens(lead: &Bitset, others: &[&Bitset]) -> Vec<u64> {
+    let mut totals = vec![0u64; others.len()];
+    let mut at = vec![0usize; others.len()];
+    let mut sharing = Vec::with_capacity(others.len());
+    let mut lead_buf = [0u64; BITMAP_WORDS];
+    let mut run_buf = [0u64; BITMAP_WORDS];
+    for (key, chunk) in lead.chunks() {
+        sharing.clear();
+        for (k, (set, at)) in others.iter().zip(&mut at).enumerate() {
+            if seek(set.chunks(), at, *key) {
+                sharing.push(k);
+            }
+        }
+        if sharing.is_empty() {
+            continue;
+        }
+        let lead_bits = as_bitmap(chunk, &mut lead_buf);
+        for &k in &sharing {
+            totals[k] += u64::from(match &others[k].chunks()[at[k]].1 {
+                Container::Array(values) => array_bitmap_len(values, lead_bits),
+                Container::Bitmap { bits, .. } => bitmap_bitmap_len(lead_bits, bits),
+                run => bitmap_bitmap_len(lead_bits, as_bitmap(run, &mut run_buf)),
+            });
+        }
+    }
+    totals
+}
+
+/// `c` as a bitmap: borrowed when it is one, otherwise expanded into `buf`.
+fn as_bitmap<'a>(c: &'a Container, buf: &'a mut [u64; BITMAP_WORDS]) -> &'a [u64; BITMAP_WORDS] {
+    match c {
+        Container::Bitmap { bits, .. } => bits,
+        Container::Array(values) => {
+            buf.fill(0);
+            for &v in values {
+                buf[(v >> 6) as usize] |= 1u64 << (v & 63);
+            }
+            buf
+        }
+        Container::Run(runs) => {
+            buf.fill(0);
+            for r in runs {
+                set_range(buf, r.start, r.end);
+            }
+            buf
+        }
+    }
+}
+
 /// Upper bound on `|a ∧ b|` from per-chunk cardinalities alone.
 ///
 /// `Σ min(|ca|, |cb|)` over chunks present in both sets — the container
@@ -113,9 +170,7 @@ pub(crate) fn intersection_len_bound(a: &Bitset, b: &Bitset) -> u64 {
 /// free when it already falls below `threshold`; otherwise a merge walk
 /// counts exact per-chunk intersections, exiting as soon as the
 /// accumulated count reaches `threshold` or the accumulated count plus
-/// the bound over the remaining chunks can no longer reach it. This is
-/// the kernel behind the discovery search's min-reach pruning: most
-/// failing candidate pairs are rejected here after a few chunks.
+/// the bound over the remaining chunks can no longer reach it.
 pub(crate) fn intersection_len_at_least(a: &Bitset, b: &Bitset, threshold: u64) -> bool {
     if threshold == 0 {
         return true;
@@ -262,6 +317,7 @@ impl<'a> Dense<'a> {
 
 /// Advances `at` to the first chunk with key `>= key`; whether that
 /// chunk's key is `key`.
+#[inline]
 fn seek(chunks: &[(u16, Container)], at: &mut usize, key: u16) -> bool {
     while chunks.get(*at).is_some_and(|(k, _)| *k < key) {
         *at += 1;
@@ -404,10 +460,12 @@ fn merge_len(x: &[u16], y: &[u16], mut keep: impl FnMut(u16) -> bool) -> u32 {
     n
 }
 
+#[inline]
 fn array_bitmap_len(values: &[u16], bits: &[u64; BITMAP_WORDS]) -> u32 {
     values.iter().map(|&v| u32::from(get(bits, v))).sum()
 }
 
+#[inline]
 fn bitmap_bitmap_len(a: &[u64; BITMAP_WORDS], b: &[u64; BITMAP_WORDS]) -> u32 {
     a.iter()
         .zip(b.iter())

@@ -256,4 +256,20 @@ proptest! {
             prop_assert_eq!(sa.intersection_len_at_least(&sb, threshold), exact >= threshold);
         }
     }
+
+    #[test]
+    fn intersection_lens_match_pairwise_counts(
+        lead in operand(),
+        others in proptest::collection::vec(operand(), 0..=6),
+        far in proptest::collection::vec(0u32..1_000, 0..50),
+    ) {
+        // Arrays, bitmaps, runs and empty sets on both sides, plus one
+        // set whose chunk keys the lead never has.
+        let (lead, _) = operand_set(lead);
+        let mut others: Vec<Bitset> = others.into_iter().map(|o| operand_set(o).0).collect();
+        others.push(far.into_iter().map(|v| v + (8 << 16)).collect());
+        let refs: Vec<&Bitset> = others.iter().collect();
+        let expected: Vec<u64> = refs.iter().map(|o| lead.intersection_len(o)).collect();
+        prop_assert_eq!(lead.intersection_lens(&refs), expected);
+    }
 }

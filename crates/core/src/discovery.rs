@@ -368,13 +368,15 @@ fn sampled_candidates(
 ///    candidates are visited best-bound-first, so the first bound below
 ///    the floor prunes the entire remaining tail without touching a
 ///    single bitset.
-/// 3. Survivors of the bound get one thresholded intersection
-///    ([`ReachOracle::and_reaches`]) with two-sided early exit — no
-///    materialized intersection, no demographic queries.
-/// 4. Only candidates the oracle confirms are measured (one batch, in
-///    the original sampled order), and the measured filter is still
-///    applied, so even an over-approximating oracle cannot change the
-///    output.
+/// 3. Survivors of the bound go to the oracle as one batch
+///    ([`ReachOracle::and_reaches_batch`]), still best bound first: one
+///    thresholded pass over the platform's segments with two-sided early
+///    exit per candidate — no materialized intersection, no demographic
+///    queries.
+/// 4. Only candidates the oracle confirms are measured (one estimate
+///    batch, in the original sampled order), and the measured filter is
+///    still applied, so even an over-approximating oracle cannot change
+///    the output.
 ///
 /// Output equality with [`top_compositions`] holds when the oracle is
 /// backed by the same platform the target measures on — a *direct*
@@ -407,14 +409,21 @@ pub fn top_compositions_bounded(
         .collect();
     order.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
 
+    // Bounds are sorted descending: the first candidate bounded below
+    // the floor prunes the whole tail. The rest go to the oracle as one
+    // batch, best bound first.
+    let asked: Vec<usize> = order
+        .iter()
+        .take_while(|&&(_, bound)| bound >= threshold_len)
+        .map(|&(i, _)| i)
+        .collect();
+    let questions: Vec<&[AttributeId]> = asked.iter().map(|&i| &combos[i][..]).collect();
     let mut survives = vec![false; combos.len()];
-    for &(i, bound) in &order {
-        if bound < threshold_len {
-            // Bounds are sorted descending: every remaining candidate is
-            // bounded below the floor too. Prune the whole tail.
-            break;
-        }
-        survives[i] = oracle.and_reaches(&combos[i], threshold_len);
+    for (i, reaches) in asked
+        .into_iter()
+        .zip(oracle.and_reaches_batch(&questions, threshold_len))
+    {
+        survives[i] = reaches;
     }
 
     // Measure only the confirmed candidates — in sampled order, one

@@ -166,7 +166,6 @@ impl EstimateSource for ScheduledSource {
         let merged = run_pool(
             &queue,
             &pool_endpoints,
-            &self.cfg,
             clock.as_ref(),
             |idx, grant, heartbeat| {
                 // Adopt the coordinator's trace on this worker thread, so

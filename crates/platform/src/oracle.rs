@@ -11,11 +11,11 @@
 //! [`ReachOracle`] is that decision surface. It answers three questions —
 //! an attribute's exact audience size, the audience size a given rounded
 //! estimate requires, and whether an AND of attributes reaches a size
-//! threshold — and nothing else, so the search in `adcomp-core` stays
-//! byte-identical to the greedy scan: the oracle only *rules out*
-//! candidates that the measurement filter would rule out anyway, and
-//! every surviving candidate is still measured through the ordinary
-//! estimate path.
+//! threshold, one candidate or a batch at a time — and nothing else, so
+//! the search in `adcomp-core` stays byte-identical to the greedy scan:
+//! the oracle only *rules out* candidates that the measurement filter
+//! would rule out anyway, and every surviving candidate is still
+//! measured through the ordinary estimate path.
 //!
 //! Implementations must be **consistent with the platform's estimates**:
 //! `and_reaches(attrs, min_len_for_estimate(m))` must be `true` exactly
@@ -26,7 +26,19 @@
 //! structural. When an oracle cannot decide (unknown attribute, storage
 //! failure), it must err on the side of `true` — an over-approximation
 //! only costs a measurement, never an output difference; this one counts
-//! each such answer in `adcomp_platform_oracle_undecidable_total`.
+//! each such answer in `adcomp_platform_oracle_undecidable_total`, one
+//! per undecidable candidate.
+//!
+//! The platform answers a whole batch with one scan (`and_reaches` is
+//! the one-candidate batch). Per-segment size bounds from the manifest
+//! decide most candidates without I/O. The rest are counted one segment
+//! at a time: candidates are sorted by their attributes, so those sharing
+//! a lead attribute sit together, each lead is resolved once per segment
+//! and every pair partner is counted against it in one
+//! [`Bitset::intersection_lens`] call (longer ANDs go through
+//! [`Bitset::and_not_len`]). A candidate leaves the scan as soon as its
+//! count reaches the threshold or its count plus its remaining bound
+//! cannot.
 
 use adcomp_bitset::Bitset;
 use adcomp_targeting::{AttributeId, AttributeResolver, EvalError};
@@ -50,6 +62,17 @@ pub trait ReachOracle: Send + Sync {
     /// Whether `|AND(attrs)| ≥ threshold_len`. Must return `true` when
     /// undecidable (unknown attribute, storage failure).
     fn and_reaches(&self, attrs: &[AttributeId], threshold_len: u64) -> bool;
+
+    /// [`and_reaches`](ReachOracle::and_reaches) for every combo of a
+    /// batch, answers in batch order. The provided body asks one combo
+    /// at a time; an oracle that can share work across combos (one scan
+    /// for the whole batch) overrides it.
+    fn and_reaches_batch(&self, combos: &[&[AttributeId]], threshold_len: u64) -> Vec<bool> {
+        combos
+            .iter()
+            .map(|attrs| self.and_reaches(attrs, threshold_len))
+            .collect()
+    }
 }
 
 /// The estimate the audit's default request
@@ -95,76 +118,186 @@ impl<B: AudienceBackend> ReachOracle for Platform<B> {
     }
 
     fn and_reaches(&self, attrs: &[AttributeId], threshold_len: u64) -> bool {
-        scan(&self.backend, attrs, threshold_len).unwrap_or_else(|_| {
-            // Undecidable: let measurement decide.
-            self.metrics.oracle_undecidable.inc();
-            true
-        })
+        self.and_reaches_batch(&[attrs], threshold_len)[0]
+    }
+
+    fn and_reaches_batch(&self, combos: &[&[AttributeId]], threshold_len: u64) -> Vec<bool> {
+        scan(&self.backend, combos, threshold_len)
+            .into_iter()
+            .map(|answer| {
+                answer.unwrap_or_else(|_| {
+                    // Undecidable: let measurement decide.
+                    self.metrics.oracle_undecidable.inc();
+                    true
+                })
+            })
+            .collect()
     }
 }
 
-/// Whether `|AND(attrs)| ≥ threshold_len`: one biggest-bound-first
-/// thresholded scan over per-segment bounds. Errs when undecidable.
+/// A candidate the per-segment bounds left open.
+struct Open {
+    /// Index of the candidate in the batch.
+    slot: usize,
+    /// Its attributes, sorted and deduplicated: the lead is `attrs[0]`.
+    attrs: Vec<AttributeId>,
+    /// Per segment, `min over attrs` of the segment's audience sizes.
+    bounds: Vec<u64>,
+    /// Exact count over the segments counted so far.
+    acc: u64,
+    /// Bound over the segments not counted yet.
+    remaining: u64,
+}
+
+/// Whether `|AND(combo)| ≥ threshold_len`, for every combo of a batch:
+/// per-segment bounds first, then one thresholded pass over the
+/// segments. Errs for a combo that is undecidable.
 fn scan<B: AudienceBackend>(
     backend: &B,
-    attrs: &[AttributeId],
+    combos: &[&[AttributeId]],
     threshold_len: u64,
-) -> Result<bool, EvalError> {
-    if attrs.is_empty() {
-        return Ok(backend.n_users() >= threshold_len);
-    }
-    // Phase 1, from sizes alone: per-segment upper bounds
-    // (`|∧| ≤ min over attrs of the segment's audience size`).
-    let n_segments = backend.n_segments();
-    let mut bounds = Vec::with_capacity(n_segments as usize);
-    let mut total_bound = 0u64;
-    for seg in 0..n_segments {
-        let view = backend.segment(seg);
-        let mut bound = u64::MAX;
-        for &id in attrs {
-            bound = bound.min(view.attribute_len(id)?);
+) -> Vec<Result<bool, EvalError>> {
+    let mut answers = vec![Ok(false); combos.len()];
+    // Phase 1, from sizes alone: `|∧| ≤ min over attrs` per segment.
+    let mut open = Vec::new();
+    for (slot, combo) in combos.iter().enumerate() {
+        let mut attrs = combo.to_vec();
+        attrs.sort_unstable();
+        attrs.dedup();
+        if attrs.is_empty() {
+            answers[slot] = Ok(backend.n_users() >= threshold_len);
+            continue;
         }
-        bounds.push((seg, bound));
-        total_bound = total_bound.saturating_add(bound);
-    }
-    // A single attribute's bound is its exact size.
-    if total_bound < threshold_len || attrs.len() == 1 {
-        return Ok(total_bound >= threshold_len);
-    }
-    // Phase 2: exact per-segment counts, biggest bound first so the
-    // accumulator crosses the threshold (or the residual bound falls
-    // below it) as early as possible.
-    bounds.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    let mut acc = 0u64;
-    let mut remaining = total_bound;
-    for (seg, bound) in bounds {
-        if bound == 0 {
-            break; // sorted: the rest are empty too
-        }
-        remaining -= bound;
-        let view = backend.segment(seg);
-        let mut audiences = Vec::with_capacity(attrs.len());
-        for &id in attrs {
-            audiences.push(view.attribute_audience(id)?);
-        }
-        let sets: Vec<&Bitset> = audiences.iter().map(|set| &**set).collect();
-        if remaining == 0 {
-            // No later segment can contribute: this one decides.
-            let needed = threshold_len - acc;
-            return Ok(match sets[..] {
-                [a, b] => a.intersection_len_at_least(b, needed),
-                _ => Bitset::and_not_len(&sets, &[]) >= needed,
+        let bounds = (0..backend.n_segments())
+            .map(|seg| {
+                let view = backend.segment(seg);
+                attrs.iter().try_fold(
+                    u64::MAX,
+                    |bound, &id| Ok(bound.min(view.attribute_len(id)?)),
+                )
+            })
+            .collect::<Result<Vec<u64>, EvalError>>();
+        let bounds = match bounds {
+            Ok(bounds) => bounds,
+            Err(e) => {
+                answers[slot] = Err(e);
+                continue;
+            }
+        };
+        let total = bounds.iter().fold(0u64, |sum, &b| sum.saturating_add(b));
+        // A single attribute's bound is its exact size, and every AND
+        // reaches a zero threshold.
+        if total < threshold_len || attrs.len() == 1 || threshold_len == 0 {
+            answers[slot] = Ok(total >= threshold_len);
+        } else {
+            open.push(Open {
+                slot,
+                attrs,
+                bounds,
+                acc: 0,
+                remaining: total,
             });
         }
-        acc += Bitset::and_not_len(&sets, &[]);
-        if acc >= threshold_len {
-            return Ok(true);
+    }
+    // Phase 2: exact counts, one segment at a time for the whole batch.
+    // Candidates sharing a lead sit together, so each lead is resolved
+    // once per segment and every pair partner is counted against it in
+    // one kernel call; a candidate leaves as soon as its count reaches
+    // the threshold or its count plus the remaining bound cannot.
+    open.sort_by(|a, b| a.attrs.cmp(&b.attrs));
+    for seg in 0..backend.n_segments() {
+        if open.is_empty() {
+            break;
         }
-        if acc.saturating_add(remaining) < threshold_len {
-            return Ok(false);
+        let view = backend.segment(seg);
+        let mut counts = Vec::with_capacity(open.len());
+        for group in open.chunk_by(|a, b| a.attrs[0] == b.attrs[0]) {
+            counts.extend(segment_counts(&view, seg as usize, group));
+        }
+        let mut counts = counts.into_iter();
+        open.retain_mut(|cand| {
+            let bound = cand.bounds[seg as usize];
+            let verdict = match counts.next().expect("one count per open candidate") {
+                Err(e) => Some(Err(e)),
+                Ok(_) if bound == 0 => None,
+                Ok(n) => {
+                    cand.remaining -= bound;
+                    cand.acc += n;
+                    if cand.acc >= threshold_len {
+                        Some(Ok(true))
+                    } else if cand.acc + cand.remaining < threshold_len {
+                        Some(Ok(false))
+                    } else {
+                        None
+                    }
+                }
+            };
+            match verdict {
+                Some(answer) => {
+                    answers[cand.slot] = answer;
+                    false
+                }
+                None => true,
+            }
+        });
+    }
+    // Every bound is spent after the last segment, so nothing is left
+    // open: `acc + 0 < threshold` decided whatever had not passed.
+    debug_assert!(open.is_empty());
+    answers
+}
+
+/// One segment's exact counts for a group of open candidates sharing a
+/// lead (`0` where the candidate's bound there is `0`): pairs through one
+/// [`Bitset::intersection_lens`] call against the lead, longer ANDs
+/// through [`Bitset::and_not_len`].
+fn segment_counts(
+    view: &impl AttributeResolver,
+    seg: usize,
+    group: &[Open],
+) -> Vec<Result<u64, EvalError>> {
+    let mut counts: Vec<Result<u64, EvalError>> = vec![Ok(0); group.len()];
+    let live: Vec<usize> = (0..group.len())
+        .filter(|&k| group[k].bounds[seg] > 0)
+        .collect();
+    if live.is_empty() {
+        return counts;
+    }
+    let lead = match view.attribute_audience(group[0].attrs[0]) {
+        Ok(lead) => lead,
+        Err(e) => {
+            for &k in &live {
+                counts[k] = Err(e.clone());
+            }
+            return counts;
+        }
+    };
+    let mut pairs = Vec::new();
+    let mut partners = Vec::new();
+    for &k in &live {
+        let rest = &group[k].attrs[1..];
+        let sets = rest
+            .iter()
+            .map(|&id| view.attribute_audience(id))
+            .collect::<Result<Vec<_>, EvalError>>();
+        match sets {
+            Err(e) => counts[k] = Err(e),
+            Ok(mut sets) if sets.len() == 1 => {
+                pairs.push(k);
+                partners.push(sets.pop().expect("one partner"));
+            }
+            Ok(sets) => {
+                let mut all: Vec<&Bitset> = vec![&lead];
+                all.extend(sets.iter().map(|set| &**set));
+                counts[k] = Ok(Bitset::and_not_len(&all, &[]));
+            }
         }
     }
-    Ok(acc >= threshold_len)
+    let partners: Vec<&Bitset> = partners.iter().map(|set| &**set).collect();
+    for (k, n) in pairs.into_iter().zip(lead.intersection_lens(&partners)) {
+        counts[k] = Ok(n);
+    }
+    counts
 }
 
 #[cfg(test)]

@@ -7,7 +7,9 @@
 //! against stores of one, two and three segments, the last one short.
 //! The oracle contract — `and_reaches(attrs, min_len_for_estimate(m))`
 //! holds exactly when the rounded estimate of `AND(attrs)` is at least
-//! `m` — is checked on both backends for arities 1 to 3. The naive
+//! `m` — is checked on both backends for arities 1 to 3, and the batched
+//! `and_reaches_batch` against per-candidate answers and exact counts
+//! (every arity from 0 to 3, duplicates, an unknown id). The naive
 //! per-user evaluators in `adcomp-targeting` stay the ground truth for
 //! `evaluate` itself.
 
@@ -213,6 +215,80 @@ fn segmented_platforms_answer_like_resident_ones() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// Exact `|AND(attrs)|` from the resident platform's ground truth (the
+/// empty AND is everyone).
+fn exact_len(p: &AdPlatform, attrs: &[AttributeId]) -> u64 {
+    p.exact_audience(&TargetingSpec::and_of(attrs.iter().copied()))
+        .unwrap()
+        .len()
+}
+
+fn undecidable_total() -> u64 {
+    adcomp_obs::Registry::global()
+        .snapshot()
+        .counter("adcomp_platform_oracle_undecidable_total")
+}
+
+#[test]
+fn batched_reach_answers_match_single_answers_and_exact_counts() {
+    // In a ten-user tail segment a pair's count often equals its bound,
+    // so a count plus the remaining bound lands exactly on a threshold
+    // and the early exit is checked at its boundary.
+    let pairs = [
+        pair(40_000),
+        pair(SEGMENT_ALIGN + 10),
+        pair(2 * SEGMENT_ALIGN + 5_000),
+    ];
+    let candidate = proptest::collection::vec((0..N_ATTRS).prop_map(AttributeId), 0..=3);
+    let strategy = proptest::collection::vec(candidate, 1..12);
+    for case in 0..CASES / 4 {
+        let mut rng = TestRng::for_case("batched_reach", case);
+        let mut batch = strategy.gen_value(&mut rng);
+        // The same candidate twice in one batch, in another order.
+        let mut again = batch[0].clone();
+        again.reverse();
+        batch.push(again);
+        let combos: Vec<&[AttributeId]> = batch.iter().map(Vec::as_slice).collect();
+        for p in &pairs {
+            let exact: Vec<u64> = combos.iter().map(|c| exact_len(&p.resident, c)).collect();
+            let mut thresholds = vec![0, 1, u64::MAX];
+            for &len in &exact {
+                thresholds.extend([len.saturating_sub(1), len, len + 1]);
+            }
+            for threshold in thresholds {
+                for oracle in [&p.segmented as &dyn ReachOracle, &p.resident] {
+                    let batched = oracle.and_reaches_batch(&combos, threshold);
+                    let single: Vec<bool> = combos
+                        .iter()
+                        .map(|c| oracle.and_reaches(c, threshold))
+                        .collect();
+                    let truth: Vec<bool> = exact.iter().map(|&len| len >= threshold).collect();
+                    assert_eq!(batched, truth, "case {case}: {batch:?} against {threshold}");
+                    assert_eq!(single, truth, "case {case}: {batch:?} against {threshold}");
+                }
+            }
+        }
+    }
+    // An unknown id is undecidable: `true`, counted once for its one
+    // candidate, and its batch neighbours are still answered exactly.
+    let unknown = AttributeId(N_ATTRS + 5);
+    let batch: [&[AttributeId]; 3] = [
+        &[AttributeId(0), AttributeId(1)],
+        &[AttributeId(0), unknown],
+        &[AttributeId(2)],
+    ];
+    for p in &pairs {
+        for oracle in [&p.segmented as &dyn ReachOracle, &p.resident] {
+            let before = undecidable_total();
+            assert_eq!(
+                oracle.and_reaches_batch(&batch, u64::MAX),
+                [false, true, false]
+            );
+            assert_eq!(undecidable_total(), before + 1);
         }
     }
 }

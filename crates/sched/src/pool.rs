@@ -60,7 +60,8 @@ impl PoolEndpoint {
 }
 
 /// Runs the pool until every seeded slot is done or the batch stalls,
-/// and returns the accepted answers indexed by slot.
+/// and returns the accepted answers indexed by slot. The queue's config
+/// sets `workers_per_endpoint` and the stall window (`lease_ttl`).
 /// `runner(endpoint, grant, heartbeat)` runs one unit on
 /// `endpoints[endpoint]`; `heartbeat` extends the lease and returns
 /// `false` once it is lost, when the runner should stop early (its
@@ -68,7 +69,6 @@ impl PoolEndpoint {
 pub fn run_pool<T, F>(
     queue: &UnitQueue,
     endpoints: &[PoolEndpoint],
-    cfg: &SchedulerConfig,
     clock: &dyn Clock,
     runner: F,
 ) -> Vec<Option<T>>
@@ -76,6 +76,7 @@ where
     T: Send,
     F: Fn(usize, &Grant, &dyn Fn() -> bool) -> UnitReport<T> + Sync,
 {
+    let cfg = queue.config();
     let micros = || clock.now().as_micros() as u64;
     // When an answer was last accepted, and whether the batch stalled;
     // neither publishes other data, so `Relaxed` suffices.
@@ -252,7 +253,7 @@ mod tests {
         let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
         let q = seeded(&cfg(), &clock, 100, 7);
         let eps = endpoints(&["ep-a", "ep-b", "ep-c"]);
-        let out = run_pool(&q, &eps, &cfg(), clock.as_ref(), |_, grant, heartbeat| {
+        let out = run_pool(&q, &eps, clock.as_ref(), |_, grant, heartbeat| {
             assert!(heartbeat());
             squares(grant)
         });
@@ -270,7 +271,7 @@ mod tests {
         // without wedging the run.
         let eps = endpoints(&["ep-flaky"]);
         let failures = AtomicUsize::new(6);
-        let out = run_pool(&q, &eps, &cfg(), clock.as_ref(), |_, grant, _| {
+        let out = run_pool(&q, &eps, clock.as_ref(), |_, grant, _| {
             if take(&failures) {
                 return UnitReport {
                     answered: Vec::new(),
@@ -295,7 +296,7 @@ mod tests {
         let q = seeded(&cfg(), &clock, 60, 5);
         let eps = endpoints(&["ep-a", "ep-b"]);
         let crashes = AtomicUsize::new(3);
-        let out = run_pool(&q, &eps, &cfg(), clock.as_ref(), |_, grant, _| {
+        let out = run_pool(&q, &eps, clock.as_ref(), |_, grant, _| {
             if take(&crashes) {
                 panic!("simulated worker crash mid-unit");
             }
@@ -324,7 +325,7 @@ mod tests {
         };
         let q = seeded(&cfg, &clock, 20, 4);
         let eps = vec![PoolEndpoint::new("ep-stale", &cfg)];
-        let out = run_pool(&q, &eps, &cfg, clock.as_ref(), |_, grant, _| {
+        let out = run_pool(&q, &eps, clock.as_ref(), |_, grant, _| {
             if grant.attempt > 1 {
                 return squares(grant);
             }

@@ -283,6 +283,11 @@ impl UnitQueue {
         lock(&self.state).done.len()
     }
 
+    /// The config the queue was built with.
+    pub(crate) fn config(&self) -> &SchedulerConfig {
+        &self.cfg
+    }
+
     fn try_grant(&self, s: &mut State) -> Option<Grant> {
         let mut unit = s.pending.pop_front()?;
         unit.attempt += 1;
