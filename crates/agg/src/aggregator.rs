@@ -9,18 +9,21 @@
 //! exactly-once observation), and a bounded ring for trace events.
 //!
 //! Rendering produces one Prometheus text document with every series
-//! twice: per-source with a `source` label, and fleet-wide (the sum /
-//! bucketwise merge across sources) without one — so a dashboard can
-//! show both the fleet and any straggler from one scrape.
+//! twice: fleet-wide (the sum / bucketwise merge across sources) without
+//! a `source` label, then per source with one — so a dashboard can show
+//! both the fleet and any straggler from one scrape. Each block is the
+//! `adcomp-obs` [`Exposition`] of one snapshot, the renderer a process
+//! uses for its own registry.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Mutex;
 
 use adcomp_obs::lock;
+use adcomp_obs::metrics::{Exposition, MetricKey, MetricValue, Snapshot};
 use adcomp_obs::trace::TraceEvent;
 use adcomp_obs::RunReport;
 
-use crate::telemetry::{AlertFrame, MetricsFrame, Telemetry};
+use crate::telemetry::{AlertFrame, Telemetry};
 
 /// A drift alert attributed to the source that pushed it.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -37,7 +40,7 @@ pub struct FleetAlert {
 
 #[derive(Default)]
 struct SourceState {
-    frame: MetricsFrame,
+    snapshot: Snapshot,
     pushes: u64,
     last_seq: u64,
 }
@@ -78,7 +81,7 @@ impl Aggregator {
         let mut inner = lock(&self.inner);
         inner.pushes_total += 1;
         match telemetry {
-            Telemetry::Metrics(frame) => {
+            Telemetry::Metrics(snapshot) => {
                 let state = inner.sources.entry(source.to_string()).or_default();
                 state.pushes += 1;
                 let stale = state.pushes > 1 && seq <= state.last_seq;
@@ -89,7 +92,7 @@ impl Aggregator {
                     return false;
                 }
                 state.last_seq = seq;
-                state.frame = frame;
+                state.snapshot = snapshot;
                 true
             }
             Telemetry::Alert(AlertFrame {
@@ -125,15 +128,10 @@ impl Aggregator {
         }
     }
 
-    /// The merged fleet frame: counters and gauges summed, histograms
-    /// merged bucketwise, across every source.
-    pub fn fleet(&self) -> MetricsFrame {
-        let inner = lock(&self.inner);
-        let mut fleet = MetricsFrame::default();
-        for state in inner.sources.values() {
-            fleet.merge(&state.frame);
-        }
-        fleet
+    /// The merged fleet snapshot: counters and gauges summed,
+    /// histograms merged bucketwise, across every source.
+    pub fn fleet(&self) -> Snapshot {
+        fleet(&lock(&self.inner))
     }
 
     /// Every alert accepted so far, in arrival order.
@@ -169,102 +167,37 @@ impl Aggregator {
         )
     }
 
-    /// The whole fleet as one Prometheus text document: per-source
-    /// series labelled `source="…"`, fleet series unlabelled, plus the
-    /// aggregator's own meta-series.
+    /// The whole fleet as one Prometheus text document: fleet series
+    /// unlabelled, then each source's series labelled `source="…"`,
+    /// then the aggregator's own meta-series.
     pub fn render_prometheus(&self) -> String {
-        use std::fmt::Write as _;
         let inner = lock(&self.inner);
-        let mut out = String::new();
-        let mut typed: BTreeSet<String> = BTreeSet::new();
-        let mut type_line = |out: &mut String, name: &str, kind: &str| {
-            if typed.insert(name.to_string()) {
-                let _ = writeln!(out, "# TYPE {name} {kind}");
-            }
-        };
-
-        // Fleet totals first — the series a dashboard scrapes.
-        let mut fleet = MetricsFrame::default();
-        for state in inner.sources.values() {
-            fleet.merge(&state.frame);
-        }
-        let mut render_frame = |out: &mut String, frame: &MetricsFrame, source: Option<&str>| {
-            for (key, value) in &frame.counters {
-                type_line(out, &key.name, "counter");
-                let series = match source {
-                    Some(s) => key.render_with(("source", s)),
-                    None => key.render(),
-                };
-                let _ = writeln!(out, "{series} {value}");
-            }
-            for (key, value) in &frame.gauges {
-                type_line(out, &key.name, "gauge");
-                let series = match source {
-                    Some(s) => key.render_with(("source", s)),
-                    None => key.render(),
-                };
-                let _ = writeln!(out, "{series} {value}");
-            }
-            for (key, data) in &frame.histograms {
-                type_line(out, &key.name, "histogram");
-                let bucket_key = adcomp_obs::metrics::MetricKey {
-                    name: format!("{}_bucket", key.name),
-                    labels: match source {
-                        Some(s) => {
-                            let mut labels = key.labels.clone();
-                            labels.push(("source".to_string(), s.to_string()));
-                            labels
-                        }
-                        None => key.labels.clone(),
-                    },
-                };
-                for (bound, cum) in data.cumulative() {
-                    let le = match bound {
-                        Some(b) => b.to_string(),
-                        None => "+Inf".to_string(),
-                    };
-                    let _ = writeln!(out, "{} {cum}", bucket_key.render_with(("le", &le)));
-                }
-                let series = match source {
-                    Some(s) => key.render_with(("source", s)),
-                    None => key.render(),
-                };
-                let (name, labels) = match series.split_once('{') {
-                    Some((n, l)) => (n.to_string(), format!("{{{l}")),
-                    None => (series.clone(), String::new()),
-                };
-                let _ = writeln!(out, "{name}_sum{labels} {}", data.sum);
-                let _ = writeln!(out, "{name}_count{labels} {}", data.count);
-            }
-        };
-        render_frame(&mut out, &fleet, None);
+        let mut doc = Exposition::default();
+        doc.push(&fleet(&inner), None);
         for (source, state) in &inner.sources {
-            render_frame(&mut out, &state.frame, Some(source));
+            doc.push(&state.snapshot, Some(("source", source)));
         }
-
-        // Aggregator meta-series.
-        let _ = writeln!(out, "# TYPE adcomp_agg_sources gauge");
-        let _ = writeln!(out, "adcomp_agg_sources {}", inner.sources.len());
-        let _ = writeln!(out, "# TYPE adcomp_agg_pushes_total counter");
-        let _ = writeln!(out, "adcomp_agg_pushes_total {}", inner.pushes_total);
-        let _ = writeln!(out, "# TYPE adcomp_agg_alerts_total counter");
-        let _ = writeln!(out, "adcomp_agg_alerts_total {}", inner.alerts.len());
-        let _ = writeln!(out, "# TYPE adcomp_agg_stale_pushes_total counter");
-        let _ = writeln!(out, "adcomp_agg_stale_pushes_total {}", inner.stale_pushes);
-        let _ = writeln!(out, "# TYPE adcomp_agg_duplicate_alerts_total counter");
-        let _ = writeln!(
-            out,
-            "adcomp_agg_duplicate_alerts_total {}",
-            inner.duplicate_alerts
-        );
-        for alert in &inner.alerts {
-            let _ = writeln!(
-                out,
-                "adcomp_agg_alert{{source=\"{}\",epoch=\"{}\"}} {}",
-                alert.source, alert.epoch, alert.crossings
-            );
-        }
-        out
+        let counter = |name: &str, n: u64| (MetricKey::new(name, &[]), MetricValue::Counter(n));
+        let meta = [
+            (
+                MetricKey::new("adcomp_agg_sources", &[]),
+                MetricValue::Gauge(inner.sources.len() as i64),
+            ),
+            counter("adcomp_agg_pushes_total", inner.pushes_total),
+            counter("adcomp_agg_alerts_total", inner.alerts.len() as u64),
+            counter("adcomp_agg_stale_pushes_total", inner.stale_pushes),
+            counter("adcomp_agg_duplicate_alerts_total", inner.duplicate_alerts),
+        ];
+        let alerts = inner.alerts.iter().map(|alert| {
+            let epoch = alert.epoch.to_string();
+            let labels = [("source", alert.source.as_str()), ("epoch", epoch.as_str())];
+            (
+                MetricKey::new("adcomp_agg_alert", &labels),
+                MetricValue::Gauge(i64::from(alert.crossings)),
+            )
+        });
+        doc.push(&meta.into_iter().chain(alerts).collect(), None);
+        doc.into_text()
     }
 
     /// The fleet as a human-readable [`RunReport`]: one note per source,
@@ -276,9 +209,7 @@ impl Aggregator {
             report.note(format!(
                 "{source}: {} push(es), {} series",
                 state.pushes,
-                state.frame.counters.len()
-                    + state.frame.gauges.len()
-                    + state.frame.histograms.len()
+                state.snapshot.series().len()
             ));
         }
         for alert in &inner.alerts {
@@ -288,16 +219,22 @@ impl Aggregator {
     }
 }
 
+/// Every source's snapshot merged into one.
+fn fleet(inner: &Inner) -> Snapshot {
+    let mut fleet = Snapshot::default();
+    for state in inner.sources.values() {
+        fleet.merge(&state.snapshot);
+    }
+    fleet
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adcomp_obs::metrics::MetricKey;
 
     fn frame(epochs: u64) -> Telemetry {
-        Telemetry::Metrics(MetricsFrame {
-            counters: vec![(MetricKey::new("adcomp_serve_epochs_total", &[]), epochs)],
-            ..MetricsFrame::default()
-        })
+        let key = MetricKey::new("adcomp_serve_epochs_total", &[]);
+        Telemetry::Metrics([(key, MetricValue::Counter(epochs))].into_iter().collect())
     }
 
     #[test]
@@ -352,6 +289,79 @@ mod tests {
         assert!(agg
             .render_prometheus()
             .contains("adcomp_agg_duplicate_alerts_total 1"));
+    }
+
+    /// `line` with `source="…"` appended to its labels, before `le`.
+    fn with_source(line: &str, source: &str) -> String {
+        let label = format!("source=\"{source}\"");
+        let (series, value) = line.rsplit_once(' ').unwrap();
+        let le = ["{le=\"", ",le=\""].iter().find_map(|p| series.find(p));
+        let series = match (le, series.strip_suffix('}')) {
+            (Some(at), _) => format!("{}{label},{}", &series[..=at], &series[at + 1..]),
+            (None, Some(open)) => format!("{open},{label}}}"),
+            (None, None) => format!("{series}{{{label}}}"),
+        };
+        format!("{series} {value}")
+    }
+
+    #[test]
+    fn per_source_lines_are_the_registry_rendering_with_a_source_label() {
+        // Kinds interleave in key order, as in a delivery run's dump.
+        let registry = adcomp_obs::Registry::new();
+        registry.counter("adcomp_delivery_auctions_total").add(5);
+        let price = registry.histogram("adcomp_delivery_price_micros", vec![10, 100]);
+        for v in [5, 50, 500] {
+            price.observe(v);
+        }
+        registry
+            .gauge_with("adcomp_delivery_pacing", &[("campaign", "c1")])
+            .set(-2);
+        registry
+            .histogram_with(
+                "adcomp_platform_estimate_size",
+                &[("platform", "x")],
+                vec![10],
+            )
+            .observe(7);
+        registry.counter("adcomp_platform_estimates_total").inc();
+        let own = registry.render_prometheus();
+
+        let agg = Aggregator::new();
+        assert!(agg.ingest("a", 1, Telemetry::Metrics(registry.snapshot())));
+        assert!(agg.ingest("b", 1, frame(3)));
+        let text = agg.render_prometheus();
+        let from_a: Vec<&str> = text
+            .lines()
+            .filter(|l| l.contains("source=\"a\""))
+            .collect();
+        let expected: Vec<String> = own
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .map(|l| with_source(l, "a"))
+            .collect();
+        assert_eq!(from_a, expected, "{text}");
+        assert!(from_a.contains(&"adcomp_delivery_price_micros_bucket{source=\"a\",le=\"+Inf\"} 3"));
+
+        // Every histogram's `_count` equals its `+Inf` bucket.
+        for doc in [&own, &text] {
+            let scrape = crate::Scrape::parse(doc);
+            let counts = scrape.samples.iter().filter(|s| s.name.ends_with("_count"));
+            let mut checked = 0;
+            for count in counts {
+                let family = count.name.strip_suffix("_count").unwrap();
+                let inf = scrape.samples.iter().find(|s| {
+                    s.name == format!("{family}_bucket")
+                        && s.label("le") == Some("+Inf")
+                        && s.labels
+                            .iter()
+                            .filter(|(k, _)| k != "le")
+                            .eq(count.labels.iter())
+                });
+                assert_eq!(inf.map(|s| s.value), Some(count.value), "{doc}");
+                checked += 1;
+            }
+            assert!(checked >= 2, "{doc}");
+        }
     }
 
     #[test]

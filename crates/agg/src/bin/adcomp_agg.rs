@@ -19,10 +19,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use adcomp_agg::{
-    AggService, Aggregator, AlertFrame, MetricsFrame, PusherConfig, Telemetry, TelemetryPusher,
-};
-use adcomp_obs::metrics::MetricKey;
+use adcomp_agg::{AggService, Aggregator, AlertFrame, PusherConfig, Telemetry, TelemetryPusher};
+use adcomp_obs::metrics::{MetricKey, MetricValue};
 use adcomp_wire::{serve_service, ServerConfig};
 
 fn usage() -> ExitCode {
@@ -119,13 +117,12 @@ fn push_mode(args: &[String]) -> ExitCode {
     let pusher = TelemetryPusher::start(PusherConfig::new(to, source));
     for _ in 0..repeat.max(1) {
         if !counters.is_empty() {
-            pusher.push(Telemetry::Metrics(MetricsFrame {
-                counters: counters
+            pusher.push(Telemetry::Metrics(
+                counters
                     .iter()
-                    .map(|(name, value)| (MetricKey::new(name, &[]), *value))
+                    .map(|(name, value)| (MetricKey::new(name, &[]), MetricValue::Counter(*value)))
                     .collect(),
-                ..MetricsFrame::default()
-            }));
+            ));
         }
         for (epoch, crossings) in &alerts {
             pusher.push(Telemetry::Alert(AlertFrame {

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use adcomp_obs::Clock;
+use adcomp_obs::{Clock, HistogramData};
 
 /// One parsed sample: name, sorted labels, value.
 #[derive(Clone, Debug, PartialEq)]
@@ -114,11 +114,12 @@ impl Scrape {
 
     /// Per-series latency quantiles recovered from `<name>_bucket`
     /// cumulative counts: `(series label, p50, p95, p99, count)`,
-    /// sorted by series label.
+    /// sorted by series label. The quantile rule is
+    /// [`HistogramData::quantile`], the one the registry reports with.
     pub fn quantiles(&self, name: &str) -> Vec<(String, u64, u64, u64, u64)> {
         let bucket_name = format!("{name}_bucket");
         // Group by the label set minus `le`.
-        let mut groups: BTreeMap<String, Vec<(Option<u64>, f64)>> = BTreeMap::new();
+        let mut groups: BTreeMap<String, Vec<(Option<u64>, u64)>> = BTreeMap::new();
         for sample in self.samples.iter().filter(|s| s.name == bucket_name) {
             let le = match sample.label("le") {
                 Some("+Inf") => None,
@@ -137,32 +138,28 @@ impl Scrape {
             groups
                 .entry(series.join(","))
                 .or_default()
-                .push((le, sample.value));
+                .push((le, sample.value as u64));
         }
         let mut out = Vec::new();
-        for (series, mut buckets) in groups {
-            buckets.sort_by_key(|(le, _)| le.unwrap_or(u64::MAX));
-            let total = buckets.last().map(|(_, c)| *c).unwrap_or(0.0);
-            if total <= 0.0 {
+        for (series, mut cumulative) in groups {
+            cumulative.sort_by_key(|(le, _)| le.unwrap_or(u64::MAX));
+            // Back to per-bucket counts, with a +Inf bucket last.
+            let mut data = HistogramData::default();
+            let mut seen = 0;
+            for (le, cum) in cumulative {
+                data.bounds.extend(le);
+                data.buckets.push(cum.saturating_sub(seen));
+                seen = seen.max(cum);
+            }
+            if data.buckets.len() == data.bounds.len() {
+                data.buckets.push(0);
+            }
+            let count = data.count();
+            if count == 0 {
                 continue;
             }
-            let q = |q: f64| -> u64 {
-                let rank = total * q;
-                for (le, cum) in &buckets {
-                    if *cum >= rank {
-                        // +Inf reports the top finite bound (saturated).
-                        return le.unwrap_or_else(|| {
-                            buckets
-                                .iter()
-                                .rev()
-                                .find_map(|(le, _)| *le)
-                                .unwrap_or(u64::MAX)
-                        });
-                    }
-                }
-                u64::MAX
-            };
-            out.push((series, q(0.50), q(0.95), q(0.99), total as u64));
+            let q = |q: f64| data.quantile(q).unwrap_or(u64::MAX);
+            out.push((series, q(0.50), q(0.95), q(0.99), count));
         }
         out
     }

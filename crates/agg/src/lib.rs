@@ -5,14 +5,15 @@
 //! [`TelemetryPusher`] — a bounded queue draining through a background
 //! `adcomp-wire` client, so the audit hot path *never* blocks on
 //! telemetry (overflow drops and counts) — pushing
-//! [`Telemetry`] records: full [`MetricsFrame`] snapshots (mergeable
-//! histograms included), drift [`AlertFrame`]s, and trace-event
-//! batches. The `adcomp_agg` daemon receives them through
+//! [`Telemetry`] records: full `adcomp-obs`
+//! [`Snapshot`](adcomp_obs::Snapshot)s (mergeable histograms included),
+//! drift [`AlertFrame`]s, and trace-event batches. The `adcomp_agg`
+//! daemon receives them through
 //! [`AggService`] on the ordinary wire server, folds them in an
 //! [`Aggregator`] (last-wins per source for metric state, exactly-once
 //! per `(source, epoch)` for alerts), and renders one combined
-//! Prometheus document: per-source series labelled `source="…"` plus
-//! fleet-wide merged totals.
+//! Prometheus document through the `adcomp-obs` renderer: fleet-wide
+//! merged totals plus per-source series labelled `source="…"`.
 //!
 //! [`Dashboard`] (the `adcomp_top` binary) scrapes that document and
 //! renders a live terminal view — rates, histogram quantiles, the
@@ -32,4 +33,4 @@ pub use aggregator::{Aggregator, FleetAlert};
 pub use dashboard::{Dashboard, Sample, Scrape};
 pub use push::{PusherConfig, TelemetryPusher};
 pub use sink::AggService;
-pub use telemetry::{AlertFrame, MetricsFrame, Telemetry, TraceFrame};
+pub use telemetry::{AlertFrame, Telemetry, TraceFrame};

@@ -225,15 +225,13 @@ mod tests {
     use super::*;
     use crate::aggregator::Aggregator;
     use crate::sink::AggService;
-    use crate::telemetry::{AlertFrame, MetricsFrame};
-    use adcomp_obs::metrics::MetricKey;
+    use crate::telemetry::AlertFrame;
+    use adcomp_obs::metrics::{MetricKey, MetricValue};
     use adcomp_wire::{serve_service, ClientConfig, ServerConfig};
 
     fn frame(n: u64) -> Telemetry {
-        Telemetry::Metrics(MetricsFrame {
-            counters: vec![(MetricKey::new("pushed", &[]), n)],
-            ..MetricsFrame::default()
-        })
+        let key = MetricKey::new("pushed", &[]);
+        Telemetry::Metrics([(key, MetricValue::Counter(n))].into_iter().collect())
     }
 
     #[test]

@@ -75,17 +75,15 @@ impl WireService for AggService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::{AlertFrame, MetricsFrame};
-    use adcomp_obs::metrics::MetricKey;
+    use crate::telemetry::AlertFrame;
+    use adcomp_obs::metrics::{MetricKey, MetricValue};
     use adcomp_wire::to_bytes;
 
     #[test]
     fn pushes_are_acked_and_ingested() {
         let service = AggService::new(Arc::new(Aggregator::new()));
-        let frame = Telemetry::Metrics(MetricsFrame {
-            counters: vec![(MetricKey::new("epochs", &[]), 2)],
-            ..MetricsFrame::default()
-        });
+        let key = MetricKey::new("epochs", &[]);
+        let frame = Telemetry::Metrics([(key, MetricValue::Counter(2))].into_iter().collect());
         let response = service.handle(Request::TelemetryPush {
             source: "a".into(),
             seq: 9,

@@ -1,85 +1,25 @@
 //! The telemetry records daemons push and the aggregator ingests.
 //!
 //! A [`Telemetry`] value is what rides inside the opaque `payload` of an
-//! `adcomp-wire` `Request::TelemetryPush` frame: a full [`MetricsFrame`]
-//! snapshot of a source's instruments, one drift [`AlertFrame`], or a
-//! batch of trace JSONL lines ([`TraceFrame`]). The codec lives here —
-//! `MetricKey` and `HistogramData` belong to `adcomp-obs`, which knows
-//! nothing about wire encodings, so this module encodes them field by
-//! field with the same conventions as the wire codec (big-endian ints,
-//! length-prefixed strings and vectors).
+//! `adcomp-wire` `Request::TelemetryPush` frame: a full
+//! [`Snapshot`] of a source's instruments, one drift [`AlertFrame`], or
+//! a batch of trace JSONL lines ([`TraceFrame`]). The codec lives here,
+//! as free functions over the snapshot — `Snapshot` belongs to
+//! `adcomp-obs`, which knows nothing about wire encodings — with the
+//! same conventions as the wire codec (big-endian ints, length-prefixed
+//! strings and vectors). Decoding refuses what no registry produces:
+//! unsorted labels, and histograms whose bounds are empty or not
+//! strictly increasing or whose bucket count is not bounds + 1.
 //!
-//! Metric frames are *state*, not deltas: each push carries the source's
-//! current counter/gauge/histogram values, and the aggregator keeps the
-//! latest frame per source (last-wins by push sequence number). That
-//! makes pushes idempotent — a retried or duplicated frame cannot
-//! double-count — which is what lets the push path ride the wire
-//! client's retry machinery unchanged.
+//! Metric snapshots are *state*, not deltas: each push carries the
+//! source's current counter/gauge/histogram values, and the aggregator
+//! keeps the latest snapshot per source (last-wins by push sequence
+//! number). That makes pushes idempotent — a retried or duplicated
+//! frame cannot double-count — which is what lets the push path ride
+//! the wire client's retry machinery unchanged.
 
-use adcomp_obs::metrics::{HistogramData, MetricKey, Registry};
+use adcomp_obs::metrics::{HistogramData, MetricKey, MetricValue, Snapshot};
 use adcomp_wire::codec::{CodecError, WireDecode, WireEncode, Writer};
-
-/// One source's full instrument state at a point in time.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MetricsFrame {
-    /// Counter values.
-    pub counters: Vec<(MetricKey, u64)>,
-    /// Gauge values.
-    pub gauges: Vec<(MetricKey, i64)>,
-    /// Full histogram state (bounds + buckets, mergeable).
-    pub histograms: Vec<(MetricKey, HistogramData)>,
-}
-
-impl MetricsFrame {
-    /// Captures every instrument in `registry` as one frame.
-    pub fn capture(registry: &Registry) -> MetricsFrame {
-        let snap = registry.snapshot();
-        MetricsFrame {
-            counters: snap.counters,
-            gauges: snap.gauges,
-            histograms: registry.export_histograms(),
-        }
-    }
-
-    /// The value of a counter, summed across label combinations.
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(k, _)| k.name == name)
-            .map(|(_, v)| v)
-            .sum()
-    }
-
-    /// Merges another frame into this one: counters and gauges sum by
-    /// key, histograms merge bucketwise (mismatched bounds are skipped
-    /// rather than corrupted). The fleet view is a fold of per-source
-    /// frames through this.
-    pub fn merge(&mut self, other: &MetricsFrame) {
-        for (key, value) in &other.counters {
-            match self.counters.iter_mut().find(|(k, _)| k == key) {
-                Some((_, v)) => *v += value,
-                None => self.counters.push((key.clone(), *value)),
-            }
-        }
-        for (key, value) in &other.gauges {
-            match self.gauges.iter_mut().find(|(k, _)| k == key) {
-                Some((_, v)) => *v += value,
-                None => self.gauges.push((key.clone(), *value)),
-            }
-        }
-        for (key, data) in &other.histograms {
-            match self.histograms.iter_mut().find(|(k, _)| k == key) {
-                Some((_, mine)) => {
-                    let _ = mine.merge(data);
-                }
-                None => self.histograms.push((key.clone(), data.clone())),
-            }
-        }
-        self.counters.sort_by(|a, b| a.0.cmp(&b.0));
-        self.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        self.histograms.sort_by(|a, b| a.0.cmp(&b.0));
-    }
-}
 
 /// One drift alert, pushed by a serve daemon's wire alert sink.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -103,7 +43,7 @@ pub struct TraceFrame {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Telemetry {
     /// Full metric state (last-wins per source).
-    Metrics(MetricsFrame),
+    Metrics(Snapshot),
     /// One drift alert (deduplicated by `(source, epoch)`).
     Alert(AlertFrame),
     /// Trace events for the fleet trace ring.
@@ -126,72 +66,80 @@ fn decode_key(buf: &mut &[u8]) -> Result<MetricKey, CodecError> {
     for _ in 0..len {
         labels.push((String::decode(buf)?, String::decode(buf)?));
     }
+    if !labels.is_sorted() {
+        return Err(CodecError::Invalid("metric labels not sorted"));
+    }
     Ok(MetricKey { name, labels })
 }
 
-fn encode_hist(data: &HistogramData, buf: &mut Writer) {
-    data.bounds.encode(buf);
-    data.buckets.encode(buf);
-    data.count.encode(buf);
-    data.sum.encode(buf);
-    data.saturated.encode(buf);
-}
-
 fn decode_hist(buf: &mut &[u8]) -> Result<HistogramData, CodecError> {
-    Ok(HistogramData {
+    let data = HistogramData {
         bounds: Vec::<u64>::decode(buf)?,
         buckets: Vec::<u64>::decode(buf)?,
-        count: u64::decode(buf)?,
         sum: u64::decode(buf)?,
-        saturated: u64::decode(buf)?,
-    })
+    };
+    if data.bounds.is_empty() || !data.bounds.is_sorted_by(|a, b| a < b) {
+        return Err(CodecError::Invalid(
+            "histogram bounds empty or not strictly increasing",
+        ));
+    }
+    if data.buckets.len() != data.bounds.len() + 1 {
+        return Err(CodecError::Invalid(
+            "histogram bucket count is not bounds + 1",
+        ));
+    }
+    Ok(data)
 }
 
-impl WireEncode for MetricsFrame {
-    fn encode(&self, buf: &mut Writer) {
-        (self.counters.len() as u32).encode(buf);
-        for (key, value) in &self.counters {
-            encode_key(key, buf);
-            value.encode(buf);
-        }
-        (self.gauges.len() as u32).encode(buf);
-        for (key, value) in &self.gauges {
-            encode_key(key, buf);
-            // Two's-complement through u64: the codec has no signed ints.
-            (*value as u64).encode(buf);
-        }
-        (self.histograms.len() as u32).encode(buf);
-        for (key, data) in &self.histograms {
-            encode_key(key, buf);
-            encode_hist(data, buf);
+/// A snapshot's series in key order, each as key, kind tag, value.
+fn encode_snapshot(snap: &Snapshot, buf: &mut Writer) {
+    (snap.series().len() as u32).encode(buf);
+    for (key, value) in snap.series() {
+        encode_key(key, buf);
+        match value {
+            MetricValue::Counter(v) => {
+                0u8.encode(buf);
+                v.encode(buf);
+            }
+            MetricValue::Gauge(v) => {
+                1u8.encode(buf);
+                // Two's-complement through u64: the codec has no signed ints.
+                (*v as u64).encode(buf);
+            }
+            MetricValue::Histogram(h) => {
+                2u8.encode(buf);
+                h.bounds.encode(buf);
+                h.buckets.encode(buf);
+                h.sum.encode(buf);
+            }
         }
     }
 }
 
-impl WireDecode for MetricsFrame {
-    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        let mut frame = MetricsFrame::default();
-        for _ in 0..u32::decode(buf)? {
-            frame.counters.push((decode_key(buf)?, u64::decode(buf)?));
-        }
-        for _ in 0..u32::decode(buf)? {
-            frame
-                .gauges
-                .push((decode_key(buf)?, u64::decode(buf)? as i64));
-        }
-        for _ in 0..u32::decode(buf)? {
-            frame.histograms.push((decode_key(buf)?, decode_hist(buf)?));
-        }
-        Ok(frame)
-    }
+fn decode_snapshot(buf: &mut &[u8]) -> Result<Snapshot, CodecError> {
+    (0..u32::decode(buf)?)
+        .map(|_| {
+            let key = decode_key(buf)?;
+            let value = match u8::decode(buf)? {
+                0 => MetricValue::Counter(u64::decode(buf)?),
+                1 => MetricValue::Gauge(u64::decode(buf)? as i64),
+                2 => MetricValue::Histogram(decode_hist(buf)?),
+                tag => {
+                    let what = "MetricValue";
+                    return Err(CodecError::InvalidTag { what, tag });
+                }
+            };
+            Ok((key, value))
+        })
+        .collect()
 }
 
 impl WireEncode for Telemetry {
     fn encode(&self, buf: &mut Writer) {
         match self {
-            Telemetry::Metrics(frame) => {
+            Telemetry::Metrics(snap) => {
                 0u8.encode(buf);
-                frame.encode(buf);
+                encode_snapshot(snap, buf);
             }
             Telemetry::Alert(alert) => {
                 1u8.encode(buf);
@@ -210,7 +158,7 @@ impl WireEncode for Telemetry {
 impl WireDecode for Telemetry {
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         match u8::decode(buf)? {
-            0 => Ok(Telemetry::Metrics(MetricsFrame::decode(buf)?)),
+            0 => Ok(Telemetry::Metrics(decode_snapshot(buf)?)),
             1 => Ok(Telemetry::Alert(AlertFrame {
                 epoch: u64::decode(buf)?,
                 crossings: u32::decode(buf)?,
@@ -236,30 +184,37 @@ mod tests {
         MetricKey::new(name, labels)
     }
 
+    fn histogram(bounds: Vec<u64>, buckets: Vec<u64>) -> Telemetry {
+        let value = MetricValue::Histogram(HistogramData {
+            bounds,
+            buckets,
+            sum: 4200,
+        });
+        Telemetry::Metrics(
+            [(key("adcomp_wire_rtt_us", &[]), value)]
+                .into_iter()
+                .collect(),
+        )
+    }
+
     #[test]
     fn telemetry_roundtrips() {
-        let frame = MetricsFrame {
-            counters: vec![
-                (key("adcomp_serve_epochs_total", &[]), 7),
-                (
-                    key("adcomp_wire_requests_total", &[("kind", "estimate_batch")]),
-                    42,
-                ),
-            ],
-            gauges: vec![(key("adcomp_queue_depth", &[]), -3)],
-            histograms: vec![(
-                key("adcomp_wire_rtt_us", &[]),
-                HistogramData {
-                    bounds: vec![100, 1000],
-                    buckets: vec![1, 2, 3],
-                    count: 6,
-                    sum: 4200,
-                    saturated: 3,
-                },
-            )],
-        };
+        let snap: Snapshot = [
+            (
+                key("adcomp_serve_epochs_total", &[]),
+                MetricValue::Counter(7),
+            ),
+            (
+                key("adcomp_wire_requests_total", &[("kind", "estimate_batch")]),
+                MetricValue::Counter(42),
+            ),
+            (key("adcomp_queue_depth", &[]), MetricValue::Gauge(-3)),
+        ]
+        .into_iter()
+        .collect();
         for t in [
-            Telemetry::Metrics(frame),
+            Telemetry::Metrics(snap),
+            histogram(vec![100, 1000], vec![1, 2, 3]),
             Telemetry::Alert(AlertFrame {
                 epoch: 3,
                 crossings: 2,
@@ -281,43 +236,28 @@ mod tests {
     }
 
     #[test]
-    fn frames_merge_by_key() {
-        let mut a = MetricsFrame {
-            counters: vec![(key("epochs", &[]), 3), (key("alerts", &[]), 1)],
-            gauges: vec![(key("depth", &[]), 2)],
-            histograms: vec![(
-                key("rtt", &[]),
-                HistogramData {
-                    bounds: vec![10],
-                    buckets: vec![1, 0],
-                    count: 1,
-                    sum: 5,
-                    saturated: 0,
-                },
-            )],
+    fn decoder_rejects_what_no_registry_produces() {
+        let unsorted = MetricKey {
+            name: "x_total".into(),
+            labels: vec![("b".into(), "1".into()), ("a".into(), "2".into())],
         };
-        let b = MetricsFrame {
-            counters: vec![(key("epochs", &[]), 4)],
-            gauges: vec![(key("depth", &[]), -1)],
-            histograms: vec![(
-                key("rtt", &[]),
-                HistogramData {
-                    bounds: vec![10],
-                    buckets: vec![0, 2],
-                    count: 2,
-                    sum: 40,
-                    saturated: 2,
-                },
-            )],
-        };
-        a.merge(&b);
-        assert_eq!(a.counter("epochs"), 7);
-        assert_eq!(a.counter("alerts"), 1);
-        assert_eq!(a.gauges[0].1, 1);
-        let hist = &a.histograms[0].1;
-        assert_eq!(hist.buckets, vec![1, 2]);
-        assert_eq!(hist.count, 3);
-        assert_eq!(hist.sum, 45);
-        assert_eq!(hist.saturated, 2);
+        let unsorted =
+            Telemetry::Metrics([(unsorted, MetricValue::Counter(1))].into_iter().collect());
+        for bad in [
+            unsorted,
+            histogram(vec![], vec![3]),
+            histogram(vec![100, 100], vec![1, 2, 3]),
+            histogram(vec![1000, 100], vec![1, 2, 3]),
+            histogram(vec![10], vec![1, 2, 3]),
+            histogram(vec![10, 100], vec![1, 2]),
+        ] {
+            assert!(
+                matches!(
+                    from_bytes::<Telemetry>(&to_bytes(&bad)),
+                    Err(CodecError::Invalid(_))
+                ),
+                "{bad:?}"
+            );
+        }
     }
 }

@@ -20,7 +20,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use adcomp_agg::{AggService, Aggregator, MetricsFrame, PusherConfig, Telemetry, TelemetryPusher};
+use adcomp_agg::{AggService, Aggregator, PusherConfig, Telemetry, TelemetryPusher};
 use adcomp_bench::harness::{best, interleaved, time, Gate, Report};
 use adcomp_bench::{context, Cli};
 use adcomp_core::{measure_spec, QUERIES_PER_SPEC};
@@ -139,7 +139,7 @@ fn main() -> ExitCode {
     let overhead_pct = |mode: &[f64]| (best(mode) - best(&off)) / best(&off) * 100.0;
 
     // Ingest on a frame the size the workload produced.
-    let frame = Telemetry::Metrics(MetricsFrame::capture(Registry::global()));
+    let frame = Telemetry::Metrics(Registry::global().snapshot());
     let (ingest_direct, ingest_wire) = ingest_rates(&frame);
 
     Report::new("obs_overhead")

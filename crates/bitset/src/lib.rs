@@ -286,26 +286,6 @@ impl Bitset {
         ops::and_not_len(include, exclude)
     }
 
-    /// Upper bound on `|self ∧ other|` from per-chunk cardinalities.
-    ///
-    /// Costs O(chunks) — container payloads are never touched — and is
-    /// never smaller than the true intersection size, so it prunes
-    /// "could this AND still reach N users?" questions for free.
-    pub fn intersection_len_bound(&self, other: &Bitset) -> u64 {
-        ops::intersection_len_bound(self, other)
-    }
-
-    /// Decides `|self ∧ other| >= threshold` with early exit.
-    ///
-    /// Far cheaper than [`intersection_len`](Bitset::intersection_len)
-    /// when the answer is decided early: the per-chunk cardinality bound
-    /// settles clear misses without touching container payloads, and the
-    /// exact walk stops as soon as the accumulated count either reaches
-    /// `threshold` or provably cannot.
-    pub fn intersection_len_at_least(&self, other: &Bitset, threshold: u64) -> bool {
-        ops::intersection_len_at_least(self, other, threshold)
-    }
-
     /// `|self ∨ other|` without materialising the union.
     pub fn union_len(&self, other: &Bitset) -> u64 {
         self.len() + other.len() - self.intersection_len(other)

@@ -150,73 +150,6 @@ fn as_bitmap<'a>(c: &'a Container, buf: &'a mut [u64; BITMAP_WORDS]) -> &'a [u64
     }
 }
 
-/// Upper bound on `|a ∧ b|` from per-chunk cardinalities alone.
-///
-/// `Σ min(|ca|, |cb|)` over chunks present in both sets — the container
-/// payloads are never inspected, so this is O(chunks) regardless of
-/// density. Exact when one operand's chunks are subsets of the other's;
-/// never less than the true intersection size.
-pub(crate) fn intersection_len_bound(a: &Bitset, b: &Bitset) -> u64 {
-    let mut bound = 0u64;
-    for_each_common_chunk(a, b, |ca, cb| {
-        bound += ca.len().min(cb.len()) as u64;
-    });
-    bound
-}
-
-/// Decides `|a ∧ b| >= threshold` without computing the full size.
-///
-/// Two-phase: the per-chunk cardinality bound settles the question for
-/// free when it already falls below `threshold`; otherwise a merge walk
-/// counts exact per-chunk intersections, exiting as soon as the
-/// accumulated count reaches `threshold` or the accumulated count plus
-/// the bound over the remaining chunks can no longer reach it.
-pub(crate) fn intersection_len_at_least(a: &Bitset, b: &Bitset, threshold: u64) -> bool {
-    if threshold == 0 {
-        return true;
-    }
-    let (ac, bc) = (a.chunks(), b.chunks());
-    // Phase 1: pair up common chunks and total their cardinality bound.
-    let mut common: Vec<(&Container, &Container, u64)> = Vec::new();
-    let mut bound = 0u64;
-    {
-        let (mut i, mut j) = (0, 0);
-        while i < ac.len() && j < bc.len() {
-            let (ka, ca) = &ac[i];
-            let (kb, cb) = &bc[j];
-            match ka.cmp(kb) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    let chunk_bound = ca.len().min(cb.len()) as u64;
-                    bound += chunk_bound;
-                    common.push((ca, cb, chunk_bound));
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-    }
-    if bound < threshold {
-        return false;
-    }
-    // Phase 2: exact counts with both-sided early exit. `remaining` is
-    // the bound over chunks not yet counted.
-    let mut acc = 0u64;
-    let mut remaining = bound;
-    for (ca, cb, chunk_bound) in common {
-        remaining -= chunk_bound;
-        acc += container_intersection_len(ca, cb) as u64;
-        if acc >= threshold {
-            return true;
-        }
-        if acc + remaining < threshold {
-            return false;
-        }
-    }
-    acc >= threshold
-}
-
 /// Disjointness test with early exit.
 pub(crate) fn is_disjoint(a: &Bitset, b: &Bitset) -> bool {
     let (ac, bc) = (a.chunks(), b.chunks());
@@ -753,39 +686,6 @@ mod tests {
         assert_eq!(a.and_not(&b).len(), 10_000);
         assert_eq!(a.xor(&b).len(), 20_000);
         assert_eq!(a.intersection_len(&b), 10_000);
-    }
-
-    #[test]
-    fn intersection_bound_and_threshold() {
-        let a: Bitset = (0..50_000u32).collect();
-        let b: Bitset = (0..50_000u32).step_by(5).collect();
-        let exact = a.intersection_len(&b);
-        assert_eq!(exact, 10_000);
-        // The bound dominates the exact size and equals Σ min per chunk.
-        assert!(a.intersection_len_bound(&b) >= exact);
-        assert_eq!(a.intersection_len_bound(&b), b.len());
-        // Threshold test agrees with the exact size on both sides.
-        for t in [0u64, 1, 9_999, 10_000, 10_001, 1 << 40] {
-            assert_eq!(
-                a.intersection_len_at_least(&b, t),
-                exact >= t,
-                "threshold {t}"
-            );
-        }
-        // Disjoint chunks: bound is zero, so any positive threshold is a
-        // free rejection.
-        let far: Bitset = ((1 << 24)..(1 << 24) + 1000).collect();
-        assert_eq!(a.intersection_len_bound(&far), 0);
-        assert!(!a.intersection_len_at_least(&far, 1));
-        assert!(a.intersection_len_at_least(&far, 0));
-        // Run containers go through the same kernels.
-        let mut ra = a.clone();
-        ra.run_optimize();
-        assert!(ra.intersection_len_at_least(&b, exact));
-        assert!(!ra.intersection_len_at_least(&b, exact + 1));
-        // Empty operands.
-        assert_eq!(Bitset::new().intersection_len_bound(&a), 0);
-        assert!(!Bitset::new().intersection_len_at_least(&a, 1));
     }
 
     #[test]

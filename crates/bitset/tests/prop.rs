@@ -243,18 +243,15 @@ proptest! {
     }
 
     #[test]
-    fn pairwise_counts_match_reference(a in operand(), b in operand(), slack in 0u64..3) {
+    fn pairwise_counts_match_reference(a in operand(), b in operand()) {
         // The pairwise kernel (and its branchless array merge) behind
-        // `intersection_len`, `is_disjoint` and the thresholded count.
+        // `intersection_len` and `is_disjoint`.
         let (sa, ra) = operand_set(a);
         let (sb, rb) = operand_set(b);
         let exact = ra.intersection(&rb).count() as u64;
         prop_assert_eq!(sa.intersection_len(&sb), exact);
         prop_assert_eq!(Bitset::and_not_len(&[&sa, &sb], &[]), exact);
         prop_assert_eq!(sa.is_disjoint(&sb), exact == 0);
-        for threshold in [exact.saturating_sub(slack), exact, exact + 1 + slack] {
-            prop_assert_eq!(sa.intersection_len_at_least(&sb, threshold), exact >= threshold);
-        }
     }
 
     #[test]

@@ -53,8 +53,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 pub use attribution::{latency_attribution, LatencyAttribution};
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use metrics::{
-    duration_us_buckets, size_buckets, Counter, Gauge, Histogram, HistogramData, HistogramSummary,
-    MetricKey, Registry, Snapshot,
+    duration_us_buckets, size_buckets, Counter, Exposition, Gauge, Histogram, HistogramData,
+    MetricKey, MetricValue, Registry, Snapshot,
 };
 pub use progress::ProgressReporter;
 pub use report::RunReport;

@@ -7,12 +7,16 @@
 //! relaxed load + branch, which is what the `obs_overhead` baseline
 //! measures against.
 //!
-//! Exposition comes in two flavours: [`Registry::render_prometheus`]
-//! (the standard text format, one snapshot per campaign next to its TSV)
-//! and [`Registry::render_report`] (a human-readable end-of-run summary
-//! with p50/p95/p99 for histograms).
+//! Every read goes through one [`Snapshot`]: the registry's instruments
+//! in key order, histograms as full [`HistogramData`]. Snapshots merge
+//! (a fleet's totals are the fold of its sources'), and one
+//! [`Exposition`] renders them as Prometheus text, so
+//! [`Registry::render_prometheus`] (one snapshot per campaign next to its
+//! TSV) and the fleet aggregator's document share one format.
+//! [`Registry::render_report`] is the human-readable end-of-run summary,
+//! with p50/p95/p99 from [`HistogramData::quantile`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -95,19 +99,17 @@ pub fn size_buckets() -> Vec<u64> {
 
 /// A fixed-bucket histogram with atomic buckets.
 ///
-/// Observations are cumulative-bucketed at read time; percentiles are
-/// reported as the upper bound of the bucket holding the requested
-/// quantile (the usual Prometheus-style approximation).
+/// Its state is the buckets and the sum. The count is the buckets'
+/// total and the saturated count is the +Inf bucket, so a copy can
+/// never report a count its buckets disagree with. Percentiles are
+/// read from a [`HistogramData`] copy.
 #[derive(Debug)]
 pub struct Histogram {
     /// Inclusive upper bounds, strictly increasing; an explicit +Inf
     /// bucket follows as the last entry of `buckets`.
     bounds: Vec<u64>,
     buckets: Vec<AtomicU64>,
-    count: AtomicU64,
     sum: AtomicU64,
-    /// Observations that overflowed the top finite bound into +Inf.
-    saturated: AtomicU64,
 }
 
 /// The process-wide count of histogram observations that landed in a
@@ -133,47 +135,28 @@ impl Histogram {
         Histogram {
             bounds,
             buckets,
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
-            saturated: AtomicU64::new(0),
         }
     }
 
     /// Records one observation. Values above the top finite bound land
-    /// in the +Inf bucket and count as saturated (here and in the global
-    /// `adcomp_obs_histogram_saturated_total` counter).
+    /// in the +Inf bucket and also count in the global
+    /// `adcomp_obs_histogram_saturated_total` counter.
     pub fn observe(&self, value: u64) {
         if !crate::enabled() {
             return;
         }
         let idx = self.bounds.partition_point(|&b| b < value);
         if idx == self.bounds.len() {
-            self.saturated.fetch_add(1, Ordering::Relaxed);
             histogram_saturated_total().inc();
         }
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
     /// Records a [`std::time::Duration`] in microseconds.
     pub fn observe_duration(&self, d: std::time::Duration) {
         self.observe(d.as_micros() as u64);
-    }
-
-    /// Observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Observations that overflowed the top finite bound.
-    pub fn saturated(&self) -> u64 {
-        self.saturated.load(Ordering::Relaxed)
     }
 
     /// A plain-data copy of this histogram, mergeable with copies of
@@ -186,53 +169,14 @@ impl Histogram {
                 .iter()
                 .map(|b| b.load(Ordering::Relaxed))
                 .collect(),
-            count: self.count(),
-            sum: self.sum(),
-            saturated: self.saturated(),
+            sum: self.sum.load(Ordering::Relaxed),
         }
-    }
-
-    /// The upper bound of the bucket containing quantile `q` in `[0, 1]`
-    /// (`None` when empty; the last finite bound when the quantile lands
-    /// in the +Inf bucket).
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
-            if seen >= rank {
-                return Some(match self.bounds.get(i) {
-                    Some(&b) => b,
-                    None => *self.bounds.last().expect("non-empty bounds"),
-                });
-            }
-        }
-        Some(*self.bounds.last().expect("non-empty bounds"))
-    }
-
-    /// Per-bucket cumulative counts paired with their upper bounds
-    /// (`None` = +Inf), for exposition.
-    pub fn cumulative(&self) -> Vec<(Option<u64>, u64)> {
-        let mut acc = 0u64;
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(|(i, b)| {
-                acc += b.load(Ordering::Relaxed);
-                (self.bounds.get(i).copied(), acc)
-            })
-            .collect()
     }
 }
 
 /// A histogram's full state as plain data: the unit of histogram
 /// aggregation across a fleet. Two `HistogramData` with identical
-/// bounds merge bucketwise; mismatched bounds refuse to merge (the
-/// caller keeps them as separate per-source series instead).
+/// bounds merge bucketwise; mismatched bounds refuse to merge.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistogramData {
     /// Inclusive upper bounds, strictly increasing.
@@ -240,15 +184,16 @@ pub struct HistogramData {
     /// Per-bucket (non-cumulative) counts; `bounds.len() + 1` entries,
     /// the last being the +Inf bucket.
     pub buckets: Vec<u64>,
-    /// Observations recorded.
-    pub count: u64,
     /// Sum of observations.
     pub sum: u64,
-    /// Observations that overflowed into +Inf.
-    pub saturated: u64,
 }
 
 impl HistogramData {
+    /// Observations recorded: the buckets' total.
+    pub fn count(&self) -> u64 {
+        self.buckets.iter().sum()
+    }
+
     /// Adds `other` into `self` bucketwise. Returns `false` (leaving
     /// `self` untouched) when the bucket layouts differ.
     pub fn merge(&mut self, other: &HistogramData) -> bool {
@@ -258,31 +203,25 @@ impl HistogramData {
         for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *mine += theirs;
         }
-        self.count += other.count;
         self.sum += other.sum;
-        self.saturated += other.saturated;
         true
     }
 
     /// The upper bound of the bucket containing quantile `q` in `[0, 1]`
     /// (`None` when empty; the last finite bound when the quantile lands
-    /// in the +Inf bucket), mirroring [`Histogram::quantile`].
+    /// in the +Inf bucket).
     pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 || self.bounds.is_empty() {
+        let top = *self.bounds.last()?;
+        let total = self.count();
+        if total == 0 {
             return None;
         }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            seen += bucket;
-            if seen >= rank {
-                return Some(match self.bounds.get(i) {
-                    Some(&b) => b,
-                    None => *self.bounds.last().expect("non-empty bounds"),
-                });
-            }
-        }
-        Some(*self.bounds.last().expect("non-empty bounds"))
+        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+        let i = self
+            .cumulative()
+            .iter()
+            .position(|&(_, seen)| seen >= rank)?;
+        Some(self.bounds.get(i).copied().unwrap_or(top))
     }
 
     /// Per-bucket cumulative counts paired with their upper bounds
@@ -326,27 +265,23 @@ impl MetricKey {
 
     /// `name{label="v",...}` in Prometheus series syntax.
     pub fn render(&self) -> String {
-        if self.labels.is_empty() {
-            return self.name.clone();
-        }
-        let labels: Vec<String> = self
-            .labels
-            .iter()
-            .map(|(k, v)| format!("{k}=\"{v}\""))
-            .collect();
-        format!("{}{{{}}}", self.name, labels.join(","))
+        series(&self.name, "", &self.labels, &[])
     }
+}
 
-    /// [`render`](MetricKey::render) with one extra label appended
-    /// (`le` for buckets, `source` for fleet aggregation).
-    pub fn render_with(&self, extra: (&str, &str)) -> String {
-        let mut labels: Vec<String> = self
-            .labels
-            .iter()
-            .map(|(k, v)| format!("{k}=\"{v}\""))
-            .collect();
-        labels.push(format!("{}=\"{}\"", extra.0, extra.1));
-        format!("{}{{{}}}", self.name, labels.join(","))
+/// `name` + `suffix`, then `labels` followed by `extra` in Prometheus
+/// series syntax (no braces when both are empty).
+fn series(name: &str, suffix: &str, labels: &[(String, String)], extra: &[(&str, &str)]) -> String {
+    let pairs: Vec<String> = labels
+        .iter()
+        .map(|(k, v)| (k.as_str(), v.as_str()))
+        .chain(extra.iter().copied())
+        .map(|(k, v)| format!("{k}=\"{v}\""))
+        .collect();
+    if pairs.is_empty() {
+        format!("{name}{suffix}")
+    } else {
+        format!("{name}{suffix}{{{}}}", pairs.join(","))
     }
 }
 
@@ -356,38 +291,67 @@ enum Instrument {
     Histogram(Arc<Histogram>),
 }
 
-/// A point-in-time copy of every instrument in a registry.
-#[derive(Clone, Debug, Default)]
-pub struct Snapshot {
-    /// Counter values.
-    pub counters: Vec<(MetricKey, u64)>,
-    /// Gauge values.
-    pub gauges: Vec<(MetricKey, i64)>,
-    /// Histogram `(count, sum, p50, p95, p99)` summaries.
-    pub histograms: Vec<(MetricKey, HistogramSummary)>,
+/// One instrument's value in a [`Snapshot`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum MetricValue {
+    /// A counter's value.
+    Counter(u64),
+    /// A gauge's value.
+    Gauge(i64),
+    /// A histogram's full state.
+    Histogram(HistogramData),
 }
 
-/// Summary statistics of one histogram.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HistogramSummary {
-    /// Observations recorded.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: u64,
-    /// Median (bucket upper bound).
-    pub p50: Option<u64>,
-    /// 95th percentile.
-    pub p95: Option<u64>,
-    /// 99th percentile.
-    pub p99: Option<u64>,
+impl MetricValue {
+    /// Adds `other` into `self`: counters and gauges sum, histograms
+    /// merge bucketwise. A kind or bucket-layout mismatch leaves `self`
+    /// as it is.
+    fn merge(&mut self, other: &MetricValue) {
+        match (self, other) {
+            (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
+            (MetricValue::Gauge(a), MetricValue::Gauge(b)) => *a += b,
+            (MetricValue::Histogram(a), MetricValue::Histogram(b)) => {
+                let _ = a.merge(b);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// A point-in-time copy of instruments: one value per key, in key
+/// order. A registry's [`Registry::snapshot`], a pushed telemetry frame
+/// and a fleet's merged totals are all snapshots.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Snapshot {
+    series: Vec<(MetricKey, MetricValue)>,
 }
 
 impl Snapshot {
+    /// Every series, in key order.
+    pub fn series(&self) -> &[(MetricKey, MetricValue)] {
+        &self.series
+    }
+
+    /// Every counter, in key order.
+    pub fn counters(&self) -> impl Iterator<Item = (&MetricKey, &u64)> {
+        self.series.iter().filter_map(|(k, v)| match v {
+            MetricValue::Counter(c) => Some((k, c)),
+            _ => None,
+        })
+    }
+
+    /// Every histogram, in key order.
+    pub fn histograms(&self) -> impl Iterator<Item = (&MetricKey, &HistogramData)> {
+        self.series.iter().filter_map(|(k, v)| match v {
+            MetricValue::Histogram(h) => Some((k, h)),
+            _ => None,
+        })
+    }
+
     /// The value of a counter, summed across every label combination of
     /// `name`.
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
+        self.counters()
             .filter(|(k, _)| k.name == name)
             .map(|(_, v)| v)
             .sum()
@@ -396,10 +360,98 @@ impl Snapshot {
     /// The value of a gauge with exactly this name and no labels, if
     /// registered.
     pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges
-            .iter()
-            .find(|(k, _)| k.name == name && k.labels.is_empty())
-            .map(|(_, v)| *v)
+        self.series.iter().find_map(|(k, v)| match v {
+            MetricValue::Gauge(g) if k.name == name && k.labels.is_empty() => Some(*g),
+            _ => None,
+        })
+    }
+
+    /// Adds `value` under `key`: a new key is inserted in order, an
+    /// existing one merges (a kind or bucket-layout mismatch is skipped
+    /// rather than corrupted).
+    fn add(&mut self, key: MetricKey, value: MetricValue) {
+        match self.series.binary_search_by(|(k, _)| k.cmp(&key)) {
+            Ok(i) => self.series[i].1.merge(&value),
+            Err(i) => self.series.insert(i, (key, value)),
+        }
+    }
+
+    /// Merges `other` into this snapshot: counters and gauges sum by
+    /// key, histograms merge bucketwise. A fleet's totals are the fold
+    /// of its sources' snapshots through this.
+    pub fn merge(&mut self, other: &Snapshot) {
+        for (key, value) in &other.series {
+            self.add(key.clone(), value.clone());
+        }
+    }
+}
+
+impl FromIterator<(MetricKey, MetricValue)> for Snapshot {
+    /// Collects series in any order; a repeated key merges.
+    fn from_iter<I: IntoIterator<Item = (MetricKey, MetricValue)>>(iter: I) -> Snapshot {
+        let mut snap = Snapshot::default();
+        for (key, value) in iter {
+            snap.add(key, value);
+        }
+        snap
+    }
+}
+
+/// A Prometheus text document built from snapshots. Each family's
+/// `# TYPE` line precedes its first series in the document.
+#[derive(Default)]
+pub struct Exposition {
+    text: String,
+    typed: BTreeSet<String>,
+}
+
+impl Exposition {
+    /// Appends every series of `snap` in key order, with `extra` (for
+    /// example `("source", "a")`) after each series' own labels and
+    /// before a bucket's `le`. A histogram's `_count` is its buckets'
+    /// total, so it always equals its `+Inf` line.
+    pub fn push(&mut self, snap: &Snapshot, extra: Option<(&str, &str)>) {
+        use std::fmt::Write as _;
+        let extra: &[(&str, &str)] = match &extra {
+            Some(pair) => std::slice::from_ref(pair),
+            None => &[],
+        };
+        let out = &mut self.text;
+        for (key, value) in &snap.series {
+            let kind = match value {
+                MetricValue::Counter(_) => "counter",
+                MetricValue::Gauge(_) => "gauge",
+                MetricValue::Histogram(_) => "histogram",
+            };
+            if self.typed.insert(key.name.clone()) {
+                let _ = writeln!(out, "# TYPE {} {kind}", key.name);
+            }
+            let line = |suffix: &str| series(&key.name, suffix, &key.labels, extra);
+            match value {
+                MetricValue::Counter(v) => {
+                    let _ = writeln!(out, "{} {v}", line(""));
+                }
+                MetricValue::Gauge(v) => {
+                    let _ = writeln!(out, "{} {v}", line(""));
+                }
+                MetricValue::Histogram(h) => {
+                    for (bound, cum) in h.cumulative() {
+                        let le = bound.map_or_else(|| "+Inf".to_string(), |b| b.to_string());
+                        let mut labels = extra.to_vec();
+                        labels.push(("le", &le));
+                        let bucket = series(&key.name, "_bucket", &key.labels, &labels);
+                        let _ = writeln!(out, "{bucket} {cum}");
+                    }
+                    let _ = writeln!(out, "{} {}", line("_sum"), h.sum);
+                    let _ = writeln!(out, "{} {}", line("_count"), h.count());
+                }
+            }
+        }
+    }
+
+    /// The document's text.
+    pub fn into_text(self) -> String {
+        self.text
     }
 }
 
@@ -497,82 +549,28 @@ impl Registry {
         }
     }
 
-    /// Full [`HistogramData`] for every histogram — the mergeable form
-    /// a telemetry pusher ships to an aggregator (the [`Snapshot`]
-    /// summary keeps only quantiles, which do not merge).
-    pub fn export_histograms(&self) -> Vec<(MetricKey, HistogramData)> {
-        let map = crate::lock(&self.instruments);
-        map.iter()
-            .filter_map(|(key, inst)| match inst {
-                Instrument::Histogram(h) => Some((key.clone(), h.data())),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// A point-in-time copy of every instrument.
+    /// A point-in-time copy of every instrument, taken under one lock.
     pub fn snapshot(&self) -> Snapshot {
         let map = crate::lock(&self.instruments);
-        let mut snap = Snapshot::default();
-        for (key, inst) in map.iter() {
-            match inst {
-                Instrument::Counter(c) => snap.counters.push((key.clone(), c.get())),
-                Instrument::Gauge(g) => snap.gauges.push((key.clone(), g.get())),
-                Instrument::Histogram(h) => snap.histograms.push((
-                    key.clone(),
-                    HistogramSummary {
-                        count: h.count(),
-                        sum: h.sum(),
-                        p50: h.quantile(0.50),
-                        p95: h.quantile(0.95),
-                        p99: h.quantile(0.99),
-                    },
-                )),
-            }
-        }
-        snap
+        let series = map
+            .iter()
+            .map(|(key, inst)| {
+                let value = match inst {
+                    Instrument::Counter(c) => MetricValue::Counter(c.get()),
+                    Instrument::Gauge(g) => MetricValue::Gauge(g.get()),
+                    Instrument::Histogram(h) => MetricValue::Histogram(h.data()),
+                };
+                (key.clone(), value)
+            })
+            .collect();
+        Snapshot { series }
     }
 
     /// Prometheus text exposition of every instrument.
     pub fn render_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let map = crate::lock(&self.instruments);
-        let mut out = String::new();
-        let mut typed: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
-        for (key, inst) in map.iter() {
-            let kind = match inst {
-                Instrument::Counter(_) => "counter",
-                Instrument::Gauge(_) => "gauge",
-                Instrument::Histogram(_) => "histogram",
-            };
-            if typed.insert(key.name.as_str()) {
-                let _ = writeln!(out, "# TYPE {} {kind}", key.name);
-            }
-            match inst {
-                Instrument::Counter(c) => {
-                    let _ = writeln!(out, "{} {}", key.render(), c.get());
-                }
-                Instrument::Gauge(g) => {
-                    let _ = writeln!(out, "{} {}", key.render(), g.get());
-                }
-                Instrument::Histogram(h) => {
-                    let bucket_key = MetricKey {
-                        name: format!("{}_bucket", key.name),
-                        labels: key.labels.clone(),
-                    };
-                    for (bound, cum) in h.cumulative() {
-                        let le = match bound {
-                            Some(b) => b.to_string(),
-                            None => "+Inf".to_string(),
-                        };
-                        let _ = writeln!(out, "{} {cum}", bucket_key.render_with(("le", &le)));
-                    }
-                    let _ = writeln!(out, "{}_sum{} {}", key.name, labels_only(key), h.sum());
-                    let _ = writeln!(out, "{}_count{} {}", key.name, labels_only(key), h.count());
-                }
-            }
-        }
-        out
+        let mut doc = Exposition::default();
+        doc.push(&self.snapshot(), None);
+        doc.into_text()
     }
 
     /// A human-readable end-of-run summary: counters and gauges aligned,
@@ -583,43 +581,33 @@ impl Registry {
         let snap = self.snapshot();
         let mut out = String::new();
         let _ = writeln!(out, "── metrics ──");
-        for (key, value) in &snap.counters {
+        for (key, value) in snap.counters() {
             if *value > 0 {
                 let _ = writeln!(out, "  {:<58} {value}", key.render());
             }
         }
-        for (key, value) in &snap.gauges {
-            let _ = writeln!(out, "  {:<58} {value}", key.render());
+        for (key, value) in &snap.series {
+            if let MetricValue::Gauge(value) = value {
+                let _ = writeln!(out, "  {:<58} {value}", key.render());
+            }
         }
-        for (key, s) in &snap.histograms {
-            if s.count == 0 {
+        for (key, h) in snap.histograms() {
+            let count = h.count();
+            if count == 0 {
                 continue;
             }
-            let mean = s.sum as f64 / s.count as f64;
+            let mean = h.sum as f64 / count as f64;
             let _ = writeln!(
                 out,
-                "  {:<58} n={} mean={mean:.0} p50≤{} p95≤{} p99≤{}",
+                "  {:<58} n={count} mean={mean:.0} p50≤{} p95≤{} p99≤{}",
                 key.render(),
-                s.count,
-                s.p50.unwrap_or(0),
-                s.p95.unwrap_or(0),
-                s.p99.unwrap_or(0),
+                h.quantile(0.50).unwrap_or(0),
+                h.quantile(0.95).unwrap_or(0),
+                h.quantile(0.99).unwrap_or(0),
             );
         }
         out
     }
-}
-
-fn labels_only(key: &MetricKey) -> String {
-    if key.labels.is_empty() {
-        return String::new();
-    }
-    let labels: Vec<String> = key
-        .labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{v}\""))
-        .collect();
-    format!("{{{}}}", labels.join(","))
 }
 
 #[cfg(test)]
@@ -648,7 +636,7 @@ mod tests {
         r.counter_with("x_total", &[("class", "b")]).add(2);
         let snap = r.snapshot();
         assert_eq!(snap.counter("x_total"), 3);
-        assert_eq!(snap.counters.len(), 2);
+        assert_eq!(snap.counters().count(), 2);
     }
 
     #[test]
@@ -661,11 +649,12 @@ mod tests {
             h.observe(50);
         }
         h.observe(5_000); // +Inf bucket
-        assert_eq!(h.count(), 100);
-        assert_eq!(h.quantile(0.5), Some(10));
-        assert_eq!(h.quantile(0.95), Some(100));
-        assert_eq!(h.quantile(0.999), Some(1_000), "+Inf reports last bound");
-        assert_eq!(Histogram::with_bounds(vec![1]).quantile(0.5), None);
+        let data = h.data();
+        assert_eq!(data.count(), 100);
+        assert_eq!(data.quantile(0.5), Some(10));
+        assert_eq!(data.quantile(0.95), Some(100));
+        assert_eq!(data.quantile(0.999), Some(1_000), "+Inf reports last bound");
+        assert_eq!(Histogram::with_bounds(vec![1]).data().quantile(0.5), None);
     }
 
     #[test]
@@ -717,12 +706,11 @@ mod tests {
         let h = Histogram::with_bounds(vec![10, 100]);
         let global_before = histogram_saturated_total().get();
         h.observe(100); // exactly the top bound: last finite bucket
-        assert_eq!(h.saturated(), 0, "top bound is inclusive");
+        assert_eq!(h.data().buckets[2], 0, "top bound is inclusive");
         h.observe(101); // one past: +Inf, saturated
         h.observe(u64::MAX);
-        assert_eq!(h.saturated(), 2);
-        assert_eq!(h.count(), 3);
         let data = h.data();
+        assert_eq!(data.count(), 3);
         assert_eq!(data.buckets, vec![0, 1, 2], "+Inf bucket holds overflow");
         assert!(
             histogram_saturated_total().get() >= global_before + 2,
@@ -748,16 +736,70 @@ mod tests {
         b.observe(500);
         let mut merged = a.data();
         assert!(merged.merge(&b.data()));
-        assert_eq!(merged.count, 4);
+        assert_eq!(merged.count(), 4);
         assert_eq!(merged.sum, 605);
         assert_eq!(merged.buckets, vec![1, 2, 1]);
-        assert_eq!(merged.saturated, 1);
         assert_eq!(merged.quantile(0.5), Some(100));
         // Mismatched bounds refuse to merge and leave self untouched.
         let other = Histogram::with_bounds(vec![1, 2]).data();
         let before = merged.clone();
         assert!(!merged.merge(&other));
         assert_eq!(merged, before);
+    }
+
+    #[test]
+    fn snapshots_keep_key_order_and_merge_by_key() {
+        let key = |name: &str| MetricKey::new(name, &[]);
+        let hist = |buckets: Vec<u64>, sum| {
+            MetricValue::Histogram(HistogramData {
+                bounds: vec![10],
+                buckets,
+                sum,
+            })
+        };
+        let mut a: Snapshot = [
+            (key("rtt"), hist(vec![1, 0], 5)),
+            (key("epochs"), MetricValue::Counter(3)),
+            (key("depth"), MetricValue::Gauge(2)),
+            (key("alerts"), MetricValue::Counter(1)),
+        ]
+        .into_iter()
+        .collect();
+        let names: Vec<&str> = a.series().iter().map(|(k, _)| k.name.as_str()).collect();
+        assert_eq!(names, ["alerts", "depth", "epochs", "rtt"]);
+        let b: Snapshot = [
+            (key("epochs"), MetricValue::Counter(4)),
+            (key("depth"), MetricValue::Gauge(-1)),
+            (key("rtt"), hist(vec![0, 2], 40)),
+            // A kind clash is skipped, not corrupted.
+            (key("alerts"), MetricValue::Gauge(9)),
+        ]
+        .into_iter()
+        .collect();
+        a.merge(&b);
+        assert_eq!(a.counter("epochs"), 7);
+        assert_eq!(a.counter("alerts"), 1);
+        assert_eq!(a.gauge("depth"), Some(1));
+        let (_, rtt) = a.histograms().next().unwrap();
+        assert_eq!(rtt.buckets, vec![1, 2]);
+        assert_eq!((rtt.count(), rtt.sum), (3, 45));
+    }
+
+    #[test]
+    fn exposition_appends_the_extra_label_before_le() {
+        let r = Registry::new();
+        r.histogram_with("rtt_us", &[("op", "call")], vec![100])
+            .observe(40);
+        r.counter("req_total").inc();
+        let mut doc = Exposition::default();
+        doc.push(&r.snapshot(), None);
+        doc.push(&r.snapshot(), Some(("source", "a")));
+        let text = doc.into_text();
+        assert_eq!(text.matches("# TYPE").count(), 2, "{text}");
+        assert!(text.contains("rtt_us_bucket{op=\"call\",source=\"a\",le=\"+Inf\"} 1"));
+        assert!(text.contains("rtt_us_count{op=\"call\",source=\"a\"} 1"));
+        assert!(text.contains("req_total{source=\"a\"} 1"));
+        assert!(text.starts_with(&r.render_prometheus()));
     }
 
     #[test]
@@ -778,7 +820,6 @@ mod tests {
                         if i % 16 == 0 {
                             let _ = r.render_prometheus();
                             let _ = r.snapshot();
-                            let _ = r.export_histograms();
                         }
                     }
                 });
@@ -790,8 +831,8 @@ mod tests {
             (threads * iters) as u64,
             "duplicate-name registration resolved to the same instrument"
         );
-        assert_eq!(snap.counters.len(), 4, "one series per label value");
-        let total: u64 = r.export_histograms().iter().map(|(_, d)| d.count).sum();
+        assert_eq!(snap.counters().count(), 4, "one series per label value");
+        let total: u64 = snap.histograms().map(|(_, d)| d.count()).sum();
         assert_eq!(total, (threads * iters) as u64);
     }
 }

@@ -163,12 +163,12 @@ mod tests {
     #[test]
     fn denials_are_counted() {
         let denied_before = denied_total().get();
-        let waits_before = wait_us().count();
+        let waits_before = wait_us().data().count();
         let mut b = TokenBucket::new(10.0, 1.0);
         assert!(b.try_acquire(at(0)));
         assert!(!b.try_acquire(at(0)));
         assert!(denied_total().get() > denied_before);
-        assert!(wait_us().count() > waits_before);
+        assert!(wait_us().data().count() > waits_before);
     }
 
     #[test]

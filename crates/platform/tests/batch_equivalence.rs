@@ -204,12 +204,11 @@ fn batch() -> Vec<EstimateRequest<'static>> {
 fn platform_metrics() -> Vec<(String, u64)> {
     let snap = Registry::global().snapshot();
     let counters = snap
-        .counters
-        .iter()
+        .counters()
         .map(|(key, value)| (format!("{key:?}"), *value));
-    let histograms = snap.histograms.iter().flat_map(|(key, h)| {
+    let histograms = snap.histograms().flat_map(|(key, h)| {
         [
-            (format!("{key:?} count"), h.count),
+            (format!("{key:?} count"), h.count()),
             (format!("{key:?} sum"), h.sum),
         ]
     });

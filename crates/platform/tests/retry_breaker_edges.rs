@@ -21,8 +21,7 @@ fn at(ms: u64) -> Duration {
 fn transitions(to: &str) -> u64 {
     Registry::global()
         .snapshot()
-        .counters
-        .iter()
+        .counters()
         .filter(|(k, _)| {
             k.name == "adcomp_circuit_transitions_total"
                 && k.labels.iter().any(|(lk, lv)| lk == "to" && lv == to)

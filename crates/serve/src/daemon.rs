@@ -25,16 +25,16 @@
 
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use adcomp_agg::{MetricsFrame, Telemetry, TelemetryPusher};
+use adcomp_agg::{Telemetry, TelemetryPusher};
 use adcomp_core::recording::{fnv1a, EpochEvent};
 use adcomp_core::{
     drift_between_with, run_epoch, DriftOptions, EpochPlan, ResilienceConfig, SchedulerConfig,
 };
-use adcomp_obs::metrics::MetricKey;
+use adcomp_obs::metrics::{MetricKey, MetricValue, Snapshot};
 use adcomp_obs::{Clock, Registry, RunReport};
 use adcomp_store::{RunStore, SyncPolicy, WalOptions};
 
@@ -222,8 +222,9 @@ impl Daemon {
     }
 
     /// Installs a fleet telemetry pusher: after every completed epoch
-    /// the daemon pushes a [`MetricsFrame`] of its own status counters
-    /// (never blocking — the pusher's queue drops on overflow).
+    /// the daemon pushes a [`Snapshot`] of its own status counters
+    /// ([`status_frame`]; never blocking — the pusher's queue drops on
+    /// overflow).
     pub fn with_telemetry(mut self, pusher: Arc<TelemetryPusher>) -> Daemon {
         self.telemetry = Some(pusher);
         self
@@ -562,37 +563,22 @@ impl Daemon {
     }
 }
 
-/// One daemon's status counters as a pushable metric frame (the
+/// One daemon's status counters as a pushable snapshot (the
 /// per-source state behind the fleet's `adcomp_serve_*` series).
-pub fn status_frame(status: &DaemonStatus) -> MetricsFrame {
-    let counter = |name: &str, value: u64| (MetricKey::new(name, &[]), value);
-    MetricsFrame {
-        counters: vec![
-            counter(
-                "adcomp_serve_epochs_total",
-                status.epochs.load(Ordering::Acquire),
-            ),
-            counter(
-                "adcomp_serve_alerts_total",
-                status.alerts.load(Ordering::Acquire),
-            ),
-            counter(
-                "adcomp_serve_degraded_epochs_total",
-                status.degraded.load(Ordering::Acquire),
-            ),
-            counter(
-                "adcomp_serve_resumes_total",
-                status.resumes.load(Ordering::Acquire),
-            ),
-            counter(
-                "adcomp_serve_reloads_total",
-                status.reloads.load(Ordering::Acquire),
-            ),
-        ],
-        gauges: vec![(
-            MetricKey::new("adcomp_serve_healthy", &[]),
-            status.healthy.load(Ordering::Acquire) as i64,
-        )],
-        histograms: Vec::new(),
-    }
+pub fn status_frame(status: &DaemonStatus) -> Snapshot {
+    let counter = |name: &str, value: &AtomicU64| {
+        let value = MetricValue::Counter(value.load(Ordering::Acquire));
+        (MetricKey::new(name, &[]), value)
+    };
+    let healthy = MetricValue::Gauge(status.healthy.load(Ordering::Acquire) as i64);
+    [
+        counter("adcomp_serve_epochs_total", &status.epochs),
+        counter("adcomp_serve_alerts_total", &status.alerts),
+        counter("adcomp_serve_degraded_epochs_total", &status.degraded),
+        counter("adcomp_serve_resumes_total", &status.resumes),
+        counter("adcomp_serve_reloads_total", &status.reloads),
+        (MetricKey::new("adcomp_serve_healthy", &[]), healthy),
+    ]
+    .into_iter()
+    .collect()
 }

@@ -811,11 +811,11 @@ mod tests {
         let specs: Vec<TargetingSpec> = (0..2 * MAX_BATCH_SPECS as u32 + 1)
             .map(|i| TargetingSpec::and_of([AttributeId(i % 40)]))
             .collect();
-        let before = rtt.count();
+        let before = rtt.data().count();
         assert!(client.estimate_batch(&specs).iter().all(Result::is_ok));
-        assert_eq!(rtt.count() - before, 3, "one round trip per frame");
+        assert_eq!(rtt.data().count() - before, 3, "one round trip per frame");
         assert!(client.estimate(&specs[0]).is_ok());
-        assert_eq!(rtt.count() - before, 4);
+        assert_eq!(rtt.data().count() - before, 4);
         handle.shutdown();
     }
 }

@@ -29,6 +29,8 @@ pub enum CodecError {
     },
     /// String bytes were not valid UTF-8.
     InvalidUtf8,
+    /// Well-formed bytes holding a value no encoder produces.
+    Invalid(&'static str),
 }
 
 impl std::fmt::Display for CodecError {
@@ -40,6 +42,7 @@ impl std::fmt::Display for CodecError {
                 write!(f, "declared length {declared} exceeds limit")
             }
             CodecError::InvalidUtf8 => write!(f, "invalid utf-8 in string"),
+            CodecError::Invalid(what) => write!(f, "invalid value: {what}"),
         }
     }
 }
@@ -197,10 +200,7 @@ pub fn to_bytes<T: WireEncode + ?Sized>(value: &T) -> Vec<u8> {
 pub fn from_bytes<T: WireDecode>(mut buf: &[u8]) -> Result<T, CodecError> {
     let value = T::decode(&mut buf)?;
     if !buf.is_empty() {
-        // Trailing garbage indicates a framing bug or protocol mismatch.
-        return Err(CodecError::LengthOverflow {
-            declared: buf.len() as u64,
-        });
+        return Err(CodecError::Invalid("trailing bytes: framing mismatch"));
     }
     Ok(value)
 }

@@ -22,8 +22,7 @@ use discrimination_via_composition::RemoteSource;
 
 /// Sum of a labelled counter across every label combination.
 fn counter(snap: &adcomp_obs::Snapshot, name: &str, label: Option<(&str, &str)>) -> u64 {
-    snap.counters
-        .iter()
+    snap.counters()
         .filter(|(k, _)| {
             k.name == name
                 && label.is_none_or(|(lk, lv)| k.labels.iter().any(|(a, b)| a == lk && b == lv))
